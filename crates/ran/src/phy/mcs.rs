@@ -178,6 +178,23 @@ fn sinr_required_table() -> &'static [f64; 29] {
     })
 }
 
+/// Running maximum of [`sinr_required_db`] over indices `0..=mcs`.
+///
+/// Selection climbs the table until the first requirement the effective
+/// SINR misses, so it picks the longest prefix whose *largest* requirement
+/// is met. This copy is monotone even across the 16→17 dip, which turns
+/// that climb into a binary search with exactly the same answer.
+fn select_threshold_table() -> &'static [f64; 29] {
+    static TABLE: std::sync::OnceLock<[f64; 29]> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut t = *sinr_required_table();
+        for mcs in 1..t.len() {
+            t[mcs] = t[mcs].max(t[mcs - 1]);
+        }
+        t
+    })
+}
+
 /// Inner-loop MCS selection: the highest MCS whose SINR requirement is met by
 /// `sinr_db + olla_offset_db + margin_db`, clamped to `cap`.
 ///
@@ -186,17 +203,9 @@ fn sinr_required_table() -> &'static [f64; 29] {
 /// selection strategy").
 pub fn select_mcs(sinr_db: f64, olla_offset_db: f64, margin_db: f64, cap: u8) -> u8 {
     let effective = sinr_db + olla_offset_db + margin_db;
-    let cap = cap.min(MAX_MCS);
-    let table = sinr_required_table();
-    let mut best = 0u8;
-    for mcs in 0..=cap {
-        if table[mcs as usize] <= effective {
-            best = mcs;
-        } else {
-            break;
-        }
-    }
-    best
+    let cap = cap.min(MAX_MCS) as usize;
+    let met = select_threshold_table()[..=cap].partition_point(|&t| t <= effective);
+    met.saturating_sub(1) as u8
 }
 
 /// Outer-loop link adaptation: walks an SINR offset so that the realised
@@ -243,6 +252,52 @@ impl OuterLoop {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The linear scan `select_mcs` replaced: climb from MCS 0 and stop at
+    /// the first requirement the effective SINR misses.
+    fn select_mcs_scan(sinr_db: f64, olla_offset_db: f64, margin_db: f64, cap: u8) -> u8 {
+        let effective = sinr_db + olla_offset_db + margin_db;
+        let cap = cap.min(MAX_MCS);
+        let table = sinr_required_table();
+        let mut best = 0u8;
+        for mcs in 0..=cap {
+            if table[mcs as usize] <= effective {
+                best = mcs;
+            } else {
+                break;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn binary_search_matches_linear_scan() {
+        let mut probes = vec![f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -0.0];
+        for &t in sinr_required_table() {
+            // Each threshold and its neighbouring floats on both sides.
+            probes.extend([
+                t,
+                f64::from_bits(t.to_bits() - 1),
+                f64::from_bits(t.to_bits() + 1),
+            ]);
+        }
+        // Dense sweep past both ends of the table, 0.001 dB apart.
+        probes.extend((-15_000..=35_000).map(|i| i as f64 / 1000.0));
+        for cap in 0..=30u8 {
+            for &s in &probes {
+                assert_eq!(
+                    select_mcs(s, 0.0, 0.0, cap),
+                    select_mcs_scan(s, 0.0, 0.0, cap),
+                    "sinr {s:e} cap {cap}"
+                );
+            }
+        }
+        // The 16→17 dip: MCS 17 needs slightly less than 16, but the
+        // climb stops at 16, so SINR between the two selects 15.
+        let mid = (sinr_required_db(17) + sinr_required_db(16)) / 2.0;
+        assert!(sinr_required_db(17) < mid && mid < sinr_required_db(16));
+        assert_eq!(select_mcs(mid, 0.0, 0.0, MAX_MCS), 15);
+    }
 
     #[test]
     fn table_spot_values() {

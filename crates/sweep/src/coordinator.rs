@@ -875,4 +875,71 @@ mod tests {
         stats.record_into(&mut off);
         assert!(off.snapshot().is_none());
     }
+
+    #[test]
+    fn tcp_coordinator_disconnects_peers_declaring_oversized_frames() {
+        use crate::transport::{TcpLink, TcpTransport};
+        use crate::worker::{run_worker, WorkerExit, WorkerFaults};
+        use std::io::{ErrorKind, Read, Write};
+        use std::net::TcpStream;
+        use std::time::Duration;
+
+        let specs = all_cells_grid(7, SimDuration::from_secs(3));
+        let domino = Domino::with_defaults();
+        let opts = SweepOptions::default().threads(1);
+        let mut transport = TcpTransport::bind().expect("bind loopback");
+        let addr = format!("127.0.0.1:{}", transport.port());
+        let cfg = CoordinatorConfig {
+            chunk_specs: 2,
+            ..Default::default()
+        };
+        let (run, hung_up, exit) = std::thread::scope(|scope| {
+            let peers = scope.spawn(|| {
+                // Two hostile peers, one after the other: a length whose
+                // end offset wraps `usize`, and one of 10^12 bytes that
+                // would have the coordinator buffer forever. Each waits
+                // for the coordinator to hang up.
+                let mut hung_up = Vec::new();
+                for header in [
+                    &b"frame\thello\t18446744073709551615\n"[..],
+                    &b"frame\thello\t1000000000000\n"[..],
+                ] {
+                    let mut peer = TcpStream::connect(&addr).expect("connect");
+                    peer.set_read_timeout(Some(Duration::from_secs(30)))
+                        .expect("read timeout");
+                    peer.write_all(header).expect("send header");
+                    let mut sink = [0u8; 1024];
+                    let end = loop {
+                        match peer.read(&mut sink) {
+                            Ok(0) => break Ok(()),
+                            Ok(_) => continue, // a dispatch sent before the header was read
+                            Err(e) => break Err(e.kind()),
+                        }
+                    };
+                    hung_up.push(end.is_ok() || end == Err(ErrorKind::ConnectionReset));
+                }
+                // Only then an honest worker joins and runs the whole grid.
+                let mut link = TcpLink::connect(&addr).expect("connect");
+                let exit = run_worker(
+                    &mut link,
+                    "honest",
+                    &specs,
+                    &domino,
+                    &opts,
+                    WorkerFaults::default(),
+                );
+                (hung_up, exit)
+            });
+            let run = run_coordinator(specs.len(), &mut transport, &cfg, |_| {});
+            drop(transport);
+            let (hung_up, exit) = peers.join().expect("peer thread");
+            (run, hung_up, exit)
+        });
+        assert_eq!(hung_up, [true, true], "each hostile peer is disconnected");
+        assert!(matches!(exit, WorkerExit::Drained), "{exit:?}");
+        let run = run.expect("the sweep completes despite the hostile peers");
+        assert_eq!(run.report.outcomes.len(), specs.len());
+        assert_eq!(run.stats.workers_connected, 3);
+        assert!(run.stats.worker_deaths >= 2, "{:?}", run.stats);
+    }
 }

@@ -958,6 +958,27 @@ mod tests {
     }
 
     #[test]
+    fn multiplexed_progress_reports_footprint_with_obs_off() {
+        let specs = all_cells_grid(11, SimDuration::from_secs(3));
+        let domino = Domino::with_defaults();
+        let opts = SweepOptions {
+            threads: 1,
+            execution: ExecutionMode::Multiplexed { width: 4 },
+            ..Default::default()
+        };
+        assert!(!opts.obs.enabled, "the fix under test is the obs-off path");
+        let peaks = Mutex::new(Vec::new());
+        run_sweep_with_progress(&specs, &domino, &opts, &|p| {
+            peaks.lock().unwrap().push(p.arena_footprint_peak);
+        });
+        let peaks = peaks.into_inner().unwrap();
+        assert_eq!(peaks.len(), specs.len());
+        // Sampled before each outcome is delivered, so even the first
+        // callback sees the finished session's retained storage.
+        assert!(peaks.iter().all(|&p| p > 0), "peaks {peaks:?}");
+    }
+
+    #[test]
     fn aggregate_where_filters_by_class() {
         let specs = small_grid();
         let domino = Domino::with_defaults();

@@ -170,8 +170,8 @@ impl MuxWorker {
     /// delivering each finished [`SessionOutcome`] to `complete` (in
     /// completion order; the caller slots them by index).
     /// `footprint_peak`, when given, receives a `fetch_max` of the arena
-    /// footprint after every completed session (the sweep's shared
-    /// high-water the progress callback reports).
+    /// footprint after every completed session, before `complete` sees it
+    /// (the sweep's shared high-water the progress callback reports).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run(
         &mut self,
@@ -222,7 +222,9 @@ impl MuxWorker {
                 match tick {
                     None => tick = Some(spec.cfg.tick),
                     Some(t) if t != spec.cfg.tick => {
-                        complete(self.run_solo(spec, index, domino, opts, live));
+                        let outcome = self.run_solo(spec, index, domino, opts, live);
+                        sample_footprint(&mut self.arena, footprint_peak);
+                        complete(outcome);
                         continue;
                     }
                     Some(_) => {}
@@ -250,7 +252,7 @@ impl MuxWorker {
                     let MuxWorker {
                         arena, pool: pl, ..
                     } = self;
-                    complete(finalize(
+                    let outcome = finalize(
                         Active {
                             index,
                             state,
@@ -264,10 +266,12 @@ impl MuxWorker {
                         opts,
                         live,
                         chaos_state.as_mut(),
-                    ));
+                    );
                     if let Some(st) = &chaos_state {
                         record_chaos_obs(self.arena.recorder_mut(), &st.log);
                     }
+                    sample_footprint(&mut self.arena, footprint_peak);
+                    complete(outcome);
                     continue;
                 }
                 active.push(Active {
@@ -332,7 +336,7 @@ impl MuxWorker {
                     let s = active.swap_remove(i);
                     let label = specs[s.index].label.clone();
                     let mut chaos_state = chaos.remove(&(s.index as u64));
-                    complete(finalize(
+                    let outcome = finalize(
                         s,
                         label,
                         arena,
@@ -342,18 +346,13 @@ impl MuxWorker {
                         opts,
                         live,
                         chaos_state.as_mut(),
-                    ));
+                    );
                     if let Some(st) = &chaos_state {
                         debug_assert!(st.log.reconciled(), "chaos log must balance");
                         record_chaos_obs(arena.recorder_mut(), &st.log);
                     }
-                    if obs_on {
-                        let fp = arena.footprint() as u64;
-                        arena.recorder_mut().gauge_max(Gauge::ArenaFootprint, fp);
-                        if let Some(a) = footprint_peak {
-                            a.fetch_max(fp, Ordering::Relaxed);
-                        }
-                    }
+                    sample_footprint(arena, footprint_peak);
+                    complete(outcome);
                 } else {
                     i += 1;
                 }
@@ -450,6 +449,17 @@ impl MuxWorker {
             domino,
             opts,
         )
+    }
+}
+
+/// Samples the arena's retained footprint after a session finished: into
+/// the sweep-wide progress peak, whether or not observability is on, and
+/// into the recorder's gauge (a no-op when off).
+fn sample_footprint(arena: &mut SessionArena, peak: Option<&AtomicU64>) {
+    let fp = arena.footprint() as u64;
+    arena.recorder_mut().gauge_max(Gauge::ArenaFootprint, fp);
+    if let Some(a) = peak {
+        a.fetch_max(fp, Ordering::Relaxed);
     }
 }
 

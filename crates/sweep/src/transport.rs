@@ -73,13 +73,38 @@ pub struct Frame {
     pub payload: String,
 }
 
+/// Largest payload a frame header may declare. The biggest frames are
+/// results, one dispatched range's encoded [`ShardReport`](crate::ShardReport)
+/// at about a kilobyte per session, so 64 MiB holds ranges of tens of
+/// thousands of sessions. It is also the most a peer can make the
+/// receiving side buffer for one frame: a header declaring more is
+/// rejected before any of its payload is read.
+pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// Longest header line (`frame\t<kind>\t<len>`) the decoder waits for.
+const MAX_HEADER_BYTES: usize = 256;
+
 /// A malformed frame or payload. Fatal for the connection that produced it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameError(pub String);
+pub enum FrameError {
+    /// The header declares a payload longer than [`MAX_FRAME_BYTES`].
+    TooLong {
+        /// The declared payload length in bytes.
+        declared: usize,
+    },
+    /// Any other malformed header or payload.
+    Malformed(String),
+}
 
 impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "frame error: {}", self.0)
+        match self {
+            FrameError::TooLong { declared } => write!(
+                f,
+                "frame error: declared payload of {declared} bytes exceeds {MAX_FRAME_BYTES}"
+            ),
+            FrameError::Malformed(what) => write!(f, "frame error: {what}"),
+        }
     }
 }
 
@@ -107,11 +132,13 @@ impl DispatchSpec {
     pub fn parse(payload: &str) -> Result<DispatchSpec, FrameError> {
         let fields: Vec<&str> = payload.split('\t').collect();
         if fields.len() != 6 || fields[0] != "dispatch" {
-            return Err(FrameError(format!("bad dispatch payload {payload:?}")));
+            return Err(FrameError::Malformed(format!(
+                "bad dispatch payload {payload:?}"
+            )));
         }
         let num = |s: &str| -> Result<usize, FrameError> {
             s.parse()
-                .map_err(|_| FrameError(format!("bad dispatch field {s:?}")))
+                .map_err(|_| FrameError::Malformed(format!("bad dispatch field {s:?}")))
         };
         Ok(DispatchSpec {
             range_id: num(fields[1])?,
@@ -164,11 +191,11 @@ impl Frame {
     pub fn parse_result(payload: &str) -> Result<(usize, &str), FrameError> {
         let (head, rest) = payload
             .split_once('\n')
-            .ok_or_else(|| FrameError("result payload missing report".into()))?;
+            .ok_or_else(|| FrameError::Malformed("result payload missing report".into()))?;
         let id = head
             .strip_prefix("result\t")
             .and_then(|s| s.parse().ok())
-            .ok_or_else(|| FrameError(format!("bad result header {head:?}")))?;
+            .ok_or_else(|| FrameError::Malformed(format!("bad result header {head:?}")))?;
         Ok((id, rest))
     }
 
@@ -184,34 +211,42 @@ impl Frame {
 
     /// Tries to decode one frame from the front of `buf`. Returns
     /// `Ok(None)` when more bytes are needed; on success the consumed
-    /// prefix is drained from `buf`.
+    /// prefix is drained from `buf`. A header declaring more than
+    /// [`MAX_FRAME_BYTES`] fails at once with [`FrameError::TooLong`], so
+    /// the caller never buffers toward a length the peer made up.
     pub fn decode(buf: &mut Vec<u8>) -> Result<Option<Frame>, FrameError> {
         let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
-            if buf.len() > 256 {
-                return Err(FrameError("oversized frame header".into()));
+            if buf.len() > MAX_HEADER_BYTES {
+                return Err(FrameError::Malformed("oversized frame header".into()));
             }
             return Ok(None);
         };
         let header = std::str::from_utf8(&buf[..nl])
-            .map_err(|_| FrameError("non-utf8 frame header".into()))?;
+            .map_err(|_| FrameError::Malformed("non-utf8 frame header".into()))?;
         let mut parts = header.split('\t');
         let (tag, kind, len) = (parts.next(), parts.next(), parts.next());
         if tag != Some("frame") || parts.next().is_some() {
-            return Err(FrameError(format!("bad frame header {header:?}")));
+            return Err(FrameError::Malformed(format!(
+                "bad frame header {header:?}"
+            )));
         }
         let kind = kind
             .and_then(FrameKind::from_wire)
-            .ok_or_else(|| FrameError(format!("unknown frame kind in {header:?}")))?;
+            .ok_or_else(|| FrameError::Malformed(format!("unknown frame kind in {header:?}")))?;
         let len: usize = len
             .and_then(|s| s.parse().ok())
-            .ok_or_else(|| FrameError(format!("bad frame length in {header:?}")))?;
-        if buf.len() < nl + 1 + len {
+            .ok_or_else(|| FrameError::Malformed(format!("bad frame length in {header:?}")))?;
+        let end = (nl + 1)
+            .checked_add(len)
+            .filter(|_| len <= MAX_FRAME_BYTES)
+            .ok_or(FrameError::TooLong { declared: len })?;
+        if buf.len() < end {
             return Ok(None);
         }
-        let payload = std::str::from_utf8(&buf[nl + 1..nl + 1 + len])
-            .map_err(|_| FrameError("non-utf8 frame payload".into()))?
+        let payload = std::str::from_utf8(&buf[nl + 1..end])
+            .map_err(|_| FrameError::Malformed("non-utf8 frame payload".into()))?
             .to_string();
-        buf.drain(..nl + 1 + len);
+        buf.drain(..end);
         Ok(Some(Frame { kind, payload }))
     }
 }
@@ -533,5 +568,33 @@ mod tests {
         assert!(Frame::decode(&mut buf).is_err());
         let mut buf = b"frame\thello\tnope\nabcd".to_vec();
         assert!(Frame::decode(&mut buf).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_declared_lengths_past_the_cap() {
+        // `nl + 1 + len` wraps: this header used to panic on the slice.
+        let mut buf = b"frame\thello\t18446744073709551615\n".to_vec();
+        assert_eq!(
+            Frame::decode(&mut buf),
+            Err(FrameError::TooLong {
+                declared: usize::MAX
+            })
+        );
+        // 10^12 bytes: this header used to ask for more bytes forever.
+        let mut buf = b"frame\tresult\t1000000000000\npartial".to_vec();
+        assert_eq!(
+            Frame::decode(&mut buf),
+            Err(FrameError::TooLong {
+                declared: 1_000_000_000_000
+            })
+        );
+        // The cap itself is a legal length: the decoder waits for it.
+        let mut buf = format!("frame\tresult\t{MAX_FRAME_BYTES}\n").into_bytes();
+        assert_eq!(Frame::decode(&mut buf), Ok(None));
+        let mut buf = format!("frame\tresult\t{}\n", MAX_FRAME_BYTES + 1).into_bytes();
+        assert!(matches!(
+            Frame::decode(&mut buf),
+            Err(FrameError::TooLong { .. })
+        ));
     }
 }

@@ -87,8 +87,9 @@ impl<'a> SweepWorker<'a> {
     /// the scripted kill fired: the range was started but no result may be
     /// sent, and the caller must die.
     pub fn run_dispatch(&mut self, d: &DispatchSpec) -> Result<Option<Frame>, FrameError> {
-        if d.start + d.len > self.specs.len() || d.total != self.specs.len() {
-            return Err(FrameError(format!(
+        let end = d.start.checked_add(d.len);
+        if end.is_none_or(|end| end > self.specs.len()) || d.total != self.specs.len() {
+            return Err(FrameError::Malformed(format!(
                 "dispatch {:?} does not fit grid of {}",
                 d,
                 self.specs.len()
@@ -227,6 +228,16 @@ mod tests {
         assert_eq!(report.start, 2);
         assert_eq!(report.outcomes.len(), 2);
         assert_eq!(report.grid_total, specs.len());
+        // A range whose end overflows `usize` (it would wrap back inside
+        // the grid in release builds) is refused, not run.
+        let wrapping = DispatchSpec {
+            start: usize::MAX,
+            ..d
+        };
+        assert!(matches!(
+            w.run_dispatch(&wrapping),
+            Err(FrameError::Malformed(_))
+        ));
     }
 
     #[test]
