@@ -12,7 +12,7 @@ use domino_core::{
 };
 use domino_sweep::{
     merge_shards, run_coordinator, run_shard, CoordinatorConfig, ExecutionMode, FaultPlan,
-    InProcFleet, MuxWorker, ShardPlan, SweepOptions, WorkerScratch,
+    InProcFleet, MuxWorker, ShardPlan, SweepOptions,
 };
 use ran_sim::phy;
 use rtc_sim::gcc::trendline::{PacketTiming, TrendlineEstimator};
@@ -495,11 +495,11 @@ fn bench_obs_primitives(c: &mut Criterion) {
     });
 }
 
-/// The calendar queue against the binary heap on the session engine's
-/// workload shape: near-monotonic schedules a few milliseconds ahead,
-/// `pop_due` draining per 1 ms tick, ~128 events in flight. Both benches
-/// run the identical op sequence; the pop order is identical too (the
-/// property test in simcore enforces it).
+/// The calendar event queue on the session engine's workload shape:
+/// near-monotonic schedules a few milliseconds ahead, `pop_due` draining
+/// per 1 ms tick, ~128 events in flight. The name predates the removal of
+/// the binary-heap backend it was once compared against; it is kept so the
+/// baseline series stays continuous.
 fn bench_calendar_vs_heap(c: &mut Criterion) {
     fn churn(q: &mut EventQueue<u64>) -> u64 {
         q.clear();
@@ -531,17 +531,11 @@ fn bench_calendar_vs_heap(c: &mut Criterion) {
     c.bench_function("simcore/calendar_vs_heap", |b| {
         b.iter(|| churn(black_box(&mut cal)))
     });
-    let mut heap = EventQueue::with_capacity(256);
-    c.bench_function("simcore/calendar_vs_heap_baseline", |b| {
-        b.iter(|| churn(black_box(&mut heap)))
-    });
 }
 
 /// End-to-end sweep-worker throughput: one 3 s simulate-then-analyze
-/// session per iteration. `sweep/sessions_per_sec` is the shipping
-/// configuration (persistent worker arena, calendar queue, recycled
-/// bundles); the `_fresh_heap` companion rebuilds a heap-backed arena per
-/// session, approximating the pre-arena path on current code. The
+/// session per iteration, run through the sweep driver at width 1 on a
+/// persistent worker (warm arena and route queue, recycled bundles). The
 /// PR-4 acceptance ratio against the seed tree is tracked by
 /// `ran/two_party_session_per_sim_second` in BENCH_baseline.json.
 fn bench_sweep_sessions(c: &mut Criterion) {
@@ -555,17 +549,9 @@ fn bench_sweep_sessions(c: &mut Criterion) {
     );
     let domino = Domino::with_defaults();
     let opts = SweepOptions::default();
-    let mut scratch = WorkerScratch::new(&domino, &opts);
+    let mut worker = MuxWorker::new(&domino, &opts);
     c.bench_function("sweep/sessions_per_sec", |b| {
-        b.iter(|| scratch.run_session(black_box(&spec), 0, &domino, &opts))
-    });
-    let mut analyzer = StreamingAnalyzer::with_defaults();
-    c.bench_function("sweep/sessions_per_sec_fresh_heap", |b| {
-        b.iter(|| {
-            let mut arena = SessionArena::with_heap_queue();
-            let bundle = black_box(&spec).run_in(&mut arena);
-            analyzer.analyze(&bundle)
-        })
+        b.iter(|| worker.run_batch(std::slice::from_ref(black_box(&spec)), 1, &domino, &opts))
     });
 }
 
@@ -629,9 +615,9 @@ fn bench_shared_cell_sweep(c: &mut Criterion) {
     );
     let domino = Domino::with_defaults();
     let opts = SweepOptions::default();
-    let mut scratch = WorkerScratch::new(&domino, &opts);
+    let mut worker = MuxWorker::new(&domino, &opts);
     c.bench_function("sweep/shared_cell_sessions_per_sec", |b| {
-        b.iter(|| scratch.run_session(black_box(&spec), 0, &domino, &opts))
+        b.iter(|| worker.run_batch(std::slice::from_ref(black_box(&spec)), 1, &domino, &opts))
     });
 }
 

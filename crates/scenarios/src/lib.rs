@@ -24,11 +24,6 @@ pub use cells::{
     tmobile_tdd_100mhz,
 };
 pub use grid::{all_cells_grid, AccessSpec, ScriptAction, SessionGrid, SessionSpec};
-#[allow(deprecated)]
-pub use session::{
-    run_baseline_session, run_baseline_session_with_tap, run_baseline_session_with_tap_in,
-    run_cell_session, run_cell_session_with_tap, run_cell_session_with_tap_in,
-};
 pub use session::{
     AppSpec, BaselineAccess, EngineScratch, RouteEvent, RouteSink, SessionArena, SessionConfig,
     SessionRun, SessionState, SharedRouteQueue, TaggedSink,

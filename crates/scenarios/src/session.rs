@@ -186,28 +186,23 @@ pub enum RouteEvent {
     EnqueueDownlink(u64),
 }
 
-/// Where a session schedules its route events. The solo driver passes its
-/// arena's private [`EventQueue`]; a multiplexing driver passes a
-/// [`TaggedSink`] that stamps every event with the session's id and start
-/// offset before it lands in the worker-shared [`SharedRouteQueue`].
+/// Where a session schedules its route events. Every driver in this crate
+/// passes a [`TaggedSink`] that stamps each event with the session's id and
+/// start offset before it lands in the arena's [`SharedRouteQueue`] (the
+/// solo driver uses tag 0 and offset 0).
 pub trait RouteSink {
     /// Schedules `ev` to fire at session-local time `at`.
     fn schedule(&mut self, at: SimTime, ev: RouteEvent);
 }
 
-impl RouteSink for EventQueue<RouteEvent> {
-    fn schedule(&mut self, at: SimTime, ev: RouteEvent) {
-        EventQueue::schedule(self, at, ev);
-    }
-}
-
-/// One worker-shared route-event queue multiplexing N concurrent sessions:
-/// a calendar [`EventQueue`] whose events are tagged with a session id and
-/// popped in global `(time, session, seq)` order. Restricted to any one
-/// session, that order is exactly the `(time, seq)` order the session
-/// would observe from a private queue (the simcore property test
-/// `prop_tagged_pop_matches_private_queues` enforces it), which is what
-/// makes multiplexed per-session output byte-identical to solo runs.
+/// The route-event queue a [`SessionArena`] owns, shared by every session
+/// the arena's driver runs: a calendar [`EventQueue`] whose events are
+/// tagged with a session id and popped in global `(time, session, seq)`
+/// order. Restricted to any one session, that order is exactly the
+/// `(time, seq)` order the session would observe from a private queue (the
+/// simcore property test `prop_tagged_pop_matches_private_queues` enforces
+/// it), which is what makes multiplexed per-session output byte-identical
+/// to solo runs.
 ///
 /// Events are stored at *global* (driver) time: a [`TaggedSink`] adds the
 /// session's start offset on schedule, and the driver subtracts it again
@@ -217,15 +212,8 @@ pub struct SharedRouteQueue {
     q: EventQueue<RouteEvent, u64>,
 }
 
-impl Default for SharedRouteQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl SharedRouteQueue {
-    /// An empty shared queue on the calendar backend.
-    pub fn new() -> Self {
+    fn new() -> Self {
         SharedRouteQueue {
             q: EventQueue::calendar_keyed(),
         }
@@ -352,10 +340,10 @@ impl EngineScratch {
     }
 }
 
-/// Reusable per-worker storage for the session engine: the route-event
-/// queue, the per-tick scratch buffers, and free lists of per-session
-/// sub-state (in-flight packet maps, recycled [`TraceBundle`]s) that
-/// sessions lease at start and return at finish. A sweep worker keeps one
+/// Reusable per-worker storage for the session engine: the shared
+/// route-event queue, the per-tick scratch buffers, and free lists of
+/// per-session sub-state (in-flight packet maps, recycled [`TraceBundle`]s)
+/// that sessions lease at start and return at finish. A sweep worker keeps one
 /// arena and threads it through every session it runs — sequentially or
 /// multiplexed — so a 1000-session sweep performs O(1) large allocations
 /// per worker instead of O(sessions). A multiplexed worker's arena holds
@@ -363,11 +351,12 @@ impl EngineScratch {
 /// flat.
 ///
 /// Arenas carry **no cross-session state** — every leased buffer is
-/// cleared (not shrunk) before reuse, and the event queue's tie-break
-/// sequence restarts — so a session run in a warm arena is byte-identical
-/// to one run in a fresh arena. The determinism suites cover this.
+/// cleared (not shrunk) before reuse, and a driver clears the route queue
+/// (restarting its tie-break sequence) whenever no session is in flight —
+/// so a session run in a warm arena is byte-identical to one run in a
+/// fresh arena. The determinism suites cover this.
 pub struct SessionArena {
-    queue: EventQueue<RouteEvent>,
+    queue: SharedRouteQueue,
     scratch: EngineScratch,
     free_pending: Vec<IdMap<Pending>>,
     free_bundles: Vec<TraceBundle>,
@@ -381,22 +370,10 @@ impl Default for SessionArena {
 }
 
 impl SessionArena {
-    /// An arena on the calendar event queue — the session engine's default
-    /// backend (see [`simcore::CalendarQueue`]).
+    /// An empty arena.
     pub fn new() -> Self {
-        Self::with_queue(EventQueue::calendar())
-    }
-
-    /// An arena on the classic binary-heap queue. Pop order is identical;
-    /// this exists for A/B benchmarking and as a fallback for workloads the
-    /// calendar's bucket geometry does not fit.
-    pub fn with_heap_queue() -> Self {
-        Self::with_queue(EventQueue::with_capacity(256))
-    }
-
-    fn with_queue(queue: EventQueue<RouteEvent>) -> Self {
         SessionArena {
-            queue,
+            queue: SharedRouteQueue::new(),
             scratch: EngineScratch::default(),
             free_pending: Vec::new(),
             free_bundles: Vec::new(),
@@ -411,10 +388,15 @@ impl SessionArena {
         self.free_bundles.push(bundle);
     }
 
-    /// The per-tick scratch buffers — multiplexed drivers borrow these per
-    /// phase (the solo driver splits them off together with the queue).
+    /// The per-tick scratch buffers a driver lends each session phase.
     pub fn scratch_mut(&mut self) -> &mut EngineScratch {
         &mut self.scratch
+    }
+
+    /// Split borrow for a driver's tick loop: the route-event queue plus the
+    /// per-tick scratch.
+    pub fn route_parts(&mut self) -> (&mut SharedRouteQueue, &mut EngineScratch) {
+        (&mut self.queue, &mut self.scratch)
     }
 
     /// The worker recorder carried by this arena's scratch. Install an
@@ -422,12 +404,6 @@ impl SessionArena {
     /// snapshot from it afterwards.
     pub fn recorder_mut(&mut self) -> &mut Recorder {
         &mut self.scratch.recorder
-    }
-
-    /// Split borrow for the solo driver: the private route-event queue plus
-    /// the per-tick scratch.
-    fn solo_parts(&mut self) -> (&mut EventQueue<RouteEvent>, &mut EngineScratch) {
-        (&mut self.queue, &mut self.scratch)
     }
 
     /// Approximate retained storage in *elements* across all arena buffers
@@ -511,9 +487,9 @@ impl SessionArena {
 /// access simulator, both WebRTC endpoints, the non-RAN path models, the
 /// in-flight packet map, and the growing [`TraceBundle`].
 ///
-/// The solo entry points ([`run_cell_session`] and friends) drive one
-/// state to completion in a tight loop; a multiplexing driver instead
-/// *interleaves* many states, advancing each one engine tick at a time:
+/// The solo entry point ([`SessionRun`]) drives one state to completion in
+/// a tight loop; a multiplexing driver instead *interleaves* many states,
+/// advancing each one engine tick at a time:
 ///
 /// 1. [`SessionState::begin_tick`] — endpoints emit, the access network
 ///    advances, and finished deliveries schedule route events into the
@@ -958,7 +934,7 @@ impl SessionState {
     /// Phase 3 of one engine tick: consumes one route event popped due at
     /// (or before) this session's clock. The driver must deliver a
     /// session's events in `(time, seq)` schedule order — exactly what
-    /// `pop_due` on the private queue or the [`SharedRouteQueue`] yields.
+    /// [`SharedRouteQueue::pop_due`] yields for one tag.
     pub fn route_event(&mut self, at: SimTime, ev: RouteEvent, tap: &mut dyn LiveTap) {
         match ev {
             RouteEvent::EnqueueDownlink(id) => {
@@ -1154,9 +1130,8 @@ impl SessionState {
     }
 }
 
-/// One solo session run, configured fluently: the single entry point that
-/// replaced the `run_cell_session*` / `run_baseline_session*` free-function
-/// family.
+/// One solo session run, configured fluently: the single entry point for
+/// running one session to completion.
 ///
 /// ```
 /// use scenarios::{cells, SessionConfig, SessionRun, SessionSpec};
@@ -1317,102 +1292,26 @@ impl<'a> SessionRun<'a> {
     }
 }
 
-/// Runs a session over a 5G cell. `script` can install scripted overrides
-/// (forced fades, cross-traffic windows, HARQ failures, RRC releases) on
-/// the cell before the call starts.
-#[deprecated(note = "use `SessionRun::cell(cell_cfg, cfg).script(script).run()`")]
-pub fn run_cell_session(
-    cell_cfg: CellConfig,
-    cfg: &SessionConfig,
-    script: impl FnOnce(&mut CellSim),
-) -> TraceBundle {
-    SessionRun::cell(cell_cfg, cfg).script(script).run()
-}
-
-/// Runs a session over a 5G cell while streaming every telemetry record into
-/// `tap` at emission time (see [`telemetry::LiveTap`] for the event
-/// contract).
-#[deprecated(note = "use `SessionRun::cell(cell_cfg, cfg).script(script).tap(tap).run()`")]
-pub fn run_cell_session_with_tap(
-    cell_cfg: CellConfig,
-    cfg: &SessionConfig,
-    script: impl FnOnce(&mut CellSim),
-    tap: &mut dyn LiveTap,
-) -> TraceBundle {
-    SessionRun::cell(cell_cfg, cfg)
-        .script(script)
-        .tap(tap)
-        .run()
-}
-
-/// Cell session with a tap inside a caller-owned [`SessionArena`].
-#[deprecated(
-    note = "use `SessionRun::cell(cell_cfg, cfg).script(script).tap(tap).arena(arena).run()`"
-)]
-pub fn run_cell_session_with_tap_in(
-    cell_cfg: CellConfig,
-    cfg: &SessionConfig,
-    script: impl FnOnce(&mut CellSim),
-    tap: &mut dyn LiveTap,
-    arena: &mut SessionArena,
-) -> TraceBundle {
-    SessionRun::cell(cell_cfg, cfg)
-        .script(script)
-        .tap(tap)
-        .arena(arena)
-        .run()
-}
-
-/// Runs a baseline (wired or Wi-Fi) session for the §2 comparisons.
-#[deprecated(note = "use `SessionRun::baseline(access, cfg).run()`")]
-pub fn run_baseline_session(access: BaselineAccess, cfg: &SessionConfig) -> TraceBundle {
-    SessionRun::baseline(access, cfg).run()
-}
-
-/// Runs a baseline session with a live tap.
-#[deprecated(note = "use `SessionRun::baseline(access, cfg).tap(tap).run()`")]
-pub fn run_baseline_session_with_tap(
-    access: BaselineAccess,
-    cfg: &SessionConfig,
-    tap: &mut dyn LiveTap,
-) -> TraceBundle {
-    SessionRun::baseline(access, cfg).tap(tap).run()
-}
-
-/// Baseline session with a tap inside a caller-owned [`SessionArena`].
-#[deprecated(note = "use `SessionRun::baseline(access, cfg).tap(tap).arena(arena).run()`")]
-pub fn run_baseline_session_with_tap_in(
-    access: BaselineAccess,
-    cfg: &SessionConfig,
-    tap: &mut dyn LiveTap,
-    arena: &mut SessionArena,
-) -> TraceBundle {
-    SessionRun::baseline(access, cfg)
-        .tap(tap)
-        .arena(arena)
-        .run()
-}
-
 /// The solo driver: advances one [`SessionState`] to completion through the
-/// arena's private route-event queue. All hot-loop storage comes from the
-/// arena (the queue's `clear()` resets the tie-break sequence, so a
-/// recycled queue replays identically to a fresh one); at steady state no
-/// step of the tick loop allocates.
+/// arena's route-event queue, as session 0 at offset 0. All hot-loop
+/// storage comes from the arena (the queue's `clear()` resets the tie-break
+/// sequence, so a recycled queue replays identically to a fresh one); at
+/// steady state no step of the tick loop allocates.
 pub(crate) fn drive(
     mut state: SessionState,
     tap: &mut dyn LiveTap,
     arena: &mut SessionArena,
 ) -> TraceBundle {
-    let (queue, scratch) = arena.solo_parts();
+    let (queue, scratch) = arena.route_parts();
     queue.clear();
     while !state.is_done() {
-        state.begin_tick(tap, scratch, queue);
+        state.begin_tick(tap, scratch, &mut queue.sink(0, SimDuration::ZERO));
         // 3. Due route events. (Route handlers never schedule new route
         // events, so this drain is closed within the tick.)
         let span = scratch.recorder.span_enter(SpanId::RouteDrain);
         let mut routed = 0u64;
-        while let Some(ev) = queue.pop_due(state.now()) {
-            state.route_event(ev.at, ev.event, tap);
+        while let Some((at, _, ev)) = queue.pop_due(state.now()) {
+            state.route_event(at, ev, tap);
             routed += 1;
         }
         scratch.recorder.span_exit(SpanId::RouteDrain, span);
@@ -1781,24 +1680,6 @@ mod tests {
             assert_eq!(p.sent, q.sent);
             assert_eq!(p.received, q.received);
         }
-    }
-
-    /// The deprecated free-function wrappers must stay byte-identical to
-    /// the builder they delegate to.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_session_run() {
-        let cfg = short_cfg(21);
-        let via_builder = SessionRun::cell(cells::mosolabs(), &cfg)
-            .script(|sim| sim.script_rrc_release(SimTime::from_secs(5)))
-            .run();
-        let via_wrapper = run_cell_session(cells::mosolabs(), &cfg, |sim| {
-            sim.script_rrc_release(SimTime::from_secs(5))
-        });
-        assert_bundles_identical(&via_builder, &via_wrapper);
-        let base_builder = SessionRun::baseline(BaselineAccess::Wifi, &cfg).run();
-        let base_wrapper = run_baseline_session(BaselineAccess::Wifi, &cfg);
-        assert_bundles_identical(&base_builder, &base_wrapper);
     }
 
     #[test]

@@ -17,18 +17,20 @@
 //!    in each session's inboxes.
 //! 5. [`SessionState::collect_access`] on every session routes the
 //!    deliveries onward; due route events dispatch in global
-//!    `(time, session, seq)` order from the [`SharedRouteQueue`].
+//!    `(time, session, seq)` order from the arena's [`SharedRouteQueue`].
 //!
-//! With one pair and no traffic UEs this pipeline is byte-identical to
-//! [`crate::session::run_cell_session`] — the shared-cell determinism suite
+//! With one pair and no traffic UEs this pipeline is byte-identical to a
+//! solo [`crate::session::SessionRun`] — the shared-cell determinism suite
 //! asserts it — so sharing a cell is purely additive: existing single-call
 //! traces never change.
+//!
+//! [`SharedRouteQueue`]: crate::session::SharedRouteQueue
 
 use ran_sim::{CellConfig, CellSim};
 use simcore::{derive_seed, SimDuration, SimTime};
 use telemetry::{DciRecord, NullTap, TraceBundle};
 
-use crate::session::{AppSpec, SessionArena, SessionConfig, SessionState, SharedRouteQueue};
+use crate::session::{AppSpec, SessionArena, SessionConfig, SessionState};
 
 /// Drives N diagnosed call pairs over one shared cell to completion.
 ///
@@ -39,7 +41,6 @@ use crate::session::{AppSpec, SessionArena, SessionConfig, SessionState, SharedR
 pub struct SharedCellDriver {
     cell: CellSim,
     lanes: Vec<Option<SessionState>>,
-    queue: SharedRouteQueue,
     arena: SessionArena,
     tick: SimDuration,
     dci_scratch: Vec<(u32, DciRecord)>,
@@ -102,7 +103,6 @@ impl SharedCellDriver {
         SharedCellDriver {
             cell,
             lanes,
-            queue: SharedRouteQueue::new(),
             arena,
             tick: cfg.tick,
             dci_scratch: Vec::new(),
@@ -133,10 +133,10 @@ impl SharedCellDriver {
             let now = SimTime::ZERO + self.tick * cur;
 
             // 1. Endpoints emit (into outboxes and the reverse path).
+            let (queue, scratch) = self.arena.route_parts();
             for (i, lane) in self.lanes.iter_mut().enumerate() {
                 if let Some(state) = lane {
-                    let mut sink = self.queue.sink(i as u64, SimDuration::ZERO);
-                    state.emit_tick(tap, self.arena.scratch_mut(), &mut sink);
+                    state.emit_tick(tap, scratch, &mut queue.sink(i as u64, SimDuration::ZERO));
                 }
             }
 
@@ -166,13 +166,13 @@ impl SharedCellDriver {
 
             // 5. Deliveries continue along the paths; then the shared queue
             // dispatches due route events in (time, session, seq) order.
+            let (queue, scratch) = self.arena.route_parts();
             for (i, lane) in self.lanes.iter_mut().enumerate() {
                 if let Some(state) = lane {
-                    let mut sink = self.queue.sink(i as u64, SimDuration::ZERO);
-                    state.collect_access(self.arena.scratch_mut(), &mut sink);
+                    state.collect_access(scratch, &mut queue.sink(i as u64, SimDuration::ZERO));
                 }
             }
-            while let Some((at, sid, ev)) = self.queue.pop_due(now) {
+            while let Some((at, sid, ev)) = queue.pop_due(now) {
                 // Events of an already-finished pair are dropped, exactly as
                 // a solo run drops its queue leftovers at session end.
                 if let Some(state) = &mut self.lanes[sid as usize] {

@@ -3,7 +3,7 @@
 //! The substrate every simulator crate in this workspace builds on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution virtual clock types.
-//! * [`EventQueue`] — a deterministic priority queue of timestamped events
+//! * [`EventQueue`] — a deterministic calendar queue of timestamped events
 //!   (FIFO among equal timestamps, so identical inputs replay identically).
 //! * [`rng_for`] — derivation of independent, reproducible RNG streams from a
 //!   single session seed.
@@ -22,6 +22,6 @@ pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use queue::{CalendarQueue, EventQueue, Scheduled};
+pub use queue::{EventQueue, Scheduled};
 pub use rng::{derive_seed, rng_for, RngStream};
 pub use time::{SimDuration, SimTime};

@@ -1,10 +1,10 @@
-//! Deterministic event queues.
+//! The deterministic event queue.
 //!
-//! Two implementations share one ordering contract — events pop in strict
-//! `(time, key, sequence)` order, where the sequence is assigned at
-//! scheduling time, so same-instant events pop in insertion order. This is
-//! the property that makes whole-session simulations replay byte-identically
-//! from a seed: a bare [`BinaryHeap`] gives no stable order for ties.
+//! [`EventQueue`] pops events in strict `(time, key, sequence)` order, where
+//! the sequence is assigned at scheduling time, so same-instant events pop in
+//! insertion order. This is the property that makes whole-session
+//! simulations replay byte-identically from a seed: a bare [`BinaryHeap`]
+//! gives no stable order for ties.
 //!
 //! The `key` is an optional secondary order component between the timestamp
 //! and the tie-break sequence, defaulting to `()` (in which case the
@@ -16,18 +16,15 @@
 //! from a private queue — the contract `prop_tagged_pop_matches_private_queues`
 //! below enforces.
 //!
-//! * [`EventQueue::new`] — the classic binary-heap backend: `O(log n)`
-//!   schedule/pop, no assumptions about the workload.
-//! * [`EventQueue::calendar`] / [`CalendarQueue`] — a calendar (bucket)
-//!   queue in the ns-3 tradition: time is tiled into fixed-width buckets
-//!   arranged in a ring, events land in their bucket in `O(1)`, and the pop
-//!   cursor sweeps the ring in time order, sorting one small bucket at a
-//!   time. Far-future events sit in a sorted overflow tier until the ring
-//!   window reaches them. For the near-monotonic slot-tick workload of the
-//!   session engine (schedule a few milliseconds ahead, pop every tick) this
-//!   trades the heap's `O(log n)` pointer-chasing for cache-friendly bucket
-//!   pushes, while producing the **exact same pop sequence** — enforced by a
-//!   property test below and by every determinism suite in the workspace.
+//! The queue is a calendar (bucket) queue in the ns-3 tradition: time is
+//! tiled into fixed-width buckets arranged in a ring, events land in their
+//! bucket in `O(1)`, and the pop cursor sweeps the ring in time order,
+//! sorting one small bucket at a time. Far-future events sit in a sorted
+//! overflow tier until the ring window reaches them. The session engine's
+//! workload is near-monotonic (schedule a few milliseconds ahead, pop every
+//! tick), which suits cache-friendly bucket pushes. The pop sequence is
+//! exactly that of a binary heap ordered by `(time, key, sequence)`; a
+//! property test below checks it against such a heap.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -81,8 +78,25 @@ const DEFAULT_BUCKET_SHIFT: u32 = 10;
 /// of a two-party call, so overflow migration is rare.
 const DEFAULT_RING_BUCKETS: usize = 256;
 
-/// A calendar (bucket) event queue with the same deterministic
-/// `(time, key, sequence)` pop order as the binary-heap [`EventQueue`].
+/// A deterministic min-queue of timestamped events on calendar buckets
+/// (see the [module docs](self)).
+///
+/// The second type parameter is the secondary order key; it defaults to
+/// `()`, in which case [`EventQueue::schedule`] and the classic
+/// `(time, seq)` contract apply unchanged. Multiplexed drivers instantiate
+/// e.g. `EventQueue<RouteEvent, u64>` and tag every event with its session
+/// via [`EventQueue::schedule_keyed`].
+///
+/// ```
+/// use simcore::{EventQueue, SimTime};
+///
+/// let mut q = EventQueue::calendar();
+/// q.schedule(SimTime::from_millis(2), "b");
+/// q.schedule(SimTime::from_millis(1), "a");
+/// q.schedule(SimTime::from_millis(2), "c");
+/// let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|s| s.event).collect();
+/// assert_eq!(order, vec!["a", "b", "c"]); // FIFO among equal times
+/// ```
 ///
 /// Geometry: bucket width `1 << shift` µs, a power-of-two ring of buckets
 /// covering `[base, base + ring)` in absolute bucket indices, and a binary
@@ -93,7 +107,7 @@ const DEFAULT_RING_BUCKETS: usize = 256;
 /// minimum `(time, key, seq)` among *currently pending* events, not a
 /// globally sorted sequence.
 #[derive(Debug, Clone)]
-pub struct CalendarQueue<E, K = ()> {
+pub struct EventQueue<E, K = ()> {
     buckets: Vec<Vec<Scheduled<E, K>>>,
     /// Absolute index of the bucket the cursor currently drains.
     base: u64,
@@ -108,48 +122,49 @@ pub struct CalendarQueue<E, K = ()> {
     len: usize,
 }
 
-impl<E, K: Ord + Copy> Default for CalendarQueue<E, K> {
+impl<E, K: Ord + Copy> Default for EventQueue<E, K> {
     fn default() -> Self {
-        Self::keyed()
+        Self::calendar_keyed()
     }
 }
 
-impl<E> CalendarQueue<E> {
+impl<E> EventQueue<E> {
     /// Creates an empty untagged queue with the default geometry (1 ms
     /// buckets, 256-bucket ring).
-    pub fn new() -> Self {
-        Self::keyed()
+    pub fn calendar() -> Self {
+        Self::calendar_keyed()
     }
 
     /// Schedules `event` to fire at `at`. Untagged queues only — keyed
     /// queues must say which session an event belongs to
-    /// ([`CalendarQueue::schedule_keyed`]).
+    /// ([`EventQueue::schedule_keyed`]), so a shared multiplexed queue
+    /// cannot silently tag an event with a default session id.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         self.schedule_keyed(at, (), event);
     }
 
-    /// Creates an empty untagged queue with `1 << shift` µs buckets and a
-    /// ring of `ring_buckets` (rounded up to a power of two, minimum 2).
-    pub fn with_geometry(shift: u32, ring_buckets: usize) -> Self {
-        Self::keyed_with_geometry(shift, ring_buckets)
+    /// Schedules `event` to fire `delay` after `now` (untagged queues).
+    pub fn schedule_in(&mut self, now: SimTime, delay: SimDuration, event: E) {
+        self.schedule(now + delay, event);
     }
 }
 
-impl<E, K: Ord + Copy> CalendarQueue<E, K> {
-    /// Creates an empty keyed queue with the default geometry. (Separate
-    /// from [`CalendarQueue::new`] so `K` stays inferable for the untagged
-    /// common case.)
-    pub fn keyed() -> Self {
-        Self::keyed_with_geometry(DEFAULT_BUCKET_SHIFT, DEFAULT_RING_BUCKETS)
+impl<E, K: Ord + Copy> EventQueue<E, K> {
+    /// Creates an empty keyed queue with the default geometry — the queue a
+    /// multiplexed session driver shares across its interleaved sessions.
+    /// (Separate from [`EventQueue::calendar`] so `K` stays inferable for
+    /// the untagged common case.)
+    pub fn calendar_keyed() -> Self {
+        Self::calendar_keyed_with_geometry(DEFAULT_BUCKET_SHIFT, DEFAULT_RING_BUCKETS)
     }
 
     /// Creates an empty keyed queue with `1 << shift` µs buckets and a ring
     /// of `ring_buckets` (rounded up to a power of two, minimum 2).
-    pub fn keyed_with_geometry(shift: u32, ring_buckets: usize) -> Self {
+    pub(crate) fn calendar_keyed_with_geometry(shift: u32, ring_buckets: usize) -> Self {
         let n = ring_buckets.next_power_of_two().max(2);
         let mut buckets = Vec::with_capacity(n);
         buckets.resize_with(n, Vec::new);
-        CalendarQueue {
+        EventQueue {
             buckets,
             base: 0,
             shift,
@@ -343,221 +358,55 @@ impl<E, K: Ord + Copy> CalendarQueue<E, K> {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Inner<E, K> {
-    Heap {
-        heap: BinaryHeap<Scheduled<E, K>>,
-        next_seq: u64,
-    },
-    Calendar(CalendarQueue<E, K>),
-}
-
-/// A deterministic min-queue of timestamped events, with a choice of
-/// backend: binary heap ([`EventQueue::new`]) or calendar buckets
-/// ([`EventQueue::calendar`]). Both produce the identical pop sequence.
-///
-/// The second type parameter is the secondary order key (see the module
-/// docs); it defaults to `()`, in which case [`EventQueue::schedule`] and
-/// the classic `(time, seq)` contract apply unchanged. Multiplexed drivers
-/// instantiate e.g. `EventQueue<RouteEvent, u64>` and tag every event with
-/// its session via [`EventQueue::schedule_keyed`].
-///
-/// ```
-/// use simcore::{EventQueue, SimTime};
-///
-/// for mut q in [EventQueue::new(), EventQueue::calendar()] {
-///     q.schedule(SimTime::from_millis(2), "b");
-///     q.schedule(SimTime::from_millis(1), "a");
-///     q.schedule(SimTime::from_millis(2), "c");
-///     let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|s| s.event).collect();
-///     assert_eq!(order, vec!["a", "b", "c"]); // FIFO among equal times
-/// }
-/// ```
-#[derive(Debug, Clone)]
-pub struct EventQueue<E, K = ()> {
-    inner: Inner<E, K>,
-}
-
-impl<E, K: Ord + Copy> Default for EventQueue<E, K> {
-    fn default() -> Self {
-        Self::keyed()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty untagged heap-backed queue.
-    pub fn new() -> Self {
-        Self::keyed()
-    }
-
-    /// Creates an empty untagged heap-backed queue with room for `cap`
-    /// events before reallocating.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self::keyed_with_capacity(cap)
-    }
-
-    /// Creates an empty untagged calendar-backed queue with the default
-    /// geometry (the session engine's default — see [`CalendarQueue`]).
-    pub fn calendar() -> Self {
-        Self::calendar_keyed()
-    }
-
-    /// Creates an empty untagged calendar-backed queue with explicit
-    /// geometry (see [`CalendarQueue::keyed_with_geometry`]).
-    pub fn calendar_with_geometry(shift: u32, ring_buckets: usize) -> Self {
-        Self::calendar_keyed_with_geometry(shift, ring_buckets)
-    }
-
-    /// Schedules `event` to fire at `at`. Untagged queues only — keyed
-    /// queues must say which session an event belongs to
-    /// ([`EventQueue::schedule_keyed`]), so a shared multiplexed queue
-    /// cannot silently tag an event with a default session id.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        self.schedule_keyed(at, (), event);
-    }
-
-    /// Schedules `event` to fire `delay` after `now` (untagged queues).
-    pub fn schedule_in(&mut self, now: SimTime, delay: SimDuration, event: E) {
-        self.schedule(now + delay, event);
-    }
-}
-
-impl<E, K: Ord + Copy> EventQueue<E, K> {
-    /// Creates an empty keyed heap-backed queue. (Separate from
-    /// [`EventQueue::new`] so `K` stays inferable for the untagged common
-    /// case.)
-    pub fn keyed() -> Self {
-        Self::keyed_with_capacity(0)
-    }
-
-    /// Creates an empty keyed heap-backed queue with room for `cap` events
-    /// before reallocating.
-    pub fn keyed_with_capacity(cap: usize) -> Self {
-        EventQueue {
-            inner: Inner::Heap {
-                heap: BinaryHeap::with_capacity(cap),
-                next_seq: 0,
-            },
-        }
-    }
-
-    /// Creates an empty keyed calendar-backed queue with the default
-    /// geometry — the backend a multiplexed session driver shares across
-    /// its interleaved sessions.
-    pub fn calendar_keyed() -> Self {
-        EventQueue {
-            inner: Inner::Calendar(CalendarQueue::keyed()),
-        }
-    }
-
-    /// Creates an empty keyed calendar-backed queue with explicit geometry.
-    pub fn calendar_keyed_with_geometry(shift: u32, ring_buckets: usize) -> Self {
-        EventQueue {
-            inner: Inner::Calendar(CalendarQueue::keyed_with_geometry(shift, ring_buckets)),
-        }
-    }
-
-    /// Whether this queue runs on the calendar backend.
-    pub fn is_calendar(&self) -> bool {
-        matches!(self.inner, Inner::Calendar(_))
-    }
-
-    /// Drops all pending events but keeps the allocation, so a session
-    /// engine or sweep runner can reuse one queue across many sessions.
-    /// The tie-break sequence restarts too: a cleared queue replays
-    /// identically to a fresh one.
-    pub fn clear(&mut self) {
-        match &mut self.inner {
-            Inner::Heap { heap, next_seq } => {
-                heap.clear();
-                *next_seq = 0;
-            }
-            Inner::Calendar(c) => c.clear(),
-        }
-    }
-
-    /// Schedules `event` to fire at `at`, tagged with the secondary order
-    /// key `key` (e.g. a session id in a multiplexed queue).
-    pub fn schedule_keyed(&mut self, at: SimTime, key: K, event: E) {
-        match &mut self.inner {
-            Inner::Heap { heap, next_seq } => {
-                let seq = *next_seq;
-                *next_seq += 1;
-                heap.push(Scheduled {
-                    at,
-                    key,
-                    seq,
-                    event,
-                });
-            }
-            Inner::Calendar(c) => c.schedule_keyed(at, key, event),
-        }
-    }
-
-    /// Removes and returns the earliest event, or `None` if empty.
-    pub fn pop(&mut self) -> Option<Scheduled<E, K>> {
-        match &mut self.inner {
-            Inner::Heap { heap, .. } => heap.pop(),
-            Inner::Calendar(c) => c.pop(),
-        }
-    }
-
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.inner {
-            Inner::Heap { heap, .. } => heap.peek().map(|s| s.at),
-            Inner::Calendar(c) => c.peek_time(),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Heap { heap, .. } => heap.len(),
-            Inner::Calendar(c) => c.len(),
-        }
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Pops the earliest event only if it fires at or before `now`.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<Scheduled<E, K>> {
-        match &mut self.inner {
-            Inner::Heap { heap, .. } => {
-                if heap.peek().is_some_and(|s| s.at <= now) {
-                    heap.pop()
-                } else {
-                    None
-                }
-            }
-            Inner::Calendar(c) => c.pop_due(now),
-        }
-    }
-
-    /// Total retained storage (events) — capacity, not occupancy.
-    pub fn capacity(&self) -> usize {
-        match &self.inner {
-            Inner::Heap { heap, .. } => heap.capacity(),
-            Inner::Calendar(c) => c.capacity(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn both() -> [EventQueue<usize>; 2] {
-        [EventQueue::new(), EventQueue::calendar()]
+    /// The reference the calendar must match: a binary heap ordered by
+    /// `(time, key, seq)`, exactly as `Scheduled`'s `Ord` defines it.
+    struct HeapOracle<E> {
+        heap: BinaryHeap<Scheduled<E>>,
+        next_seq: u64,
+    }
+
+    impl<E> HeapOracle<E> {
+        fn new() -> Self {
+            HeapOracle {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+            }
+        }
+
+        fn schedule(&mut self, at: SimTime, event: E) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Scheduled {
+                at,
+                key: (),
+                seq,
+                event,
+            });
+        }
+
+        fn pop(&mut self) -> Option<Scheduled<E>> {
+            self.heap.pop()
+        }
+    }
+
+    /// An untagged queue with `1 << shift` µs buckets and `ring` of them.
+    fn small<E>(shift: u32, ring: usize) -> EventQueue<E> {
+        EventQueue::calendar_keyed_with_geometry(shift, ring)
+    }
+
+    /// The default geometry and a tiny ring that forces overflow churn.
+    fn geometries<E>() -> [EventQueue<E>; 2] {
+        [EventQueue::calendar(), small(6, 4)]
     }
 
     #[test]
     fn pops_in_time_order() {
-        for mut q in [EventQueue::new(), EventQueue::calendar()] {
+        for mut q in geometries() {
             q.schedule(SimTime::from_millis(30), 3);
             q.schedule(SimTime::from_millis(10), 1);
             q.schedule(SimTime::from_millis(20), 2);
@@ -571,7 +420,7 @@ mod tests {
 
     #[test]
     fn fifo_among_ties() {
-        for mut q in both() {
+        for mut q in geometries() {
             for i in 0..100 {
                 q.schedule(SimTime::from_millis(7), i);
             }
@@ -583,7 +432,7 @@ mod tests {
 
     #[test]
     fn pop_due_respects_now() {
-        for mut q in [EventQueue::new(), EventQueue::calendar()] {
+        for mut q in geometries() {
             q.schedule(SimTime::from_millis(5), "early");
             q.schedule(SimTime::from_millis(15), "late");
             assert_eq!(q.pop_due(SimTime::from_millis(10)).unwrap().event, "early");
@@ -594,7 +443,7 @@ mod tests {
 
     #[test]
     fn schedule_in_offsets_from_now() {
-        for mut q in [EventQueue::new(), EventQueue::calendar()] {
+        for mut q in geometries() {
             q.schedule_in(SimTime::from_millis(10), SimDuration::from_millis(5), "x");
             assert_eq!(q.peek_time(), Some(SimTime::from_millis(15)));
         }
@@ -602,12 +451,14 @@ mod tests {
 
     #[test]
     fn clear_keeps_capacity_and_resets_ties() {
-        for mut q in both() {
+        for mut q in geometries() {
             for i in 0..10 {
                 q.schedule(SimTime::from_millis(1), i);
             }
+            let capacity = q.capacity();
             q.clear();
             assert!(q.is_empty());
+            assert_eq!(q.capacity(), capacity);
             // After clear, tie order restarts from scratch like a fresh queue.
             q.schedule(SimTime::from_millis(2), 100);
             q.schedule(SimTime::from_millis(2), 200);
@@ -618,7 +469,7 @@ mod tests {
 
     #[test]
     fn peek_time_matches_pop() {
-        for mut q in [EventQueue::<()>::new(), EventQueue::calendar()] {
+        for mut q in geometries::<()>() {
             assert!(q.peek_time().is_none());
             q.schedule(SimTime::from_millis(9), ());
             assert_eq!(q.peek_time(), Some(SimTime::from_millis(9)));
@@ -628,7 +479,7 @@ mod tests {
     #[test]
     fn calendar_handles_far_future_overflow_and_late_inserts() {
         // Tiny ring (4 buckets × 1.024 ms) to force overflow migration.
-        let mut q = EventQueue::calendar_with_geometry(10, 4);
+        let mut q = small(10, 4);
         q.schedule(SimTime::from_millis(500), 500); // deep overflow
         q.schedule(SimTime::from_millis(1), 1);
         q.schedule(SimTime::from_millis(100), 100); // overflow
@@ -642,11 +493,12 @@ mod tests {
     }
 
     proptest! {
-        /// Popping everything always yields a non-decreasing time sequence, and
-        /// among equal times the original insertion order — on both backends.
+        /// Popping everything always yields a non-decreasing time sequence,
+        /// and among equal times the original insertion order — at the
+        /// default geometry and on a tiny ring.
         #[test]
         fn prop_pop_order(times in proptest::collection::vec(0u64..1000, 1..200)) {
-            for mut q in [EventQueue::new(), EventQueue::calendar_with_geometry(6, 8)] {
+            for mut q in [EventQueue::calendar(), small(6, 8)] {
                 for (i, &t) in times.iter().enumerate() {
                     q.schedule(SimTime::from_micros(t), i);
                 }
@@ -663,17 +515,17 @@ mod tests {
             }
         }
 
-        /// Tie-order equivalence: an arbitrary interleaving of schedules and
-        /// pops drained from both backends produces identical `(time, seq,
-        /// payload)` sequences — the contract every determinism suite rests
-        /// on. Times include far-future outliers (overflow tier) and
+        /// Tie-order equivalence with the heap oracle: an arbitrary
+        /// interleaving of schedules and pops produces identical `(time,
+        /// seq, payload)` sequences — the contract every determinism suite
+        /// rests on. Times include far-future outliers (overflow tier) and
         /// behind-the-cursor values (clamped inserts).
         #[test]
         fn prop_heap_calendar_equivalence(
             ops in proptest::collection::vec((0u64..50_000, proptest::any::<bool>()), 1..300),
         ) {
-            let mut heap = EventQueue::new();
-            let mut cal = EventQueue::calendar_with_geometry(8, 8);
+            let mut heap = HeapOracle::new();
+            let mut cal = small(8, 8);
             for (payload, &(t, pop_after)) in ops.iter().enumerate() {
                 heap.schedule(SimTime::from_micros(t), payload);
                 cal.schedule(SimTime::from_micros(t), payload);
@@ -686,11 +538,11 @@ mod tests {
                             prop_assert_eq!(x.event, y.event);
                         }
                         (None, None) => {}
-                        _ => prop_assert!(false, "one backend emptied early"),
+                        _ => prop_assert!(false, "one queue emptied early"),
                     }
                 }
             }
-            prop_assert_eq!(heap.len(), cal.len());
+            prop_assert_eq!(heap.heap.len(), cal.len());
             loop {
                 match (heap.pop(), cal.pop()) {
                     (Some(x), Some(y)) => {
@@ -720,7 +572,7 @@ mod tests {
             let mut shared: EventQueue<usize, u64> =
                 EventQueue::calendar_keyed_with_geometry(8, 8);
             let mut private: Vec<EventQueue<usize>> =
-                (0..SESSIONS).map(|_| EventQueue::calendar_with_geometry(8, 8)).collect();
+                (0..SESSIONS).map(|_| small(8, 8)).collect();
             for (payload, &(session, t)) in ops.iter().enumerate() {
                 shared.schedule_keyed(SimTime::from_micros(t), session, payload);
                 private[session as usize].schedule(SimTime::from_micros(t), payload);

@@ -4,8 +4,9 @@
 //!
 //! The fleet simulates worker processes: a dispatch runs the real
 //! [`SweepWorker`](crate::worker::SweepWorker) synchronously (same bytes a
-//! remote worker would produce), then schedules its result frame on an
-//! event heap at `now + cost`, where cost is a synthetic per-spec latency.
+//! remote worker would produce), then schedules its result frame on a
+//! [`simcore::EventQueue`] at `now + cost`, where cost is a synthetic
+//! per-spec latency.
 //! Faults rewrite that schedule — kill the worker before delivery, delay
 //! the frame, flip a byte, deliver it twice, or drop it. Because time only
 //! advances through [`Transport::recv`] and every event is ordered by
@@ -14,12 +15,12 @@
 //! the chaos matrix assert *byte-identical* merged output rather than
 //! merely "eventually consistent".
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use domino_core::Domino;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use scenarios::SessionSpec;
+use simcore::{EventQueue, SimTime};
 
 use crate::transport::{
     DispatchSpec, Frame, FrameKind, SendError, Transport, TransportEvent, WorkerId,
@@ -132,33 +133,10 @@ pub struct FaultLog {
     pub delays: u32,
 }
 
-struct Ev {
-    at: u64,
-    seq: u64,
-    kind: EvKind,
-}
-
 enum EvKind {
     Connect { id: u64, fresh: bool },
     Frame(u64, Frame),
     Disconnect(u64),
-}
-
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for Ev {}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 struct SimWorker<'a> {
@@ -185,8 +163,9 @@ pub struct InProcFleet<'a> {
     domino: &'a Domino,
     opts: &'a SweepOptions,
     now: u64,
-    seq: u64,
-    events: BinaryHeap<Reverse<Ev>>,
+    /// Pending fleet events at virtual milliseconds, popped by time and
+    /// then by insertion.
+    events: EventQueue<EvKind>,
     workers: BTreeMap<u64, SimWorker<'a>>,
     next_id: u64,
     kills: Vec<(usize, KillState)>,
@@ -215,8 +194,7 @@ impl<'a> InProcFleet<'a> {
             domino,
             opts,
             now: 0,
-            seq: 0,
-            events: BinaryHeap::new(),
+            events: EventQueue::calendar(),
             workers: BTreeMap::new(),
             next_id: 0,
             kills: Vec::new(),
@@ -263,9 +241,7 @@ impl<'a> InProcFleet<'a> {
     }
 
     fn push_ev(&mut self, at: u64, kind: EvKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.events.push(Reverse(Ev { at, seq, kind }));
+        self.events.schedule(SimTime::from_millis(at), kind);
     }
 
     /// Total virtual latency for a range of `len` specs.
@@ -390,18 +366,20 @@ impl Transport for InProcFleet<'_> {
     }
 
     fn recv(&mut self, timeout_ms: u64) -> Option<TransportEvent> {
+        // Compared in milliseconds: the horizon of a huge timeout does not
+        // fit a `SimTime`.
         let horizon = self.now.saturating_add(timeout_ms.max(1));
         let due = self
             .events
-            .peek()
-            .is_some_and(|Reverse(ev)| ev.at <= horizon);
+            .peek_time()
+            .is_some_and(|at| at.as_millis() <= horizon);
         if !due {
             self.now = horizon;
             return None;
         }
-        let Reverse(ev) = self.events.pop().expect("peeked");
-        self.now = self.now.max(ev.at);
-        match ev.kind {
+        let ev = self.events.pop().expect("peeked");
+        self.now = self.now.max(ev.at.as_millis());
+        match ev.event {
             EvKind::Connect { id, fresh } => {
                 let kill_slot = if fresh {
                     None

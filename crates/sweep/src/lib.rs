@@ -56,11 +56,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use domino_core::{Analysis, ChainStats, Domino, StreamingAnalyzer};
-use domino_live::{ChaosState, ChaosTap, LivePipeline, LiveStats, TapFaultLog};
-use domino_obs::{Counter, FGauge, Gauge, HistId, Recorder};
-use scenarios::{SessionArena, SessionSpec};
-use simcore::alloc_count;
+use domino_core::{Analysis, ChainStats, Domino};
+use domino_live::LiveStats;
+use domino_obs::Counter;
+use scenarios::SessionSpec;
 use telemetry::{SessionMeta, TraceBundle};
 
 pub use domino_live::{EarlyExit, LiveConfig};
@@ -74,12 +73,13 @@ pub enum AnalysisMode {
     None,
     /// Batch sliding-window analysis ([`Domino::analyze`]).
     Batch,
-    /// Incremental analysis ([`StreamingAnalyzer`]), falling back to batch
-    /// for configurations outside the streaming alignment contract.
+    /// Incremental analysis ([`domino_core::StreamingAnalyzer`]), falling
+    /// back to batch for configurations outside the streaming alignment
+    /// contract.
     #[default]
     Streaming,
     /// Online analysis *during* the simulation: each session runs with a
-    /// [`LivePipeline`] tapped into the engine ([`SessionSpec::run_with_tap`]),
+    /// [`domino_live::LivePipeline`] tapped into the engine,
     /// configured by [`SweepOptions::live`]. With [`EarlyExit::Never`] and a
     /// sufficient lateness bound the aggregate is identical to the other
     /// modes; with an early-exit policy, sessions abort once their verdict
@@ -94,10 +94,11 @@ pub struct SweepOptions {
     /// Worker threads; 0 means all available cores.
     pub threads: usize,
     /// How each worker schedules its claimed sessions: one at a time
-    /// ([`ExecutionMode::PerWorker`]) or up to `width` interleaved through
-    /// one shared calendar queue, arena, and pipeline pool
-    /// ([`ExecutionMode::Multiplexed`]). Per-session outputs (and thus the
-    /// whole report) are byte-identical across modes and widths.
+    /// ([`ExecutionMode::PerWorker`], width 1) or up to `width` interleaved
+    /// through one shared calendar queue, arena, and pipeline pool
+    /// ([`ExecutionMode::Multiplexed`]). Both run the one driver in
+    /// [`multiplex`]; per-session outputs (and thus the whole report) are
+    /// byte-identical across modes and widths.
     pub execution: ExecutionMode,
     /// Per-session analysis mode.
     pub analysis: AnalysisMode,
@@ -111,7 +112,7 @@ pub struct SweepOptions {
     pub keep_analyses: bool,
     /// Observability recorder configuration. Disabled by default — every
     /// record site is then a single predicted branch. When enabled, each
-    /// worker carries a [`Recorder`] in its arena and the merged
+    /// worker carries a [`domino_obs::Recorder`] in its arena and the merged
     /// [`MetricsSnapshot`] lands in [`SweepReport::metrics`]. Recording
     /// never affects report bytes (`tests/obs_invisibility.rs`).
     pub obs: ObsConfig,
@@ -247,9 +248,9 @@ pub struct SweepProgress {
     /// windowed throughput (`f64::INFINITY` until one session completes).
     pub eta_secs: f64,
     /// High-water mark of any worker arena's retained-storage footprint in
-    /// elements ([`SessionArena::footprint`]), sampled at session completion.
-    /// A fleet operator watches this next to `in_flight`: it is the memory
-    /// the sweep will *keep* using at this width.
+    /// elements ([`scenarios::SessionArena::footprint`]), sampled at session
+    /// completion. A fleet operator watches this next to `in_flight`: it is
+    /// the memory the sweep will *keep* using at this width.
     pub arena_footprint_peak: u64,
 }
 
@@ -358,8 +359,8 @@ pub fn run_sweep_with_progress(
     snaps.resize_with(threads, || None);
     let snaps = Mutex::new(snaps);
 
-    // Shared by both execution modes: claim the next spec index (tracking
-    // the in-flight count) and record a finished outcome + progress snapshot.
+    // Claim the next spec index (tracking the in-flight count) and record a
+    // finished outcome + progress snapshot.
     let claim = || {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i < specs.len() {
@@ -397,35 +398,26 @@ pub fn run_sweep_with_progress(
             let (snaps, footprint_peak) = (&snaps, &footprint_peak);
             scope.spawn(move || {
                 let wall = Instant::now();
-                match opts.execution {
-                    ExecutionMode::Multiplexed { width } if width > 1 => {
-                        // N sessions interleaved through one shared calendar
-                        // queue, arena, and pipeline pool per worker.
-                        let mut worker = multiplex::MuxWorker::new(domino, opts);
-                        worker.run(
-                            width,
-                            specs,
-                            domino,
-                            opts,
-                            &mut { claim },
-                            &mut { complete },
-                            Some(footprint_peak),
-                        );
-                        finish_worker(worker.recorder_mut(), wall, w, snaps);
-                    }
-                    _ => {
-                        // One scratch per worker: the session arena (event
-                        // queue, in-flight map, recycled bundle buffers) and
-                        // the analyzer/pipeline state are reused across every
-                        // session the worker claims.
-                        let mut scratch = WorkerScratch::new(domino, opts);
-                        while let Some(i) = claim() {
-                            let outcome = scratch.run_session(&specs[i], i, domino, opts);
-                            footprint_peak.fetch_max(scratch.footprint() as u64, Ordering::Relaxed);
-                            complete(outcome);
-                        }
-                        finish_worker(scratch.recorder_mut(), wall, w, snaps);
-                    }
+                // Up to `width` sessions interleaved through one arena (route
+                // queue, scratch, leased sub-state) and one analyzer or
+                // pipeline pool, reused across every session the worker
+                // claims.
+                let mut worker = MuxWorker::new(domino, opts);
+                worker.run(
+                    opts.execution.width(),
+                    specs,
+                    domino,
+                    opts,
+                    &mut { claim },
+                    &mut { complete },
+                    Some(footprint_peak),
+                );
+                // Stamp the worker's wall time and park its snapshot in the
+                // worker-indexed slot the post-join merge folds in order.
+                let rec = worker.recorder_mut();
+                rec.add(Counter::SweepWallNs, wall.elapsed().as_nanos() as u64);
+                if let Some(snap) = rec.snapshot() {
+                    snaps.lock().expect("sweep worker panicked")[w] = Some(snap);
                 }
             });
         }
@@ -461,230 +453,6 @@ pub fn run_sweep_with_progress(
     };
     report.aggregate = report.aggregate_where(|_| true);
     report
-}
-
-/// Worker epilogue: stamps the worker's wall time and parks its snapshot in
-/// the worker-indexed slot the post-join merge folds in order.
-fn finish_worker(
-    rec: &mut Recorder,
-    wall: Instant,
-    worker: usize,
-    snaps: &Mutex<Vec<Option<MetricsSnapshot>>>,
-) {
-    rec.add(Counter::SweepWallNs, wall.elapsed().as_nanos() as u64);
-    if let Some(snap) = rec.snapshot() {
-        snaps.lock().expect("sweep worker panicked")[worker] = Some(snap);
-    }
-}
-
-/// Folds one finished live session's pipeline counters and verdict
-/// latencies into `rec`. Latency is *simulated* milliseconds past the
-/// window's nominal due time (`window_start + window`): the lateness the
-/// watermark actually charged, which the adaptive-lateness SLO work needs
-/// measured per ROADMAP. All inputs are per-session and deterministic, so
-/// every metric here is `Sim`-class.
-pub(crate) fn record_live_obs(rec: &mut Recorder, p: &LivePipeline) {
-    if !rec.is_on() {
-        return;
-    }
-    let window = p.config().window;
-    for v in p.verdicts() {
-        let due = v.window_start + window;
-        rec.observe(
-            HistId::LiveVerdictLatencyMs,
-            v.emitted_at.saturating_since(due).as_millis(),
-        );
-    }
-    rec.add(Counter::LiveVerdicts, p.verdicts().len() as u64);
-    let st = p.stats();
-    rec.add(Counter::LiveRecordsSeen, st.records_seen as u64);
-    rec.add(Counter::LiveLateDrops, st.late_records_dropped as u64);
-    rec.add(Counter::LiveLateDeliveries, st.late_deliveries as u64);
-    rec.add(Counter::LiveWindows, st.windows_emitted as u64);
-    rec.add(Counter::LiveDegradedWindows, st.degraded_windows as u64);
-    rec.gauge_max(Gauge::LivePeakRetained, st.peak_retained_records as u64);
-    rec.absorb_hist(HistId::LiveDelayMs, p.delay_hist());
-    rec.absorb_hist(HistId::LiveAdaptiveBoundMs, p.bound_hist());
-    rec.absorb_hist(HistId::LiveDropRiskPct, p.risk_hist());
-}
-
-/// Folds one finished session's telemetry-chaos ground truth into `rec`:
-/// every fault the [`ChaosTap`] injected becomes a `Sim`-class counter, so
-/// an operator can reconcile injected faults against the live pipeline's
-/// late-drop/coverage stats straight from the metrics artifact.
-pub(crate) fn record_chaos_obs(rec: &mut Recorder, log: &TapFaultLog) {
-    if !rec.is_on() {
-        return;
-    }
-    rec.add(Counter::ChaosRecordsDropped, log.total_dropped());
-    rec.add(Counter::ChaosBlackoutDrops, log.total_blackout_dropped());
-    rec.add(Counter::ChaosRecordsDuplicated, log.total_duplicated());
-    rec.add(Counter::ChaosRecordsDelayed, log.total_delayed());
-    rec.add(Counter::ChaosRecordsSkewed, log.total_skewed());
-}
-
-/// The live configuration a spec actually runs under: the sweep-wide
-/// default with the spec's [`SessionSpec::lateness`] override applied.
-pub(crate) fn live_config_for(spec: &SessionSpec, opts: &SweepOptions) -> LiveConfig {
-    LiveConfig {
-        lateness: spec.lateness.unwrap_or(opts.live.lateness),
-        early_exit: opts.live.early_exit,
-    }
-}
-
-/// Everything one sweep worker reuses across the sessions it claims: the
-/// [`SessionArena`] (event-queue storage, in-flight packet map, per-tick
-/// scratch, recycled [`TraceBundle`] record buffers) plus the streaming
-/// analyzer or live pipeline for the configured [`AnalysisMode`].
-///
-/// With a warm scratch, running a session performs O(1) large allocations
-/// — the heap-peak regression test in `tests/live_equivalence.rs` asserts
-/// the arena footprint stays flat from the second session on.
-pub struct WorkerScratch {
-    arena: SessionArena,
-    analyzer: Option<StreamingAnalyzer>,
-    pipeline: Option<LivePipeline>,
-}
-
-impl WorkerScratch {
-    /// Creates the scratch a worker needs for `opts.analysis` under
-    /// `domino`'s configuration.
-    pub fn new(domino: &Domino, opts: &SweepOptions) -> Self {
-        let analyzer = match opts.analysis {
-            AnalysisMode::Streaming => {
-                StreamingAnalyzer::new(domino.graph().clone(), domino.config().clone()).ok()
-            }
-            _ => None,
-        };
-        let pipeline = match opts.analysis {
-            AnalysisMode::Live => {
-                LivePipeline::new(domino.graph().clone(), domino.config().clone(), opts.live).ok()
-            }
-            _ => None,
-        };
-        let mut arena = SessionArena::new();
-        *arena.recorder_mut() = Recorder::new(opts.obs);
-        WorkerScratch {
-            arena,
-            analyzer,
-            pipeline,
-        }
-    }
-
-    /// The arena's retained-storage footprint (see
-    /// [`SessionArena::footprint`]).
-    pub fn footprint(&self) -> usize {
-        self.arena.footprint()
-    }
-
-    /// The worker's metrics recorder (disabled unless
-    /// [`SweepOptions::obs`] enabled it at construction).
-    pub fn recorder_mut(&mut self) -> &mut Recorder {
-        self.arena.recorder_mut()
-    }
-
-    /// Runs one spec through simulate-then-analyze (or live inline
-    /// analysis), reusing every buffer in this scratch. When
-    /// `opts.keep_bundles` is off, the bundle's record buffers are recycled
-    /// into the arena for the next session.
-    pub fn run_session(
-        &mut self,
-        spec: &SessionSpec,
-        index: usize,
-        domino: &Domino,
-        opts: &SweepOptions,
-    ) -> SessionOutcome {
-        let obs_on = self.arena.recorder_mut().is_on();
-        let (allocs_before, ticks_before) = if obs_on {
-            let rec = self.arena.recorder_mut();
-            (
-                alloc_count::allocations(),
-                rec.counter(Counter::EngineTicks),
-            )
-        } else {
-            (0, 0)
-        };
-        let (bundle, analysis, live) = match (opts.analysis, &mut self.pipeline) {
-            (AnalysisMode::Live, Some(p)) => {
-                // Analysis runs inline, during the simulation; the pipeline
-                // may abort the session early per `opts.live.early_exit`.
-                p.reset();
-                p.set_live_config(live_config_for(spec, opts));
-                let bundle = match &spec.chaos {
-                    Some(chaos) => {
-                        // Degraded-telemetry cell: the chaos tap sits
-                        // between the engine and the pipeline, injecting
-                        // the spec's seeded faults.
-                        let mut state = ChaosState::new(chaos);
-                        let bundle = if state.is_noop() {
-                            spec.run_with_tap_in(p, &mut self.arena)
-                        } else {
-                            let mut tap = ChaosTap::new(&mut state, p);
-                            spec.run_with_tap_in(&mut tap, &mut self.arena)
-                        };
-                        debug_assert!(state.log.reconciled(), "chaos log must balance");
-                        record_chaos_obs(self.arena.recorder_mut(), &state.log);
-                        bundle
-                    }
-                    None => spec.run_with_tap_in(p, &mut self.arena),
-                };
-                let analysis = p.take_analysis(bundle.meta.duration);
-                (bundle, Some(analysis), Some(p.stats()))
-            }
-            (AnalysisMode::Live, None) => {
-                // Configuration outside the streaming alignment contract:
-                // fall back to a post-hoc batch pass.
-                let bundle = spec.run_in(&mut self.arena);
-                let analysis = domino.analyze(&bundle);
-                (bundle, Some(analysis), None)
-            }
-            (mode, _) => {
-                let bundle = spec.run_in(&mut self.arena);
-                let analysis = match (mode, &mut self.analyzer) {
-                    (AnalysisMode::None, _) => None,
-                    (AnalysisMode::Streaming, Some(a)) => Some(a.analyze(&bundle)),
-                    _ => Some(domino.analyze(&bundle)),
-                };
-                (bundle, analysis, None)
-            }
-        };
-        if obs_on {
-            if let (AnalysisMode::Live, Some(p)) = (opts.analysis, &self.pipeline) {
-                // Verdicts are only cleared at the next `reset`, so the
-                // just-finished session's are still readable here.
-                record_live_obs(self.arena.recorder_mut(), p);
-            }
-            let allocs = alloc_count::allocations() - allocs_before;
-            let footprint = self.arena.footprint();
-            let rec = self.arena.recorder_mut();
-            let ticks = rec.counter(Counter::EngineTicks) - ticks_before;
-            rec.add(Counter::EngineSessions, 1);
-            rec.add(Counter::ProcAllocs, allocs);
-            if ticks > 0 {
-                rec.fgauge_max(FGauge::AllocsPerTickPeak, allocs as f64 / ticks as f64);
-            }
-            rec.gauge_max(Gauge::ArenaFootprint, footprint as u64);
-        }
-        let stats = analysis
-            .as_ref()
-            .map(|a| ChainStats::compute(domino.graph(), a));
-        let meta = bundle.meta.clone();
-        let bundle = if opts.keep_bundles {
-            Some(bundle)
-        } else {
-            self.arena.recycle(bundle);
-            None
-        };
-        SessionOutcome {
-            index,
-            label: spec.label.clone(),
-            meta,
-            bundle,
-            analysis: if opts.keep_analyses { analysis } else { None },
-            stats,
-            live,
-        }
-    }
 }
 
 /// Convenience: run the specs and return only the bundles, in spec order.
@@ -927,6 +695,31 @@ mod tests {
             assert_eq!(a.stats, b.stats, "stats diverged for {}", a.label);
         }
         assert_eq!(base.aggregate, mux.aggregate);
+    }
+
+    #[test]
+    fn huge_multiplex_width_matches_width_one() {
+        // The driver sizes its active set by `min(width, specs)`: widths
+        // whose slot vector would overflow its capacity computation or ask
+        // for petabytes must run like any other width.
+        let specs = all_cells_grid(13, SimDuration::from_secs(3));
+        let domino = Domino::with_defaults();
+        let encode = |execution| {
+            let opts = SweepOptions {
+                threads: 1,
+                execution,
+                ..Default::default()
+            };
+            ShardReport::from_sweep(&run_sweep(&specs, &domino, &opts)).encode()
+        };
+        let width1 = encode(ExecutionMode::Multiplexed { width: 1 });
+        for width in [usize::MAX, 1 << 40] {
+            assert_eq!(
+                encode(ExecutionMode::Multiplexed { width }),
+                width1,
+                "width {width}"
+            );
+        }
     }
 
     #[test]

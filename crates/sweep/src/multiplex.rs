@@ -1,6 +1,6 @@
 //! The multiplexed many-call engine: one worker advances N concurrent
-//! sessions through **one shared calendar queue**, **one shared
-//! [`SessionArena`]**, and (in live mode) **one session-keyed
+//! sessions through **one shared [`SessionArena`]** (whose tagged route
+//! queue all of them schedule into) and, in live mode, **one session-keyed
 //! [`PipelinePool`]** — the operator deployment shape, where a thread
 //! watches a fleet of interleaved calls instead of running one call to
 //! completion at a time.
@@ -12,9 +12,9 @@
 //! the active set, preserving every session's solo phase order:
 //!
 //! 1. [`SessionState::begin_tick`] for every active session (endpoints
-//!    emit, access network advances); route events land in the shared
-//!    [`SharedRouteQueue`] tagged with the session's spec index and shifted
-//!    to global time by its start offset.
+//!    emit, access network advances); route events land in the arena's
+//!    [`SharedRouteQueue`](scenarios::SharedRouteQueue) tagged with the
+//!    session's spec index and shifted to global time by its start offset.
 //! 2. One global drain of the shared queue in `(time, session, seq)` order;
 //!    each popped event is dispatched to its session at session-local time.
 //!    Route handlers never schedule further route events, so the drain is
@@ -40,27 +40,34 @@
 //! aborts) may leave already-scheduled route events in the shared queue;
 //! their tag no longer matches an active session when they pop, so they are
 //! dropped — exactly as the solo driver's `queue.clear()` would have
-//! discarded them.
+//! discarded them. Whenever the active set drains, the driver clears the
+//! queue and restarts the lattice at time zero.
+//!
+//! # One driver
+//!
+//! This loop is the only sweep driver: [`ExecutionMode::PerWorker`] runs it
+//! at width 1, where it degenerates to one session run to completion at a
+//! time. All co-scheduled sessions must share the engine tick; a claimed
+//! spec whose tick differs from the lattice's is *parked* — no further spec
+//! is claimed — until the active set drains, and then starts and fixes the
+//! lattice's tick anew.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use domino_core::{Analysis, ChainStats, Domino, StreamingAnalyzer};
-use domino_live::{ChaosState, ChaosTap, LiveStats, PipelinePool};
-use domino_obs::{Counter, FGauge, Gauge, Recorder, SpanId};
-use scenarios::{SessionArena, SessionSpec, SessionState, SharedRouteQueue};
+use domino_core::{ChainStats, Domino, StreamingAnalyzer};
+use domino_live::{ChaosState, ChaosTap, LiveConfig, LivePipeline, PipelinePool, TapFaultLog};
+use domino_obs::{Counter, FGauge, Gauge, HistId, Recorder, SpanId};
+use scenarios::{SessionArena, SessionSpec, SessionState};
 use simcore::{alloc_count, SimDuration, SimTime};
-use telemetry::{LiveTap, NullTap, TraceBundle};
+use telemetry::{LiveTap, NullTap};
 
-use crate::{
-    live_config_for, record_chaos_obs, record_live_obs, AnalysisMode, SessionOutcome, SweepOptions,
-};
+use crate::{AnalysisMode, SessionOutcome, SweepOptions};
 
 /// How each sweep worker schedules the sessions it claims.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
-    /// One session at a time per worker, run to completion (the classic
-    /// PR 1–4 driver).
+    /// One session at a time per worker, run to completion: the
+    /// multiplexed driver at width 1.
     #[default]
     PerWorker,
     /// Up to `width` sessions interleaved per worker through one shared
@@ -73,6 +80,16 @@ pub enum ExecutionMode {
     },
 }
 
+impl ExecutionMode {
+    /// Sessions each worker keeps in flight.
+    pub(crate) fn width(self) -> usize {
+        match self {
+            ExecutionMode::PerWorker => 1,
+            ExecutionMode::Multiplexed { width } => width,
+        }
+    }
+}
+
 /// One interleaved session in flight.
 struct Active {
     /// Global spec index — the shared-queue tag and pipeline-pool key.
@@ -81,26 +98,24 @@ struct Active {
     /// Global time at which this session's local clock started (a multiple
     /// of the group tick: sessions start on the lattice).
     offset: SimDuration,
+    /// Telemetry-chaos state for a degraded cell in live mode. Sessions
+    /// with no chaos plan (or a plan that cannot fire) have none, and their
+    /// taps bypass the wrapper entirely.
+    chaos: Option<ChaosState>,
 }
 
-/// Everything one multiplexing worker owns: the shared arena (scratch plus
-/// free-listed per-session sub-state), the shared tagged route-event queue,
-/// and the analyzer or pipeline pool for the configured [`AnalysisMode`].
+/// Everything one sweep worker owns: the arena (route-event queue, scratch,
+/// and free-listed per-session sub-state) and the analyzer or pipeline pool
+/// for the configured [`AnalysisMode`].
 ///
-/// `run_sweep` spawns one per worker thread under
-/// [`ExecutionMode::Multiplexed`]; embedders (and the throughput
-/// microbench) that already own a thread can drive one directly through
-/// [`MuxWorker::run_batch`], reusing its warm arena/queue/pool across
+/// `run_sweep` spawns one per worker thread; embedders (and the throughput
+/// microbenches) that already own a thread can drive one directly through
+/// [`MuxWorker::run_batch`], reusing its warm arena, queue, and pool across
 /// batches.
 pub struct MuxWorker {
     arena: SessionArena,
-    shared: SharedRouteQueue,
     pool: Option<PipelinePool>,
     analyzer: Option<StreamingAnalyzer>,
-    /// Per-session telemetry-chaos state for in-flight degraded cells,
-    /// keyed like the pipeline pool. Sessions with no chaos plan have no
-    /// entry and their taps bypass the wrapper entirely.
-    chaos: HashMap<u64, ChaosState>,
 }
 
 impl MuxWorker {
@@ -123,10 +138,8 @@ impl MuxWorker {
         *arena.recorder_mut() = Recorder::new(opts.obs);
         MuxWorker {
             arena,
-            shared: SharedRouteQueue::new(),
             pool,
             analyzer,
-            chaos: HashMap::new(),
         }
     }
 
@@ -136,10 +149,17 @@ impl MuxWorker {
         self.arena.recorder_mut()
     }
 
+    /// The arena's retained-storage footprint, route queue included (see
+    /// [`SessionArena::footprint`]).
+    pub fn footprint(&self) -> usize {
+        self.arena.footprint()
+    }
+
     /// Drives every spec through this worker at up to `width` in flight
     /// (no threads spawned; claims indices in order) and returns the
-    /// outcomes in spec order. Arena, shared queue, and pipeline pool stay
-    /// warm across calls.
+    /// outcomes in spec order. Arena, route queue, and pipeline pool stay
+    /// warm across calls. When `opts.keep_bundles` is off, each bundle's
+    /// record buffers are recycled into the arena for the next session.
     pub fn run_batch(
         &mut self,
         specs: &[SessionSpec],
@@ -185,8 +205,6 @@ impl MuxWorker {
     ) {
         let width = width.max(1);
         let live = opts.analysis == AnalysisMode::Live && self.pool.is_some();
-        self.shared.clear();
-        self.chaos.clear();
         let obs_on = self.arena.recorder_mut().is_on();
         // Batch-level baselines: the recorder outlives run() calls (warm
         // worker reuse), so allocator and pool rollups record deltas.
@@ -199,86 +217,67 @@ impl MuxWorker {
             (0, 0)
         };
         let pool_before = self.pool.as_ref().map(|p| p.stats()).unwrap_or_default();
-        let mut active: Vec<Active> = Vec::with_capacity(width);
+        // No more sessions than specs can ever be in flight, so a huge width
+        // reserves nothing extra.
+        let mut active: Vec<Active> = Vec::with_capacity(width.min(specs.len()));
         let mut null = NullTap;
-        // Global driver clock and the group tick, fixed by the first
-        // claimed spec. A spec with a different engine tick cannot share
-        // the lattice; it runs solo (to completion) on the same arena and
-        // pool instead of being interleaved.
+        // Global driver clock, the lattice tick, and the mismatched-tick
+        // spec (if any) waiting for the active set to drain.
         let mut global = SimTime::ZERO;
-        let mut tick: Option<SimDuration> = None;
+        let mut tick = SimDuration::ZERO;
+        let mut parked: Option<usize> = None;
 
         loop {
             if active.is_empty() {
-                // No session pins the lattice: let the next claim re-fix
-                // the group tick, so one atypical-tick spec cannot disable
-                // interleaving for the rest of the sweep.
-                tick = None;
+                // Nothing in flight, so every queued event is stale: restart
+                // the lattice at zero on a clean queue.
+                self.arena.route_parts().0.clear();
+                global = SimTime::ZERO;
             }
-            // Refill free slots; new sessions start at the current tick.
+            // Refill free slots; new sessions start at the current tick. The
+            // first spec started on an empty lattice fixes its tick.
             while active.len() < width {
-                let Some(index) = claim() else { break };
+                let Some(index) = parked.take().or_else(&mut *claim) else {
+                    break;
+                };
                 let spec = &specs[index];
-                match tick {
-                    None => tick = Some(spec.cfg.tick),
-                    Some(t) if t != spec.cfg.tick => {
-                        let outcome = self.run_solo(spec, index, domino, opts, live);
-                        sample_footprint(&mut self.arena, footprint_peak);
-                        complete(outcome);
-                        continue;
-                    }
-                    Some(_) => {}
+                if active.is_empty() {
+                    tick = spec.cfg.tick;
+                } else if spec.cfg.tick != tick {
+                    parked = Some(index);
+                    break;
                 }
+                let mut chaos = None;
                 if live {
                     let pipe = self
                         .pool
                         .as_mut()
                         .expect("live implies pool")
                         .checkout(index as u64);
-                    pipe.set_live_config(live_config_for(spec, opts));
-                    if let Some(plan) = &spec.chaos {
-                        let state = ChaosState::new(plan);
-                        if !state.is_noop() {
-                            self.chaos.insert(index as u64, state);
-                        }
-                    }
+                    pipe.set_live_config(LiveConfig {
+                        lateness: spec.lateness.unwrap_or(opts.live.lateness),
+                        early_exit: opts.live.early_exit,
+                    });
+                    chaos = spec
+                        .chaos
+                        .as_ref()
+                        .map(ChaosState::new)
+                        .filter(|state| !state.is_noop());
                 }
-                let state = spec.start_in(live, &mut self.arena);
-                if state.is_done() {
-                    // Degenerate spec (duration shorter than its tick): no
-                    // tick may be begun — finalise straight away, exactly
-                    // like the solo driver's `while !is_done()` guard.
-                    let mut chaos_state = self.chaos.remove(&(index as u64));
-                    let MuxWorker {
-                        arena, pool: pl, ..
-                    } = self;
-                    let outcome = finalize(
-                        Active {
-                            index,
-                            state,
-                            offset: SimDuration::ZERO,
-                        },
-                        spec.label.clone(),
-                        arena,
-                        pl,
-                        &mut self.analyzer,
-                        domino,
-                        opts,
-                        live,
-                        chaos_state.as_mut(),
-                    );
-                    if let Some(st) = &chaos_state {
-                        record_chaos_obs(self.arena.recorder_mut(), &st.log);
-                    }
-                    sample_footprint(&mut self.arena, footprint_peak);
-                    complete(outcome);
-                    continue;
-                }
-                active.push(Active {
+                let s = Active {
                     index,
-                    state,
+                    state: spec.start_in(live, &mut self.arena),
                     offset: global - SimTime::ZERO,
-                });
+                    chaos,
+                };
+                if s.state.is_done() {
+                    // Degenerate spec (duration shorter than its tick): no
+                    // tick may be begun — retire it straight away, exactly
+                    // like the solo driver's `while !is_done()` guard.
+                    self.retire(s, specs, domino, opts, footprint_peak, complete);
+                } else {
+                    active.push(s);
+                }
             }
             if active.is_empty() {
                 break;
@@ -286,38 +285,33 @@ impl MuxWorker {
             self.arena
                 .recorder_mut()
                 .gauge_max(Gauge::MuxInFlightPeak, active.len() as u64);
-            let MuxWorker {
-                arena,
-                shared,
-                pool,
-                chaos,
-                ..
-            } = self;
-            global += tick.expect("tick fixed by the first claimed spec");
+            global += tick;
 
             // Phase 1–2 for every active session, in slot order.
+            let (queue, scratch) = self.arena.route_parts();
+            let pool = &mut self.pool;
             for s in active.iter_mut() {
-                let mut sink = shared.sink(s.index as u64, s.offset);
-                with_tap(live, pool, chaos, &mut null, s.index as u64, |tap| {
-                    s.state.begin_tick(tap, arena.scratch_mut(), &mut sink)
+                let mut sink = queue.sink(s.index as u64, s.offset);
+                with_tap(live, pool, &mut null, s.index, &mut s.chaos, |tap| {
+                    s.state.begin_tick(tap, scratch, &mut sink)
                 });
             }
 
             // Phase 3: one global drain in (time, session, seq) order.
-            let span = arena.recorder_mut().span_enter(SpanId::RouteDrain);
+            let span = scratch.recorder.span_enter(SpanId::RouteDrain);
             let (mut routed, mut stale) = (0u64, 0u64);
-            while let Some((at, tag, ev)) = shared.pop_due(global) {
+            while let Some((at, tag, ev)) = queue.pop_due(global) {
                 let Some(s) = active.iter_mut().find(|s| s.index as u64 == tag) else {
                     stale += 1;
                     continue; // stale event of a finished session
                 };
                 let local = at - s.offset;
-                with_tap(live, pool, chaos, &mut null, tag, |tap| {
+                with_tap(live, pool, &mut null, s.index, &mut s.chaos, |tap| {
                     s.state.route_event(local, ev, tap)
                 });
                 routed += 1;
             }
-            let rec = arena.recorder_mut();
+            let rec = &mut scratch.recorder;
             rec.span_exit(SpanId::RouteDrain, span);
             // Dispatched events are per-session and width-invariant (`Sim`);
             // stale drops exist only because sessions share the queue, so
@@ -325,34 +319,17 @@ impl MuxWorker {
             rec.add(Counter::EngineRouteEvents, routed);
             rec.add(Counter::MuxStaleDrops, stale);
 
-            // Phase 4–5; finalise finished sessions and free their slots.
+            // Phase 4–5; retire finished sessions and free their slots.
             let mut i = 0;
             while i < active.len() {
                 let s = &mut active[i];
-                let done = with_tap(live, pool, chaos, &mut null, s.index as u64, |tap| {
+                let (pool, arena) = (&mut self.pool, &mut self.arena);
+                let done = with_tap(live, pool, &mut null, s.index, &mut s.chaos, |tap| {
                     s.state.end_tick(tap, arena.scratch_mut())
                 });
                 if done {
                     let s = active.swap_remove(i);
-                    let label = specs[s.index].label.clone();
-                    let mut chaos_state = chaos.remove(&(s.index as u64));
-                    let outcome = finalize(
-                        s,
-                        label,
-                        arena,
-                        pool,
-                        &mut self.analyzer,
-                        domino,
-                        opts,
-                        live,
-                        chaos_state.as_mut(),
-                    );
-                    if let Some(st) = &chaos_state {
-                        debug_assert!(st.log.reconciled(), "chaos log must balance");
-                        record_chaos_obs(arena.recorder_mut(), &st.log);
-                    }
-                    sample_footprint(arena, footprint_peak);
-                    complete(outcome);
+                    self.retire(s, specs, domino, opts, footprint_peak, complete);
                 } else {
                     i += 1;
                 }
@@ -385,81 +362,97 @@ impl MuxWorker {
         }
     }
 
-    /// The non-interleaved escape hatch for a spec whose engine tick does
-    /// not match the group lattice: run it to completion through the
-    /// arena's *private* route-event queue — exactly the per-worker
-    /// driver's path (`SessionSpec::run_with_tap_in`) — so the
-    /// worker-shared queue, which may hold other active sessions' future
-    /// events, is never popped on this session's clock.
-    fn run_solo(
+    /// The one retire path, for sessions that finished a tick and for
+    /// degenerate ones that never began one. Live sessions flush their
+    /// pipeline via `on_finish` (through the chaos wrapper, if any), take
+    /// the accumulated analysis, and release the pipeline back to the pool,
+    /// warm for the next call; other modes run the configured post-hoc pass
+    /// over the finished bundle. The outcome then goes to `complete`, after
+    /// the arena footprint is sampled into the recorder and into
+    /// `footprint_peak`.
+    fn retire(
         &mut self,
-        spec: &SessionSpec,
-        index: usize,
+        s: Active,
+        specs: &[SessionSpec],
         domino: &Domino,
         opts: &SweepOptions,
-        live: bool,
-    ) -> SessionOutcome {
-        let MuxWorker {
-            arena,
-            pool,
-            analyzer,
-            ..
-        } = self;
-        let (bundle, analysis, live_stats) = if live {
-            let pool = pool.as_mut().expect("live implies pool");
-            let pipe = pool.checkout(index as u64);
-            pipe.set_live_config(live_config_for(spec, opts));
-            let bundle = match &spec.chaos {
-                Some(plan) => {
-                    let mut state = ChaosState::new(plan);
-                    let bundle = if state.is_noop() {
-                        spec.run_with_tap_in(pipe, arena)
-                    } else {
-                        let mut tap = ChaosTap::new(&mut state, pipe);
-                        spec.run_with_tap_in(&mut tap, arena)
-                    };
-                    debug_assert!(state.log.reconciled(), "chaos log must balance");
-                    record_chaos_obs(arena.recorder_mut(), &state.log);
-                    bundle
-                }
-                None => spec.run_with_tap_in(pipe, arena),
-            };
-            let analysis = pool
-                .get_mut(index as u64)
-                .expect("leased above")
-                .take_analysis(bundle.meta.duration);
-            record_live_obs(
-                arena.recorder_mut(),
-                pool.get_mut(index as u64).expect("leased above"),
-            );
-            let stats = pool.release(index as u64);
-            (bundle, Some(analysis), stats)
-        } else {
-            let bundle = spec.run_in(arena);
-            let analysis = post_hoc_analysis(&bundle, analyzer, domino, opts);
-            (bundle, analysis, None)
-        };
-        outcome_from(
+        footprint_peak: Option<&AtomicU64>,
+        complete: &mut dyn FnMut(SessionOutcome),
+    ) {
+        let Active {
             index,
-            spec.label.clone(),
+            state,
+            mut chaos,
+            ..
+        } = s;
+        let key = index as u64;
+        let live_pool = self
+            .pool
+            .as_mut()
+            .filter(|_| opts.analysis == AnalysisMode::Live);
+        let (bundle, analysis, live) = match live_pool {
+            Some(pool) => {
+                let tap = pool.get_mut(key).expect("leased at claim");
+                // `finish` drives the tap's `on_finish`; with chaos in flight
+                // it must route through the wrapper so delayed records still
+                // in the chaos stash flush into the pipeline before the
+                // final windows.
+                let bundle = match &mut chaos {
+                    Some(st) => state.finish(&mut ChaosTap::new(st, tap), &mut self.arena),
+                    None => state.finish(tap, &mut self.arena),
+                };
+                let pipe = pool.get_mut(key).expect("leased at claim");
+                let analysis = pipe.take_analysis(bundle.meta.duration);
+                record_live_obs(self.arena.recorder_mut(), pipe);
+                (bundle, Some(analysis), pool.release(key))
+            }
+            None => {
+                let bundle = state.finish(&mut NullTap, &mut self.arena);
+                // Streaming when supported; batch for `AnalysisMode::Batch`,
+                // streaming-unsupported configs, and the live fallback (pool
+                // construction rejected the configuration).
+                let analysis = match (opts.analysis, &mut self.analyzer) {
+                    (AnalysisMode::None, _) => None,
+                    (AnalysisMode::Streaming, Some(a)) => Some(a.analyze(&bundle)),
+                    _ => Some(domino.analyze(&bundle)),
+                };
+                (bundle, analysis, None)
+            }
+        };
+        let rec = self.arena.recorder_mut();
+        if let Some(st) = &chaos {
+            debug_assert!(st.log.reconciled(), "chaos log must balance");
+            record_chaos_obs(rec, &st.log);
+        }
+        rec.add(Counter::EngineSessions, 1);
+        let stats = analysis
+            .as_ref()
+            .map(|a| ChainStats::compute(domino.graph(), a));
+        let meta = bundle.meta.clone();
+        let bundle = if opts.keep_bundles {
+            Some(bundle)
+        } else {
+            self.arena.recycle(bundle);
+            None
+        };
+        // Sampled whether or not observability is on: the sweep-wide
+        // progress peak needs it either way.
+        let fp = self.arena.footprint() as u64;
+        self.arena
+            .recorder_mut()
+            .gauge_max(Gauge::ArenaFootprint, fp);
+        if let Some(peak) = footprint_peak {
+            peak.fetch_max(fp, Ordering::Relaxed);
+        }
+        complete(SessionOutcome {
+            index,
+            label: specs[index].label.clone(),
+            meta,
             bundle,
-            analysis,
-            live_stats,
-            arena,
-            domino,
-            opts,
-        )
-    }
-}
-
-/// Samples the arena's retained footprint after a session finished: into
-/// the sweep-wide progress peak, whether or not observability is on, and
-/// into the recorder's gauge (a no-op when off).
-fn sample_footprint(arena: &mut SessionArena, peak: Option<&AtomicU64>) {
-    let fp = arena.footprint() as u64;
-    arena.recorder_mut().gauge_max(Gauge::ArenaFootprint, fp);
-    if let Some(a) = peak {
-        a.fetch_max(fp, Ordering::Relaxed);
+            analysis: if opts.keep_analyses { analysis } else { None },
+            stats,
+            live,
+        });
     }
 }
 
@@ -471,120 +464,67 @@ fn sample_footprint(arena: &mut SessionArena, peak: Option<&AtomicU64>) {
 fn with_tap<R>(
     live: bool,
     pool: &mut Option<PipelinePool>,
-    chaos: &mut HashMap<u64, ChaosState>,
     null: &mut NullTap,
-    session: u64,
+    index: usize,
+    chaos: &mut Option<ChaosState>,
     f: impl FnOnce(&mut dyn LiveTap) -> R,
 ) -> R {
     let inner: &mut dyn LiveTap = if live {
         pool.as_mut()
             .expect("live implies pool")
-            .get_mut(session)
+            .get_mut(index as u64)
             .expect("leased at claim")
     } else {
         null
     };
-    match chaos.get_mut(&session) {
+    match chaos {
         Some(state) => f(&mut ChaosTap::new(state, inner)),
         None => f(inner),
     }
 }
 
-/// The post-hoc analysis pass for non-live modes — mirrors the per-worker
-/// driver: streaming when supported, batch for `AnalysisMode::Batch`,
-/// streaming-unsupported configs, and the live fallback (pool construction
-/// rejected the configuration).
-fn post_hoc_analysis(
-    bundle: &TraceBundle,
-    analyzer: &mut Option<StreamingAnalyzer>,
-    domino: &Domino,
-    opts: &SweepOptions,
-) -> Option<Analysis> {
-    match (opts.analysis, analyzer) {
-        (AnalysisMode::None, _) => None,
-        (AnalysisMode::Streaming, Some(a)) => Some(a.analyze(bundle)),
-        _ => Some(domino.analyze(bundle)),
+/// Folds one finished live session's pipeline counters and verdict
+/// latencies into `rec`. Latency is *simulated* milliseconds past the
+/// window's nominal due time (`window_start + window`): the lateness the
+/// watermark actually charged, which the adaptive-lateness SLO work needs
+/// measured per ROADMAP. All inputs are per-session and deterministic, so
+/// every metric here is `Sim`-class.
+fn record_live_obs(rec: &mut Recorder, p: &LivePipeline) {
+    if !rec.is_on() {
+        return;
     }
-}
-
-/// Finishes one session and builds its [`SessionOutcome`] — the multiplexed
-/// twin of `WorkerScratch::run_session`'s post-processing: live sessions
-/// flush their pipeline via `on_finish`, take the accumulated analysis, and
-/// release the pipeline back to the pool (warm, ready for the next call);
-/// other modes run the configured post-hoc pass over the finished bundle.
-#[allow(clippy::too_many_arguments)]
-fn finalize(
-    s: Active,
-    label: String,
-    arena: &mut SessionArena,
-    pool: &mut Option<PipelinePool>,
-    analyzer: &mut Option<StreamingAnalyzer>,
-    domino: &Domino,
-    opts: &SweepOptions,
-    live: bool,
-    chaos: Option<&mut ChaosState>,
-) -> SessionOutcome {
-    let index = s.index;
-    let (bundle, analysis, live_stats) = if live {
-        let pool = pool.as_mut().expect("live implies pool");
-        let tap = pool.get_mut(index as u64).expect("leased at claim");
-        // `finish` drives the tap's `on_finish`; with chaos in flight it
-        // must route through the wrapper so delayed records still in the
-        // chaos stash flush into the pipeline before the final windows.
-        let bundle = match chaos {
-            Some(state) => s.state.finish(&mut ChaosTap::new(state, tap), arena),
-            None => s.state.finish(tap, arena),
-        };
-        let analysis = pool
-            .get_mut(index as u64)
-            .expect("leased at claim")
-            .take_analysis(bundle.meta.duration);
-        record_live_obs(
-            arena.recorder_mut(),
-            pool.get_mut(index as u64).expect("leased at claim"),
+    let window = p.config().window;
+    for v in p.verdicts() {
+        let due = v.window_start + window;
+        rec.observe(
+            HistId::LiveVerdictLatencyMs,
+            v.emitted_at.saturating_since(due).as_millis(),
         );
-        let stats = pool.release(index as u64);
-        (bundle, Some(analysis), stats)
-    } else {
-        let bundle = s.state.finish(&mut NullTap, arena);
-        let analysis = post_hoc_analysis(&bundle, analyzer, domino, opts);
-        (bundle, analysis, None)
-    };
-    outcome_from(
-        index, label, bundle, analysis, live_stats, arena, domino, opts,
-    )
+    }
+    rec.add(Counter::LiveVerdicts, p.verdicts().len() as u64);
+    let st = p.stats();
+    rec.add(Counter::LiveRecordsSeen, st.records_seen as u64);
+    rec.add(Counter::LiveLateDrops, st.late_records_dropped as u64);
+    rec.add(Counter::LiveLateDeliveries, st.late_deliveries as u64);
+    rec.add(Counter::LiveWindows, st.windows_emitted as u64);
+    rec.add(Counter::LiveDegradedWindows, st.degraded_windows as u64);
+    rec.gauge_max(Gauge::LivePeakRetained, st.peak_retained_records as u64);
+    rec.absorb_hist(HistId::LiveDelayMs, p.delay_hist());
+    rec.absorb_hist(HistId::LiveAdaptiveBoundMs, p.bound_hist());
+    rec.absorb_hist(HistId::LiveDropRiskPct, p.risk_hist());
 }
 
-/// Assembles the outcome, retaining or recycling the bundle per `opts`.
-#[allow(clippy::too_many_arguments)]
-fn outcome_from(
-    index: usize,
-    label: String,
-    bundle: TraceBundle,
-    analysis: Option<Analysis>,
-    live_stats: Option<LiveStats>,
-    arena: &mut SessionArena,
-    domino: &Domino,
-    opts: &SweepOptions,
-) -> SessionOutcome {
-    arena.recorder_mut().add(Counter::EngineSessions, 1);
-    let stats = analysis
-        .as_ref()
-        .map(|a| ChainStats::compute(domino.graph(), a));
-    let meta = bundle.meta.clone();
-    let bundle = if opts.keep_bundles {
-        Some(bundle)
-    } else {
-        arena.recycle(bundle);
-        None
-    };
-    SessionOutcome {
-        index,
-        label,
-        meta,
-        bundle,
-        analysis: if opts.keep_analyses { analysis } else { None },
-        stats,
-        live: live_stats,
+/// Folds one finished session's telemetry-chaos ground truth into `rec`:
+/// every fault the [`ChaosTap`] injected becomes a `Sim`-class counter, so
+/// an operator can reconcile injected faults against the live pipeline's
+/// late-drop/coverage stats straight from the metrics artifact.
+fn record_chaos_obs(rec: &mut Recorder, log: &TapFaultLog) {
+    if !rec.is_on() {
+        return;
     }
+    rec.add(Counter::ChaosRecordsDropped, log.total_dropped());
+    rec.add(Counter::ChaosBlackoutDrops, log.total_blackout_dropped());
+    rec.add(Counter::ChaosRecordsDuplicated, log.total_duplicated());
+    rec.add(Counter::ChaosRecordsDelayed, log.total_delayed());
+    rec.add(Counter::ChaosRecordsSkewed, log.total_skewed());
 }

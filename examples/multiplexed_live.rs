@@ -1,6 +1,6 @@
 //! Operator-scale concurrent diagnosis: 16 staggered calls multiplexed
-//! through ONE live diagnoser — one shared `SessionArena`, one shared
-//! tagged `SharedRouteQueue`, and one session-keyed `PipelinePool` whose
+//! through ONE live diagnoser — one shared `SessionArena` (with its tagged
+//! `SharedRouteQueue`), and one session-keyed `PipelinePool` whose
 //! reorder buffers, staging bundles, and streaming analyzers are recycled
 //! across call starts and ends.
 //!
@@ -23,7 +23,6 @@ use domino::core::default_graph;
 use domino::live::{EarlyExit, LiveConfig, LiveVerdict, PipelinePool};
 use domino::scenarios::{
     all_cells, ScriptAction, SessionArena, SessionConfig, SessionSpec, SessionState,
-    SharedRouteQueue,
 };
 use domino::simcore::{SimDuration, SimTime};
 use domino::telemetry::{Direction, Lateness};
@@ -115,7 +114,6 @@ fn main() {
     };
 
     let mut arena = SessionArena::new();
-    let mut shared = SharedRouteQueue::new();
     let mut pool = PipelinePool::with_defaults(live_cfg).expect("default config is aligned");
 
     let tick = specs[0].cfg.tick;
@@ -154,10 +152,11 @@ fn main() {
 
         // Phase 1–2 for every in-flight call, route events into the shared
         // tagged queue at global time.
+        let (shared, scratch) = arena.route_parts();
         for c in active.iter_mut() {
             let tap = pool.get_mut(c.id as u64).expect("leased at admission");
-            let mut sink = shared.sink(c.id as u64, c.offset);
-            c.state.begin_tick(tap, arena.scratch_mut(), &mut sink);
+            c.state
+                .begin_tick(tap, scratch, &mut shared.sink(c.id as u64, c.offset));
         }
         // Phase 3: one global drain in (time, session, seq) order.
         while let Some((at, tag, ev)) = shared.pop_due(global) {
@@ -201,7 +200,7 @@ fn main() {
                 i += 1;
             }
         }
-        peak_footprint = peak_footprint.max(arena.footprint() + shared.capacity());
+        peak_footprint = peak_footprint.max(arena.footprint());
     }
 
     let stats = pool.stats();
@@ -213,6 +212,6 @@ fn main() {
     );
     println!(
         "  peak shared footprint  {peak_footprint} retained elements \
-         (SessionArena::footprint + shared queue capacity, all {CALLS} calls)"
+         (SessionArena::footprint, route queue included, all {CALLS} calls)"
     );
 }

@@ -318,8 +318,9 @@ fn main() -> ExitCode {
             );
             let domino = Domino::with_defaults();
             // --mux-width W > 1 interleaves W sessions per worker through
-            // one shared calendar queue/arena; the report is byte-identical
-            // to the per-worker driver's — CI diffs width 1 vs width 8.
+            // one shared arena and route queue; the report is byte-identical
+            // to width 1 (`PerWorker`) — CI diffs width 1 and width 8 against
+            // the single-machine run.
             let opts = SweepOptions::default()
                 .threads(threads)
                 .mode(if mux_width > 1 {

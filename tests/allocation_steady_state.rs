@@ -1,12 +1,13 @@
 //! Allocation budget of the simulate-then-analyze hot path (PR 4).
 //!
 //! Installs `simcore::alloc_count::CountingAlloc` as this binary's global
-//! allocator and meters whole sessions run through a warm
-//! [`WorkerScratch`]. The budgets are deliberately loose (×2-ish headroom)
-//! so they survive compiler/std drift, while still being far below the
-//! pre-arena baseline (~6 allocations per engine tick; the scrubbed path
-//! runs at a fraction of one per tick — BTreeMap node churn in the jitter
-//! buffers and RLC reorder state is what remains).
+//! allocator and meters whole sessions run one at a time through a warm
+//! [`MuxWorker`] (the sweep driver at width 1). The budgets are
+//! deliberately loose (×2-ish headroom) so they survive compiler/std drift,
+//! while still being far below the pre-arena baseline (~6 allocations per
+//! engine tick; the scrubbed path runs at a fraction of one per tick —
+//! BTreeMap node churn in the jitter buffers and RLC reorder state is what
+//! remains).
 //!
 //! Counters are process-global, so every test here serializes on one mutex
 //! and tolerates nothing else running — keep this binary free of
@@ -19,12 +20,23 @@ use domino::obs::{Counter, FGauge};
 use domino::scenarios::{SessionConfig, SessionSpec};
 use domino::simcore::alloc_count::{self, CountingAlloc};
 use domino::simcore::SimDuration;
-use domino::sweep::{ObsConfig, SweepOptions, WorkerScratch};
+use domino::sweep::{MuxWorker, ObsConfig, SessionOutcome, SweepOptions};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Runs `spec` alone through `worker`'s sweep driver (width 1).
+fn run_one(
+    worker: &mut MuxWorker,
+    spec: &SessionSpec,
+    domino: &Domino,
+    opts: &SweepOptions,
+) -> SessionOutcome {
+    let mut outcomes = worker.run_batch(std::slice::from_ref(spec), 1, domino, opts);
+    outcomes.pop().expect("one outcome")
+}
 
 fn spec(seed: u64, secs: u64) -> SessionSpec {
     SessionSpec::cell(
@@ -57,17 +69,16 @@ fn warm_worker_sessions_stay_within_allocation_budget() {
     let ticks = secs * 1000; // 1 ms engine tick
     let domino = Domino::with_defaults();
     let opts = SweepOptions::default();
-    let mut scratch = WorkerScratch::new(&domino, &opts);
+    let mut worker = MuxWorker::new(&domino, &opts);
 
     // Session 1 warms the arena (bundle growth, queue buckets, map).
-    let (_, cold) =
-        alloc_count::measure(|| scratch.run_session(&spec(31, secs), 0, &domino, &opts));
+    let (_, cold) = alloc_count::measure(|| run_one(&mut worker, &spec(31, secs), &domino, &opts));
 
     // Sessions 2+: simulation + streaming analysis in warmed buffers.
     let mut per_session = Vec::new();
-    for i in 1..4usize {
+    for _ in 1..4 {
         let (outcome, warm) =
-            alloc_count::measure(|| scratch.run_session(&spec(31, secs), i, &domino, &opts));
+            alloc_count::measure(|| run_one(&mut worker, &spec(31, secs), &domino, &opts));
         assert!(outcome.stats.is_some());
         per_session.push(warm.allocations);
     }
@@ -97,10 +108,10 @@ fn session_simulation_alone_is_allocation_light() {
         analysis: domino::sweep::AnalysisMode::None,
         ..Default::default()
     };
-    let mut scratch = WorkerScratch::new(&domino, &opts);
-    scratch.run_session(&spec(32, secs), 0, &domino, &opts); // warm
+    let mut worker = MuxWorker::new(&domino, &opts);
+    run_one(&mut worker, &spec(32, secs), &domino, &opts); // warm
     let (outcome, stats) =
-        alloc_count::measure(|| scratch.run_session(&spec(32, secs), 1, &domino, &opts));
+        alloc_count::measure(|| run_one(&mut worker, &spec(32, secs), &domino, &opts));
     assert!(outcome.stats.is_none());
     eprintln!(
         "sim-only warm session: {} allocs / {} ticks",
@@ -125,20 +136,20 @@ fn enabled_recorder_stays_within_allocation_budget() {
 
     // Baseline: warm session with the recorder off.
     let plain_opts = SweepOptions::default();
-    let mut plain = WorkerScratch::new(&domino, &plain_opts);
-    plain.run_session(&spec(33, secs), 0, &domino, &plain_opts);
+    let mut plain = MuxWorker::new(&domino, &plain_opts);
+    run_one(&mut plain, &spec(33, secs), &domino, &plain_opts);
     let (_, base) =
-        alloc_count::measure(|| plain.run_session(&spec(33, secs), 1, &domino, &plain_opts));
+        alloc_count::measure(|| run_one(&mut plain, &spec(33, secs), &domino, &plain_opts));
 
     // Same session with the recorder at full sampling.
     let obs_opts = SweepOptions {
         obs: ObsConfig::full(),
         ..Default::default()
     };
-    let mut scratch = WorkerScratch::new(&domino, &obs_opts);
-    scratch.run_session(&spec(33, secs), 0, &domino, &obs_opts);
+    let mut worker = MuxWorker::new(&domino, &obs_opts);
+    run_one(&mut worker, &spec(33, secs), &domino, &obs_opts);
     let (_, on) =
-        alloc_count::measure(|| scratch.run_session(&spec(33, secs), 1, &domino, &obs_opts));
+        alloc_count::measure(|| run_one(&mut worker, &spec(33, secs), &domino, &obs_opts));
 
     eprintln!(
         "warm session allocs: {} recorder-off, {} recorder-on ({ticks} ticks)",
@@ -157,7 +168,7 @@ fn enabled_recorder_stays_within_allocation_budget() {
 
     // And it actually recorded: this binary has `CountingAlloc` installed,
     // so the snapshot carries live per-session allocation accounting.
-    let snap = scratch
+    let snap = worker
         .recorder_mut()
         .take_snapshot()
         .expect("recorder was on");
@@ -184,13 +195,13 @@ fn many_ue_cell_stays_allocation_flat() {
         analysis: domino::sweep::AnalysisMode::None,
         ..Default::default()
     };
-    let mut scratch = WorkerScratch::new(&domino, &opts);
-    for (i, &ues) in [1usize, 8, 32, 64].iter().enumerate() {
+    let mut worker = MuxWorker::new(&domino, &opts);
+    for ues in [1usize, 8, 32, 64] {
         // First run at this population warms the table columns…
-        scratch.run_session(&many_ue_spec(40, secs, ues), 2 * i, &domino, &opts);
+        run_one(&mut worker, &many_ue_spec(40, secs, ues), &domino, &opts);
         // …then the warm run must be allocation-flat.
         let (_, stats) = alloc_count::measure(|| {
-            scratch.run_session(&many_ue_spec(40, secs, ues), 2 * i + 1, &domino, &opts)
+            run_one(&mut worker, &many_ue_spec(40, secs, ues), &domino, &opts)
         });
         let per_slot = stats.allocations as f64 / slots as f64;
         eprintln!(
@@ -206,7 +217,7 @@ fn many_ue_cell_stays_allocation_flat() {
 
 /// The ABR playback endpoint must lease from the [`SessionArena`] like the
 /// RTC one: after a cold session grows the client/server buffers and the
-/// engine scratch, warm streaming sessions run under the same
+/// engine worker, warm streaming sessions run under the same
 /// sub-one-per-tick budget as calls. This is the tripwire for the streaming
 /// workload quietly re-opening the allocation faucet the arena closed.
 #[test]
@@ -227,15 +238,15 @@ fn abr_sessions_stay_within_allocation_budget() {
     };
     let domino = Domino::with_defaults();
     let opts = SweepOptions::default();
-    let mut scratch = WorkerScratch::new(&domino, &opts);
+    let mut worker = MuxWorker::new(&domino, &opts);
 
     // Cold run: arena growth, playback buffer, chunk queue capacity.
-    let (_, cold) = alloc_count::measure(|| scratch.run_session(&abr_spec(51), 0, &domino, &opts));
+    let (_, cold) = alloc_count::measure(|| run_one(&mut worker, &abr_spec(51), &domino, &opts));
 
     let mut per_session = Vec::new();
-    for i in 1..4usize {
+    for _ in 1..4 {
         let (outcome, warm) =
-            alloc_count::measure(|| scratch.run_session(&abr_spec(51), i, &domino, &opts));
+            alloc_count::measure(|| run_one(&mut worker, &abr_spec(51), &domino, &opts));
         assert!(outcome.stats.is_some());
         per_session.push(warm.allocations);
     }

@@ -173,12 +173,12 @@ fn retained_trace_is_bounded_by_window_plus_lateness_not_session() {
 
 #[test]
 fn arena_reuse_keeps_worker_footprint_flat() {
-    // The PR-4 allocation contract: a sweep worker's `SessionArena` (event
+    // The PR-4 allocation contract: a sweep worker's `SessionArena` (route
     // queue, in-flight map, scratch, recycled bundle buffers) warms up on
     // the first session and then stays byte-for-byte the same size — the
     // second and later sessions in a worker must not grow it. This is the
     // arena flavour of the flat-memory assertion above.
-    use domino::sweep::{AnalysisMode, SweepOptions, WorkerScratch};
+    use domino::sweep::{AnalysisMode, MuxWorker, SessionOutcome, SweepOptions};
     let domino = Domino::with_defaults();
     let opts = SweepOptions {
         analysis: AnalysisMode::Streaming,
@@ -195,18 +195,23 @@ fn arena_reuse_keeps_worker_footprint_flat() {
         )
     };
     let seeds = [61u64, 62, 63, 64];
-    let mut scratch = WorkerScratch::new(&domino, &opts);
-    let fresh = scratch.footprint();
+    // One session at a time through the sweep driver, at width 1.
+    let run = |worker: &mut MuxWorker, seed: u64| -> SessionOutcome {
+        let mut outcomes = worker.run_batch(&[spec(seed)], 1, &domino, &opts);
+        outcomes.pop().expect("one outcome")
+    };
+    let mut worker = MuxWorker::new(&domino, &opts);
+    let fresh = worker.footprint();
 
     // Pass 1 warms the arena: buffer capacities rise to the workload's
     // high-water marks (different seeds have different record counts and
     // in-flight populations, so growth during this pass is expected).
-    for (i, &seed) in seeds.iter().enumerate() {
-        let outcome = scratch.run_session(&spec(seed), i, &domino, &opts);
+    for &seed in &seeds {
+        let outcome = run(&mut worker, seed);
         assert!(outcome.stats.is_some());
         assert!(outcome.bundle.is_none(), "bundle recycled into the arena");
     }
-    let warm = scratch.footprint();
+    let warm = worker.footprint();
     assert!(
         warm > fresh,
         "the first pass must warm the arena ({fresh} -> {warm})"
@@ -215,10 +220,10 @@ fn arena_reuse_keeps_worker_footprint_flat() {
     // Pass 2 replays the exact same workload: every session now fits the
     // warmed buffers, so the arena must not grow by a single element —
     // in particular the second run of each spec is allocation-flat.
-    for (i, &seed) in seeds.iter().enumerate() {
-        let outcome = scratch.run_session(&spec(seed), i, &domino, &opts);
+    for &seed in &seeds {
+        let outcome = run(&mut worker, seed);
         assert_eq!(
-            scratch.footprint(),
+            worker.footprint(),
             warm,
             "replaying seed {seed} grew the warm arena"
         );
@@ -227,8 +232,8 @@ fn arena_reuse_keeps_worker_footprint_flat() {
 
     // And reuse must not change results: a warm-arena session is
     // byte-identical to a fresh-arena one.
-    let warm_again = scratch.run_session(&spec(61), 0, &domino, &opts);
-    let fresh_run = WorkerScratch::new(&domino, &opts).run_session(&spec(61), 0, &domino, &opts);
+    let warm_again = run(&mut worker, 61);
+    let fresh_run = run(&mut MuxWorker::new(&domino, &opts), 61);
     assert_eq!(warm_again.meta.seed, fresh_run.meta.seed);
     assert_eq!(warm_again.stats, fresh_run.stats);
 }

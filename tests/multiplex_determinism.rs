@@ -1,12 +1,15 @@
-//! The multiplexed-execution determinism contract (ISSUE 5).
+//! The multiplexed-execution determinism contract.
 //!
 //! `ExecutionMode::Multiplexed { width }` advances N interleaved sessions
 //! through one shared calendar queue, one shared `SessionArena`, and (live
-//! mode) one session-keyed `PipelinePool` per worker. The contract: every
-//! per-session output — verdicts, `ChainStats`, `LiveStats`, metadata — is
-//! **byte-identical** to running each session alone, at any multiplex width
-//! and any interleaving of session start offsets. Enforced the same way the
-//! PR 3/4 contracts are: through the versioned plain-text
+//! mode) one session-keyed `PipelinePool` per worker; `PerWorker` is the
+//! same driver at width 1. The contract: every per-session output —
+//! verdicts, `ChainStats`, `LiveStats`, metadata — is **byte-identical** to
+//! running each session alone, at any multiplex width and any interleaving
+//! of session start offsets. Every width, 1 included, is compared against
+//! an independent reference that never touches `MuxWorker`: each spec run
+//! alone through the solo `SessionRun` loop with its own `LivePipeline`
+//! (and `ChaosTap`), folded into the versioned plain-text
 //! `ShardReport::encode` (floats as hex bit patterns), so equality is
 //! byte-for-byte, not approximate.
 //!
@@ -17,13 +20,17 @@
 //! different offset pattern than a width-8 run). Thread count is crossed in
 //! as a third axis for the live-mode case.
 
-use domino::core::Domino;
-use domino::scenarios::{all_cells, ScriptAction, SessionConfig, SessionGrid, SessionSpec};
+use domino::core::{ChainStats, Domino};
+use domino::live::{ChaosState, ChaosTap, LivePipeline};
+use domino::scenarios::{
+    all_cells, ScriptAction, SessionConfig, SessionGrid, SessionRun, SessionSpec,
+};
 use domino::simcore::{SimDuration, SimTime};
 use domino::sweep::{
-    run_shard, AnalysisMode, EarlyExit, ExecutionMode, LiveConfig, ShardPlan, SweepOptions,
+    run_shard, AnalysisMode, EarlyExit, ExecutionMode, LiveConfig, SessionOutcome, ShardPlan,
+    ShardReport, SweepOptions, SweepReport,
 };
-use domino::telemetry::{Direction, Lateness};
+use domino::telemetry::{Direction, Lateness, TapChaosSpec, TapFault, TapStream};
 
 /// A grid with deliberately mixed durations: sessions end at different
 /// global ticks, so multiplexed slot refills start at staggered offsets.
@@ -46,33 +53,90 @@ fn encode_run(specs: &[SessionSpec], opts: &SweepOptions) -> String {
     run_shard(specs, &plan.shard(0), &domino, opts).encode()
 }
 
+/// The independent reference for the one sweep driver: every spec run alone
+/// through the solo `SessionRun` loop — its own arena and queue, no
+/// `MuxWorker` — and, in live mode, into its own `LivePipeline` behind its
+/// own `ChaosTap` where the spec carries chaos. The outcomes fold into the
+/// same `ShardReport` encoding `encode_run` produces.
+fn solo_reference(specs: &[SessionSpec], opts: &SweepOptions) -> String {
+    let domino = Domino::with_defaults();
+    let outcomes = specs
+        .iter()
+        .enumerate()
+        .map(|(index, spec)| {
+            let (bundle, analysis, live) = match opts.analysis {
+                AnalysisMode::Live => {
+                    let cfg = LiveConfig {
+                        lateness: spec.lateness.unwrap_or(opts.live.lateness),
+                        early_exit: opts.live.early_exit,
+                    };
+                    let mut pipe =
+                        LivePipeline::new(domino.graph().clone(), domino.config().clone(), cfg)
+                            .expect("streaming-aligned config");
+                    let bundle = match &spec.chaos {
+                        Some(plan) => {
+                            let mut state = ChaosState::new(plan);
+                            let mut tap = ChaosTap::new(&mut state, &mut pipe);
+                            let bundle = SessionRun::new(spec).tap(&mut tap).run();
+                            assert!(state.log.reconciled(), "chaos log must balance");
+                            bundle
+                        }
+                        None => SessionRun::new(spec).tap(&mut pipe).run(),
+                    };
+                    let analysis = pipe.take_analysis(bundle.meta.duration);
+                    (bundle, Some(analysis), Some(pipe.stats()))
+                }
+                mode => {
+                    let bundle = SessionRun::new(spec).run();
+                    let analysis = match mode {
+                        AnalysisMode::None => None,
+                        AnalysisMode::Batch => Some(domino.analyze(&bundle)),
+                        _ => Some(domino.analyze_streaming(&bundle)),
+                    };
+                    (bundle, analysis, None)
+                }
+            };
+            SessionOutcome {
+                index,
+                label: spec.label.clone(),
+                meta: bundle.meta.clone(),
+                bundle: None,
+                analysis: None,
+                stats: analysis.map(|a| ChainStats::compute(domino.graph(), &a)),
+                live,
+            }
+        })
+        .collect();
+    let report = SweepReport {
+        outcomes,
+        aggregate: ChainStats::default(),
+        metrics: None,
+    };
+    ShardReport::from_sweep(&report).encode()
+}
+
 #[test]
 fn multiplexed_widths_are_byte_identical_to_per_worker() {
     let specs = mixed_duration_grid();
-    let reference = encode_run(
-        &specs,
-        &SweepOptions {
-            threads: 1,
-            execution: ExecutionMode::PerWorker,
-            ..Default::default()
-        },
+    let sweep = |execution| SweepOptions {
+        threads: 1,
+        execution,
+        ..Default::default()
+    };
+    let reference = solo_reference(&specs, &sweep(ExecutionMode::PerWorker));
+    assert_eq!(
+        reference,
+        encode_run(&specs, &sweep(ExecutionMode::PerWorker)),
+        "per-worker report diverged from the solo reference"
     );
-    // Width 1 multiplexed must also equal the per-worker driver (same
-    // sessions, degenerate interleaving), then three real widths whose
-    // co-scheduling (and therefore refill offsets over the mixed-duration
-    // grid) all differ.
+    // Width 1 (the per-worker degenerate interleaving), then three real
+    // widths whose co-scheduling (and therefore refill offsets over the
+    // mixed-duration grid) all differ.
     for width in [1usize, 2, 4, 8] {
-        let mux = encode_run(
-            &specs,
-            &SweepOptions {
-                threads: 1,
-                execution: ExecutionMode::Multiplexed { width },
-                ..Default::default()
-            },
-        );
+        let mux = encode_run(&specs, &sweep(ExecutionMode::Multiplexed { width }));
         assert_eq!(
             reference, mux,
-            "width-{width} multiplexed report diverged from per-worker"
+            "width-{width} multiplexed report diverged from the solo reference"
         );
     }
 }
@@ -83,8 +147,30 @@ fn multiplexed_live_mode_is_byte_identical_across_widths_and_threads() {
     // the worker's pool; reorder buffers, staging bundles, and analyzers
     // are recycled across call starts/ends. A lateness bound beyond any
     // in-network delay keeps the live = batch precondition intact, so any
-    // divergence here is the pool's or the scheduler's fault.
-    let specs = mixed_duration_grid();
+    // divergence here is the pool's or the scheduler's fault. Every third
+    // session also runs behind a seeded telemetry-chaos tap.
+    let specs: Vec<SessionSpec> = mixed_duration_grid()
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            if i % 3 == 0 {
+                spec.with_chaos(
+                    TapChaosSpec::new(0xC4A0 + i as u64)
+                        .fault(TapFault::Drop {
+                            stream: TapStream::Gnb,
+                            pct: 15,
+                        })
+                        .fault(TapFault::Delay {
+                            stream: TapStream::AppLocal,
+                            pct: 20,
+                            max_delay: SimDuration::from_millis(700),
+                        }),
+                )
+            } else {
+                spec
+            }
+        })
+        .collect();
     let live_opts = |execution, threads| SweepOptions {
         threads,
         execution,
@@ -95,8 +181,8 @@ fn multiplexed_live_mode_is_byte_identical_across_widths_and_threads() {
         },
         ..Default::default()
     };
-    let reference = encode_run(&specs, &live_opts(ExecutionMode::PerWorker, 1));
-    for width in [2usize, 5, 8] {
+    let reference = solo_reference(&specs, &live_opts(ExecutionMode::PerWorker, 1));
+    for width in [1usize, 2, 5, 8] {
         for threads in [1usize, 2] {
             let mux = encode_run(
                 &specs,
@@ -111,14 +197,14 @@ fn multiplexed_live_mode_is_byte_identical_across_widths_and_threads() {
 }
 
 #[test]
-fn mixed_tick_specs_run_solo_without_perturbing_the_lattice() {
+fn mixed_tick_specs_park_without_perturbing_the_lattice() {
     // Specs whose engine tick differs from the group lattice cannot be
-    // interleaved; the driver runs them to completion through the arena's
-    // PRIVATE queue. Claim order matters here: the first session is short,
-    // so its slot frees mid-flight and the mismatched-tick spec is claimed
-    // while other sessions still hold future route events in the shared
-    // queue — a solo run that drained the shared queue on its own clock
-    // would destroy those events and corrupt the in-flight sessions.
+    // interleaved; the driver parks them until the active set drains, then
+    // starts them on a fresh lattice. Claim order matters here: the first
+    // session is short, so its slot frees mid-flight and the mismatched-tick
+    // spec is claimed while other sessions still hold future route events
+    // in the shared queue — starting it on its own clock then would destroy
+    // those events and corrupt the in-flight sessions.
     let cells = all_cells();
     let mk = |i: usize, secs: u64, tick_ms: u64| {
         SessionSpec::cell(
@@ -153,14 +239,12 @@ fn mixed_tick_specs_run_solo_without_perturbing_the_lattice() {
         mk(4, 9, 2), // another mismatch
         mk(5, 12, 1),
     ];
-    let reference = encode_run(
-        &specs,
-        &SweepOptions {
-            threads: 1,
-            ..Default::default()
-        },
-    );
-    for width in [2usize, 4] {
+    let sweep = SweepOptions {
+        threads: 1,
+        ..Default::default()
+    };
+    let reference = solo_reference(&specs, &sweep);
+    for width in [1usize, 2, 4] {
         let mux = encode_run(
             &specs,
             &SweepOptions {
@@ -177,13 +261,7 @@ fn mixed_tick_specs_run_solo_without_perturbing_the_lattice() {
     // drains), and the output stays byte-identical either way.
     let mut atypical_first = specs;
     atypical_first.swap(0, 2); // the 2 ms-tick spec leads the claim order
-    let reference = encode_run(
-        &atypical_first,
-        &SweepOptions {
-            threads: 1,
-            ..Default::default()
-        },
-    );
+    let reference = solo_reference(&atypical_first, &sweep);
     let mux = encode_run(
         &atypical_first,
         &SweepOptions {
@@ -231,12 +309,12 @@ fn early_exit_refills_keep_staggered_sessions_identical() {
         },
         ..Default::default()
     };
-    let reference = encode_run(&specs, &triage(ExecutionMode::PerWorker));
-    for width in [3usize, 7] {
+    let reference = solo_reference(&specs, &triage(ExecutionMode::PerWorker));
+    for width in [1usize, 3, 7] {
         let mux = encode_run(&specs, &triage(ExecutionMode::Multiplexed { width }));
         assert_eq!(
             reference, mux,
-            "early-exit width-{width} report diverged from per-worker"
+            "early-exit width-{width} report diverged from the solo reference"
         );
     }
 }
