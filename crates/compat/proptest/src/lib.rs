@@ -143,7 +143,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::*;
 
-    /// A size specification for [`vec`]: an exact length or a length range.
+    /// A size specification for [`vec()`]: an exact length or a length range.
     pub trait SizeRange {
         /// Draws a length.
         fn draw(&self, rng: &mut StdRng) -> usize;

@@ -86,146 +86,27 @@ impl ChainStats {
 
     /// Merges another trace's statistics into this one (used to aggregate
     /// the commercial or private cells, as Fig. 10/Tables 2 and 4 do).
+    /// Counts saturate: statistics parsed from a forged shard report must
+    /// not overflow a merge.
     pub fn merge(&mut self, other: &ChainStats) {
+        fn add_all<K: Clone + Eq + std::hash::Hash>(
+            into: &mut HashMap<K, usize>,
+            from: &HashMap<K, usize>,
+        ) {
+            for (k, v) in from {
+                let n = into.entry(k.clone()).or_default();
+                *n = n.saturating_add(*v);
+            }
+        }
         self.minutes += other.minutes;
-        for (k, v) in &other.cause_onsets {
-            *self.cause_onsets.entry(k.clone()).or_default() += v;
-        }
-        for (k, v) in &other.consequence_onsets {
-            *self.consequence_onsets.entry(k.clone()).or_default() += v;
-        }
-        for (k, v) in &other.consequence_windows {
-            *self.consequence_windows.entry(k.clone()).or_default() += v;
-        }
-        for (k, v) in &other.chain_windows {
-            *self.chain_windows.entry(k.clone()).or_default() += v;
-        }
-        for (k, v) in &other.unknown_windows {
-            *self.unknown_windows.entry(k.clone()).or_default() += v;
-        }
-        self.total_chain_windows += other.total_chain_windows;
-    }
-
-    /// Serialises the statistics as a versioned plain-text block (the
-    /// shard-report wire format of `domino-sweep`): tab-separated lines,
-    /// map keys escaped with [`escape_field`] and sorted, so equal stats
-    /// encode to identical bytes. `minutes` is written as the hex of its
-    /// IEEE-754 bits for an exact round trip.
-    pub fn encode_into(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = writeln!(out, "chainstats\tv1");
-        let _ = writeln!(out, "minutes\t{:016x}", self.minutes.to_bits());
-        for (tag, map) in [
-            ("cause_onsets", &self.cause_onsets),
-            ("consequence_onsets", &self.consequence_onsets),
-            ("consequence_windows", &self.consequence_windows),
-            ("unknown_windows", &self.unknown_windows),
-        ] {
-            let mut entries: Vec<(&String, &usize)> = map.iter().collect();
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            let _ = writeln!(out, "map\t{tag}\t{}", entries.len());
-            for (k, v) in entries {
-                let _ = writeln!(out, "kv\t{}\t{v}", escape_field(k));
-            }
-        }
-        let mut chains: Vec<(&(String, String), &usize)> = self.chain_windows.iter().collect();
-        chains.sort_by(|a, b| a.0.cmp(b.0));
-        let _ = writeln!(out, "map\tchain_windows\t{}", chains.len());
-        for ((cause, cons), v) in chains {
-            let _ = writeln!(
-                out,
-                "kv2\t{}\t{}\t{v}",
-                escape_field(cause),
-                escape_field(cons)
-            );
-        }
-        let _ = writeln!(out, "total_chain_windows\t{}", self.total_chain_windows);
-        let _ = writeln!(out, "end\tchainstats");
-    }
-
-    /// Parses one block written by [`Self::encode_into`] from a line
-    /// iterator, consuming up to and including the `end chainstats` line.
-    pub fn parse_from<'a>(
-        lines: &mut impl Iterator<Item = &'a str>,
-    ) -> Result<ChainStats, StatsParseError> {
-        let err = |msg: &str| StatsParseError(msg.to_string());
-        let mut next = || lines.next().ok_or_else(|| err("unexpected end of input"));
-
-        let header = next()?;
-        if header != "chainstats\tv1" {
-            return Err(StatsParseError(format!(
-                "bad chainstats header: {header:?}"
-            )));
-        }
-        let minutes_line = next()?;
-        let bits = minutes_line
-            .strip_prefix("minutes\t")
-            .ok_or_else(|| err("expected minutes line"))?;
-        let minutes =
-            f64::from_bits(u64::from_str_radix(bits, 16).map_err(|_| err("bad minutes bits"))?);
-        let mut s = ChainStats {
-            minutes,
-            ..Default::default()
-        };
-
-        for tag in [
-            "cause_onsets",
-            "consequence_onsets",
-            "consequence_windows",
-            "unknown_windows",
-            "chain_windows",
-        ] {
-            let head = next()?;
-            let count: usize = head
-                .strip_prefix("map\t")
-                .and_then(|rest| rest.strip_prefix(tag))
-                .and_then(|rest| rest.strip_prefix('\t'))
-                .ok_or_else(|| StatsParseError(format!("expected map {tag}, got {head:?}")))?
-                .parse()
-                .map_err(|_| err("bad map count"))?;
-            for _ in 0..count {
-                let line = next()?;
-                if tag == "chain_windows" {
-                    let rest = line
-                        .strip_prefix("kv2\t")
-                        .ok_or_else(|| err("expected kv2 line"))?;
-                    let mut parts = rest.split('\t');
-                    let cause = unescape_field(parts.next().ok_or_else(|| err("kv2 cause"))?)?;
-                    let cons = unescape_field(parts.next().ok_or_else(|| err("kv2 consequence"))?)?;
-                    let v: usize = parts
-                        .next()
-                        .ok_or_else(|| err("kv2 count"))?
-                        .parse()
-                        .map_err(|_| err("bad kv2 count"))?;
-                    s.chain_windows.insert((cause, cons), v);
-                } else {
-                    let rest = line
-                        .strip_prefix("kv\t")
-                        .ok_or_else(|| err("expected kv line"))?;
-                    let (k, v) = rest
-                        .rsplit_once('\t')
-                        .ok_or_else(|| err("kv missing value"))?;
-                    let k = unescape_field(k)?;
-                    let v: usize = v.parse().map_err(|_| err("bad kv count"))?;
-                    match tag {
-                        "cause_onsets" => s.cause_onsets.insert(k, v),
-                        "consequence_onsets" => s.consequence_onsets.insert(k, v),
-                        "consequence_windows" => s.consequence_windows.insert(k, v),
-                        _ => s.unknown_windows.insert(k, v),
-                    };
-                }
-            }
-        }
-        let total = next()?;
-        s.total_chain_windows = total
-            .strip_prefix("total_chain_windows\t")
-            .ok_or_else(|| err("expected total_chain_windows"))?
-            .parse()
-            .map_err(|_| err("bad total_chain_windows"))?;
-        if next()? != "end\tchainstats" {
-            return Err(err("expected end chainstats"));
-        }
-        Ok(s)
+        add_all(&mut self.cause_onsets, &other.cause_onsets);
+        add_all(&mut self.consequence_onsets, &other.consequence_onsets);
+        add_all(&mut self.consequence_windows, &other.consequence_windows);
+        add_all(&mut self.chain_windows, &other.chain_windows);
+        add_all(&mut self.unknown_windows, &other.unknown_windows);
+        self.total_chain_windows = self
+            .total_chain_windows
+            .saturating_add(other.total_chain_windows);
     }
 
     /// Fig. 10 numbers: cause onsets per minute.
@@ -271,58 +152,6 @@ impl ChainStats {
             .unwrap_or(&0) as f64
             / self.total_chain_windows as f64
     }
-}
-
-/// Error from [`ChainStats::parse_from`] (and the shard-report parsers
-/// built on it).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StatsParseError(pub String);
-
-impl std::fmt::Display for StatsParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "chainstats parse error: {}", self.0)
-    }
-}
-
-impl std::error::Error for StatsParseError {}
-
-/// Escapes a string field for the tab-separated plain-text wire format:
-/// backslash, tab, newline, and carriage return become two-character
-/// escapes, so fields never collide with the format's separators.
-pub fn escape_field(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Reverses [`escape_field`].
-pub fn unescape_field(s: &str) -> Result<String, StatsParseError> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            other => {
-                return Err(StatsParseError(format!("bad escape \\{other:?} in {s:?}")));
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// Renders a Fig. 10-style frequency report.
@@ -595,33 +424,6 @@ mod tests {
         let grouped = fold(&[fold(&stats[0..2]), fold(&stats[2..5]), fold(&stats[5..8])]);
         assert_counters_eq(&grouped, &whole);
         assert_eq!(grouped.minutes, whole.minutes);
-    }
-
-    #[test]
-    fn encode_parse_round_trips_exactly() {
-        let mut s = sample_stats(13);
-        // Keys with wire-format separators must survive the trip.
-        s.cause_onsets
-            .insert("weird\tname\\with\nescapes".to_string(), 4);
-        s.minutes = 0.1 + 0.2; // not exactly representable; bits must survive
-        let mut text = String::new();
-        s.encode_into(&mut text);
-        let parsed = ChainStats::parse_from(&mut text.lines()).expect("parses");
-        assert_counters_eq(&parsed, &s);
-        assert_eq!(parsed.minutes.to_bits(), s.minutes.to_bits());
-        let mut again = String::new();
-        parsed.encode_into(&mut again);
-        assert_eq!(text, again, "encode must be canonical");
-    }
-
-    #[test]
-    fn parse_rejects_corrupt_input() {
-        let mut text = String::new();
-        sample_stats(3).encode_into(&mut text);
-        let bad_version = text.replace("chainstats\tv1", "chainstats\tv9");
-        assert!(ChainStats::parse_from(&mut bad_version.lines()).is_err());
-        let truncated: String = text.lines().take(3).map(|l| format!("{l}\n")).collect();
-        assert!(ChainStats::parse_from(&mut truncated.lines()).is_err());
     }
 
     proptest! {

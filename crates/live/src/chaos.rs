@@ -22,7 +22,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use simcore::SimTime;
+use simcore::{splitmix64, SimTime};
 use telemetry::{
     AppStatsRecord, DciRecord, GnbLogRecord, LiveTap, PacketRecord, PlaybackStatsRecord,
     TapChaosSpec, TapFault, TapStream,
@@ -36,19 +36,16 @@ const SALT_DUP: u64 = 2;
 const SALT_DELAY: u64 = 3;
 const SALT_DELAY_AMOUNT: u64 = 4;
 
-/// splitmix64-style mix of the fault seed, stream, decision kind, and the
+/// [`splitmix64`] of the fault seed, stream, decision kind, and the
 /// stream's roll counter. Stateless per decision: the only evolving input
 /// is the counter, which advances with the (deterministic) record
 /// sequence.
 fn mix(seed: u64, stream: u64, salt: u64, counter: u64) -> u64 {
-    let mut z = seed
-        ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ salt.wrapping_mul(0xBF58_476D_1CE4_E5B9)
-        ^ counter.wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(
+        seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ salt.wrapping_mul(0xBF58_476D_1CE4_E5B9)
+            ^ counter.wrapping_mul(0x94D0_49BB_1331_11EB),
+    )
 }
 
 /// Ground truth of what a [`ChaosTap`] injected, per stream (indexed by

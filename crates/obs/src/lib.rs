@@ -25,10 +25,12 @@
 //! steady-state allocation budgets of `tests/allocation_steady_state.rs`.
 
 pub mod snapshot;
+pub mod wire;
 
 use std::time::Instant;
 
-pub use snapshot::{fnv1a64, MetricsSnapshot, SnapshotParseError};
+pub use snapshot::MetricsSnapshot;
+pub use wire::WireError;
 
 /// Determinism class of a metric.
 ///

@@ -1,9 +1,9 @@
 //! The versioned plain-text `MetricsSnapshot` wire format.
 //!
-//! Follows the `ShardReport` discipline: tab-separated fields, a version
-//! header, floats as hex IEEE-754 bit patterns, sorted keys, strict
-//! parse-time validation, and one canonical encoding (parse → re-encode
-//! is byte-identical). Two sections:
+//! Written and read with the shared [`crate::wire`] codec: tab-separated
+//! fields, a version header, floats as hex IEEE-754 bit patterns, sorted
+//! keys, strict parse-time validation, and one canonical encoding (parse →
+//! re-encode is byte-identical). Two sections:
 //!
 //! ```text
 //! domino-metrics\tv1
@@ -25,16 +25,14 @@
 //! `min·count ≤ sum ≤ max·count`) rejects semantic tampering even where a
 //! forger recomputes the checksum.
 
-use std::fmt;
-use std::fmt::Write as _;
-
+use crate::wire::{Fields, Reader, WireError, Writer};
 use crate::{
     sink_parts, Class, Counter, FGauge, Gauge, HistData, HistId, MetricSink, SpanData, SpanId,
 };
 
 /// First line of every encoded snapshot.
 pub const FORMAT_HEADER: &str = "domino-metrics\tv1";
-const END_TAG: &str = "end\tdomino-metrics";
+const END_TAG: &str = "domino-metrics";
 
 /// A merged, order-free aggregate of everything one or more [`crate::Recorder`]s
 /// observed. Fixed shape: one slot per compiled metric id.
@@ -48,59 +46,6 @@ pub struct MetricsSnapshot {
     /// Whether the runtime (machine-dependent) section is populated and
     /// should be carried by [`Self::encode`].
     pub has_runtime: bool,
-}
-
-/// Why a snapshot failed to parse. Every variant is a hard error: the
-/// format has exactly one canonical form and anything else is rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotParseError {
-    /// Missing or wrong `domino-metrics\tv1` header.
-    Header,
-    /// Input ended before the canonical line sequence did.
-    Truncated,
-    /// A line did not match the expected kind/name/field count.
-    Malformed { line: usize, want: &'static str },
-    /// A numeric field failed to parse.
-    Number { line: usize },
-    /// Internally inconsistent values (histogram totals, min/max order).
-    Inconsistent { line: usize, what: &'static str },
-    /// The trailing FNV-1a checksum did not match the content.
-    Checksum,
-    /// Bytes after the `end` line.
-    Trailing { line: usize },
-}
-
-impl fmt::Display for SnapshotParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotParseError::Header => write!(f, "missing `{FORMAT_HEADER}` header"),
-            SnapshotParseError::Truncated => write!(f, "input truncated"),
-            SnapshotParseError::Malformed { line, want } => {
-                write!(f, "line {line}: expected {want}")
-            }
-            SnapshotParseError::Number { line } => write!(f, "line {line}: bad numeric field"),
-            SnapshotParseError::Inconsistent { line, what } => {
-                write!(f, "line {line}: inconsistent {what}")
-            }
-            SnapshotParseError::Checksum => write!(f, "checksum mismatch"),
-            SnapshotParseError::Trailing { line } => write!(f, "line {line}: trailing data"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotParseError {}
-
-/// FNV-1a 64-bit over the raw bytes — the workspace's shared wire-format
-/// checksum (used by this snapshot encoding and by `ShardReport`'s
-/// trailer, so corrupted-in-transit reports fail parse instead of folding
-/// bad numbers into a merge).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl Default for MetricsSnapshot {
@@ -238,62 +183,50 @@ impl MetricsSnapshot {
     }
 
     fn encode_with(&self, runtime: bool) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str(FORMAT_HEADER);
-        out.push('\n');
-        self.encode_section(&mut out, Class::Sim);
+        let mut w = Writer::new(FORMAT_HEADER);
+        self.encode_section(&mut w, Class::Sim);
         if runtime {
-            self.encode_section(&mut out, Class::Runtime);
+            self.encode_section(&mut w, Class::Runtime);
         }
-        let sum = fnv1a64(out.as_bytes());
-        let _ = writeln!(out, "{END_TAG}\t{sum:016x}");
-        out
+        w.seal(END_TAG)
     }
 
-    fn encode_section(&self, out: &mut String, class: Class) {
-        let name = match class {
-            Class::Sim => "sim",
-            Class::Runtime => "runtime",
-        };
-        let _ = writeln!(out, "section\t{name}");
+    fn encode_section(&self, w: &mut Writer, class: Class) {
+        w.line("section").word(section_name(class));
         for c in Counter::ALL.iter().filter(|c| c.class() == class) {
-            let _ = writeln!(out, "counter\t{}\t{}", c.name(), self.counters[c.idx()]);
+            w.line("counter")
+                .word(c.name())
+                .uint(self.counters[c.idx()]);
         }
         for g in Gauge::ALL.iter().filter(|g| g.class() == class) {
             let (v, n) = self.gauges[g.idx()];
-            let _ = writeln!(out, "gauge\t{}\t{v}\t{n}", g.name());
+            w.line("gauge").word(g.name()).uint(v).uint(n);
         }
         for g in FGauge::ALL.iter().filter(|g| g.class() == class) {
             let (v, n) = self.fgauges[g.idx()];
-            let _ = writeln!(out, "fgauge\t{}\t{:016x}\t{n}", g.name(), v.to_bits());
+            w.line("fgauge").word(g.name()).f64(v).uint(n);
         }
         for h in HistId::ALL.iter().filter(|h| h.class() == class) {
             let d = &self.hists[h.idx()];
             let nb = h.layout().buckets();
-            let _ = write!(
-                out,
-                "hist\t{}\t{nb}\t{}\t{}\t{}\t{}",
-                h.name(),
-                d.count,
-                d.sum,
-                d.min,
-                d.max
-            );
+            w.line("hist")
+                .word(h.name())
+                .uint(nb)
+                .uint(d.count)
+                .uint(d.sum)
+                .uint(d.min)
+                .uint(d.max);
             for &c in &d.counts[..nb] {
-                let _ = write!(out, "\t{c}");
+                w.uint(c);
             }
-            out.push('\n');
         }
         for s in SpanId::ALL.iter().filter(|s| s.class() == class) {
             let d = self.spans[s.idx()];
-            let _ = writeln!(
-                out,
-                "span\t{}\t{}\t{}\t{}",
-                s.name(),
-                d.calls,
-                d.sampled,
-                d.wall_ns
-            );
+            w.line("span")
+                .word(s.name())
+                .uint(d.calls)
+                .uint(d.sampled)
+                .uint(d.wall_ns);
         }
     }
 
@@ -302,233 +235,96 @@ impl MetricsSnapshot {
     /// Strict parse of the canonical form. Rejects unknown names, wrong
     /// ordering, layout-width mismatches, inconsistent totals, trailing
     /// bytes, and any content whose FNV-1a checksum does not match.
-    pub fn parse(text: &str) -> Result<Self, SnapshotParseError> {
-        let mut cur = Cursor {
-            text,
-            pos: 0,
-            line: 0,
-        };
+    pub fn parse(text: &str) -> Result<Self, WireError> {
+        let mut r = Reader::open(text, FORMAT_HEADER)?;
         let mut snap = Self::empty();
-
-        if cur.next_line()? != FORMAT_HEADER {
-            return Err(SnapshotParseError::Header);
-        }
-        snap.parse_section(&mut cur, Class::Sim)?;
-
-        let before_end = cur.pos;
-        let mut line = cur.next_line()?;
-        if line == "section\truntime" {
-            cur.rewind(before_end);
-            snap.parse_section(&mut cur, Class::Runtime)?;
+        snap.parse_section(&mut r, Class::Sim)?;
+        if r.peek("section") {
+            snap.parse_section(&mut r, Class::Runtime)?;
             snap.has_runtime = true;
-            line = cur.next_line()?;
         }
-        let content = &text[..cur.pos - line.len() - 1];
-        let mut f = line.split('\t');
-        if (f.next(), f.next()) != (Some("end"), Some("domino-metrics")) {
-            return Err(SnapshotParseError::Malformed {
-                line: cur.line,
-                want: "end trailer",
-            });
-        }
-        let sum_field = f.next().ok_or(SnapshotParseError::Checksum)?;
-        if f.next().is_some() {
-            return Err(SnapshotParseError::Malformed {
-                line: cur.line,
-                want: "end trailer",
-            });
-        }
-        // String-compare against the canonical rendering so a re-cased or
-        // re-padded checksum field can't sneak through.
-        if sum_field != format!("{:016x}", fnv1a64(content.as_bytes())) {
-            return Err(SnapshotParseError::Checksum);
-        }
-        if cur.pos != text.len() {
-            return Err(SnapshotParseError::Trailing { line: cur.line + 1 });
-        }
+        r.finish(END_TAG)?;
         Ok(snap)
     }
 
-    fn parse_section(
-        &mut self,
-        cur: &mut Cursor<'_>,
-        class: Class,
-    ) -> Result<(), SnapshotParseError> {
-        let want = match class {
-            Class::Sim => "section\tsim",
-            Class::Runtime => "section\truntime",
-        };
-        if cur.next_line()? != want {
-            return Err(SnapshotParseError::Malformed {
-                line: cur.line,
-                want: "section header",
-            });
-        }
+    fn parse_section(&mut self, r: &mut Reader<'_>, class: Class) -> Result<(), WireError> {
+        r.line("section", |f| f.literal(section_name(class)))?;
         for c in Counter::ALL.iter().filter(|c| c.class() == class) {
-            let mut f = Fields::open(cur, "counter", c.name())?;
-            self.counters[c.idx()] = f.u64()?;
-            f.close()?;
+            self.counters[c.idx()] = metric(r, "counter", c.name(), Fields::uint)?;
         }
         for g in Gauge::ALL.iter().filter(|g| g.class() == class) {
-            let mut f = Fields::open(cur, "gauge", g.name())?;
-            self.gauges[g.idx()] = (f.u64()?, f.u64()?);
-            f.close()?;
+            self.gauges[g.idx()] = metric(r, "gauge", g.name(), |f| Ok((f.uint()?, f.uint()?)))?;
         }
         for g in FGauge::ALL.iter().filter(|g| g.class() == class) {
-            let mut f = Fields::open(cur, "fgauge", g.name())?;
-            self.fgauges[g.idx()] = (f.f64_bits()?, f.u64()?);
-            f.close()?;
+            self.fgauges[g.idx()] = metric(r, "fgauge", g.name(), |f| Ok((f.f64()?, f.uint()?)))?;
         }
         for h in HistId::ALL.iter().filter(|h| h.class() == class) {
-            let mut f = Fields::open(cur, "hist", h.name())?;
-            let nb = f.u64()? as usize;
-            if nb != h.layout().buckets() {
-                return Err(SnapshotParseError::Inconsistent {
-                    line: f.line,
-                    what: "histogram bucket layout",
-                });
-            }
-            let mut d = HistData::EMPTY;
-            d.count = f.u64()?;
-            d.sum = f.u128()?;
-            d.min = f.u64()?;
-            d.max = f.u64()?;
-            let mut total = 0u64;
-            for slot in d.counts.iter_mut().take(nb) {
-                *slot = f.u64()?;
-                total += *slot;
-            }
-            let line = f.line;
-            f.close()?;
-            let ok = if d.count == 0 {
-                total == 0 && d.sum == 0 && d.min == u64::MAX && d.max == 0
-            } else {
-                total == d.count
-                    && d.min <= d.max
-                    && d.sum >= u128::from(d.min) * u128::from(d.count)
-                    && d.sum <= u128::from(d.max) * u128::from(d.count)
-            };
-            if !ok {
-                return Err(SnapshotParseError::Inconsistent {
-                    line,
-                    what: "histogram totals",
-                });
-            }
-            self.hists[h.idx()] = d;
+            self.hists[h.idx()] = metric(r, "hist", h.name(), |f| {
+                let nb: usize = f.uint()?;
+                if nb != h.layout().buckets() {
+                    return Err(f.inconsistent("histogram bucket layout"));
+                }
+                let mut d = HistData::EMPTY;
+                d.count = f.uint()?;
+                d.sum = f.uint()?;
+                d.min = f.uint()?;
+                d.max = f.uint()?;
+                let mut total = Some(0u64);
+                for slot in d.counts.iter_mut().take(nb) {
+                    *slot = f.uint()?;
+                    total = total.and_then(|t| t.checked_add(*slot));
+                }
+                let ok = if d.count == 0 {
+                    total == Some(0) && d.sum == 0 && d.min == u64::MAX && d.max == 0
+                } else {
+                    total == Some(d.count)
+                        && d.min <= d.max
+                        && d.sum >= u128::from(d.min) * u128::from(d.count)
+                        && d.sum <= u128::from(d.max) * u128::from(d.count)
+                };
+                if !ok {
+                    return Err(f.inconsistent("histogram totals"));
+                }
+                Ok(d)
+            })?;
         }
         for s in SpanId::ALL.iter().filter(|s| s.class() == class) {
-            let mut f = Fields::open(cur, "span", s.name())?;
-            let d = SpanData {
-                calls: f.u64()?,
-                sampled: f.u64()?,
-                wall_ns: f.u64()?,
-                ..SpanData::default()
-            };
-            let line = f.line;
-            f.close()?;
-            if d.sampled > d.calls {
-                return Err(SnapshotParseError::Inconsistent {
-                    line,
-                    what: "span sample count",
-                });
-            }
-            self.spans[s.idx()] = d;
+            self.spans[s.idx()] = metric(r, "span", s.name(), |f| {
+                let d = SpanData {
+                    calls: f.uint()?,
+                    sampled: f.uint()?,
+                    wall_ns: f.uint()?,
+                    ..SpanData::default()
+                };
+                if d.sampled > d.calls {
+                    return Err(f.inconsistent("span sample count"));
+                }
+                Ok(d)
+            })?;
         }
         Ok(())
     }
 }
 
-/// Newline-terminated line walker that tracks byte offsets (for the
-/// checksum span) and 1-based line numbers (for errors).
-struct Cursor<'a> {
-    text: &'a str,
-    pos: usize,
-    line: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn next_line(&mut self) -> Result<&'a str, SnapshotParseError> {
-        let rest = &self.text[self.pos..];
-        let nl = rest.find('\n').ok_or(SnapshotParseError::Truncated)?;
-        self.pos += nl + 1;
-        self.line += 1;
-        Ok(&rest[..nl])
-    }
-
-    fn rewind(&mut self, pos: usize) {
-        self.pos = pos;
-        self.line -= 1;
+fn section_name(class: Class) -> &'static str {
+    match class {
+        Class::Sim => "sim",
+        Class::Runtime => "runtime",
     }
 }
 
-/// One expected line: validates the kind tag and metric name, then yields
-/// the numeric fields in order and requires exhaustion on `close`.
-struct Fields<'a> {
-    iter: std::str::Split<'a, char>,
-    line: usize,
-}
-
-impl<'a> Fields<'a> {
-    fn open(
-        cur: &mut Cursor<'a>,
-        kind: &'static str,
-        name: &'static str,
-    ) -> Result<Self, SnapshotParseError> {
-        let line = cur.next_line()?;
-        let mut iter = line.split('\t');
-        if iter.next() != Some(kind) || iter.next() != Some(name) {
-            return Err(SnapshotParseError::Malformed {
-                line: cur.line,
-                want: kind,
-            });
-        }
-        Ok(Fields {
-            iter,
-            line: cur.line,
-        })
-    }
-
-    fn field(&mut self) -> Result<&'a str, SnapshotParseError> {
-        self.iter.next().ok_or(SnapshotParseError::Malformed {
-            line: self.line,
-            want: "more fields",
-        })
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotParseError> {
-        let line = self.line;
-        self.field()?
-            .parse()
-            .map_err(|_| SnapshotParseError::Number { line })
-    }
-
-    fn u128(&mut self) -> Result<u128, SnapshotParseError> {
-        let line = self.line;
-        self.field()?
-            .parse()
-            .map_err(|_| SnapshotParseError::Number { line })
-    }
-
-    fn f64_bits(&mut self) -> Result<f64, SnapshotParseError> {
-        let line = self.line;
-        let s = self.field()?;
-        if s.len() != 16 {
-            return Err(SnapshotParseError::Number { line });
-        }
-        u64::from_str_radix(s, 16)
-            .map(f64::from_bits)
-            .map_err(|_| SnapshotParseError::Number { line })
-    }
-
-    fn close(mut self) -> Result<(), SnapshotParseError> {
-        if self.iter.next().is_some() {
-            return Err(SnapshotParseError::Malformed {
-                line: self.line,
-                want: "end of line",
-            });
-        }
-        Ok(())
-    }
+/// Reads the next line, which must be `kind` and the metric `name`
+/// followed by the fields `read` takes.
+fn metric<'a, T>(
+    r: &mut Reader<'a>,
+    kind: &'static str,
+    name: &'static str,
+    read: impl FnOnce(&mut Fields<'a>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    r.line(kind, |f| {
+        f.literal(name)?;
+        read(f)
+    })
 }
 
 #[cfg(test)]
@@ -580,34 +376,69 @@ mod tests {
             1,
         );
         assert_ne!(bad, text);
-        assert_eq!(
-            MetricsSnapshot::parse(&bad),
-            Err(SnapshotParseError::Checksum)
-        );
+        assert_eq!(MetricsSnapshot::parse(&bad), Err(WireError::Checksum));
         // Truncation.
         let cut = &text[..text.len() - 10];
-        assert_eq!(
-            MetricsSnapshot::parse(cut),
-            Err(SnapshotParseError::Truncated)
-        );
+        assert_eq!(MetricsSnapshot::parse(cut), Err(WireError::Truncated));
         // Trailing garbage.
         let tail = format!("{text}x\n");
         assert!(matches!(
             MetricsSnapshot::parse(&tail),
-            Err(SnapshotParseError::Trailing { .. })
+            Err(WireError::Trailing { .. })
         ));
         // A forged histogram whose checksum was recomputed still fails
         // structural validation.
-        let forged_content = text.split_once("end\tdomino-metrics").unwrap().0.replacen(
+        let forged = reseal(
+            &text,
             "hist\tlive/verdict_latency_ms\t17\t2",
             "hist\tlive/verdict_latency_ms\t17\t3",
-            1,
         );
-        let sum = super::fnv1a64(forged_content.as_bytes());
-        let forged = format!("{forged_content}end\tdomino-metrics\t{sum:016x}\n");
         assert!(matches!(
             MetricsSnapshot::parse(&forged),
-            Err(SnapshotParseError::Inconsistent { .. })
+            Err(WireError::Inconsistent { .. })
+        ));
+    }
+
+    /// `text` with `from` replaced by `to` and the trailer recomputed, as a
+    /// forger would.
+    fn reseal(text: &str, from: &str, to: &str) -> String {
+        let body = text.split_once("end\tdomino-metrics").unwrap().0;
+        assert!(body.contains(from), "{from:?}");
+        let body = body.replacen(from, to, 1);
+        let sum = crate::wire::fnv1a64(body.as_bytes());
+        format!("{body}end\tdomino-metrics\t{sum:016x}\n")
+    }
+
+    #[test]
+    fn resealed_non_canonical_fields_are_rejected() {
+        let text = sample().encode();
+        let ticks = "counter\tengine/ticks\t1000";
+        for to in [
+            "counter\tengine/ticks\t+1000",
+            "counter\tengine/ticks\t01000",
+        ] {
+            assert!(matches!(
+                MetricsSnapshot::parse(&reseal(&text, ticks, to)),
+                Err(WireError::Malformed { .. })
+            ));
+        }
+        let peak = format!("{:016x}", 0.875f64.to_bits());
+        for to in [peak.to_uppercase(), format!("+{}", &peak[1..])] {
+            assert!(matches!(
+                MetricsSnapshot::parse(&reseal(&text, &peak, &to)),
+                Err(WireError::Malformed { .. })
+            ));
+        }
+        // Bucket counts whose sum overflows `u64` are inconsistent, not a
+        // panic.
+        let overflow = reseal(
+            &text,
+            "hist\tlive/delay_ms\t17\t0\t0\t18446744073709551615\t0\t0\t0",
+            "hist\tlive/delay_ms\t17\t1\t0\t0\t0\t18446744073709551615\t2",
+        );
+        assert!(matches!(
+            MetricsSnapshot::parse(&overflow),
+            Err(WireError::Inconsistent { .. })
         ));
     }
 

@@ -40,7 +40,7 @@ const TBS_CACHE_PRBS: usize = 273;
 /// Transport block size in bits for `mcs` over `n_prbs` PRBs, single layer.
 ///
 /// Returns 0 for an empty allocation. The full `(mcs, n_prbs)` grid up to
-/// [`TBS_CACHE_PRBS`] is computed once and memoized — the scheduler reads
+/// 273 PRBs is computed once and memoized — the scheduler reads
 /// this several times per slot, and the four-step quantization procedure is
 /// all float math.
 pub fn tbs_bits(mcs: u8, n_prbs: u16) -> u32 {

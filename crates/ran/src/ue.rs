@@ -19,7 +19,7 @@
 //! table's draws never perturb the diagnosed UEs' RNG streams and any slot
 //! can be evaluated independently of evaluation order.
 
-use simcore::{SimDuration, SimTime};
+use simcore::{splitmix64, SimDuration, SimTime};
 use telemetry::{DciRecord, Direction};
 
 use crate::frame::FrameStructure;
@@ -188,15 +188,12 @@ fn hash01(seed: u64, ue: u32, dir: Direction, counter: u64, salt: u64) -> f64 {
         Direction::Uplink => 0u64,
         Direction::Downlink => 1u64,
     };
-    let mut z = seed
-        ^ (ue as u64).wrapping_mul(0xA076_1D64_78BD_642F)
-        ^ dir_bit.wrapping_mul(0xE703_7ED1_A0B4_28DB)
-        ^ counter.wrapping_mul(0x8EBC_6AF0_9C88_C6E3)
-        ^ salt.wrapping_mul(0x5899_65CC_7537_4CC3);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = splitmix64(
+        seed ^ (ue as u64).wrapping_mul(0xA076_1D64_78BD_642F)
+            ^ dir_bit.wrapping_mul(0xE703_7ED1_A0B4_28DB)
+            ^ counter.wrapping_mul(0x8EBC_6AF0_9C88_C6E3)
+            ^ salt.wrapping_mul(0x5899_65CC_7537_4CC3),
+    );
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 

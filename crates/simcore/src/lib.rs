@@ -23,5 +23,5 @@ pub mod rng;
 pub mod time;
 
 pub use queue::{EventQueue, Scheduled};
-pub use rng::{derive_seed, rng_for, RngStream};
+pub use rng::{derive_seed, rng_for, splitmix64, RngStream};
 pub use time::{SimDuration, SimTime};

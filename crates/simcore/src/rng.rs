@@ -65,7 +65,7 @@ pub fn rng_for(seed: u64, stream: RngStream) -> StdRng {
     let mut z = seed ^ stream.id().wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let mut material = [0u8; 32];
     for chunk in material.chunks_mut(8) {
-        z = splitmix64(&mut z);
+        z = splitmix64(z);
         chunk.copy_from_slice(&z.to_le_bytes());
     }
     StdRng::from_seed(material)
@@ -79,13 +79,16 @@ pub fn rng_for(seed: u64, stream: RngStream) -> StdRng {
 /// derivation is pure, so a sweep can be partitioned across threads (or
 /// machines) in any order and every session still sees the same seed.
 pub fn derive_seed(master: u64, index: u64) -> u64 {
-    let mut z = master ^ index.wrapping_mul(0xA076_1D64_78BD_642F);
-    splitmix64(&mut z)
+    splitmix64(master ^ index.wrapping_mul(0xA076_1D64_78BD_642F))
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// The workspace's counter-based hash: SplitMix64's output function
+/// applied to `key + 0x9E37_79B9_7F4A_7C15`. Callers fold their inputs
+/// (seed, stream, counter, ...) into `key`, so each draw is a pure
+/// function of them. Inlined: it runs per slot and per chaos decision.
+#[inline]
+pub fn splitmix64(key: u64) -> u64 {
+    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

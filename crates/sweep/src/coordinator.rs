@@ -32,8 +32,8 @@
 //!   range's attempt budget and requeues it.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
+use domino_obs::wire::Writer;
 use domino_obs::{Counter, Gauge, Recorder};
 
 use crate::shard::{merge_shards, ShardPlan, ShardReport};
@@ -128,8 +128,7 @@ impl CoordinatorStats {
     /// Plain-text encoding (one `key\tvalue` per line, fixed order) for
     /// the CI artifact.
     pub fn encode(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "domino-coordinator-stats\tv1");
+        let mut w = Writer::new("domino-coordinator-stats\tv1");
         for (k, v) in [
             ("workers_connected", self.workers_connected),
             ("workers_peak", self.workers_peak),
@@ -144,9 +143,9 @@ impl CoordinatorStats {
             ("worker_live_ms", self.worker_live_ms),
             ("wall_ms", self.wall_ms),
         ] {
-            let _ = writeln!(out, "{k}\t{v}");
+            w.line(k).uint(v);
         }
-        out
+        w.finish()
     }
 
     /// Folds the counters into the `coord/*` metric families. Zero-cost
@@ -589,13 +588,10 @@ pub fn run_coordinator<T: Transport>(
                     stats.duplicates_discarded += 1;
                     continue;
                 }
-                // First complete result wins.
-                chain_windows += report
-                    .outcomes
-                    .iter()
-                    .filter_map(|o| o.stats.as_ref())
-                    .map(|s| s.total_chain_windows as u64)
-                    .sum::<u64>();
+                // First complete result wins. The aggregate's total is the
+                // saturating sum of the outcomes' totals.
+                chain_windows =
+                    chain_windows.saturating_add(report.aggregate.total_chain_windows as u64);
                 r.report = Some(report);
                 r.status = RangeStatus::Done;
                 in_flight -= r.copies.len();

@@ -3,14 +3,14 @@
 //! A grid too large for one machine is split by a [`ShardPlan`] into
 //! contiguous spec-index ranges. Each worker machine runs its range with
 //! [`run_shard`] (any per-shard thread count — the underlying
-//! [`run_sweep`](crate::run_sweep) is already schedule-independent) and
-//! serialises the resulting [`ShardReport`] to versioned plain text
-//! ([`ShardReport::encode`] / [`ShardReport::parse`]; hand-rolled, no
-//! serde — the offline workspace has no crates.io access). A coordinator
-//! collects the files and folds them with [`merge_shards`].
+//! [`run_sweep`] is already schedule-independent) and serialises the
+//! resulting [`ShardReport`] to versioned plain text
+//! ([`ShardReport::encode`] / [`ShardReport::parse`], written and read with
+//! the shared [`domino_obs::wire`] codec). A coordinator collects the files
+//! and folds them with [`merge_shards`].
 //!
 //! **Determinism contract.** The merged report is *byte-identical* to a
-//! single-machine [`run_sweep`](crate::run_sweep) over the whole grid, at
+//! single-machine [`run_sweep`] over the whole grid, at
 //! any shard count and any per-shard thread count. Two mechanisms make the
 //! bytes exact:
 //!
@@ -27,15 +27,15 @@
 //! `examples/sharded_sweep.rs` as one shard and as three, then byte-diffs
 //! the merged outputs.
 
+use std::collections::HashMap;
 use std::ops::Range;
 
-use domino_core::stats::{escape_field, unescape_field, StatsParseError};
 use domino_core::{ChainStats, Domino};
 use domino_live::LiveStats;
+use domino_obs::wire::{Fields, Reader, WireError, Writer};
+use domino_obs::MetricsSnapshot;
 use scenarios::SessionSpec;
 use telemetry::{CellClass, Duplexing, SessionMeta, TapStream};
-
-use domino_obs::{fnv1a64, MetricsSnapshot};
 
 use crate::{run_sweep, SessionOutcome, SweepOptions, SweepReport};
 
@@ -158,23 +158,26 @@ pub struct LiveTotals {
 }
 
 impl LiveTotals {
-    /// Folds one session's live counters in.
+    /// Folds one session's live counters in. Sums saturate, like
+    /// [`ChainStats::merge`]: counters parsed from a forged report must not
+    /// overflow a fold.
     pub fn add(&mut self, s: &LiveStats) {
-        self.sessions += 1;
-        self.records_seen += s.records_seen;
-        self.late_records_dropped += s.late_records_dropped;
-        self.late_deliveries += s.late_deliveries;
-        self.windows_emitted += s.windows_emitted;
+        let sum = |total: &mut usize, n: usize| *total = total.saturating_add(n);
+        sum(&mut self.sessions, 1);
+        sum(&mut self.records_seen, s.records_seen);
+        sum(&mut self.late_records_dropped, s.late_records_dropped);
+        sum(&mut self.late_deliveries, s.late_deliveries);
+        sum(&mut self.windows_emitted, s.windows_emitted);
         self.peak_retained_records = self.peak_retained_records.max(s.peak_retained_records);
-        self.early_exits += usize::from(s.early_exited);
+        sum(&mut self.early_exits, usize::from(s.early_exited));
         for (total, per) in self
             .late_drops_by_stream
             .iter_mut()
             .zip(s.late_drops_by_stream)
         {
-            *total += per;
+            sum(total, per);
         }
-        self.degraded_windows += s.degraded_windows;
+        sum(&mut self.degraded_windows, s.degraded_windows);
     }
 }
 
@@ -198,14 +201,12 @@ pub struct ShardReport {
     pub live_totals: LiveTotals,
 }
 
-/// Format version. v2 added the FNV-1a checksum trailer (same scheme as
-/// `MetricsSnapshot`): the `end` line carries the 64-bit hex checksum of
-/// every byte above it, and [`ShardReport::parse`] rejects a mismatch
-/// *before* the aggregate-refold check — closing the gap where a report
-/// was corrupted in transit into something that still parsed (e.g. a bit
-/// flip inside a label or a hex float, which no refold can catch).
+/// Format version. v2 added the FNV-1a checksum trailer (the `end` line
+/// carries the checksum of every byte above it), which rejects a report
+/// corrupted in transit into something that still parses, such as a bit
+/// flip inside a label or a hex float, which no refold can catch.
 const FORMAT_HEADER: &str = "domino-shard-report\tv2";
-const END_TAG: &str = "end\tdomino-shard-report";
+const END_TAG: &str = "domino-shard-report";
 
 impl ShardReport {
     /// Builds a report from sweep outcomes whose `index` fields are
@@ -247,204 +248,113 @@ impl ShardReport {
         self.start..self.start + self.outcomes.len()
     }
 
-    /// Serialises the report as versioned plain text. Equal reports encode
-    /// to identical bytes: map keys are sorted, floats are written as the
-    /// hex of their IEEE-754 bits, and strings are tab/newline-escaped.
+    /// Serialises the report as versioned plain text with the shared
+    /// [`domino_obs::wire`] codec. Equal reports encode to identical bytes:
+    /// map keys are sorted, floats are written as the hex of their IEEE-754
+    /// bits, and strings are tab/newline-escaped.
     pub fn encode(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "{FORMAT_HEADER}");
-        let _ = writeln!(out, "shard\t{}\t{}", self.shard_index, self.shard_count);
-        let _ = writeln!(out, "range\t{}\t{}", self.start, self.outcomes.len());
-        let _ = writeln!(out, "grid\t{}", self.grid_total);
-        let _ = writeln!(out, "outcomes\t{}", self.outcomes.len());
+        let mut w = Writer::new(FORMAT_HEADER);
+        w.line("shard")
+            .uint(self.shard_index)
+            .uint(self.shard_count);
+        w.line("range").uint(self.start).uint(self.outcomes.len());
+        w.line("grid").uint(self.grid_total);
+        w.line("outcomes").uint(self.outcomes.len());
         for o in &self.outcomes {
-            let _ = writeln!(out, "outcome\t{}\t{}", o.index, escape_field(&o.label));
+            w.line("outcome").uint(o.index).str(&o.label);
             let m = &o.meta;
-            let _ = writeln!(
-                out,
-                "meta\t{}\t{}\t{:016x}\t{:016x}\t{}\t{}\t{}\t{}",
-                escape_field(&m.cell_name),
-                match m.cell_class {
+            w.line("meta")
+                .str(&m.cell_name)
+                .word(match m.cell_class {
                     CellClass::Commercial => "commercial",
                     CellClass::Private => "private",
-                },
-                m.carrier_mhz.to_bits(),
-                m.bandwidth_mhz.to_bits(),
-                match m.duplexing {
+                })
+                .f64(m.carrier_mhz)
+                .f64(m.bandwidth_mhz)
+                .word(match m.duplexing {
                     Duplexing::Fdd => "fdd",
                     Duplexing::Tdd => "tdd",
-                },
-                m.duration.as_micros(),
-                m.seed,
-                u8::from(m.has_gnb_log),
-            );
-            match &o.stats {
-                Some(s) => {
-                    let _ = writeln!(out, "stats\t1");
-                    s.encode_into(&mut out);
-                }
-                None => {
-                    let _ = writeln!(out, "stats\t0");
-                }
+                })
+                .uint(m.duration.as_micros())
+                .uint(m.seed)
+                .flag(m.has_gnb_log);
+            w.line("stats").flag(o.stats.is_some());
+            if let Some(s) = &o.stats {
+                encode_chain_stats(&mut w, s);
             }
-            match &o.live {
-                Some(l) => {
-                    let _ = writeln!(
-                        out,
-                        "live\t1\t{}\t{}\t{}\t{}\t{}\t{}",
-                        l.records_seen,
-                        l.late_records_dropped,
-                        l.late_deliveries,
-                        l.windows_emitted,
-                        l.peak_retained_records,
-                        u8::from(l.early_exited),
-                    );
-                    // Version-tolerant degraded-telemetry breakout: the
-                    // line appears only when something degraded, so
-                    // healthy-sweep reports keep their pre-breakout bytes.
-                    if l.late_drops_by_stream.iter().any(|&d| d != 0) || l.degraded_windows != 0 {
-                        let _ = write!(out, "livedetail");
-                        for d in l.late_drops_by_stream {
-                            let _ = write!(out, "\t{d}");
-                        }
-                        let _ = writeln!(out, "\t{}", l.degraded_windows);
-                    }
-                }
-                None => {
-                    let _ = writeln!(out, "live\t0");
-                }
+            w.line("live").flag(o.live.is_some());
+            if let Some(l) = &o.live {
+                w.uint(l.records_seen)
+                    .uint(l.late_records_dropped)
+                    .uint(l.late_deliveries)
+                    .uint(l.windows_emitted)
+                    .uint(l.peak_retained_records)
+                    .flag(l.early_exited);
+                encode_detail(
+                    &mut w,
+                    "livedetail",
+                    &l.late_drops_by_stream,
+                    l.degraded_windows,
+                );
             }
         }
-        let _ = writeln!(out, "aggregate");
-        self.aggregate.encode_into(&mut out);
+        w.line("aggregate");
+        encode_chain_stats(&mut w, &self.aggregate);
         let t = &self.live_totals;
-        let _ = writeln!(
-            out,
-            "livetotals\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            t.sessions,
-            t.records_seen,
-            t.late_records_dropped,
-            t.late_deliveries,
-            t.windows_emitted,
-            t.peak_retained_records,
-            t.early_exits,
+        w.line("livetotals")
+            .uint(t.sessions)
+            .uint(t.records_seen)
+            .uint(t.late_records_dropped)
+            .uint(t.late_deliveries)
+            .uint(t.windows_emitted)
+            .uint(t.peak_retained_records)
+            .uint(t.early_exits);
+        encode_detail(
+            &mut w,
+            "livetotalsdetail",
+            &t.late_drops_by_stream,
+            t.degraded_windows,
         );
-        if t.late_drops_by_stream.iter().any(|&d| d != 0) || t.degraded_windows != 0 {
-            let _ = write!(out, "livetotalsdetail");
-            for d in t.late_drops_by_stream {
-                let _ = write!(out, "\t{d}");
-            }
-            let _ = writeln!(out, "\t{}", t.degraded_windows);
-        }
-        let sum = fnv1a64(out.as_bytes());
-        let _ = writeln!(out, "{END_TAG}\t{sum:016x}");
-        out
+        w.seal(END_TAG)
     }
 
-    /// Parses text written by [`Self::encode`]. Validates, in order: the
-    /// trailing FNV-1a checksum over the whole body (so any in-transit
-    /// corruption — even one that would still parse — is rejected first),
-    /// the format version, the outcome count against the declared range,
-    /// and that the aggregate block re-folds from the per-spec stats.
-    pub fn parse(text: &str) -> Result<ShardReport, StatsParseError> {
-        let err = |msg: String| StatsParseError(msg);
+    /// Parses text written by [`Self::encode`], accepting only that
+    /// canonical form. Validates the line structure, the outcome count and
+    /// indices against the declared range, the FNV-1a trailer (so any
+    /// in-transit corruption that still parses is rejected), and finally
+    /// that the aggregate block re-folds from the per-spec outcomes.
+    pub fn parse(text: &str) -> Result<ShardReport, WireError> {
+        let mut r = Reader::open(text, FORMAT_HEADER)?;
+        let (shard_index, shard_count) = r.line("shard", |f| Ok((f.uint()?, f.uint()?)))?;
+        let (start, len): (usize, usize) = r.line("range", |f| Ok((f.uint()?, f.uint()?)))?;
+        let grid_total = r.line("grid", Fields::uint)?;
+        let count: usize = r.line("outcomes", Fields::uint)?;
+        let end =
+            start
+                .checked_add(len)
+                .filter(|_| count == len)
+                .ok_or(WireError::Inconsistent {
+                    line: r.line_no(),
+                    what: "outcome range",
+                })?;
 
-        // Checksum pre-pass: the last line must be `end\t…\t<fnv1a64>` of
-        // every byte above it, with nothing after.
-        let stripped = text
-            .strip_suffix('\n')
-            .ok_or_else(|| err("shard report must end with a newline".into()))?;
-        let (_, last) = stripped
-            .rsplit_once('\n')
-            .ok_or_else(|| err("shard report too short".into()))?;
-        let sum_field = last
-            .strip_prefix(END_TAG)
-            .and_then(|rest| rest.strip_prefix('\t'))
-            .ok_or_else(|| err("expected checksummed end line".into()))?;
-        let body = &text[..text.len() - last.len() - 1];
-        // Exact-width comparison: a re-padded or truncated checksum field
-        // can't sneak through.
-        if sum_field != format!("{:016x}", fnv1a64(body.as_bytes())) {
-            return Err(err("shard report checksum mismatch".into()));
-        }
-
-        let mut lines = text.lines();
-
-        let header = next_line(&mut lines)?;
-        if header != FORMAT_HEADER {
-            return Err(err(format!("bad shard-report header: {header:?}")));
-        }
-        let (shard_index, shard_count) = {
-            let line = next_line(&mut lines)?;
-            let rest = line
-                .strip_prefix("shard\t")
-                .ok_or_else(|| err(format!("expected shard line, got {line:?}")))?;
-            parse_pair(rest)?
-        };
-        let (start, len) = {
-            let line = next_line(&mut lines)?;
-            let rest = line
-                .strip_prefix("range\t")
-                .ok_or_else(|| err(format!("expected range line, got {line:?}")))?;
-            parse_pair(rest)?
-        };
-        let grid_total: usize = next_line(&mut lines)?
-            .strip_prefix("grid\t")
-            .ok_or_else(|| err("expected grid line".into()))?
-            .parse()
-            .map_err(|_| err("bad grid total".into()))?;
-        let n: usize = next_line(&mut lines)?
-            .strip_prefix("outcomes\t")
-            .ok_or_else(|| err("expected outcomes line".into()))?
-            .parse()
-            .map_err(|_| err("bad outcome count".into()))?;
-        if n != len {
-            return Err(err(format!(
-                "range declares {len} specs but {n} outcomes follow"
-            )));
-        }
-
-        let mut outcomes = Vec::with_capacity(n);
-        for k in 0..n {
-            let line = next_line(&mut lines)?;
-            let rest = line
-                .strip_prefix("outcome\t")
-                .ok_or_else(|| err(format!("expected outcome line, got {line:?}")))?;
-            let (index_s, label_s) = rest
-                .split_once('\t')
-                .ok_or_else(|| err("outcome line missing label".into()))?;
-            let index: usize = index_s
-                .parse()
-                .map_err(|_| err("bad outcome index".into()))?;
-            if index != start + k {
-                return Err(err(format!(
-                    "outcome index {index} out of order (expected {})",
-                    start + k
-                )));
-            }
-            let label = unescape_field(label_s)?;
-            let meta = parse_meta(next_line(&mut lines)?)?;
-            let stats_line = next_line(&mut lines)?;
-            let stats = match stats_line {
-                "stats\t1" => Some(ChainStats::parse_from(&mut lines)?),
-                "stats\t0" => None,
-                other => return Err(err(format!("expected stats line, got {other:?}"))),
-            };
-            let mut live = parse_live(next_line(&mut lines)?)?;
-            // Optional degraded-telemetry breakout (absent = all zero,
-            // which keeps pre-breakout reports parseable unchanged).
-            if let Some(l) = live.as_mut() {
-                let mut ahead = lines.clone();
-                if let Some(next) = ahead.next() {
-                    if next.starts_with("livedetail\t") {
-                        let (drops, degraded) = parse_detail_fields(next, "livedetail")?;
-                        l.late_drops_by_stream = drops;
-                        l.degraded_windows = degraded;
-                        lines = ahead;
-                    }
+        // Grows with the outcomes actually read, never with the declared
+        // count: a forged count cannot make the parser allocate.
+        let mut outcomes = Vec::new();
+        for index in start..end {
+            let label = r.line("outcome", |f| {
+                if f.uint::<usize>()? != index {
+                    return Err(f.inconsistent("outcome index"));
                 }
-            }
+                f.string()
+            })?;
+            let meta = r.line("meta", parse_meta)?;
+            let stats = if r.line("stats", Fields::flag)? {
+                Some(parse_chain_stats(&mut r)?)
+            } else {
+                None
+            };
+            let live = parse_live(&mut r)?;
             outcomes.push(SpecOutcome {
                 index,
                 label,
@@ -454,30 +364,26 @@ impl ShardReport {
             });
         }
 
-        if next_line(&mut lines)? != "aggregate" {
-            return Err(err("expected aggregate section".into()));
+        r.exact("aggregate")?;
+        let aggregate_line = r.line_no();
+        let aggregate = parse_chain_stats(&mut r)?;
+        let mut live_totals = r.line("livetotals", |f| {
+            Ok(LiveTotals {
+                sessions: f.uint()?,
+                records_seen: f.uint()?,
+                late_records_dropped: f.uint()?,
+                late_deliveries: f.uint()?,
+                windows_emitted: f.uint()?,
+                peak_retained_records: f.uint()?,
+                early_exits: f.uint()?,
+                ..LiveTotals::default()
+            })
+        })?;
+        if let Some((drops, degraded)) = parse_detail(&mut r, "livetotalsdetail")? {
+            live_totals.late_drops_by_stream = drops;
+            live_totals.degraded_windows = degraded;
         }
-        let aggregate = ChainStats::parse_from(&mut lines)?;
-        let mut live_totals = parse_live_totals(next_line(&mut lines)?)?;
-        {
-            let mut ahead = lines.clone();
-            if let Some(next) = ahead.next() {
-                if next.starts_with("livetotalsdetail\t") {
-                    let (drops, degraded) = parse_detail_fields(next, "livetotalsdetail")?;
-                    live_totals.late_drops_by_stream = drops;
-                    live_totals.degraded_windows = degraded;
-                    lines = ahead;
-                }
-            }
-        }
-        // Checksum already validated; here we only require the end line to
-        // sit exactly where the canonical line sequence says it does.
-        if !next_line(&mut lines)?.starts_with(END_TAG) {
-            return Err(err("expected end of shard report".into()));
-        }
-        if lines.next().is_some() {
-            return Err(err("trailing data after shard report".into()));
-        }
+        r.finish(END_TAG)?;
 
         let report = ShardReport {
             shard_index,
@@ -489,24 +395,19 @@ impl ShardReport {
             live_totals,
         };
         // The aggregate must be what the per-spec stats fold to; a mismatch
-        // means the file was truncated or hand-edited.
+        // means the file was hand-edited and re-sealed.
         let (refold, retotals) = fold_outcomes(&report.outcomes);
         if refold != report.aggregate
             || refold.minutes.to_bits() != report.aggregate.minutes.to_bits()
             || retotals != report.live_totals
         {
-            return Err(err(
-                "aggregate does not re-fold from per-spec outcomes".into()
-            ));
+            return Err(WireError::Inconsistent {
+                line: aggregate_line,
+                what: "aggregate re-fold from per-spec outcomes",
+            });
         }
         Ok(report)
     }
-}
-
-fn next_line<'a>(lines: &mut std::str::Lines<'a>) -> Result<&'a str, StatsParseError> {
-    lines
-        .next()
-        .ok_or_else(|| StatsParseError("unexpected end of input".into()))
 }
 
 /// Folds per-spec stats and live counters in outcome (= spec) order.
@@ -524,134 +425,180 @@ fn fold_outcomes(outcomes: &[SpecOutcome]) -> (ChainStats, LiveTotals) {
     (agg, totals)
 }
 
-fn parse_pair(rest: &str) -> Result<(usize, usize), StatsParseError> {
-    let (a, b) = rest
-        .split_once('\t')
-        .ok_or_else(|| StatsParseError("expected two tab-separated fields".into()))?;
-    Ok((
-        a.parse()
-            .map_err(|_| StatsParseError("bad integer field".into()))?,
-        b.parse()
-            .map_err(|_| StatsParseError("bad integer field".into()))?,
-    ))
-}
-
-fn parse_meta(line: &str) -> Result<SessionMeta, StatsParseError> {
-    let err = |msg: &str| StatsParseError(format!("{msg} in meta line {line:?}"));
-    let rest = line
-        .strip_prefix("meta\t")
-        .ok_or_else(|| err("expected meta line"))?;
-    let fields: Vec<&str> = rest.split('\t').collect();
-    if fields.len() != 8 {
-        return Err(err("expected 8 meta fields"));
-    }
+fn parse_meta(f: &mut Fields<'_>) -> Result<SessionMeta, WireError> {
     Ok(SessionMeta {
-        cell_name: unescape_field(fields[0])?,
-        cell_class: match fields[1] {
+        cell_name: f.string()?,
+        cell_class: match f.field()? {
             "commercial" => CellClass::Commercial,
             "private" => CellClass::Private,
-            _ => return Err(err("bad cell class")),
+            _ => return Err(f.malformed("cell class")),
         },
-        carrier_mhz: f64::from_bits(
-            u64::from_str_radix(fields[2], 16).map_err(|_| err("bad carrier bits"))?,
-        ),
-        bandwidth_mhz: f64::from_bits(
-            u64::from_str_radix(fields[3], 16).map_err(|_| err("bad bandwidth bits"))?,
-        ),
-        duplexing: match fields[4] {
+        carrier_mhz: f.f64()?,
+        bandwidth_mhz: f.f64()?,
+        duplexing: match f.field()? {
             "fdd" => Duplexing::Fdd,
             "tdd" => Duplexing::Tdd,
-            _ => return Err(err("bad duplexing")),
+            _ => return Err(f.malformed("duplexing")),
         },
-        duration: simcore::SimDuration::from_micros(
-            fields[5].parse().map_err(|_| err("bad duration"))?,
-        ),
-        seed: fields[6].parse().map_err(|_| err("bad seed"))?,
-        has_gnb_log: match fields[7] {
-            "0" => false,
-            "1" => true,
-            _ => return Err(err("bad gnb flag")),
-        },
+        duration: simcore::SimDuration::from_micros(f.uint()?),
+        seed: f.uint()?,
+        has_gnb_log: f.flag()?,
     })
 }
 
-fn parse_live(line: &str) -> Result<Option<LiveStats>, StatsParseError> {
-    let err = |msg: &str| StatsParseError(format!("{msg} in live line {line:?}"));
-    if line == "live\t0" {
+/// A `live` line (`live\t0`, or `live\t1` and six counters) and its
+/// optional `livedetail` line.
+fn parse_live(r: &mut Reader<'_>) -> Result<Option<LiveStats>, WireError> {
+    let Some(mut l) = r.line("live", |f| {
+        if !f.flag()? {
+            return Ok(None);
+        }
+        Ok(Some(LiveStats {
+            records_seen: f.uint()?,
+            late_records_dropped: f.uint()?,
+            late_deliveries: f.uint()?,
+            windows_emitted: f.uint()?,
+            peak_retained_records: f.uint()?,
+            early_exited: f.flag()?,
+            ..LiveStats::default()
+        }))
+    })?
+    else {
+        return Ok(None);
+    };
+    if let Some((drops, degraded)) = parse_detail(r, "livedetail")? {
+        l.late_drops_by_stream = drops;
+        l.degraded_windows = degraded;
+    }
+    Ok(Some(l))
+}
+
+/// The degraded-telemetry breakout: one late-drop count per [`TapStream`]
+/// and the degraded-window count. The line is written only when one of
+/// them is nonzero, so healthy-sweep reports keep their pre-breakout bytes.
+fn encode_detail(w: &mut Writer, tag: &str, drops: &[usize; TapStream::COUNT], degraded: usize) {
+    if drops.iter().any(|&d| d != 0) || degraded != 0 {
+        w.line(tag);
+        for &d in drops {
+            w.uint(d);
+        }
+        w.uint(degraded);
+    }
+}
+
+/// Reads the optional line [`encode_detail`] writes; absent means all zero.
+fn parse_detail(
+    r: &mut Reader<'_>,
+    tag: &'static str,
+) -> Result<Option<([usize; TapStream::COUNT], usize)>, WireError> {
+    if !r.peek(tag) {
         return Ok(None);
     }
-    let rest = line
-        .strip_prefix("live\t1\t")
-        .ok_or_else(|| err("expected live line"))?;
-    let fields: Vec<&str> = rest.split('\t').collect();
-    if fields.len() != 6 {
-        return Err(err("expected 6 live fields"));
-    }
-    let num =
-        |s: &str| -> Result<usize, StatsParseError> { s.parse().map_err(|_| err("bad count")) };
-    Ok(Some(LiveStats {
-        records_seen: num(fields[0])?,
-        late_records_dropped: num(fields[1])?,
-        late_deliveries: num(fields[2])?,
-        windows_emitted: num(fields[3])?,
-        peak_retained_records: num(fields[4])?,
-        early_exited: match fields[5] {
-            "0" => false,
-            "1" => true,
-            _ => return Err(err("bad early-exit flag")),
-        },
-        // Filled from the optional `livedetail` line by the caller.
-        ..Default::default()
-    }))
-}
-
-/// Parses a `livedetail` / `livetotalsdetail` line: one late-drop count per
-/// [`TapStream`] followed by the degraded-window count.
-fn parse_detail_fields(
-    line: &str,
-    tag: &str,
-) -> Result<([usize; TapStream::COUNT], usize), StatsParseError> {
-    let err = |msg: &str| StatsParseError(format!("{msg} in {tag} line {line:?}"));
-    let rest = line
-        .strip_prefix(tag)
-        .and_then(|r| r.strip_prefix('\t'))
-        .ok_or_else(|| err("expected detail line"))?;
-    let fields: Vec<&str> = rest.split('\t').collect();
-    if fields.len() != TapStream::COUNT + 1 {
-        return Err(err("wrong detail field count"));
-    }
-    let mut drops = [0usize; TapStream::COUNT];
-    for (slot, f) in drops.iter_mut().zip(&fields) {
-        *slot = f.parse().map_err(|_| err("bad count"))?;
-    }
-    let degraded = fields[TapStream::COUNT]
-        .parse()
-        .map_err(|_| err("bad count"))?;
-    Ok((drops, degraded))
-}
-
-fn parse_live_totals(line: &str) -> Result<LiveTotals, StatsParseError> {
-    let err = |msg: &str| StatsParseError(format!("{msg} in livetotals line {line:?}"));
-    let rest = line
-        .strip_prefix("livetotals\t")
-        .ok_or_else(|| err("expected livetotals"))?;
-    let fields: Vec<&str> = rest.split('\t').collect();
-    if fields.len() != 7 {
-        return Err(err("expected 7 livetotals fields"));
-    }
-    let num =
-        |s: &str| -> Result<usize, StatsParseError> { s.parse().map_err(|_| err("bad count")) };
-    Ok(LiveTotals {
-        sessions: num(fields[0])?,
-        records_seen: num(fields[1])?,
-        late_records_dropped: num(fields[2])?,
-        late_deliveries: num(fields[3])?,
-        windows_emitted: num(fields[4])?,
-        peak_retained_records: num(fields[5])?,
-        early_exits: num(fields[6])?,
-        // Filled from the optional `livetotalsdetail` line by the caller.
-        ..Default::default()
+    r.line(tag, |f| {
+        let mut drops = [0usize; TapStream::COUNT];
+        for d in &mut drops {
+            *d = f.uint()?;
+        }
+        let degraded = f.uint()?;
+        if drops.iter().all(|&d| d == 0) && degraded == 0 {
+            return Err(f.inconsistent("detail line of zeros"));
+        }
+        Ok(Some((drops, degraded)))
     })
+}
+
+/// Writes one `chainstats v1` block: the statistics behind Fig. 10 and
+/// Tables 2/4, with `minutes` as the hex of its bits and every map sorted
+/// by key, so equal stats encode to identical bytes.
+fn encode_chain_stats(w: &mut Writer, s: &ChainStats) {
+    w.line("chainstats").word("v1");
+    w.line("minutes").f64(s.minutes);
+    for (tag, map) in [
+        ("cause_onsets", &s.cause_onsets),
+        ("consequence_onsets", &s.consequence_onsets),
+        ("consequence_windows", &s.consequence_windows),
+        ("unknown_windows", &s.unknown_windows),
+    ] {
+        encode_map(w, tag, "kv", map, |w, k| {
+            w.str(k);
+        });
+    }
+    encode_map(
+        w,
+        "chain_windows",
+        "kv2",
+        &s.chain_windows,
+        |w, (cause, cons)| {
+            w.str(cause).str(cons);
+        },
+    );
+    w.line("total_chain_windows").uint(s.total_chain_windows);
+    w.line("end").word("chainstats");
+}
+
+fn encode_map<K: Ord>(
+    w: &mut Writer,
+    tag: &str,
+    entry: &str,
+    map: &HashMap<K, usize>,
+    key: impl Fn(&mut Writer, &K),
+) {
+    let mut entries: Vec<(&K, &usize)> = map.iter().collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    w.line("map").word(tag).uint(entries.len());
+    for (k, &v) in entries {
+        key(w.line(entry), k);
+        w.uint(v);
+    }
+}
+
+/// Reads one block written by [`encode_chain_stats`].
+fn parse_chain_stats(r: &mut Reader<'_>) -> Result<ChainStats, WireError> {
+    r.exact("chainstats\tv1")?;
+    let mut s = ChainStats {
+        minutes: r.line("minutes", Fields::f64)?,
+        ..ChainStats::default()
+    };
+    for (tag, map) in [
+        ("cause_onsets", &mut s.cause_onsets),
+        ("consequence_onsets", &mut s.consequence_onsets),
+        ("consequence_windows", &mut s.consequence_windows),
+        ("unknown_windows", &mut s.unknown_windows),
+    ] {
+        *map = parse_map(r, tag, "kv", Fields::string)?;
+    }
+    s.chain_windows = parse_map(r, "chain_windows", "kv2", |f| {
+        Ok((f.string()?, f.string()?))
+    })?;
+    s.total_chain_windows = r.line("total_chain_windows", Fields::uint)?;
+    r.exact("end\tchainstats")?;
+    Ok(s)
+}
+
+/// Reads one map written by [`encode_map`]. Its keys must strictly
+/// increase, which is the order the encoder sorts them in.
+fn parse_map<'a, K: Ord + std::hash::Hash>(
+    r: &mut Reader<'a>,
+    tag: &'static str,
+    entry: &'static str,
+    key: impl Fn(&mut Fields<'a>) -> Result<K, WireError>,
+) -> Result<HashMap<K, usize>, WireError> {
+    let n: usize = r.line("map", |f| {
+        f.literal(tag)?;
+        f.uint()
+    })?;
+    let mut entries: Vec<(K, usize)> = Vec::new();
+    for _ in 0..n {
+        let kv = r.line(entry, |f| {
+            let (k, v) = (key(f)?, f.uint()?);
+            if entries.last().is_some_and(|(prev, _)| *prev >= k) {
+                return Err(f.inconsistent("map key order"));
+            }
+            Ok((k, v))
+        })?;
+        entries.push(kv);
+    }
+    Ok(entries.into_iter().collect())
 }
 
 /// Runs one shard of a grid: the specs in `shard.range`, fanned across
@@ -789,7 +736,10 @@ pub fn merge_shards(reports: &[ShardReport]) -> Result<ShardReport, MergeError> 
     }
     let mut ordered: Vec<&ShardReport> = reports.iter().collect();
     ordered.sort_by_key(|r| r.start);
-    let mut outcomes: Vec<SpecOutcome> = Vec::with_capacity(grid_total);
+    // Sized by the outcomes at hand, not by `grid_total`, which a report
+    // parsed from outside declares.
+    let mut outcomes: Vec<SpecOutcome> =
+        Vec::with_capacity(reports.iter().map(|r| r.outcomes.len()).sum());
     for r in ordered {
         // Empty reports (tail shards of an over-split plan) tile trivially
         // and can share a start with a non-empty one.
@@ -939,18 +889,162 @@ mod tests {
         let corrupted = text.replacen("rep0", "rep1", 1);
         assert_ne!(corrupted, text);
         let e = ShardReport::parse(&corrupted).expect_err("must reject");
-        assert!(e.0.contains("checksum"), "got {e:?}");
+        assert_eq!(e, WireError::Checksum);
         // A forger who recomputes the checksum after editing a per-spec
         // counter still fails: the aggregate no longer re-folds.
-        let tampered = text.replacen("kv\tharq_retx\t1", "kv\tharq_retx\t9", 1);
-        let body_end = tampered.rfind(END_TAG).unwrap();
-        let body = &tampered[..body_end];
-        let forged = format!("{body}{END_TAG}\t{:016x}\n", fnv1a64(body.as_bytes()));
+        let forged = reseal(&text, &[("kv\tharq_retx\t1\n", "kv\tharq_retx\t9\n")]);
         let e = ShardReport::parse(&forged).expect_err("must reject");
-        assert!(e.0.contains("re-fold"), "got {e:?}");
+        assert!(matches!(e, WireError::Inconsistent { .. }), "got {e:?}");
         // Trailing garbage after the end line is rejected.
         assert!(ShardReport::parse(&format!("{text}x\n")).is_err());
         assert!(ShardReport::parse(text.trim_end()).is_err(), "no newline");
+    }
+
+    /// `text` with each `(from, to)` replaced everywhere and the trailer
+    /// recomputed, as any sender can: the checksum has no key.
+    fn reseal(text: &str, edits: &[(&str, &str)]) -> String {
+        let trailer = format!("end\t{END_TAG}\t");
+        let mut body = text.rsplit_once(&trailer).expect("trailer").0.to_string();
+        for (from, to) in edits {
+            assert!(body.contains(from), "{from:?} not in report");
+            body = body.replace(from, to);
+        }
+        let sum = domino_obs::wire::fnv1a64(body.as_bytes());
+        format!("{body}{trailer}{sum:016x}\n")
+    }
+
+    #[test]
+    fn forged_counts_and_ranges_are_errors_not_panics() {
+        let max = usize::MAX.to_string();
+        // A declared outcome count of usize::MAX used to size an allocation.
+        let text = report_over(0..3, (0, 1), 3).encode();
+        let huge = reseal(
+            &text,
+            &[
+                ("range\t0\t3\n", &format!("range\t0\t{max}\n")),
+                ("outcomes\t3\n", &format!("outcomes\t{max}\n")),
+            ],
+        );
+        assert!(matches!(
+            ShardReport::parse(&huge),
+            Err(WireError::Malformed { .. })
+        ));
+        // A range whose end overflows used to overflow `start + k`.
+        let text = report_over(0..2, (0, 1), 2).encode();
+        let wrapping = reseal(
+            &text,
+            &[
+                ("range\t0\t2\n", &format!("range\t{max}\t2\n")),
+                ("outcome\t0\t", &format!("outcome\t{max}\t")),
+            ],
+        );
+        assert!(matches!(
+            ShardReport::parse(&wrapping),
+            Err(WireError::Inconsistent { .. })
+        ));
+        // Counters whose fold overflows saturate; the refold check then
+        // rejects the report.
+        let text = report_over(0..3, (0, 1), 3).encode();
+        let overflow = reseal(
+            &text,
+            &[("kv\tharq_retx\t1\n", &format!("kv\tharq_retx\t{max}\n"))],
+        );
+        assert!(matches!(
+            ShardReport::parse(&overflow),
+            Err(WireError::Inconsistent { .. })
+        ));
+    }
+
+    #[test]
+    fn resealed_non_canonical_text_is_rejected() {
+        let text = report_over(0..3, (0, 1), 3).encode();
+        let carrier = format!("{:016x}", 3547.2f64.to_bits());
+        for (from, to) in [
+            ("grid\t3\n".to_string(), "grid\t+3\n".to_string()),
+            ("grid\t3\n".to_string(), "grid\t03\n".to_string()),
+            (carrier.clone(), carrier.to_uppercase()),
+            (carrier.clone(), carrier[1..].to_string()),
+        ] {
+            assert!(
+                matches!(
+                    ShardReport::parse(&reseal(&text, &[(&from, &to)])),
+                    Err(WireError::Malformed { .. })
+                ),
+                "{to:?}"
+            );
+        }
+
+        // The encoder never writes an all-zero detail line.
+        let healthy = report_over(0..1, (0, 1), 1).encode();
+        assert!(!healthy.contains("detail"));
+        let live = healthy.lines().find(|l| l.starts_with("live\t1")).unwrap();
+        let totals = healthy
+            .lines()
+            .find(|l| l.starts_with("livetotals"))
+            .unwrap();
+        for (line, tag) in [(live, "livedetail"), (totals, "livetotalsdetail")] {
+            let zeros = format!("{line}\n{tag}{}\n", "\t0".repeat(TapStream::COUNT + 1));
+            let forged = reseal(&healthy, &[(&format!("{line}\n"), &zeros)]);
+            assert!(matches!(
+                ShardReport::parse(&forged),
+                Err(WireError::Inconsistent { .. })
+            ));
+        }
+
+        // Map keys must strictly increase, in both the outcome's block and
+        // the aggregate (each edit hits both, so the refold still holds).
+        let mut o = outcome(0, true);
+        let s = o.stats.as_mut().unwrap();
+        s.cause_onsets.insert("zzz".to_string(), 1);
+        let two_keys = ShardReport::from_spec_outcomes(0, 1, 0, 1, vec![o]).encode();
+        let sorted = "kv\tharq_retx\t1\nkv\tzzz\t1\n";
+        for edit in [
+            "kv\tzzz\t1\nkv\tharq_retx\t1\n",
+            "kv\tharq_retx\t1\nkv\tharq_retx\t1\n",
+        ] {
+            let forged = reseal(&two_keys, &[(sorted, edit)]);
+            assert!(matches!(
+                ShardReport::parse(&forged),
+                Err(WireError::Inconsistent { .. })
+            ));
+        }
+    }
+
+    fn chain_stats_text(s: &ChainStats) -> String {
+        let mut w = Writer::new("block");
+        encode_chain_stats(&mut w, s);
+        w.finish()
+    }
+
+    fn parse_chain_stats_text(text: &str) -> Result<ChainStats, WireError> {
+        parse_chain_stats(&mut Reader::open(text, "block")?)
+    }
+
+    #[test]
+    fn chain_stats_encode_parse_round_trips_exactly() {
+        let mut s = stats(13);
+        // Keys with wire-format separators must survive the trip.
+        s.cause_onsets
+            .insert("weird\tname\\with\nescapes".to_string(), 4);
+        // Escaping reverses the order of these two keys; the parser checks
+        // the unescaped order, which is the order the encoder sorts by.
+        s.cause_onsets.insert("a\tb".to_string(), 1);
+        s.cause_onsets.insert("a!".to_string(), 2);
+        s.minutes = 0.1 + 0.2; // not exactly representable; bits must survive
+        let text = chain_stats_text(&s);
+        let parsed = parse_chain_stats_text(&text).expect("parses");
+        assert_eq!(parsed, s);
+        assert_eq!(parsed.minutes.to_bits(), s.minutes.to_bits());
+        assert_eq!(chain_stats_text(&parsed), text, "encode must be canonical");
+    }
+
+    #[test]
+    fn chain_stats_parse_rejects_corrupt_input() {
+        let text = chain_stats_text(&stats(3));
+        let bad_version = text.replace("chainstats\tv1", "chainstats\tv9");
+        assert!(parse_chain_stats_text(&bad_version).is_err());
+        let truncated: String = text.lines().take(3).map(|l| format!("{l}\n")).collect();
+        assert!(parse_chain_stats_text(&truncated).is_err());
     }
 
     #[test]
@@ -1016,6 +1110,16 @@ mod tests {
             Err(MergeError::WrongTotal {
                 covered: 4,
                 declared: 3
+            })
+        ));
+        // So is a total no report could cover, as a forged file may
+        // declare; it must not size an allocation.
+        let a = report_over(0..4, (0, 1), usize::MAX);
+        assert!(matches!(
+            merge_shards(&[a]),
+            Err(MergeError::WrongTotal {
+                covered: 4,
+                declared: usize::MAX
             })
         ));
     }

@@ -5,9 +5,9 @@
 //!
 //! **Framing.** Every message is one frame: a header line
 //! `frame\t<kind>\t<payload-bytes>\n` followed by exactly that many payload
-//! bytes. The payload is plain text in the same canonical-form discipline
-//! as [`ShardReport`](crate::ShardReport) — no serde, tab-separated fields,
-//! and result payloads embed the full checksummed report encoding, so a
+//! bytes. Header and payloads are written and read with the shared
+//! [`domino_obs::wire`] codec, like [`ShardReport`](crate::ShardReport);
+//! result payloads embed the full checksummed report encoding, so a
 //! corrupted-in-flight result fails [`ShardReport::parse`](crate::ShardReport::parse)
 //! at the coordinator instead of folding bad bytes into a merge.
 //!
@@ -25,6 +25,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
+
+use domino_obs::wire::{Fields, Reader, WireError, Writer};
 
 /// Identifies one worker connection for the lifetime of the connection. A
 /// worker that reconnects gets a fresh id — the coordinator treats it as a
@@ -84,32 +86,6 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 /// Longest header line (`frame\t<kind>\t<len>`) the decoder waits for.
 const MAX_HEADER_BYTES: usize = 256;
 
-/// A malformed frame or payload. Fatal for the connection that produced it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameError {
-    /// The header declares a payload longer than [`MAX_FRAME_BYTES`].
-    TooLong {
-        /// The declared payload length in bytes.
-        declared: usize,
-    },
-    /// Any other malformed header or payload.
-    Malformed(String),
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::TooLong { declared } => write!(
-                f,
-                "frame error: declared payload of {declared} bytes exceeds {MAX_FRAME_BYTES}"
-            ),
-            FrameError::Malformed(what) => write!(f, "frame error: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
 /// Everything a dispatch frame says: which sub-range of which grid to run.
 /// `ranges` is the plan's total sub-range count — the worker stamps it into
 /// the report's `shard` line so re-runs of the same range are byte-equal.
@@ -129,23 +105,15 @@ pub struct DispatchSpec {
 
 impl DispatchSpec {
     /// Parses a dispatch payload.
-    pub fn parse(payload: &str) -> Result<DispatchSpec, FrameError> {
-        let fields: Vec<&str> = payload.split('\t').collect();
-        if fields.len() != 6 || fields[0] != "dispatch" {
-            return Err(FrameError::Malformed(format!(
-                "bad dispatch payload {payload:?}"
-            )));
-        }
-        let num = |s: &str| -> Result<usize, FrameError> {
-            s.parse()
-                .map_err(|_| FrameError::Malformed(format!("bad dispatch field {s:?}")))
-        };
-        Ok(DispatchSpec {
-            range_id: num(fields[1])?,
-            start: num(fields[2])?,
-            len: num(fields[3])?,
-            total: num(fields[4])?,
-            ranges: num(fields[5])?,
+    pub fn parse(payload: &str) -> Result<DispatchSpec, WireError> {
+        Fields::read(payload, 1, "dispatch", |f| {
+            Ok(DispatchSpec {
+                range_id: f.uint()?,
+                start: f.uint()?,
+                len: f.uint()?,
+                total: f.uint()?,
+                ranges: f.uint()?,
+            })
         })
     }
 }
@@ -153,29 +121,38 @@ impl DispatchSpec {
 impl Frame {
     /// A worker greeting.
     pub fn hello(name: &str) -> Frame {
+        let mut w = Writer::new("hello");
+        w.word(name);
         Frame {
             kind: FrameKind::Hello,
-            payload: format!("hello\t{name}"),
+            payload: w.into_line(),
         }
     }
 
     /// A dispatch order for one sub-range.
     pub fn dispatch(d: &DispatchSpec) -> Frame {
+        let mut w = Writer::new("dispatch");
+        w.uint(d.range_id)
+            .uint(d.start)
+            .uint(d.len)
+            .uint(d.total)
+            .uint(d.ranges);
         Frame {
             kind: FrameKind::Dispatch,
-            payload: format!(
-                "dispatch\t{}\t{}\t{}\t{}\t{}",
-                d.range_id, d.start, d.len, d.total, d.ranges
-            ),
+            payload: w.into_line(),
         }
     }
 
     /// A result frame: the range id on the first line, the full encoded
     /// (checksummed) shard report after it.
     pub fn result(range_id: usize, report_text: &str) -> Frame {
+        let mut w = Writer::new("result");
+        w.uint(range_id);
+        let mut payload = w.finish();
+        payload.push_str(report_text);
         Frame {
             kind: FrameKind::Result,
-            payload: format!("result\t{range_id}\n{report_text}"),
+            payload,
         }
     }
 
@@ -188,23 +165,17 @@ impl Frame {
     }
 
     /// Splits a result payload into `(range_id, report_text)`.
-    pub fn parse_result(payload: &str) -> Result<(usize, &str), FrameError> {
-        let (head, rest) = payload
-            .split_once('\n')
-            .ok_or_else(|| FrameError::Malformed("result payload missing report".into()))?;
-        let id = head
-            .strip_prefix("result\t")
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| FrameError::Malformed(format!("bad result header {head:?}")))?;
-        Ok((id, rest))
+    pub fn parse_result(payload: &str) -> Result<(usize, &str), WireError> {
+        let mut r = Reader::new(payload);
+        let id = r.line("result", Fields::uint)?;
+        Ok((id, r.rest()))
     }
 
     /// Length-delimited encoding: `frame\t<kind>\t<len>\n` + payload bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.payload.len() + 32);
-        out.extend_from_slice(
-            format!("frame\t{}\t{}\n", self.kind.wire(), self.payload.len()).as_bytes(),
-        );
+        let mut w = Writer::new("frame");
+        w.word(self.kind.wire()).uint(self.payload.len());
+        let mut out = w.finish().into_bytes();
         out.extend_from_slice(self.payload.as_bytes());
         out
     }
@@ -212,39 +183,31 @@ impl Frame {
     /// Tries to decode one frame from the front of `buf`. Returns
     /// `Ok(None)` when more bytes are needed; on success the consumed
     /// prefix is drained from `buf`. A header declaring more than
-    /// [`MAX_FRAME_BYTES`] fails at once with [`FrameError::TooLong`], so
+    /// [`MAX_FRAME_BYTES`] fails at once with [`WireError::TooLong`], so
     /// the caller never buffers toward a length the peer made up.
-    pub fn decode(buf: &mut Vec<u8>) -> Result<Option<Frame>, FrameError> {
+    pub fn decode(buf: &mut Vec<u8>) -> Result<Option<Frame>, WireError> {
+        let malformed = |want| WireError::Malformed { line: 1, want };
         let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
             if buf.len() > MAX_HEADER_BYTES {
-                return Err(FrameError::Malformed("oversized frame header".into()));
+                return Err(malformed("frame header within 256 bytes"));
             }
             return Ok(None);
         };
-        let header = std::str::from_utf8(&buf[..nl])
-            .map_err(|_| FrameError::Malformed("non-utf8 frame header".into()))?;
-        let mut parts = header.split('\t');
-        let (tag, kind, len) = (parts.next(), parts.next(), parts.next());
-        if tag != Some("frame") || parts.next().is_some() {
-            return Err(FrameError::Malformed(format!(
-                "bad frame header {header:?}"
-            )));
-        }
-        let kind = kind
-            .and_then(FrameKind::from_wire)
-            .ok_or_else(|| FrameError::Malformed(format!("unknown frame kind in {header:?}")))?;
-        let len: usize = len
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| FrameError::Malformed(format!("bad frame length in {header:?}")))?;
+        let header =
+            std::str::from_utf8(&buf[..nl]).map_err(|_| malformed("utf-8 frame header"))?;
+        let (kind, len) = Fields::read(header, 1, "frame", |f| {
+            let kind = FrameKind::from_wire(f.field()?).ok_or(f.malformed("frame kind"))?;
+            Ok((kind, f.uint()?))
+        })?;
         let end = (nl + 1)
             .checked_add(len)
             .filter(|_| len <= MAX_FRAME_BYTES)
-            .ok_or(FrameError::TooLong { declared: len })?;
+            .ok_or(WireError::TooLong { declared: len })?;
         if buf.len() < end {
             return Ok(None);
         }
         let payload = std::str::from_utf8(&buf[nl + 1..end])
-            .map_err(|_| FrameError::Malformed("non-utf8 frame payload".into()))?
+            .map_err(|_| malformed("utf-8 frame payload"))?
             .to_string();
         buf.drain(..end);
         Ok(Some(Frame { kind, payload }))
@@ -576,7 +539,7 @@ mod tests {
         let mut buf = b"frame\thello\t18446744073709551615\n".to_vec();
         assert_eq!(
             Frame::decode(&mut buf),
-            Err(FrameError::TooLong {
+            Err(WireError::TooLong {
                 declared: usize::MAX
             })
         );
@@ -584,7 +547,7 @@ mod tests {
         let mut buf = b"frame\tresult\t1000000000000\npartial".to_vec();
         assert_eq!(
             Frame::decode(&mut buf),
-            Err(FrameError::TooLong {
+            Err(WireError::TooLong {
                 declared: 1_000_000_000_000
             })
         );
@@ -594,7 +557,7 @@ mod tests {
         let mut buf = format!("frame\tresult\t{}\n", MAX_FRAME_BYTES + 1).into_bytes();
         assert!(matches!(
             Frame::decode(&mut buf),
-            Err(FrameError::TooLong { .. })
+            Err(WireError::TooLong { .. })
         ));
     }
 }

@@ -16,7 +16,9 @@ use domino_core::Domino;
 use scenarios::SessionSpec;
 
 use crate::shard::{run_shard, Shard};
-use crate::transport::{DispatchSpec, Frame, FrameError, FrameKind, TcpLink};
+use domino_obs::WireError;
+
+use crate::transport::{DispatchSpec, Frame, FrameKind, TcpLink};
 use crate::SweepOptions;
 
 /// Scripted failures for a process worker. Defaults to none.
@@ -86,14 +88,13 @@ impl<'a> SweepWorker<'a> {
     /// Runs one dispatched range and builds its result frame. `None` means
     /// the scripted kill fired: the range was started but no result may be
     /// sent, and the caller must die.
-    pub fn run_dispatch(&mut self, d: &DispatchSpec) -> Result<Option<Frame>, FrameError> {
+    pub fn run_dispatch(&mut self, d: &DispatchSpec) -> Result<Option<Frame>, WireError> {
         let end = d.start.checked_add(d.len);
         if end.is_none_or(|end| end > self.specs.len()) || d.total != self.specs.len() {
-            return Err(FrameError::Malformed(format!(
-                "dispatch {:?} does not fit grid of {}",
-                d,
-                self.specs.len()
-            )));
+            return Err(WireError::Malformed {
+                line: 1,
+                want: "dispatch range within the grid",
+            });
         }
         self.specs_started += d.len;
         let killed = self
@@ -236,7 +237,7 @@ mod tests {
         };
         assert!(matches!(
             w.run_dispatch(&wrapping),
-            Err(FrameError::Malformed(_))
+            Err(WireError::Malformed { .. })
         ));
     }
 
