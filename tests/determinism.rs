@@ -185,3 +185,290 @@ fn scripted_overrides_do_not_break_determinism() {
     let last_b = b.packets.last().expect("packets exist");
     assert_eq!(last_a.received, last_b.received);
 }
+
+// ---------------------------------------------------------------------------
+// Whole-bundle digests
+// ---------------------------------------------------------------------------
+
+/// Serialises every field of every record in a bundle's metadata and its
+/// six streams — f64s by bit pattern, `Option`s and enums with a tag,
+/// each stream prefixed by its length — and hashes the bytes with
+/// `fnv1a64`. Any change to any simulated value changes the digest.
+fn bundle_digest(b: &domino::telemetry::TraceBundle) -> u64 {
+    use domino::simcore::SimTime;
+    use domino::telemetry::{AppStatsRecord, GnbEvent};
+
+    fn u64s(buf: &mut Vec<u8>, vals: &[u64]) {
+        for v in vals {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    fn f64s(buf: &mut Vec<u8>, vals: &[f64]) {
+        for v in vals {
+            buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+    fn time(buf: &mut Vec<u8>, t: SimTime) {
+        u64s(buf, &[t.as_micros()]);
+    }
+    fn app(buf: &mut Vec<u8>, r: &AppStatsRecord) {
+        time(buf, r.ts);
+        f64s(
+            buf,
+            &[
+                r.inbound_fps,
+                r.video_jitter_buffer_ms,
+                r.audio_jitter_buffer_ms,
+                r.min_jitter_buffer_ms,
+                r.total_freeze_ms,
+                r.outbound_fps,
+                r.target_bitrate_bps,
+                r.pushback_rate_bps,
+                r.trendline_slope,
+                r.trendline_threshold,
+            ],
+        );
+        u64s(
+            buf,
+            &[
+                r.concealed_samples,
+                r.total_audio_samples,
+                r.outstanding_bytes,
+                r.cwnd_bytes,
+            ],
+        );
+        buf.extend_from_slice(&[
+            r.inbound_resolution as u8,
+            r.outbound_resolution as u8,
+            r.freeze_active as u8,
+            r.gcc_state as u8,
+        ]);
+    }
+
+    let mut buf = Vec::new();
+    let m = &b.meta;
+    buf.extend_from_slice(m.cell_name.as_bytes());
+    f64s(&mut buf, &[m.carrier_mhz, m.bandwidth_mhz]);
+    u64s(&mut buf, &[m.duration.as_micros(), m.seed]);
+    buf.extend_from_slice(&[m.cell_class as u8, m.duplexing as u8, m.has_gnb_log as u8]);
+
+    u64s(&mut buf, &[b.dci.len() as u64]);
+    for d in &b.dci {
+        time(&mut buf, d.ts);
+        u64s(
+            &mut buf,
+            &[
+                d.rnti.into(),
+                d.n_prbs.into(),
+                d.tbs_bits.into(),
+                d.used_bits.into(),
+            ],
+        );
+        buf.extend_from_slice(&[
+            d.direction as u8,
+            d.is_target_ue as u8,
+            d.mcs,
+            d.harq_id,
+            d.harq_retx_idx,
+            d.decoded_ok as u8,
+            d.proactive as u8,
+        ]);
+    }
+
+    u64s(&mut buf, &[b.gnb.len() as u64]);
+    for g in &b.gnb {
+        time(&mut buf, g.ts);
+        match &g.event {
+            GnbEvent::RlcRetx { direction, sn } => {
+                buf.extend_from_slice(&[0, *direction as u8]);
+                u64s(&mut buf, &[(*sn).into()]);
+            }
+            GnbEvent::RlcBuffer { direction, bytes } => {
+                buf.extend_from_slice(&[1, *direction as u8]);
+                u64s(&mut buf, &[*bytes]);
+            }
+            GnbEvent::RrcTransition { state, rnti } => {
+                buf.extend_from_slice(&[2, *state as u8]);
+                u64s(&mut buf, &[(*rnti).into()]);
+            }
+        }
+    }
+
+    u64s(&mut buf, &[b.packets.len() as u64]);
+    for p in &b.packets {
+        time(&mut buf, p.sent);
+        match p.received {
+            Some(t) => {
+                buf.push(1);
+                time(&mut buf, t);
+            }
+            None => buf.push(0),
+        }
+        u64s(&mut buf, &[p.seq, p.size_bytes.into()]);
+        buf.extend_from_slice(&[p.direction as u8, p.stream as u8]);
+    }
+
+    for stream in [&b.app_local, &b.app_remote] {
+        u64s(&mut buf, &[stream.len() as u64]);
+        for r in stream.iter() {
+            app(&mut buf, r);
+        }
+    }
+
+    u64s(&mut buf, &[b.playback.len() as u64]);
+    for p in &b.playback {
+        time(&mut buf, p.ts);
+        f64s(
+            &mut buf,
+            &[p.buffer_ms, p.total_stall_ms, p.est_throughput_bps],
+        );
+        u64s(&mut buf, &[p.stall_count.into(), p.segments_fetched.into()]);
+        buf.extend_from_slice(&[
+            p.started as u8,
+            p.stalled as u8,
+            p.rung,
+            p.target_rung,
+            p.resolution as u8,
+        ]);
+    }
+
+    domino::obs::wire::fnv1a64(&buf)
+}
+
+/// The `rtc_table1` causes, in order: none, UL SINR dip, DL cross-traffic
+/// surge, UL HARQ failures, RRC release. Windows sit at 12–18 s so a 20 s
+/// call covers them.
+fn table1_causes() -> [Option<domino::scenarios::ScriptAction>; 5] {
+    use domino::scenarios::ScriptAction;
+    use domino::simcore::SimTime;
+    use domino::telemetry::Direction;
+    let (from, to) = (SimTime::from_secs(12), SimTime::from_secs(18));
+    [
+        None,
+        Some(ScriptAction::Sinr {
+            dir: Direction::Uplink,
+            from,
+            to,
+            sinr_db: -2.0,
+        }),
+        Some(ScriptAction::CrossTraffic {
+            dir: Direction::Downlink,
+            from,
+            to,
+            prb_fraction: 0.95,
+        }),
+        Some(ScriptAction::HarqFailures {
+            dir: Direction::Uplink,
+            from,
+            to,
+            fail_attempts: 2,
+        }),
+        Some(ScriptAction::RrcRelease {
+            at: SimTime::from_secs(15),
+        }),
+    ]
+}
+
+/// Digests of 20 s RTC calls on `cell`, one per [`table1_causes`] entry.
+fn table1_digests(cell: domino::ran::CellConfig) -> [u64; 5] {
+    use domino::scenarios::SessionSpec;
+    table1_causes().map(|cause| {
+        let mut spec = SessionSpec::cell(
+            cell.clone(),
+            SessionConfig {
+                duration: SimDuration::from_secs(20),
+                seed: 3,
+                ..Default::default()
+            },
+        );
+        if let Some(action) = cause {
+            spec = spec.with_script(action);
+        }
+        bundle_digest(&spec.run())
+    })
+}
+
+// Golden whole-bundle digests, one test per Table-1 cell so the cells run
+// in parallel. They pin every simulated statistic — packet timings, DCI,
+// gNB logs and every app-stats field — so a change that should be
+// invisible (an optimisation, a refactor) must leave them unedited.
+
+#[test]
+fn tmobile_fdd_table1_bundles_match_golden_digests() {
+    assert_eq!(
+        table1_digests(domino::scenarios::tmobile_fdd_15mhz()),
+        [
+            0xe718_c884_019d_d6e2,
+            0x84b2_7804_3e27_2317,
+            0x7a95_ddfe_d13b_a751,
+            0x779c_b9a5_4ee4_644d,
+            0x9c14_12d0_d7f9_2971,
+        ]
+    );
+}
+
+#[test]
+fn tmobile_tdd_table1_bundles_match_golden_digests() {
+    assert_eq!(
+        table1_digests(domino::scenarios::tmobile_tdd_100mhz()),
+        [
+            0x68fa_1a1b_fd0b_c433,
+            0x7eb9_7979_8781_8ac0,
+            0x85b0_279a_1b02_6986,
+            0xc5f7_eba5_189a_9006,
+            0xaa75_7960_d604_5872,
+        ]
+    );
+}
+
+#[test]
+fn amarisoft_table1_bundles_match_golden_digests() {
+    assert_eq!(
+        table1_digests(domino::scenarios::amarisoft()),
+        [
+            0x8c07_9412_cecd_84fb,
+            0x5775_0758_7371_1599,
+            0xa294_a4d2_6255_2302,
+            0xbc7a_aabd_aa3e_e953,
+            0x2b91_a04d_68c0_f478,
+        ]
+    );
+}
+
+#[test]
+fn mosolabs_table1_bundles_match_golden_digests() {
+    assert_eq!(
+        table1_digests(domino::scenarios::mosolabs()),
+        [
+            0xba51_25e3_83b2_2f5b,
+            0x3ce1_0c0c_3d99_661a,
+            0xd881_d287_5965_0cf7,
+            0xe356_d70e_92f8_4a55,
+            0x7116_f64a_8ff7_d68e,
+        ]
+    );
+}
+
+#[test]
+fn abr_stream_bundle_matches_golden_digest() {
+    use domino::abr::AbrConfig;
+    use domino::scenarios::{ScriptAction, SessionSpec};
+    use domino::simcore::SimTime;
+    use domino::telemetry::Direction;
+    let spec = SessionSpec::cell(
+        domino::scenarios::amarisoft(),
+        SessionConfig {
+            duration: SimDuration::from_secs(20),
+            seed: 3,
+            ..Default::default()
+        },
+    )
+    .abr(AbrConfig::default())
+    .with_script(ScriptAction::CrossTraffic {
+        dir: Direction::Downlink,
+        from: SimTime::from_secs(8),
+        to: SimTime::from_secs(16),
+        prb_fraction: 0.95,
+    });
+    assert_eq!(bundle_digest(&spec.run()), 0x05aa_3a23_e258_3f65);
+}
