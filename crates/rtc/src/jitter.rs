@@ -26,19 +26,33 @@ const DECAY_MS_PER_S: f64 = 15.0;
 const LATE_MARGIN_MS: f64 = 20.0;
 
 /// Tracks delay variation and produces the adaptive playout-delay target.
-#[derive(Debug, Clone, Default)]
+///
+/// The last 200 delay variations are held twice: in arrival order,
+/// which decides eviction, and sorted, so the p95 is read by index. A
+/// sample costs two binary searches and two shifts of at most the window,
+/// and never allocates once the window is full.
+#[derive(Debug, Clone)]
 pub struct PlayoutDelayEstimator {
     variations_ms: VecDeque<f64>,
+    /// The same values as `variations_ms`, ascending.
+    sorted_ms: Vec<f64>,
     min_delay_ms: f64,
     target_ms: f64,
     last_decay_at: Option<SimTime>,
+}
+
+impl Default for PlayoutDelayEstimator {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl PlayoutDelayEstimator {
     /// Creates an estimator at the minimum target.
     pub fn new() -> Self {
         PlayoutDelayEstimator {
-            variations_ms: VecDeque::new(),
+            variations_ms: VecDeque::with_capacity(JITTER_WINDOW),
+            sorted_ms: Vec::with_capacity(JITTER_WINDOW),
             min_delay_ms: f64::INFINITY,
             target_ms: MIN_TARGET_MS,
             last_decay_at: None,
@@ -48,14 +62,18 @@ impl PlayoutDelayEstimator {
     /// Feeds one observed network delay (transit time) sample.
     pub fn on_delay(&mut self, now: SimTime, delay_ms: f64) {
         self.min_delay_ms = self.min_delay_ms.min(delay_ms);
+        // Never NaN and never -0.0, so equal values have equal bits and the
+        // sorted window's order statistics are exact.
         let variation = (delay_ms - self.min_delay_ms).max(0.0);
-        self.variations_ms.push_back(variation);
-        if self.variations_ms.len() > JITTER_WINDOW {
-            self.variations_ms.pop_front();
+        if self.variations_ms.len() == JITTER_WINDOW {
+            let evicted = self.variations_ms.pop_front().expect("window is full");
+            let at = self.sorted_ms.partition_point(|&v| v < evicted);
+            self.sorted_ms.remove(at);
         }
-        let mut sorted: Vec<f64> = self.variations_ms.iter().copied().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let p95 = sorted[((sorted.len() - 1) as f64 * 0.95) as usize];
+        self.variations_ms.push_back(variation);
+        let at = self.sorted_ms.partition_point(|&v| v < variation);
+        self.sorted_ms.insert(at, variation);
+        let p95 = self.sorted_ms[((self.sorted_ms.len() - 1) as f64 * 0.95) as usize];
         let desired = (p95 * JITTER_MULTIPLIER).clamp(MIN_TARGET_MS, MAX_TARGET_MS);
 
         if desired > self.target_ms {
@@ -329,7 +347,6 @@ const SAMPLES_PER_PACKET: u64 = 960;
 #[derive(Debug, Clone)]
 pub struct AudioJitterBuffer {
     packets: BTreeMap<u64, SimTime>, // seq → arrival
-    capture_of: BTreeMap<u64, SimTime>,
     delay: PlayoutDelayEstimator,
     next_play_seq: u64,
     next_tick_at: Option<SimTime>,
@@ -351,7 +368,6 @@ impl AudioJitterBuffer {
     pub fn new() -> Self {
         AudioJitterBuffer {
             packets: BTreeMap::new(),
-            capture_of: BTreeMap::new(),
             delay: PlayoutDelayEstimator::new(),
             next_play_seq: 0,
             next_tick_at: None,
@@ -369,7 +385,6 @@ impl AudioJitterBuffer {
         self.delay.on_delay(now, delay_ms);
         if seq >= self.next_play_seq {
             self.packets.insert(seq, now);
-            self.capture_of.insert(seq, capture_ts);
         }
         if !self.started {
             self.started = true;
@@ -389,7 +404,6 @@ impl AudioJitterBuffer {
             self.total_samples += SAMPLES_PER_PACKET;
             match self.packets.remove(&self.next_play_seq) {
                 Some(arrival) => {
-                    self.capture_of.remove(&self.next_play_seq);
                     let hold = tick.saturating_since(arrival).as_millis_f64();
                     self.hold_ewma_ms = 0.9 * self.hold_ewma_ms + 0.1 * hold;
                 }
@@ -429,9 +443,134 @@ impl AudioJitterBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    /// The estimator before the sorted window: it copies the window into a
+    /// fresh `Vec` and sorts all of it on every sample. Kept as the oracle
+    /// [`PlayoutDelayEstimator`] must match bit for bit.
+    struct SortOracle {
+        variations_ms: VecDeque<f64>,
+        min_delay_ms: f64,
+        target_ms: f64,
+        last_decay_at: Option<SimTime>,
+    }
+
+    impl SortOracle {
+        fn new() -> Self {
+            SortOracle {
+                variations_ms: VecDeque::new(),
+                min_delay_ms: f64::INFINITY,
+                target_ms: MIN_TARGET_MS,
+                last_decay_at: None,
+            }
+        }
+
+        fn on_delay(&mut self, now: SimTime, delay_ms: f64) {
+            self.min_delay_ms = self.min_delay_ms.min(delay_ms);
+            let variation = (delay_ms - self.min_delay_ms).max(0.0);
+            self.variations_ms.push_back(variation);
+            if self.variations_ms.len() > JITTER_WINDOW {
+                self.variations_ms.pop_front();
+            }
+            let mut sorted: Vec<f64> = self.variations_ms.iter().copied().collect();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            let p95 = sorted[((sorted.len() - 1) as f64 * 0.95) as usize];
+            let desired = (p95 * JITTER_MULTIPLIER).clamp(MIN_TARGET_MS, MAX_TARGET_MS);
+            if desired > self.target_ms {
+                self.target_ms = desired;
+            } else {
+                let dt = self
+                    .last_decay_at
+                    .map(|t| now.saturating_since(t).as_secs_f64())
+                    .unwrap_or(0.0);
+                self.target_ms = (self.target_ms - DECAY_MS_PER_S * dt)
+                    .max(desired)
+                    .max(MIN_TARGET_MS);
+            }
+            self.last_decay_at = Some(now);
+        }
+
+        fn on_late(&mut self, lateness_ms: f64) {
+            self.target_ms =
+                (self.target_ms + lateness_ms + LATE_MARGIN_MS).clamp(MIN_TARGET_MS, MAX_TARGET_MS);
+        }
+    }
+
+    /// Random runs longer than two windows, mixing the shapes that stress
+    /// an order-statistic window — repeated values, zero variation,
+    /// monotone ramps, new minima, interleaved `on_late` calls and
+    /// irregular clock steps — must give the oracle's target to the bit
+    /// after every call.
+    #[test]
+    fn sorted_window_matches_sort_oracle_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x5157_0a7e);
+        for case in 0..96 {
+            let mut est = PlayoutDelayEstimator::new();
+            let mut oracle = SortOracle::new();
+            let mut now_us = 0u64;
+            let mut ramp_ms = 30.0;
+            let calls = rng.gen_range(2 * JITTER_WINDOW + 1..6 * JITTER_WINDOW);
+            for call in 0..calls {
+                now_us += match rng.gen_range(0u8..4) {
+                    0 => 0,
+                    1 => 1,
+                    2 => 20_000,
+                    _ => rng.gen_range(0u64..2_000_000),
+                };
+                let now = SimTime::from_micros(now_us);
+                let delay_ms = match rng.gen_range(0u8..6) {
+                    // A handful of exact repeats, one of them the minimum.
+                    0 => [20.0, 20.0, 35.5, 80.0][rng.gen_range(0usize..4)],
+                    1 => oracle.min_delay_ms.min(20.0),
+                    2 => {
+                        ramp_ms += 0.25;
+                        ramp_ms
+                    }
+                    3 => {
+                        ramp_ms = (ramp_ms - 0.25f64).max(0.0);
+                        ramp_ms
+                    }
+                    4 => rng.gen_range(0.0..400.0),
+                    _ => {
+                        let lateness = rng.gen_range(0.0..60.0);
+                        est.on_late(lateness);
+                        oracle.on_late(lateness);
+                        assert_eq!(
+                            est.target_ms().to_bits(),
+                            oracle.target_ms.to_bits(),
+                            "case {case} call {call}: on_late({lateness})"
+                        );
+                        continue;
+                    }
+                };
+                est.on_delay(now, delay_ms);
+                oracle.on_delay(now, delay_ms);
+                assert_eq!(
+                    est.target_ms().to_bits(),
+                    oracle.target_ms.to_bits(),
+                    "case {case} call {call}: on_delay({now_us} us, {delay_ms})"
+                );
+            }
+        }
+    }
+
+    /// `Default` is `new()`: an infinite minimum, so the first sample is
+    /// zero variation and the target stays at the floor.
+    #[test]
+    fn default_estimator_equals_new() {
+        let mut def = PlayoutDelayEstimator::default();
+        let mut new = PlayoutDelayEstimator::new();
+        assert_eq!(def.target_ms(), MIN_TARGET_MS);
+        for (i, delay_ms) in [50.0, 62.0, 50.0, 140.0].into_iter().enumerate() {
+            def.on_delay(t(i as u64 * 20), delay_ms);
+            new.on_delay(t(i as u64 * 20), delay_ms);
+            assert_eq!(def.target_ms().to_bits(), new.target_ms().to_bits());
+        }
     }
 
     #[test]

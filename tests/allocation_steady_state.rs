@@ -261,3 +261,45 @@ fn abr_sessions_stay_within_allocation_budget() {
     );
     assert!(worst <= cold.allocations);
 }
+
+/// The playout-delay estimator runs once per audio packet and once per
+/// completed video frame on both receivers. Once its window is full, a
+/// sample must not allocate: the p95 is read from a window kept sorted in
+/// place, not from a sorted copy.
+///
+/// The counters are process-global and a test thread the harness is just
+/// starting may allocate before it blocks on `SERIAL`, so the check takes
+/// the best of a few 10 000-sample runs. A per-sample allocation would
+/// show in every run.
+#[test]
+fn warm_playout_estimator_never_allocates() {
+    use domino::rtc::PlayoutDelayEstimator;
+    use domino::simcore::SimTime;
+    let _guard = SERIAL.lock().unwrap();
+    // A delay that wanders over 0–150 ms of variation, so inserts and
+    // evictions land all over the sorted window.
+    let delay_ms = |i: u64| 20.0 + ((i * 7_919) % 151) as f64;
+    let mut est = PlayoutDelayEstimator::new();
+    let mut i = 0u64;
+    let mut feed = |est: &mut PlayoutDelayEstimator, n: u64| {
+        for _ in 0..n {
+            est.on_delay(SimTime::from_millis(i * 20), delay_ms(i));
+            i += 1;
+        }
+    };
+    feed(&mut est, 400);
+    let runs: Vec<u64> = (0..5)
+        .map(|_| {
+            alloc_count::measure(|| feed(&mut est, 10_000))
+                .1
+                .allocations
+        })
+        .collect();
+    eprintln!("warm estimator: {runs:?} allocs per 10 000 samples");
+    assert!(est.target_ms() > 40.0, "the window saw jitter");
+    assert_eq!(
+        runs.iter().min(),
+        Some(&0),
+        "warm estimator allocates while sampling"
+    );
+}
