@@ -286,12 +286,14 @@ impl HistData {
         self.max = self.max.max(v);
     }
 
+    /// Adds `other` bucket-wise; sums saturate (see
+    /// `MetricsSnapshot::merge`).
     pub fn merge(&mut self, other: &HistData) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
+            *a = a.saturating_add(*b);
         }
-        self.count += other.count;
-        self.sum += other.sum;
+        self.count = self.count.saturating_add(other.count);
+        self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }

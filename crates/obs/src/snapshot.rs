@@ -140,29 +140,31 @@ impl MetricsSnapshot {
     // -- merge ------------------------------------------------------------
 
     /// Element-wise, order-free merge: counters sum, gauges take the max,
-    /// histograms add bucket-wise. Merging in any order yields identical
-    /// bytes.
+    /// histograms add bucket-wise. Sums saturate, so forged snapshots
+    /// near the integer limits cannot overflow; a saturating sum is still
+    /// associative and commutative, so merging in any order yields
+    /// identical bytes.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *a += *b;
+            *a = a.saturating_add(*b);
         }
         for (a, b) in self.gauges.iter_mut().zip(other.gauges.iter()) {
             a.0 = a.0.max(b.0);
-            a.1 += b.1;
+            a.1 = a.1.saturating_add(b.1);
         }
         for (a, b) in self.fgauges.iter_mut().zip(other.fgauges.iter()) {
             if b.0 > a.0 {
                 a.0 = b.0;
             }
-            a.1 += b.1;
+            a.1 = a.1.saturating_add(b.1);
         }
         for (a, b) in self.hists.iter_mut().zip(other.hists.iter()) {
             a.merge(b);
         }
         for (a, b) in self.spans.iter_mut().zip(other.spans.iter()) {
-            a.calls += b.calls;
-            a.sampled += b.sampled;
-            a.wall_ns += b.wall_ns;
+            a.calls = a.calls.saturating_add(b.calls);
+            a.sampled = a.sampled.saturating_add(b.sampled);
+            a.wall_ns = a.wall_ns.saturating_add(b.wall_ns);
         }
         self.has_runtime |= other.has_runtime;
     }

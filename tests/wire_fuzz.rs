@@ -12,7 +12,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use domino::obs::wire::fnv1a64;
-use domino::obs::MetricsSnapshot;
+use domino::obs::{Counter, Gauge, HistId, MetricsSnapshot, SpanId};
 use domino::sweep::{DispatchSpec, Frame, ShardReport};
 use proptest::strategy::Strategy;
 use rand::rngs::StdRng;
@@ -147,4 +147,54 @@ fn dispatch_parse_never_panics_and_accepts_only_canonical_payloads() {
             assert_eq!(Frame::dispatch(&d).payload, payload);
         }
     });
+}
+
+/// `sharded_sweep merge` folds `.metrics` files from other machines. A
+/// forged file that parses — every value in range, totals consistent —
+/// but sits at the integer limits must merge without overflowing: sums
+/// saturate instead of panicking in debug builds or wrapping in release.
+#[test]
+fn forged_metrics_at_the_integer_limits_merge_saturated() {
+    let max = u64::MAX;
+    let max_sum = u128::from(max) * u128::from(max);
+    let mut forged = METRICS_RUNTIME.to_string();
+    let mut last_bucket_max = vec!["0".to_string(); 17];
+    last_bucket_max[16] = max.to_string();
+    for (from, to) in [
+        (
+            "counter\tengine/ticks\t1000\n".to_string(),
+            format!("counter\tengine/ticks\t{max}\n"),
+        ),
+        (
+            "gauge\tlive/peak_retained_records\t1733\t1\n".to_string(),
+            format!("gauge\tlive/peak_retained_records\t1733\t{max}\n"),
+        ),
+        (
+            "hist\tlive/verdict_latency_ms\t17\t4\t9512\t12\t9000\t0\t0\t0\t0\t1\t0\t0\t0\t2\t0\t0\t0\t0\t0\t1\t0\t0\n".to_string(),
+            format!(
+                "hist\tlive/verdict_latency_ms\t17\t{max}\t{max_sum}\t{max}\t{max}\t{}\n",
+                last_bucket_max.join("\t")
+            ),
+        ),
+        (
+            "span\tengine/begin_tick\t1\t1\t211\n".to_string(),
+            format!("span\tengine/begin_tick\t{max}\t1\t{max}\n"),
+        ),
+    ] {
+        assert!(forged.contains(&from), "{from:?}");
+        forged = forged.replacen(&from, &to, 1);
+    }
+    let snap =
+        MetricsSnapshot::parse(&reseal(&forged, "domino-metrics")).expect("forged text parses");
+    let mut merged = snap.clone();
+    merged.merge(&snap);
+    assert_eq!(merged.counter(Counter::EngineTicks), max);
+    assert_eq!(merged.gauge(Gauge::LivePeakRetained), (1733, max));
+    let hist = merged.hist(HistId::LiveVerdictLatencyMs);
+    assert_eq!(
+        (hist.count, hist.sum, hist.counts[16]),
+        (max, u128::MAX, max)
+    );
+    let span = merged.span(SpanId::BeginTick);
+    assert_eq!((span.calls, span.sampled, span.wall_ns), (max, 2, max));
 }
