@@ -4,6 +4,7 @@
 //! the GCC building blocks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 
 use domino_core::{
@@ -16,6 +17,7 @@ use domino_sweep::{
 };
 use ran_sim::phy;
 use rtc_sim::gcc::trendline::{PacketTiming, TrendlineEstimator};
+use rtc_sim::{OutgoingPacket, PacketPayload, PlayoutDelayEstimator, RtcEndpoint, SenderConfig};
 use scenarios::{SessionArena, SessionConfig, SessionRun, SessionSpec};
 use simcore::{EventQueue, SimDuration, SimTime};
 
@@ -752,6 +754,220 @@ fn bench_trendline(c: &mut Criterion) {
     });
 }
 
+/// A two-party call between two RTC endpoints over a 20 ms pipe with up to
+/// 3 ms of deterministic jitter, stepped in 1 ms ticks as the session
+/// engine steps its endpoints, with no RAN or netpath underneath. The
+/// `rtc/*` callee benches below run on it.
+struct Loopback {
+    ends: [RtcEndpoint; 2],
+    /// (arrival time, destination endpoint, packet).
+    in_flight: Vec<(SimTime, usize, OutgoingPacket)>,
+    now: SimTime,
+    emit: Vec<OutgoingPacket>,
+}
+
+impl Loopback {
+    fn new() -> Self {
+        Loopback {
+            ends: [1, 2].map(|tag| RtcEndpoint::new(SenderConfig::default(), 5, tag)),
+            in_flight: Vec::new(),
+            now: SimTime::ZERO,
+            emit: Vec::new(),
+        }
+    }
+
+    /// Advances one tick: both endpoints emit, then every packet due by
+    /// the tick's end is handed to `arrive` with its destination.
+    fn tick(&mut self, mut arrive: impl FnMut(usize, &mut RtcEndpoint, SimTime, &OutgoingPacket)) {
+        self.now += SimDuration::from_millis(1);
+        let now = self.now;
+        for (from, end) in self.ends.iter_mut().enumerate() {
+            end.sender.poll_into(now, &mut self.emit);
+            end.receiver.poll_into(now, &mut self.emit);
+            for p in self.emit.drain(..) {
+                let jitter = SimDuration::from_micros(p.at.as_micros().wrapping_mul(7_919) % 3_000);
+                let at = p.at + SimDuration::from_millis(20) + jitter;
+                self.in_flight.push((at, 1 - from, p));
+            }
+        }
+        let ends = &mut self.ends;
+        self.in_flight.retain(|(at, to, p)| {
+            if *at > now {
+                return true;
+            }
+            arrive(*to, &mut ends[*to], *at, p);
+            false
+        });
+    }
+}
+
+/// What the session engine does with an arrival at an RTC endpoint.
+fn deliver(end: &mut RtcEndpoint, at: SimTime, p: &OutgoingPacket) {
+    match &p.payload {
+        PacketPayload::Video { .. } | PacketPayload::Audio { .. } => {
+            end.receiver
+                .on_packet(at, p.transport_seq, p.at, &p.payload)
+        }
+        PacketPayload::Feedback(fb) => end.sender.on_transport_feedback(at, fb),
+        PacketPayload::Report(rr) => end.sender.on_receiver_report(at, rr),
+    }
+}
+
+/// `p` moved `k` spans later: times by `k` seconds, and the transport
+/// sequence, frame index and audio sequence by `k` times their span in
+/// the recording, so each replay continues the previous one.
+fn shifted(p: &OutgoingPacket, k: u64, spans: [u64; 3]) -> OutgoingPacket {
+    let dt = SimDuration::from_secs(k);
+    let payload = match p.payload {
+        PacketPayload::Video {
+            frame_idx,
+            packet_idx,
+            packets_in_frame,
+            capture_ts,
+            resolution,
+        } => PacketPayload::Video {
+            frame_idx: frame_idx + k * spans[1],
+            packet_idx,
+            packets_in_frame,
+            capture_ts: capture_ts + dt,
+            resolution,
+        },
+        PacketPayload::Audio { seq, capture_ts } => PacketPayload::Audio {
+            seq: seq + k * spans[2],
+            capture_ts: capture_ts + dt,
+        },
+        _ => unreachable!("only media is recorded"),
+    };
+    OutgoingPacket {
+        at: p.at + dt,
+        transport_seq: p.transport_seq + k * spans[0],
+        size_bytes: p.size_bytes,
+        payload,
+    }
+}
+
+/// The three RTC callees of the session engine's packet-arrival path.
+///
+/// - `rtc/playout_on_delay`: one `PlayoutDelayEstimator::on_delay` on a
+///   full 200-sample window.
+/// - `rtc/receiver_on_packet`: one simulated second of media arrivals at
+///   both receivers of the loopback call (its 9th second, whole frames
+///   only), replayed through `MediaReceiver::on_packet`. The receivers are
+///   polled every 50 ms of replayed time, the feedback interval, so their
+///   buffers stay at steady-state depth; each replay continues the last,
+///   so every estimator window stays full.
+/// - `rtc/sender_on_transport_feedback`: one 50 ms transport feedback
+///   reaching a sender of the running loopback call; only that call is
+///   timed.
+fn bench_rtc_callees(c: &mut Criterion) {
+    c.bench_function("rtc/playout_on_delay", |b| {
+        let delay_ms = |i: u64| 20.0 + ((i * 7_919) % 151) as f64;
+        let mut est = PlayoutDelayEstimator::new();
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            est.on_delay(SimTime::from_millis(i * 20), black_box(delay_ms(i)));
+            est.target_ms()
+        })
+    });
+
+    let mut call = Loopback::new();
+    for _ in 0..8_000 {
+        call.tick(|_, end, at, p| deliver(end, at, p));
+    }
+    let mut second: Vec<(usize, SimTime, OutgoingPacket)> = Vec::new();
+    for _ in 0..1_000 {
+        call.tick(|to, end, at, p| {
+            if !matches!(
+                p.payload,
+                PacketPayload::Feedback(_) | PacketPayload::Report(_)
+            ) {
+                second.push((to, at, p.clone()));
+            }
+            deliver(end, at, p);
+        });
+    }
+    // Drop the frames cut by the recording's edges, then measure how far
+    // each numbering (transport sequence, frame index, audio sequence)
+    // advanced per destination.
+    let mut frame_pkts: BTreeMap<(usize, u64), u32> = BTreeMap::new();
+    for (to, _, p) in &second {
+        if let PacketPayload::Video { frame_idx, .. } = p.payload {
+            *frame_pkts.entry((*to, frame_idx)).or_default() += 1;
+        }
+    }
+    second.retain(|(to, _, p)| match p.payload {
+        PacketPayload::Video {
+            frame_idx,
+            packets_in_frame,
+            ..
+        } => frame_pkts[&(*to, frame_idx)] == packets_in_frame,
+        _ => true,
+    });
+    let spans = [0, 1].map(|to| {
+        let (mut lo, mut hi) = ([u64::MAX; 3], [0; 3]);
+        for (_, _, p) in second.iter().filter(|(t, ..)| *t == to) {
+            let numbering = match p.payload {
+                PacketPayload::Video { frame_idx, .. } => (1, frame_idx),
+                PacketPayload::Audio { seq, .. } => (2, seq),
+                _ => unreachable!("only media is recorded"),
+            };
+            for (i, n) in [(0, p.transport_seq), numbering] {
+                lo[i] = lo[i].min(n);
+                hi[i] = hi[i].max(n);
+            }
+        }
+        [0, 1, 2].map(|i| hi[i] - lo[i] + 1)
+    });
+    c.bench_function("rtc/receiver_on_packet", |b| {
+        let mut rx = [rtc_sim::MediaReceiver::new(), rtc_sim::MediaReceiver::new()];
+        let mut polled = Vec::new();
+        let mut k = 0u64;
+        let mut replay = |rx: &mut [rtc_sim::MediaReceiver; 2]| {
+            let start = std::time::Instant::now();
+            let mut next_poll = second[0].1 + SimDuration::from_secs(k);
+            for (to, at, p) in &second {
+                let at = *at + SimDuration::from_secs(k);
+                if at >= next_poll {
+                    for r in rx.iter_mut() {
+                        r.poll_into(at, &mut polled);
+                    }
+                    polled.clear();
+                    next_poll = at + SimDuration::from_millis(50);
+                }
+                let p = shifted(p, k, spans[*to]);
+                rx[*to].on_packet(at, p.transport_seq, p.at, &p.payload);
+            }
+            k += 1;
+            start.elapsed()
+        };
+        // Three replays fill every estimator window before timing starts.
+        for _ in 0..3 {
+            replay(&mut rx);
+        }
+        b.iter_custom(|iters| (0..iters).map(|_| replay(&mut rx)).sum())
+    });
+
+    c.bench_function("rtc/sender_on_transport_feedback", |b| {
+        b.iter_custom(|iters| {
+            let mut timed = std::time::Duration::ZERO;
+            let mut n = 0;
+            while n < iters {
+                call.tick(|_, end, at, p| match &p.payload {
+                    PacketPayload::Feedback(fb) if n < iters => {
+                        let start = std::time::Instant::now();
+                        end.sender.on_transport_feedback(at, black_box(fb));
+                        timed += start.elapsed();
+                        n += 1;
+                    }
+                    _ => deliver(end, at, p),
+                });
+            }
+            timed
+        })
+    });
+}
+
 /// Coordinator machinery tax: the same 8-spec grid swept once through the
 /// fault-tolerant coordinator (in-process transport, no faults, 2-spec
 /// ranges — so framing, report encode/parse/checksum, dispatch/deadline
@@ -813,6 +1029,7 @@ criterion_group!(
         bench_coordinator_overhead,
         bench_streaming_step_busy,
         bench_phy,
-        bench_trendline
+        bench_trendline,
+        bench_rtc_callees
 );
 criterion_main!(benches);
