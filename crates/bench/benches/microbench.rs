@@ -861,14 +861,18 @@ fn shifted(p: &OutgoingPacket, k: u64, spans: [u64; 3]) -> OutgoingPacket {
 ///   timed.
 fn bench_rtc_callees(c: &mut Criterion) {
     c.bench_function("rtc/playout_on_delay", |b| {
-        let delay_ms = |i: u64| 20.0 + ((i * 7_919) % 151) as f64;
         let mut est = PlayoutDelayEstimator::new();
         let mut i = 0u64;
-        b.iter(|| {
+        let mut sample = |est: &mut PlayoutDelayEstimator| {
             i += 1;
-            est.on_delay(SimTime::from_millis(i * 20), black_box(delay_ms(i)));
+            let delay_ms = 20.0 + ((i * 7_919) % 151) as f64;
+            est.on_delay(SimTime::from_millis(i * 20), black_box(delay_ms));
             est.target_ms()
-        })
+        };
+        for _ in 0..200 {
+            sample(&mut est);
+        }
+        b.iter(|| sample(&mut est))
     });
 
     let mut call = Loopback::new();
