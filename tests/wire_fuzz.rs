@@ -158,31 +158,29 @@ fn forged_metrics_at_the_integer_limits_merge_saturated() {
     let max = u64::MAX;
     let max_sum = u128::from(max) * u128::from(max);
     let mut forged = METRICS_RUNTIME.to_string();
-    let mut last_bucket_max = vec!["0".to_string(); 17];
-    last_bucket_max[16] = max.to_string();
     for (from, to) in [
         (
-            "counter\tengine/ticks\t1000\n".to_string(),
+            "counter\tengine/ticks\t1000\n",
             format!("counter\tengine/ticks\t{max}\n"),
         ),
         (
-            "gauge\tlive/peak_retained_records\t1733\t1\n".to_string(),
+            "gauge\tlive/peak_retained_records\t1733\t1\n",
             format!("gauge\tlive/peak_retained_records\t1733\t{max}\n"),
         ),
         (
-            "hist\tlive/verdict_latency_ms\t17\t4\t9512\t12\t9000\t0\t0\t0\t0\t1\t0\t0\t0\t2\t0\t0\t0\t0\t0\t1\t0\t0\n".to_string(),
+            "hist\tlive/verdict_latency_ms\t17\t4\t9512\t12\t9000\t0\t0\t0\t0\t1\t0\t0\t0\t2\t0\t0\t0\t0\t0\t1\t0\t0\n",
             format!(
-                "hist\tlive/verdict_latency_ms\t17\t{max}\t{max_sum}\t{max}\t{max}\t{}\n",
-                last_bucket_max.join("\t")
+                "hist\tlive/verdict_latency_ms\t17\t{max}\t{max_sum}\t{max}\t{max}\t{}{max}\n",
+                "0\t".repeat(16)
             ),
         ),
         (
-            "span\tengine/begin_tick\t1\t1\t211\n".to_string(),
+            "span\tengine/begin_tick\t1\t1\t211\n",
             format!("span\tengine/begin_tick\t{max}\t1\t{max}\n"),
         ),
     ] {
-        assert!(forged.contains(&from), "{from:?}");
-        forged = forged.replacen(&from, &to, 1);
+        assert!(forged.contains(from), "{from:?}");
+        forged = forged.replacen(from, &to, 1);
     }
     let snap =
         MetricsSnapshot::parse(&reseal(&forged, "domino-metrics")).expect("forged text parses");
