@@ -472,3 +472,145 @@ fn abr_stream_bundle_matches_golden_digest() {
     });
     assert_eq!(bundle_digest(&spec.run()), 0x05aa_3a23_e258_3f65);
 }
+
+// ---------------------------------------------------------------------------
+// Contended cells: whole-bundle digests with scripted UEs on the carrier
+// ---------------------------------------------------------------------------
+
+// Golden digests of sessions that share their cell with scripted traffic
+// UEs, one test per cell so they run in parallel. The scripts push the
+// carrier past full (a 0.95 cross-traffic surge on top of 32 or more
+// scripted UEs) while scripted HARQ lanes are busy, so they pin the
+// scripted-UE arrivals, link adaptation and allocation order as well as
+// the diagnosed sessions.
+
+fn contended(mut cell: domino::ran::CellConfig, ues: usize) -> domino::ran::CellConfig {
+    cell.traffic_ues = domino::ran::traffic_mix(ues);
+    cell
+}
+
+fn contended_cfg(secs: u64) -> SessionConfig {
+    SessionConfig {
+        duration: SimDuration::from_secs(secs),
+        seed: 3,
+        ..Default::default()
+    }
+}
+
+/// Digests of 25 s ABR streams with 1 s and 2 s segments on `cell` shared
+/// with `traffic_mix(32)`, under `abr_contended_mux`'s downlink
+/// cross-traffic surge (8–16 s) and downlink SINR dip (20–24 s).
+fn abr_contended_digests(cell: domino::ran::CellConfig) -> [u64; 2] {
+    use domino::abr::AbrConfig;
+    use domino::scenarios::{ScriptAction, SessionSpec};
+    use domino::simcore::SimTime;
+    use domino::telemetry::Direction;
+    [1u64, 2].map(|segment| {
+        let spec = SessionSpec::cell(contended(cell.clone(), 32), contended_cfg(25))
+            .abr(AbrConfig {
+                segment_duration: SimDuration::from_secs(segment),
+                ..Default::default()
+            })
+            .with_script(ScriptAction::CrossTraffic {
+                dir: Direction::Downlink,
+                from: SimTime::from_secs(8),
+                to: SimTime::from_secs(16),
+                prb_fraction: 0.95,
+            })
+            .with_script(ScriptAction::Sinr {
+                dir: Direction::Downlink,
+                from: SimTime::from_secs(20),
+                to: SimTime::from_secs(24),
+                sinr_db: -2.0,
+            });
+        bundle_digest(&spec.run())
+    })
+}
+
+#[test]
+fn amarisoft_contended_abr_bundles_match_golden_digests() {
+    assert_eq!(
+        abr_contended_digests(domino::scenarios::amarisoft()),
+        [0x18f8_492c_7457_1456, 0xb185_28a4_da23_4c51,]
+    );
+}
+
+#[test]
+fn mosolabs_contended_abr_bundles_match_golden_digests() {
+    assert_eq!(
+        abr_contended_digests(domino::scenarios::mosolabs()),
+        [0x5304_ada4_cdbf_790c, 0x47ea_e057_7df6_6832,]
+    );
+}
+
+/// A 10 s call on an FDD cell (1 ms slots, 79 PRBs, heavy ambient
+/// downlink cross traffic) shared with 46 scripted UEs, through a
+/// downlink cross-traffic surge.
+#[test]
+fn tmobile_fdd_contended_call_bundle_matches_golden_digest() {
+    use domino::scenarios::{ScriptAction, SessionSpec};
+    use domino::simcore::SimTime;
+    use domino::telemetry::Direction;
+    let spec = SessionSpec::cell(
+        contended(domino::scenarios::tmobile_fdd_15mhz(), 46),
+        contended_cfg(10),
+    )
+    .with_script(ScriptAction::CrossTraffic {
+        dir: Direction::Downlink,
+        from: SimTime::from_secs(3),
+        to: SimTime::from_secs(6),
+        prb_fraction: 0.95,
+    });
+    assert_eq!(bundle_digest(&spec.run()), 0xdb60_9c31_2847_fe1a);
+}
+
+/// A 10 s call on a cell shared with 32 scripted UEs while the diagnosed
+/// UE's downlink HARQ attempts are forced to fail.
+#[test]
+fn amarisoft_contended_harq_call_bundle_matches_golden_digest() {
+    use domino::scenarios::{ScriptAction, SessionSpec};
+    use domino::simcore::SimTime;
+    use domino::telemetry::Direction;
+    let spec = SessionSpec::cell(
+        contended(domino::scenarios::amarisoft(), 32),
+        contended_cfg(10),
+    )
+    .with_script(ScriptAction::HarqFailures {
+        dir: Direction::Downlink,
+        from: SimTime::from_secs(3),
+        to: SimTime::from_secs(6),
+        fail_attempts: 2,
+    });
+    assert_eq!(bundle_digest(&spec.run()), 0x0464_34b9_2129_8d69);
+}
+
+/// Three diagnosed pairs for 10 s on one contended cell, through a
+/// downlink cross-traffic surge: the allocation rotation interleaves
+/// several experiment UEs with the scripted ones.
+#[test]
+fn shared_contended_cell_bundles_match_golden_digests() {
+    use domino::scenarios::run_shared_cell_sessions;
+    use domino::simcore::SimTime;
+    use domino::telemetry::Direction;
+    let bundles = run_shared_cell_sessions(
+        contended(domino::scenarios::amarisoft(), 32),
+        &contended_cfg(10),
+        3,
+        |cell| {
+            cell.script_cross_traffic(
+                Direction::Downlink,
+                SimTime::from_secs(3),
+                SimTime::from_secs(6),
+                0.95,
+            )
+        },
+    );
+    assert_eq!(
+        bundles.iter().map(bundle_digest).collect::<Vec<_>>(),
+        [
+            0x0aad_574e_fb56_ae6b,
+            0x7cc6_8e9c_e386_d483,
+            0xcd04_9660_a7ef_6bbb,
+        ]
+    );
+}
