@@ -201,7 +201,7 @@ impl CellSim {
     /// fresh one. The table is reconfigured from scratch, so warm and fresh
     /// tables produce byte-identical cells.
     pub fn new_in(cfg: CellConfig, seed: u64, mut table: CellUeTable) -> Self {
-        table.configure(&cfg.traffic_ues, seed);
+        table.configure(&cfg.traffic_ues, seed, cfg.frame.slot_duration);
         let cross_ul = CrossTraffic::new(cfg.ul_cross.clone());
         let cross_dl = CrossTraffic::new(cfg.dl_cross.clone());
         let ue0 = ExperimentUe::new(&cfg, seed, 0);
@@ -424,7 +424,7 @@ impl CellSim {
 
         // Scripted-UE pass 1: accrue every traffic UE's offered load.
         if !self.table.is_empty() {
-            self.table.pass_arrivals(now, dt);
+            self.table.pass_arrivals(now);
         }
 
         // Data plane, per serving direction.
@@ -492,6 +492,8 @@ impl CellSim {
         // Pass 3: rotated round-robin grant allocation over all UEs. The
         // rotation start advances every slot so no UE is structurally
         // favoured; `hard_used` carries the PRBs already granted this slot.
+        // Scripted UEs that `can_act` rules out are skipped: once the
+        // carrier is covered, only busy HARQ lanes can still act.
         let n_exp = self.ues.len();
         let parts = n_exp + self.table.len();
         let start = (slot % parts as u64) as usize;
@@ -522,7 +524,10 @@ impl CellSim {
                     &mut self.slot_out,
                 );
                 self.collect_for(p, dir);
-            } else {
+            } else if self
+                .table
+                .can_act(p - n_exp, dir, hard_used, cross_prbs, total)
+            {
                 hard_used += self.table.allocate(
                     p - n_exp,
                     dir,

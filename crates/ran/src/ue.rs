@@ -61,39 +61,69 @@ pub enum TrafficPattern {
     },
 }
 
-impl TrafficPattern {
-    /// Bits offered during a slot starting at `now` (phase-shifted per UE so
-    /// a fleet of identical OnOff sources does not beat in lockstep).
-    fn offered_bits(&self, now: SimTime, dt: SimDuration, phase: SimDuration) -> f64 {
-        match *self {
-            TrafficPattern::Idle => 0.0,
-            TrafficPattern::Cbr { bitrate_bps, .. } => {
-                bitrate_bps as f64 * dt.as_micros() as f64 / 1e6
-            }
+/// Arrival shape of one scripted UE in one direction: its
+/// [`TrafficPattern`] evaluated for the cell's slot length once, at
+/// [`CellUeTable::configure`], so the per-slot arrivals pass does no enum
+/// match and no division. Each field holds exactly the f64 value the
+/// per-slot evaluation of the pattern would produce.
+#[derive(Debug, Clone, Copy)]
+struct ArrivalShape {
+    /// Bits offered in a slot of the on-phase.
+    on_bits: f64,
+    /// Packet size in bits.
+    pkt_bits: f64,
+    /// Packet size in bytes (arrival granularity).
+    pkt_bytes: u64,
+    /// On/off cycle length in µs; 0 for a source that is always on.
+    period_us: u64,
+    /// A slot is in the on-phase when its phase-shifted cycle position
+    /// (µs) is below this limit.
+    on_limit: f64,
+}
+
+impl ArrivalShape {
+    /// A source that never offers a packet: a one-µs cycle whose on-phase
+    /// is empty.
+    const SILENT: ArrivalShape = ArrivalShape {
+        on_bits: 0.0,
+        pkt_bits: 0.0,
+        pkt_bytes: 0,
+        period_us: 1,
+        on_limit: 0.0,
+    };
+
+    fn new(pattern: TrafficPattern, slot: SimDuration) -> Self {
+        let (bitrate_bps, packet_bytes, period_us, on_limit) = match pattern {
+            TrafficPattern::Idle => return Self::SILENT,
+            TrafficPattern::Cbr {
+                bitrate_bps,
+                packet_bytes,
+            } => (bitrate_bps, packet_bytes, 0, 0.0),
             TrafficPattern::OnOff {
                 period,
                 duty,
                 bitrate_bps,
-                ..
+                packet_bytes,
             } => {
                 let p = period.as_micros().max(1);
-                let pos = (now.as_micros() + phase.as_micros()) % p;
-                if (pos as f64) < duty * p as f64 {
-                    bitrate_bps as f64 * dt.as_micros() as f64 / 1e6
-                } else {
-                    0.0
-                }
+                (bitrate_bps, packet_bytes, p, duty * p as f64)
             }
+        };
+        if packet_bytes == 0 {
+            return Self::SILENT;
+        }
+        ArrivalShape {
+            on_bits: bitrate_bps as f64 * slot.as_micros() as f64 / 1e6,
+            pkt_bits: packet_bytes as f64 * 8.0,
+            pkt_bytes: packet_bytes as u64,
+            period_us,
+            on_limit,
         }
     }
 
-    /// Arrival granularity in bytes (0 when idle).
-    fn packet_bytes(&self) -> u32 {
-        match *self {
-            TrafficPattern::Idle => 0,
-            TrafficPattern::Cbr { packet_bytes, .. }
-            | TrafficPattern::OnOff { packet_bytes, .. } => packet_bytes,
-        }
+    /// Whether a source whose phase-shifted clock reads `t_us` is on.
+    fn is_on(&self, t_us: u64) -> bool {
+        self.period_us == 0 || ((t_us % self.period_us) as f64) < self.on_limit
     }
 }
 
@@ -234,8 +264,8 @@ struct LinkInputs {
 #[derive(Debug, Default)]
 pub struct CellUeTable {
     seed: u64,
-    // ---- static columns (from TrafficUeConfig) ----
-    pattern: [Vec<TrafficPattern>; 2],
+    // ---- static columns (from TrafficUeConfig and the slot length) ----
+    shape: [Vec<ArrivalShape>; 2],
     sinr_offset_db: Vec<f64>,
     phase: Vec<SimDuration>,
     // ---- dynamic columns ----
@@ -265,9 +295,10 @@ impl CellUeTable {
     }
 
     /// Reconfigures the table for a session: clears every column (keeping
-    /// capacity) and fills them from `ues`. Warm and fresh tables are
+    /// capacity) and fills them from `ues`, deriving each UE's arrival
+    /// shapes for the cell's `slot` length. Warm and fresh tables are
     /// byte-identical afterwards.
-    pub fn configure(&mut self, ues: &[TrafficUeConfig], seed: u64) {
+    pub fn configure(&mut self, ues: &[TrafficUeConfig], seed: u64, slot: SimDuration) {
         self.clear();
         self.seed = seed ^ 0x7AB1_E5EE_D5EE_D000;
         self.sinr_offset_db
@@ -275,9 +306,12 @@ impl CellUeTable {
         self.phase
             .extend((0..ues.len()).map(|i| SimDuration::from_micros(1 + 37_777 * i as u64)));
         for (plane, pick) in [(0usize, 0usize), (1, 1)] {
-            self.pattern[plane].extend(ues.iter().map(|u| match pick {
-                0 => u.ul,
-                _ => u.dl,
+            self.shape[plane].extend(ues.iter().map(|u| {
+                let pattern = match pick {
+                    0 => u.ul,
+                    _ => u.dl,
+                };
+                ArrivalShape::new(pattern, slot)
             }));
             let n = ues.len();
             self.queue_bytes[plane].resize(n, 0);
@@ -299,7 +333,7 @@ impl CellUeTable {
         self.phase.clear();
         self.link_inputs = [None; 2];
         for plane in 0..2 {
-            self.pattern[plane].clear();
+            self.shape[plane].clear();
             self.queue_bytes[plane].clear();
             self.credit_bits[plane].clear();
             self.sinr_db[plane].clear();
@@ -328,7 +362,7 @@ impl CellUeTable {
     pub fn footprint_elems(&self) -> usize {
         let mut elems = self.sinr_offset_db.capacity() + self.phase.capacity();
         for plane in 0..2 {
-            elems += self.pattern[plane].capacity()
+            elems += self.shape[plane].capacity()
                 + self.queue_bytes[plane].capacity()
                 + self.credit_bits[plane].capacity()
                 + self.sinr_db[plane].capacity()
@@ -358,23 +392,27 @@ impl CellUeTable {
         self.queue_bytes[dix(dir)].iter().sum()
     }
 
-    /// **Pass 1 — arrivals.** Accrues each UE's offered load over one slot
-    /// into its queue, both directions (a TDD DL-only slot still accrues UL
-    /// credit; the data just waits for a U slot).
-    pub fn pass_arrivals(&mut self, now: SimTime, dt: SimDuration) {
+    /// **Pass 1 — arrivals.** Accrues each UE's offered load over the slot
+    /// starting at `now` into its queue, both directions (a TDD DL-only
+    /// slot still accrues UL credit; the data just waits for a U slot).
+    /// Each UE's on/off cycle is phase-shifted so that a fleet of identical
+    /// sources does not beat in lockstep.
+    pub fn pass_arrivals(&mut self, now: SimTime) {
+        let now_us = now.as_micros();
         for plane in 0..2 {
-            for i in 0..self.pattern[plane].len() {
-                let pat = self.pattern[plane][i];
-                let pkt = pat.packet_bytes();
-                if pkt == 0 {
+            let rows = self.shape[plane].iter().zip(&self.phase).zip(
+                self.credit_bits[plane]
+                    .iter_mut()
+                    .zip(self.queue_bytes[plane].iter_mut()),
+            );
+            for ((s, phase), (credit, queue)) in rows {
+                if !s.is_on(now_us + phase.as_micros()) {
                     continue;
                 }
-                let credit = &mut self.credit_bits[plane][i];
-                *credit += pat.offered_bits(now, dt, self.phase[i]);
-                let pkt_bits = pkt as f64 * 8.0;
-                while *credit >= pkt_bits {
-                    *credit -= pkt_bits;
-                    self.queue_bytes[plane][i] += pkt as u64;
+                *credit += s.on_bits;
+                while *credit >= s.pkt_bits {
+                    *credit -= s.pkt_bits;
+                    *queue += s.pkt_bytes;
                 }
             }
         }
@@ -420,6 +458,26 @@ impl CellUeTable {
             self.sinr_db[plane][i] = sinr;
             self.mcs[plane][i] = phy::select_mcs(sinr, 0.0, margin, cap);
         }
+    }
+
+    /// Whether [`Self::allocate`] can act for UE `ue` in `dir` once
+    /// `hard_used` PRBs have been granted this slot and `cross_prbs` are
+    /// taken by the scalar cross-traffic aggregate, on a carrier of
+    /// `n_prbs`. While the two leave room, any UE may transmit. Once they
+    /// cover the carrier, a UE with an idle HARQ lane can neither
+    /// retransmit nor start a transport block, so its call would change
+    /// nothing; a UE with a busy lane may still retransmit (a
+    /// retransmission contends only with `hard_used`) or defer a due one.
+    /// The slot loop skips the UEs this returns false for.
+    pub fn can_act(
+        &self,
+        ue: usize,
+        dir: Direction,
+        hard_used: u32,
+        cross_prbs: u32,
+        n_prbs: u32,
+    ) -> bool {
+        hard_used + cross_prbs < n_prbs || self.harq_active[dix(dir)][ue]
     }
 
     /// **Pass 3 (per rotation position) — allocation.** Gives UE `ue` its
@@ -555,11 +613,51 @@ impl CellUeTable {
 mod oracle {
     //! Object-at-a-time reference tick: one plain struct per UE, stepped
     //! with per-object calls through the same slot algorithm the SoA table
-    //! sweeps. Property: the SoA loop is byte-identical to the reference
-    //! across UE counts and traffic mixes.
+    //! sweeps. The reference re-derives each pattern's offered load every
+    //! slot and visits every UE every slot; the SoA side uses the arrival
+    //! shapes derived at `configure` and skips the UEs
+    //! [`CellUeTable::can_act`] rules out. Property: the SoA loop is
+    //! byte-identical to the reference across UE counts and traffic mixes.
 
     use super::*;
     use crate::frame::FrameStructure;
+
+    impl TrafficPattern {
+        /// Bits offered during a slot starting at `now` (phase-shifted per
+        /// UE so a fleet of identical OnOff sources does not beat in
+        /// lockstep).
+        fn offered_bits(&self, now: SimTime, dt: SimDuration, phase: SimDuration) -> f64 {
+            match *self {
+                TrafficPattern::Idle => 0.0,
+                TrafficPattern::Cbr { bitrate_bps, .. } => {
+                    bitrate_bps as f64 * dt.as_micros() as f64 / 1e6
+                }
+                TrafficPattern::OnOff {
+                    period,
+                    duty,
+                    bitrate_bps,
+                    ..
+                } => {
+                    let p = period.as_micros().max(1);
+                    let pos = (now.as_micros() + phase.as_micros()) % p;
+                    if (pos as f64) < duty * p as f64 {
+                        bitrate_bps as f64 * dt.as_micros() as f64 / 1e6
+                    } else {
+                        0.0
+                    }
+                }
+            }
+        }
+
+        /// Arrival granularity in bytes (0 when idle).
+        fn packet_bytes(&self) -> u32 {
+            match *self {
+                TrafficPattern::Idle => 0,
+                TrafficPattern::Cbr { packet_bytes, .. }
+                | TrafficPattern::OnOff { packet_bytes, .. } => packet_bytes,
+            }
+        }
+    }
 
     /// Per-UE object mirror of one [`CellUeTable`] row.
     struct RefUe {
@@ -742,23 +840,35 @@ mod oracle {
         }
     }
 
+    /// One DCI record as a comparable tuple.
+    type DciKey = (u64, u32, u8, u16, u32, bool, u8);
+
+    /// What [`drive_both`] observed.
+    struct Driven {
+        soa: Vec<DciKey>,
+        reference: Vec<DciKey>,
+        /// Scripted-UE visits the SoA loop skipped.
+        skipped: usize,
+        /// Retransmissions the SoA loop sent after the carrier was covered.
+        covered_retx: usize,
+    }
+
     /// Drives both implementations through the identical slot schedule
-    /// (rotated round-robin, a scalar cross-traffic square wave) and
-    /// returns their DCI streams as comparable tuples.
-    #[allow(clippy::type_complexity)]
+    /// (rotated round-robin, a scalar cross-traffic wave that takes half,
+    /// none and all of the carrier in turn) and returns their DCI streams
+    /// as comparable tuples. The SoA side skips the visits
+    /// [`CellUeTable::can_act`] rules out, as the cell does; the reference
+    /// visits every UE.
     fn drive_both(
         ues: &[TrafficUeConfig],
         seed: u64,
         slots: u64,
         mac: &MacConfig,
         frame: &FrameStructure,
-    ) -> (
-        Vec<(u64, u32, u8, u16, u32, bool, u8)>,
-        Vec<(u64, u32, u8, u16, u32, bool, u8)>,
-    ) {
+    ) -> Driven {
         let base = (9.0, 21.0); // (UL, DL) base SINR
         let sigma = 2.5;
-        let key = |d: &DciRecord| {
+        let key = |d: &DciRecord| -> DciKey {
             (
                 d.ts.as_micros(),
                 d.rnti,
@@ -770,8 +880,9 @@ mod oracle {
             )
         };
 
+        let dt = frame.slot_duration;
         let mut table = CellUeTable::new();
-        table.configure(ues, seed);
+        table.configure(ues, seed, dt);
         let mut soa_dci: Vec<DciRecord> = Vec::new();
         let mut refs: Vec<RefUe> = ues
             .iter()
@@ -780,18 +891,18 @@ mod oracle {
             .collect();
         let ref_seed = seed ^ 0x7AB1_E5EE_D5EE_D000;
         let mut ref_dci: Vec<DciRecord> = Vec::new();
+        let (mut skipped, mut covered_retx) = (0, 0);
 
         let n = ues.len();
+        let total = mac.n_prbs as u32;
         for slot in 0..slots {
             let now = frame.slot_start(slot);
-            let dt = frame.slot_duration;
-            // Scalar cross load: a square wave taking half the carrier.
-            let cross_prbs = if (slot / 40) % 2 == 0 {
-                (mac.n_prbs as u32) / 2
-            } else {
-                0
+            let cross_prbs = match (slot / 40) % 3 {
+                0 => total / 2,
+                1 => 0,
+                _ => total,
             };
-            table.pass_arrivals(now, dt);
+            table.pass_arrivals(now);
             for r in refs.iter_mut() {
                 r.arrivals(now, dt);
             }
@@ -813,16 +924,28 @@ mod oracle {
                 let mut hard_ref = 0u32;
                 for k in 0..n {
                     let i = (start + k) % n;
-                    hard_soa += table.allocate(
-                        i,
-                        dir,
-                        slot,
-                        frame,
-                        mac,
-                        hard_soa,
-                        cross_prbs,
-                        &mut soa_dci,
-                    );
+                    if table.can_act(i, dir, hard_soa, cross_prbs, total) {
+                        let covered = hard_soa + cross_prbs >= total;
+                        let before = soa_dci.len();
+                        hard_soa += table.allocate(
+                            i,
+                            dir,
+                            slot,
+                            frame,
+                            mac,
+                            hard_soa,
+                            cross_prbs,
+                            &mut soa_dci,
+                        );
+                        if covered {
+                            covered_retx += soa_dci[before..]
+                                .iter()
+                                .filter(|d| d.harq_retx_idx > 0)
+                                .count();
+                        }
+                    } else {
+                        skipped += 1;
+                    }
                     hard_ref += refs[i].allocate(
                         i,
                         ref_seed,
@@ -838,10 +961,12 @@ mod oracle {
                 assert_eq!(hard_soa, hard_ref, "slot {slot} {dir:?} PRB usage");
             }
         }
-        (
-            soa_dci.iter().map(key).collect(),
-            ref_dci.iter().map(key).collect(),
-        )
+        Driven {
+            soa: soa_dci.iter().map(key).collect(),
+            reference: ref_dci.iter().map(key).collect(),
+            skipped,
+            covered_retx,
+        }
     }
 
     use proptest::prelude::*;
@@ -858,30 +983,43 @@ mod oracle {
             let n = [1usize, 2, 8, 32][count_pick];
             let mut ues = traffic_mix(n);
             // Perturb the mix with the drawn parameters so the property
-            // covers traffic shapes beyond the canned pool.
+            // covers traffic shapes beyond the canned pool, and put a UE
+            // far out, where HARQ lanes stay busy into covered slots.
             ues[0] = TrafficUeConfig::bursty(rate, SimDuration::from_millis(300), duty)
                 .with_sinr_offset(offset);
             if n > 1 {
                 ues[n - 1] = TrafficUeConfig::dl_streaming(rate).with_sinr_offset(-offset);
             }
+            if n > 2 {
+                ues[1] = ues[1].with_sinr_offset(-8.0);
+            }
             let mac = MacConfig { n_prbs: 51, ..Default::default() };
             let frame = FrameStructure::tdd(SimDuration::from_micros(500), "DDDSU");
-            let (soa, reference) = drive_both(&ues, seed, 1200, &mac, &frame);
-            prop_assert_eq!(soa, reference);
+            let run = drive_both(&ues, seed, 1200, &mac, &frame);
+            prop_assert_eq!(run.soa, run.reference);
+            prop_assert!(run.skipped > 0, "covered slots must skip idle UEs");
         }
     }
 
     #[test]
     fn fdd_frame_also_matches() {
-        let ues = traffic_mix(8);
+        let mut ues = traffic_mix(8);
+        for u in ues.iter_mut().step_by(3) {
+            u.sinr_offset_db = -8.0;
+        }
         let mac = MacConfig {
             n_prbs: 79,
             ..Default::default()
         };
         let frame = FrameStructure::fdd(SimDuration::from_millis(1));
-        let (soa, reference) = drive_both(&ues, 42, 2000, &mac, &frame);
-        assert_eq!(soa, reference);
-        assert!(!soa.is_empty(), "scripted UEs must transmit");
+        let run = drive_both(&ues, 42, 2000, &mac, &frame);
+        assert_eq!(run.soa, run.reference);
+        assert!(!run.soa.is_empty(), "scripted UEs must transmit");
+        assert!(run.skipped > 0, "covered slots must skip idle UEs");
+        assert!(
+            run.covered_retx > 0,
+            "busy lanes must retransmit after the carrier is covered"
+        );
     }
 }
 
@@ -905,10 +1043,13 @@ mod tests {
     #[test]
     fn arrivals_accumulate_offered_load() {
         let mut t = CellUeTable::new();
-        t.configure(&[TrafficUeConfig::dl_streaming(1_000_000)], 7);
-        let dt = SimDuration::from_millis(1);
+        t.configure(
+            &[TrafficUeConfig::dl_streaming(1_000_000)],
+            7,
+            SimDuration::from_millis(1),
+        );
         for ms in 0..1000u64 {
-            t.pass_arrivals(SimTime::from_millis(ms), dt);
+            t.pass_arrivals(SimTime::from_millis(ms));
         }
         // 1 Mbit/s for 1 s ≈ 125 kB offered downlink (packetized).
         let q = t.queue_bytes(0, Direction::Downlink);
@@ -923,11 +1064,15 @@ mod tests {
         };
         let frame = FrameStructure::fdd(SimDuration::from_millis(1));
         let mut t = CellUeTable::new();
-        t.configure(&[TrafficUeConfig::dl_streaming(2_000_000)], 3);
+        t.configure(
+            &[TrafficUeConfig::dl_streaming(2_000_000)],
+            3,
+            frame.slot_duration,
+        );
         let mut dci = Vec::new();
         for slot in 0..500u64 {
             let now = frame.slot_start(slot);
-            t.pass_arrivals(now, frame.slot_duration);
+            t.pass_arrivals(now);
             t.pass_link_adaptation(now, Direction::Downlink, 22.0, 1.5, &mac);
             let used = t.allocate(0, Direction::Downlink, slot, &frame, &mac, 0, 0, &mut dci);
             assert!(used <= mac.n_prbs as u32);
@@ -942,29 +1087,33 @@ mod tests {
     #[test]
     fn configure_resets_warm_table_byte_identically() {
         let ues = traffic_mix(16);
-        let mut fresh = CellUeTable::new();
-        fresh.configure(&ues, 11);
-        let mut warm = CellUeTable::new();
-        warm.configure(&traffic_mix(32), 99);
-        // Dirty the warm table up to slot 204, the middle of the 10 ms
-        // shadow bucket 200–209 ms, then reconfigure it to another session
-        // (seed and UE count both differ) and resume at slot 205. The
-        // resumed session's first link-adaptation call repeats the inputs
-        // of the warm table's last one, so a table that kept its cached
-        // result across `configure` would reuse stale planes.
         let mac = MacConfig::default();
         let frame = FrameStructure::fdd(SimDuration::from_millis(1));
+        let mut fresh = CellUeTable::new();
+        fresh.configure(&ues, 11, frame.slot_duration);
+        // The warm table first serves another session on a 0.5 ms TDD cell
+        // (seed, UE count and slot length all differ), up to 204.5 ms, the
+        // middle of the 10 ms shadow bucket 200–209 ms. It is then
+        // reconfigured to the fresh table's session on a 1 ms cell and
+        // resumes at 205 ms. The resumed session's first link-adaptation
+        // call repeats the inputs of the warm table's last one, so a table
+        // that kept its cached result across `configure` would reuse stale
+        // planes, and one that kept its arrival shapes would accrue
+        // 0.5 ms of load per 1 ms slot.
+        let mut warm = CellUeTable::new();
+        let warm_frame = FrameStructure::tdd(SimDuration::from_micros(500), "DDDSU");
+        warm.configure(&traffic_mix(32), 99, warm_frame.slot_duration);
         let dirs = [Direction::Downlink, Direction::Uplink];
         let mut dci = Vec::new();
-        for slot in 0..205 {
-            let now = frame.slot_start(slot);
-            warm.pass_arrivals(now, frame.slot_duration);
+        for slot in 0..410 {
+            let now = warm_frame.slot_start(slot);
+            warm.pass_arrivals(now);
             for dir in dirs {
                 warm.pass_link_adaptation(now, dir, 20.0, 2.0, &mac);
-                warm.allocate(0, dir, slot, &frame, &mac, 0, 0, &mut dci);
+                warm.allocate(0, dir, slot, &warm_frame, &mac, 0, 0, &mut dci);
             }
         }
-        warm.configure(&ues, 11);
+        warm.configure(&ues, 11, frame.slot_duration);
         let key = |d: &DciRecord| {
             let dir = dix(d.direction);
             (d.ts, d.rnti, dir, d.n_prbs, d.mcs, d.tbs_bits, d.decoded_ok)
@@ -974,8 +1123,10 @@ mod tests {
         for slot in 205..505u64 {
             let now = frame.slot_start(slot);
             for t in [&mut fresh, &mut warm] {
-                t.pass_arrivals(now, frame.slot_duration);
+                t.pass_arrivals(now);
             }
+            assert_eq!(warm.credit_bits, fresh.credit_bits, "slot {slot} credit");
+            assert_eq!(warm.queue_bytes, fresh.queue_bytes, "slot {slot} queues");
             for dir in dirs {
                 for t in [&mut fresh, &mut warm] {
                     t.pass_link_adaptation(now, dir, 20.0, 2.0, &mac);
