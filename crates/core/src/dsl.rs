@@ -230,6 +230,40 @@ mod tests {
         }
     }
 
+    /// `layers` layers of two aliases over the HARQ features, each alias
+    /// linked to both of the next layer's: 2^layers root-to-leaf chains
+    /// in a config of a few KB.
+    fn layered_config(layers: usize) -> String {
+        let mut text = String::new();
+        for l in 0..layers {
+            for a in 0..2 {
+                text.push_str(&format!("alias l{l}_{a} = ul_harq_retx | dl_harq_retx\n"));
+            }
+        }
+        for l in 1..layers {
+            for a in 0..2 {
+                for b in 0..2 {
+                    text.push_str(&format!("l{}_{a} --> l{l}_{b}\n", l - 1));
+                }
+            }
+        }
+        text
+    }
+
+    #[test]
+    fn chain_count_is_bounded_at_build() {
+        let g = parse(&layered_config(12)).expect("4 096 chains are within the limit");
+        assert_eq!(g.enumerate_chains().len() as u64, crate::graph::MAX_CHAINS);
+        for (layers, chains) in [(13, 1u64 << 13), (20, 1 << 20)] {
+            let err = parse(&layered_config(layers)).expect_err("too many chains");
+            let want = GraphError::TooManyChains {
+                chains,
+                limit: crate::graph::MAX_CHAINS,
+            };
+            assert_eq!(err, graph_err(0, want), "{layers} layers");
+        }
+    }
+
     #[test]
     fn fig11_example_parses() {
         let g = parse(

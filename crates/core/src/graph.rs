@@ -15,6 +15,13 @@ use crate::features::{Feature, FeatureVector};
 /// Index of a node in the graph.
 pub type NodeId = usize;
 
+/// Most root→leaf chains a graph may have. Compiling a graph enumerates
+/// every chain and each analysed window traces its active ones, so chains
+/// bound the work a configuration can demand; with unbounded aliases a
+/// layered graph has 2^layers of them. The default graph has 24 chains
+/// and the ABR graph 12.
+pub const MAX_CHAINS: u64 = 4096;
+
 /// Graph construction / validation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
@@ -26,6 +33,13 @@ pub enum GraphError {
     EmptyPredicate(String),
     /// Duplicate alias definition.
     DuplicateAlias(String),
+    /// The graph has more root→leaf chains than [`MAX_CHAINS`].
+    TooManyChains {
+        /// Chains counted, saturating at `u64::MAX`.
+        chains: u64,
+        /// The limit, [`MAX_CHAINS`].
+        limit: u64,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -37,6 +51,10 @@ impl fmt::Display for GraphError {
             GraphError::Cycle(n) => write!(f, "causal graph has a cycle through {n:?}"),
             GraphError::EmptyPredicate(n) => write!(f, "node {n:?} has no features"),
             GraphError::DuplicateAlias(n) => write!(f, "alias {n:?} defined twice"),
+            GraphError::TooManyChains { chains, limit } => write!(
+                f,
+                "causal graph has {chains} root-to-leaf chains, more than the limit of {limit}"
+            ),
         }
     }
 }
@@ -117,7 +135,8 @@ impl GraphBuilder {
         }
     }
 
-    /// Validates (DAG, non-empty predicates) and produces the graph.
+    /// Validates (DAG, non-empty predicates, at most [`MAX_CHAINS`]
+    /// root→leaf chains) and produces the graph.
     pub fn build(self) -> Result<CausalGraph, GraphError> {
         for n in &self.nodes {
             if n.predicate.is_empty() {
@@ -131,13 +150,21 @@ impl GraphBuilder {
             children[a].push(b);
             parents[b].push(a);
         }
-        // Cycle check: Kahn's algorithm.
+        // Cycle check: Kahn's algorithm. Its order also counts chains
+        // without enumerating them: `paths[u]`, the number of root→u paths,
+        // is final once `u` is popped, since all of `u`'s parents were.
         let mut indeg: Vec<usize> = parents.iter().map(Vec::len).collect();
         let mut queue: Vec<NodeId> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut paths: Vec<u64> = indeg.iter().map(|&d| u64::from(d == 0)).collect();
+        let mut chains = 0u64;
         let mut seen = 0;
         while let Some(u) = queue.pop() {
             seen += 1;
+            if children[u].is_empty() {
+                chains = chains.saturating_add(paths[u]);
+            }
             for &v in &children[u] {
+                paths[v] = paths[v].saturating_add(paths[u]);
                 indeg[v] -= 1;
                 if indeg[v] == 0 {
                     queue.push(v);
@@ -147,6 +174,12 @@ impl GraphBuilder {
         if seen != n {
             let cyclic = (0..n).find(|&i| indeg[i] > 0).expect("cycle member exists");
             return Err(GraphError::Cycle(self.nodes[cyclic].name.clone()));
+        }
+        if chains > MAX_CHAINS {
+            return Err(GraphError::TooManyChains {
+                chains,
+                limit: MAX_CHAINS,
+            });
         }
         Ok(CausalGraph {
             nodes: self.nodes,
