@@ -12,8 +12,9 @@
 //! state lives in the flat [`CellUeTable`] arrays — all contending for the
 //! same PRB budget. Each slot runs one arrivals pass and one link-adaptation
 //! sweep over the table, then a rotated round-robin allocation pass across
-//! every UE; the scalar cross-traffic aggregate remains as a best-effort
-//! background load underneath. A cell with one experiment UE and no
+//! every UE that can still act (once the carrier is covered, only scripted
+//! UEs with a busy HARQ lane can); the scalar cross-traffic aggregate
+//! remains as a best-effort background load underneath. A cell with one experiment UE and no
 //! scripted UEs is byte-identical to the pre-table simulator (pinned by
 //! `tests/determinism.rs`).
 

@@ -469,7 +469,7 @@ impl CellUeTable {
     /// nothing; a UE with a busy lane may still retransmit (a
     /// retransmission contends only with `hard_used`) or defer a due one.
     /// The slot loop skips the UEs this returns false for.
-    pub fn can_act(
+    pub(crate) fn can_act(
         &self,
         ue: usize,
         dir: Direction,
