@@ -478,11 +478,11 @@ fn abr_stream_bundle_matches_golden_digest() {
 // ---------------------------------------------------------------------------
 
 // Golden digests of sessions that share their cell with scripted traffic
-// UEs, one test per cell so they run in parallel. The scripts push the
-// carrier past full (a 0.95 cross-traffic surge on top of 32 or more
-// scripted UEs) while scripted HARQ lanes are busy, so they pin the
-// scripted-UE arrivals, link adaptation and allocation order as well as
-// the diagnosed sessions.
+// UEs, one test per cell and workload so they run in parallel. The
+// scripts push the carrier past full (a 0.95 cross-traffic surge on top
+// of 32 or more scripted UEs) while scripted HARQ lanes are busy, so they
+// pin the scripted-UE arrivals, link adaptation and allocation order as
+// well as the diagnosed sessions.
 
 fn contended(mut cell: domino::ran::CellConfig, ues: usize) -> domino::ran::CellConfig {
     cell.traffic_ues = domino::ran::traffic_mix(ues);
