@@ -1007,6 +1007,13 @@ mod oracle {
         for u in ues.iter_mut().step_by(3) {
             u.sinr_offset_db = -8.0;
         }
+        // Sources that never offer a packet: an idle uplink and a downlink
+        // of zero-byte packets.
+        ues[1].ul = TrafficPattern::Idle;
+        ues[2].dl = TrafficPattern::Cbr {
+            bitrate_bps: 1_000_000,
+            packet_bytes: 0,
+        };
         let mac = MacConfig {
             n_prbs: 79,
             ..Default::default()
