@@ -20,9 +20,9 @@
 //! chaos fuzz suite asserts the log reconciles exactly against what the
 //! wrapped pipeline observed — nothing injected may vanish unaccounted.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
-use simcore::{splitmix64, SimTime};
+use simcore::{splitmix64, IdSet, SimTime};
 use telemetry::{
     AppStatsRecord, DciRecord, GnbLogRecord, LiveTap, PacketRecord, PlaybackStatsRecord,
     TapChaosSpec, TapFault, TapStream,
@@ -170,7 +170,7 @@ pub struct ChaosState {
     now: SimTime,
     /// Send ids whose packet was dropped: their delivery events must be
     /// suppressed too (a capture that missed the send missed the fate).
-    dropped_packets: HashSet<u64>,
+    dropped_packets: IdSet,
     /// Ground-truth tally of everything injected.
     pub log: TapFaultLog,
 }
@@ -192,7 +192,7 @@ impl ChaosState {
             stash: VecDeque::new(),
             seq: 0,
             now: SimTime::ZERO,
-            dropped_packets: HashSet::new(),
+            dropped_packets: IdSet::default(),
             log: TapFaultLog::default(),
         };
         for f in &spec.faults {

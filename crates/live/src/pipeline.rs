@@ -3,15 +3,16 @@
 //! [`LiveVerdict`]s with bounded memory. See the crate docs for the stage
 //! diagram and the equivalence contract.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use simcore::{SimDuration, SimTime};
 use telemetry::{
     AppStatsRecord, DciRecord, GnbLogRecord, Lateness, LiveTap, PacketRecord, PlaybackStatsRecord,
-    SessionMeta, TapStream, TraceBundle, TraceCursor,
+    TapStream,
 };
 
 use domino_core::detect::{Analysis, ChainHit, DominoConfig, VerdictCoverage, WindowAnalysis};
+use domino_core::features::ClientSide;
 use domino_core::graph::{CausalGraph, NodeId};
 use domino_core::stream::{StreamingAnalyzer, UnsupportedConfig};
 use domino_obs::{HistData, HistLayout};
@@ -114,8 +115,10 @@ pub struct LiveStats {
     /// Windows emitted so far.
     pub windows_emitted: usize,
     /// High-water mark of retained records (reorder buffers + in-flight
-    /// packets + staging bundle). Bounded by O(window + lateness) for any
-    /// session length — asserted by `tests/live_equivalence.rs`.
+    /// packets), read after every tick and at each window close just
+    /// before the close releases the window's records into the analyzer.
+    /// Bounded by O(window + lateness) for any session length — asserted
+    /// by `tests/live_equivalence.rs`.
     pub peak_retained_records: usize,
     /// Whether an [`EarlyExit`] policy stopped the session.
     pub early_exited: bool,
@@ -158,67 +161,95 @@ impl PacketHorizon {
     }
 }
 
-/// In-flight packet staging: a ring sorted by `(sent, id)` — O(1) appends
-/// for the common in-emission-order case, stable insert for the small
-/// within-tick inversions — plus an `id → sent` index so deliveries can
-/// patch their record's fate in O(log n + ties).
+/// In-flight packet staging, indexed by send id.
+///
+/// `ids` holds the sorted send ids of every slot still in the ring. The
+/// engine hands out ids in increasing order, so a send appends and a
+/// delivery finds its slot at `id − ids[0]`; only gapped ids (sends
+/// dropped upstream) and out-of-order ids fall back to a binary search,
+/// over the 8-byte ids rather than the records. A released slot is emptied
+/// and leaves the ring once it reaches the front.
+///
+/// The release order, `(sent, id)`, lives in the compact `order` ring: an
+/// append for a send in order, a stable insert for the small within-tick
+/// inversions. It holds one key per pending record.
 #[derive(Debug, Clone, Default)]
 struct PendingPackets {
-    buf: VecDeque<(SimTime, u64, PacketRecord)>,
-    in_flight: HashMap<u64, SimTime>,
+    ids: VecDeque<u64>,
+    slots: VecDeque<Option<PacketRecord>>,
+    order: VecDeque<(SimTime, u64)>,
     released: usize,
 }
 
 impl PendingPackets {
+    /// Stages the record announced as `id`. Ids name one packet: a second
+    /// send for an id that is still pending is ignored.
     fn insert(&mut self, id: u64, record: PacketRecord) {
-        let sent = record.sent;
-        if self
-            .buf
-            .back()
-            .is_none_or(|&(s, i, _)| (s, i) <= (sent, id))
-        {
-            self.buf.push_back((sent, id, record));
+        let key = (record.sent, id);
+        if self.ids.back().is_none_or(|&last| last < id) {
+            self.ids.push_back(id);
+            self.slots.push_back(Some(record));
         } else {
-            let at = self.buf.partition_point(|&(s, i, _)| (s, i) <= (sent, id));
-            self.buf.insert(at, (sent, id, record));
+            match self.ids.binary_search(&id) {
+                Ok(at) if self.slots[at].is_some() => return,
+                Ok(at) => self.slots[at] = Some(record),
+                Err(at) => {
+                    self.ids.insert(at, id);
+                    self.slots.insert(at, Some(record));
+                }
+            }
         }
-        self.in_flight.insert(id, sent);
+        if self.order.back().is_none_or(|&last| last <= key) {
+            self.order.push_back(key);
+        } else {
+            let at = self.order.partition_point(|&k| k <= key);
+            self.order.insert(at, key);
+        }
+    }
+
+    /// The ring position of `id`, if it is still in the ring.
+    fn slot_of(&self, id: u64) -> Option<usize> {
+        let first = *self.ids.front()?;
+        let at = usize::try_from(id.checked_sub(first)?).ok()?;
+        if self.ids.get(at) == Some(&id) {
+            return Some(at);
+        }
+        self.ids.binary_search(&id).ok()
     }
 
     /// Patches the record announced as `id` with its delivery time,
-    /// returning its send time; `None` if that record's fate was already
-    /// frozen (released).
+    /// returning its send time; `None` if no record with that id is
+    /// pending (its fate was already frozen, or it was never sent).
     fn deliver(&mut self, id: u64, at: SimTime) -> Option<SimTime> {
-        let &sent = self.in_flight.get(&id)?;
-        let start = self.buf.partition_point(|&(s, _, _)| s < sent);
-        for slot in self.buf.range_mut(start..) {
-            if slot.0 != sent {
-                break;
-            }
-            if slot.1 == id {
-                slot.2.received = Some(at);
-                return Some(sent);
-            }
-        }
-        unreachable!("in_flight and buf are updated together")
+        let slot = self.slot_of(id)?;
+        let record = self.slots[slot].as_mut()?;
+        record.received = Some(at);
+        Some(record.sent)
     }
 
     /// Releases every packet with `sent < t` to `sink` in `(sent, id)`
     /// order, freezing its fate.
     fn release_below(&mut self, t: SimTime, mut sink: impl FnMut(PacketRecord)) {
-        while let Some(&(sent, _, _)) = self.buf.front() {
+        while let Some(&(sent, id)) = self.order.front() {
             if sent >= t {
                 break;
             }
-            let (_, id, record) = self.buf.pop_front().expect("checked non-empty");
-            self.in_flight.remove(&id);
-            self.released += 1;
-            sink(record);
+            self.order.pop_front();
+            let record = self.slot_of(id).and_then(|slot| self.slots[slot].take());
+            if let Some(record) = record {
+                self.released += 1;
+                sink(record);
+            }
+        }
+        while self.slots.front().is_some_and(Option::is_none) {
+            self.slots.pop_front();
+            self.ids.pop_front();
         }
     }
 
+    /// Records pending (not ring slots).
     fn len(&self) -> usize {
-        self.buf.len()
+        self.order.len()
     }
 
     fn released_count(&self) -> usize {
@@ -226,8 +257,9 @@ impl PendingPackets {
     }
 
     fn clear(&mut self) {
-        self.buf.clear();
-        self.in_flight.clear();
+        self.ids.clear();
+        self.slots.clear();
+        self.order.clear();
         self.released = 0;
     }
 }
@@ -273,11 +305,6 @@ pub struct LivePipeline {
     cov_released_base: [usize; TapStream::COUNT],
     cov_late_base: usize,
     degraded_windows: usize,
-
-    // Constant-memory staging: released records transit this bundle, read
-    // once via the cursor and pruned at each window close.
-    staging: TraceBundle,
-    cursor: TraceCursor,
 
     // Window schedule and horizon tracking.
     next_start: SimTime,
@@ -330,12 +357,6 @@ impl LivePipeline {
             cov_released_base: [0; TapStream::COUNT],
             cov_late_base: 0,
             degraded_windows: 0,
-            staging: TraceBundle::new(SessionMeta::baseline(
-                "domino-live staging",
-                SimDuration::ZERO,
-                0,
-            )),
-            cursor: TraceCursor::default(),
             next_start: SimTime::ZERO + warmup,
             now: SimTime::ZERO,
             horizon_lb: SimTime::ZERO,
@@ -485,13 +506,6 @@ impl LivePipeline {
         self.cov_released_base = [0; TapStream::COUNT];
         self.cov_late_base = 0;
         self.degraded_windows = 0;
-        self.staging.dci.clear();
-        self.staging.gnb.clear();
-        self.staging.packets.clear();
-        self.staging.app_local.clear();
-        self.staging.app_remote.clear();
-        self.staging.playback.clear();
-        self.cursor = TraceCursor::default();
         self.next_start = SimTime::ZERO + warmup;
         self.now = SimTime::ZERO;
         self.horizon_lb = SimTime::ZERO;
@@ -509,8 +523,7 @@ impl LivePipeline {
 
     /// Records retained right now across all live stages.
     pub fn retained_records(&self) -> usize {
-        self.staging.total_records()
-            + self.pending.len()
+        self.pending.len()
             + self.app_local.len()
             + self.app_remote.len()
             + self.dci.len()
@@ -640,25 +653,25 @@ impl LivePipeline {
         }
     }
 
-    /// Releases everything the window `[next_start, end)` still needs into
-    /// the staging bundle, feeds it to the analyzer, emits the window, and
-    /// prunes the consumed staging prefix.
+    /// Releases everything the window `[next_start, end)` still needs
+    /// straight into the analyzer and emits the window.
     fn close_one(&mut self, end: SimTime) {
-        let staging = &mut self.staging;
+        // The high-water mark counts the records this close releases, so
+        // read it while they are still retained.
+        self.note_retained();
+        let analyzer = &mut self.analyzer;
         self.app_local
-            .release_below(end, |r| staging.append_app_local(r));
+            .release_below(end, |r| analyzer.push_app(ClientSide::Local, &r));
         self.app_remote
-            .release_below(end, |r| staging.append_app_remote(r));
-        self.dci.release_below(end, |r| staging.append_dci(r));
-        self.gnb.release_below(end, |r| {
-            staging.append_gnb(r);
-        });
-        self.playback
-            .release_below(end, |r| staging.append_playback(r));
+            .release_below(end, |r| analyzer.push_app(ClientSide::Remote, &r));
         // Packets sent before the window end: their fate is frozen now —
         // a delivery that arrives later is counted as late.
         self.pending
-            .release_below(end, |record| staging.append_packet(record));
+            .release_below(end, |r| analyzer.push_packet(&r));
+        self.dci.release_below(end, |r| analyzer.push_dci(&r));
+        self.gnb.release_below(end, |r| analyzer.push_gnb(&r));
+        self.playback
+            .release_below(end, |r| analyzer.push_playback(&r));
         self.packet_frontier = self.packet_frontier.max(end);
 
         let coverage = self.window_coverage();
@@ -667,11 +680,7 @@ impl LivePipeline {
         self.risk_hist
             .record(HistLayout::Pct10, self.estimator.drop_risk_pct(bound_ms));
 
-        let slices = self.staging.advance_until(&mut self.cursor, end);
-        self.analyzer.push_slices(&slices);
         let analysis = self.analyzer.emit(self.next_start);
-        self.note_retained();
-        self.staging.prune_consumed(&mut self.cursor);
         self.next_start += self.analyzer.config().step;
         self.record_window(analysis, coverage);
     }
@@ -836,13 +845,6 @@ impl LiveTap for LivePipeline {
         self.playback.release_below(flush_to, |_| {});
         self.pending.release_below(flush_to, |_| {});
         self.packet_frontier = flush_to;
-        self.staging.dci.clear();
-        self.staging.gnb.clear();
-        self.staging.packets.clear();
-        self.staging.app_local.clear();
-        self.staging.app_remote.clear();
-        self.staging.playback.clear();
-        self.cursor = TraceCursor::default();
     }
 
     fn should_stop(&self) -> bool {
@@ -1258,5 +1260,243 @@ mod tests {
         assert!(!gapped.is_empty(), "blackout must surface as gap coverage");
         assert!(gapped.iter().all(|v| v.coverage.confidence < 1.0));
         assert_eq!(pipe.stats().degraded_windows, gapped.len());
+    }
+
+    /// The packet staging before the id ring: records in a ring sorted by
+    /// `(sent, id)`, found through an `id → sent` hash map and a binary
+    /// search over the records. Kept as the oracle [`PendingPackets`] must
+    /// match for any sequence without a duplicate pending id.
+    #[derive(Default)]
+    struct MapOracle {
+        buf: VecDeque<(SimTime, u64, PacketRecord)>,
+        in_flight: std::collections::HashMap<u64, SimTime>,
+        released: usize,
+    }
+
+    impl MapOracle {
+        fn insert(&mut self, id: u64, record: PacketRecord) {
+            let sent = record.sent;
+            let at = self.buf.partition_point(|&(s, i, _)| (s, i) <= (sent, id));
+            self.buf.insert(at, (sent, id, record));
+            self.in_flight.insert(id, sent);
+        }
+
+        fn deliver(&mut self, id: u64, at: SimTime) -> Option<SimTime> {
+            let &sent = self.in_flight.get(&id)?;
+            let start = self.buf.partition_point(|&(s, _, _)| s < sent);
+            let slot = self
+                .buf
+                .range_mut(start..)
+                .find(|slot| slot.1 == id)
+                .expect("in_flight and buf are updated together");
+            slot.2.received = Some(at);
+            Some(sent)
+        }
+
+        fn release_below(&mut self, t: SimTime, mut sink: impl FnMut(PacketRecord)) {
+            while self.buf.front().is_some_and(|&(sent, _, _)| sent < t) {
+                let (_, id, record) = self.buf.pop_front().expect("checked non-empty");
+                self.in_flight.remove(&id);
+                self.released += 1;
+                sink(record);
+            }
+        }
+    }
+
+    /// A deterministic `u64` stream for the hostile-feed tests.
+    struct Rolls(u64);
+
+    impl Rolls {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(1);
+            simcore::splitmix64(self.0)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    fn packet(id: u64, sent_us: u64) -> PacketRecord {
+        PacketRecord {
+            sent: SimTime::from_micros(sent_us),
+            received: None,
+            direction: Direction::Uplink,
+            stream: telemetry::StreamKind::Video,
+            seq: id,
+            size_bytes: 1200,
+        }
+    }
+
+    /// The next send id of a hostile feed: dense, gapped, decreasing, far
+    /// jumps, and both ends of the id space.
+    fn hostile_id(rolls: &mut Rolls, last: u64) -> u64 {
+        match rolls.below(10) {
+            0..=3 => last.wrapping_add(1),
+            4 => last.saturating_add(2 + rolls.below(40)),
+            5 => last.saturating_sub(1 + rolls.below(30)),
+            6 => 0,
+            7 => u64::MAX - rolls.below(3),
+            8 => rolls.next(),
+            _ => last.saturating_add(1 << (1 + rolls.below(62))),
+        }
+    }
+
+    type Seen = (SimTime, Option<SimTime>, u64);
+
+    fn seen(r: &PacketRecord) -> Seen {
+        (r.sent, r.received, r.seq)
+    }
+
+    /// Random sends (dense, gapped, decreasing and far-jumping ids, send
+    /// times with inversions and steps behind earlier releases),
+    /// deliveries of pending, released and never-sent ids, and releases at
+    /// random times: after every step the ring and the map oracle agree on
+    /// the delivery result, the released records (order and fate), `len`
+    /// and `released_count`.
+    #[test]
+    fn id_ring_matches_map_oracle() {
+        let mut rolls = Rolls(0x9AC7_0001);
+        for case in 0..300 {
+            let mut ring = PendingPackets::default();
+            let mut oracle = MapOracle::default();
+            let mut history: Vec<u64> = Vec::new();
+            let mut last = rolls.below(4) * (u64::MAX / 3);
+            let mut now_us = 0u64;
+            for step in 0..rolls.below(400) + 1 {
+                let ctx = format!("case {case} step {step}");
+                match rolls.below(8) {
+                    0..=3 => {
+                        let id = hostile_id(&mut rolls, last);
+                        if oracle.in_flight.contains_key(&id) {
+                            continue;
+                        }
+                        last = id;
+                        now_us += rolls.below(3) * 1000;
+                        let sent_us = match rolls.below(6) {
+                            0 => now_us.saturating_sub(rolls.below(3000)),
+                            1 => now_us.saturating_sub(rolls.below(60_000)),
+                            _ => now_us,
+                        };
+                        ring.insert(id, packet(id, sent_us));
+                        oracle.insert(id, packet(id, sent_us));
+                        history.push(id);
+                    }
+                    4 | 5 => {
+                        let id = match rolls.below(3) {
+                            0 if !history.is_empty() => {
+                                history[rolls.below(history.len() as u64) as usize]
+                            }
+                            1 => last.wrapping_add(1 + rolls.below(5)),
+                            _ => rolls.next(),
+                        };
+                        let at = SimTime::from_micros(now_us + rolls.below(50_000));
+                        assert_eq!(ring.deliver(id, at), oracle.deliver(id, at), "{ctx}");
+                    }
+                    6 => {
+                        let t = SimTime::from_micros(now_us.saturating_sub(rolls.below(40_000)));
+                        let (mut a, mut b) = (Vec::new(), Vec::new());
+                        ring.release_below(t, |r| a.push(seen(&r)));
+                        oracle.release_below(t, |r| b.push(seen(&r)));
+                        assert_eq!(a, b, "{ctx}");
+                    }
+                    _ => now_us += rolls.below(20_000),
+                }
+                assert_eq!(ring.len(), oracle.buf.len(), "{ctx}");
+                assert_eq!(ring.released_count(), oracle.released, "{ctx}");
+            }
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            ring.release_below(SimTime::from_micros(u64::MAX), |r| a.push(seen(&r)));
+            oracle.release_below(SimTime::from_micros(u64::MAX), |r| b.push(seen(&r)));
+            assert_eq!(a, b, "case {case}: final flush");
+            assert_eq!((ring.len(), ring.ids.len()), (0, 0), "case {case}");
+        }
+    }
+
+    /// Duplicate pending ids (which the engine never sends) keep the first
+    /// record: no panic, and `len`, deliveries and `released_count` follow
+    /// the set of pending ids exactly.
+    #[test]
+    fn duplicate_send_ids_keep_counts_consistent() {
+        let mut rolls = Rolls(0xD0B1_E000);
+        for case in 0..100 {
+            let mut ring = PendingPackets::default();
+            let mut pending = std::collections::BTreeSet::new();
+            let mut sunk = 0;
+            let mut now_us = 0u64;
+            for step in 0..300 {
+                let id = rolls.below(24) * (u64::MAX / 23);
+                now_us += rolls.below(2000);
+                match rolls.below(4) {
+                    0 | 1 => {
+                        ring.insert(id, packet(id, now_us));
+                        pending.insert(id);
+                    }
+                    2 => {
+                        let got = ring.deliver(id, SimTime::from_micros(now_us));
+                        assert_eq!(got.is_some(), pending.contains(&id), "case {case}");
+                    }
+                    _ => {
+                        let t = SimTime::from_micros(now_us.saturating_sub(rolls.below(5000)));
+                        ring.release_below(t, |r| {
+                            assert!(pending.remove(&r.seq), "case {case} step {step}");
+                            sunk += 1;
+                        });
+                    }
+                }
+                assert_eq!(ring.len(), pending.len(), "case {case} step {step}");
+                assert_eq!(ring.released_count(), sunk, "case {case} step {step}");
+            }
+            ring.release_below(SimTime::from_micros(u64::MAX), |r| {
+                assert!(pending.remove(&r.seq));
+                sunk += 1;
+            });
+            assert!(pending.is_empty());
+            assert_eq!((ring.len(), ring.released_count()), (0, sunk));
+        }
+    }
+
+    /// A pipeline fed a hostile packet stream through its tap — duplicate,
+    /// gapped, decreasing and extreme send ids, deliveries of unknown and
+    /// frozen ids — closes its windows and finishes without a panic.
+    #[test]
+    fn hostile_send_ids_through_the_tap_do_not_panic() {
+        let mut rolls = Rolls(0x7A9_0000);
+        let mut pipe = LivePipeline::with_defaults(static_cfg(
+            SimDuration::from_millis(300),
+            EarlyExit::Never,
+        ))
+        .unwrap();
+        let mut last = 0;
+        let mut sends = 0;
+        for ms in 0..20_000u64 {
+            let now = SimTime::from_millis(ms);
+            for _ in 0..rolls.below(3) {
+                let id = if rolls.below(8) == 0 {
+                    last
+                } else {
+                    hostile_id(&mut rolls, last)
+                };
+                last = id;
+                let sent_us = (ms * 1000).saturating_sub(rolls.below(1500));
+                pipe.on_packet_sent(id, &packet(id, sent_us));
+                sends += 1;
+                let id = match rolls.below(3) {
+                    0 => id,
+                    1 => id.wrapping_sub(rolls.below(50)),
+                    _ => rolls.next(),
+                };
+                pipe.on_packet_delivered(id, now + SimDuration::from_millis(rolls.below(400)));
+            }
+            let mut s = AppStatsRecord::baseline(now);
+            s.inbound_fps = 30.0;
+            pipe.on_app_local(&s);
+            pipe.on_tick(now);
+        }
+        pipe.on_finish(SimTime::from_secs(20));
+        let stats = pipe.stats();
+        assert_eq!(stats.records_seen, sends + 20_000);
+        assert!(stats.windows_emitted > 0);
+        assert_eq!(pipe.retained_records(), 0);
     }
 }

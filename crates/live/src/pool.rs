@@ -17,7 +17,7 @@
 //! output byte-identical to a fresh pipeline's — enforced by the pool reuse
 //! and eviction determinism tests in `tests/live_equivalence.rs`.
 
-use std::collections::HashMap;
+use simcore::IdMap;
 
 use domino_core::detect::DominoConfig;
 use domino_core::graph::CausalGraph;
@@ -52,8 +52,10 @@ pub struct PipelinePool {
     live: LiveConfig,
     /// Leased pipelines, keyed by session id. Width is small (one entry
     /// per concurrently watched call on this worker), so a map keeps
-    /// `get_mut` O(1) without any ordering bookkeeping.
-    active: HashMap<u64, LivePipeline>,
+    /// `get_mut` O(1) without any ordering bookkeeping. Drivers call
+    /// `get_mut` for every tick of every call, so the map hashes with the
+    /// cheap [`simcore::IdHasher`] rather than SipHash.
+    active: IdMap<LivePipeline>,
     /// Idle pipelines, least recently used first: [`Self::release`] pushes
     /// to the back, [`Self::checkout`] pops from the back (warmest), and
     /// eviction drops from the front.
@@ -83,7 +85,7 @@ impl PipelinePool {
             graph,
             cfg,
             live,
-            active: HashMap::new(),
+            active: IdMap::default(),
             free: vec![probe],
             max_free: Self::DEFAULT_MAX_FREE,
             stats: PoolStats::default(),

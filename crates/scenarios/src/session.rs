@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use domino_obs::{Counter, HistId, RanCellObs, Recorder, SpanId};
 use rand::rngs::StdRng;
-use simcore::{rng_for, EventQueue, RngStream, SimDuration, SimTime};
+use simcore::{rng_for, EventQueue, IdMap, RngStream, SimDuration, SimTime};
 use telemetry::{Direction, LiveTap, PacketRecord, SessionMeta, StreamKind, TraceBundle};
 
 use abr_sim::{AbrClient, AbrConfig, AbrOutgoing, AbrPayload, AbrServer};
@@ -283,35 +283,6 @@ struct Pending {
     size: u32,
 }
 
-/// Multiplicative hasher for the sequential packet ids keyed into
-/// [`SessionArena`]'s in-flight map. Two reasons over the default SipHash:
-/// it is ~4× cheaper on this u64-only key (the map is touched for every
-/// packet emission and delivery), and it is *deterministic* — the std
-/// `RandomState` seed changes the table's tombstone layout and therefore
-/// its resize points, which would make [`SessionArena::footprint`]
-/// non-reproducible across runs.
-#[derive(Debug, Clone, Copy, Default)]
-struct IdHasher(u64);
-
-impl std::hash::Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-    fn write_u64(&mut self, i: u64) {
-        // Fibonacci-multiply then spread high bits into the low bits the
-        // table indexes with.
-        let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 29);
-    }
-}
-
-type IdMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<IdHasher>>;
-
 /// Per-tick scratch buffers every session a worker drives shares: the
 /// endpoint emission buffer, the access-network delivery buffer, and the
 /// RAN telemetry drain buffers. Each is cleared before use within a single
@@ -358,6 +329,9 @@ impl EngineScratch {
 pub struct SessionArena {
     queue: SharedRouteQueue,
     scratch: EngineScratch,
+    /// Recycled in-flight maps. [`IdMap`]'s hasher is deterministic, so
+    /// their resize points, and with them [`Self::footprint`], reproduce
+    /// across runs.
     free_pending: Vec<IdMap<Pending>>,
     free_bundles: Vec<TraceBundle>,
     free_ue_tables: Vec<CellUeTable>,

@@ -7,6 +7,8 @@
 //!   (FIFO among equal timestamps, so identical inputs replay identically).
 //! * [`rng_for`] — derivation of independent, reproducible RNG streams from a
 //!   single session seed.
+//! * [`IdMap`] / [`IdSet`] — hash containers keyed by program-assigned
+//!   `u64` ids, with a cheap deterministic hasher.
 //! * [`dist`] — the handful of distributions the simulators need (normal,
 //!   log-normal, exponential), implemented directly so the workspace carries no
 //!   extra dependency.
@@ -18,10 +20,12 @@
 
 pub mod alloc_count;
 pub mod dist;
+pub mod idmap;
 pub mod queue;
 pub mod rng;
 pub mod time;
 
+pub use idmap::{IdHasher, IdMap, IdSet};
 pub use queue::{EventQueue, Scheduled};
 pub use rng::{derive_seed, rng_for, splitmix64, RngStream};
 pub use time::{SimDuration, SimTime};

@@ -306,31 +306,6 @@ impl TraceBundle {
             + self.playback.len()
     }
 
-    /// Drops every record `cur` has already consumed (the prefix of each
-    /// stream behind its cursor position) and rebases `cur` to the start of
-    /// the compacted bundle, returning how many records were pruned.
-    ///
-    /// This is the constant-memory half of the incremental-ingestion
-    /// contract: a live consumer appends records as they arrive, reads them
-    /// once through [`Self::advance_until`], and prunes the consumed prefix
-    /// each time a window closes — so the retained trace stays
-    /// O(window + reorder lateness) instead of O(session). The cursor stays
-    /// valid across the prune; any slices previously returned by
-    /// [`Self::advance_until`] do not (they borrow the pruned storage), so
-    /// prune only between read batches.
-    pub fn prune_consumed(&mut self, cur: &mut TraceCursor) -> usize {
-        let pruned =
-            cur.dci + cur.gnb + cur.packets + cur.app_local + cur.app_remote + cur.playback;
-        self.dci.drain(..cur.dci);
-        self.gnb.drain(..cur.gnb);
-        self.packets.drain(..cur.packets);
-        self.app_local.drain(..cur.app_local);
-        self.app_remote.drain(..cur.app_remote);
-        self.playback.drain(..cur.playback);
-        *cur = TraceCursor::default();
-        pruned
-    }
-
     /// Per-minute event rates (Table 1 columns).
     pub fn event_rates(&self) -> EventRates {
         let minutes = (self.meta.duration.as_secs_f64() / 60.0).max(1e-9);
@@ -526,26 +501,6 @@ mod tests {
         };
         assert_eq!(sns(&appended), sns(&sorted));
         assert_eq!(sns(&appended), vec![4, 0, 2, 3, 1, 5]);
-    }
-
-    #[test]
-    fn prune_consumed_rebases_cursor() {
-        let mut b = TraceBundle::new(meta());
-        for ms in [0, 100, 200, 300, 400] {
-            b.append_packet(pkt(ms));
-        }
-        let mut cur = b.cursor();
-        let first = b.advance_until(&mut cur, SimTime::from_millis(250));
-        assert_eq!(first.packets.len(), 3);
-        let pruned = b.prune_consumed(&mut cur);
-        assert_eq!(pruned, 3);
-        assert_eq!(b.total_records(), 2);
-        // The rebased cursor continues exactly where it left off.
-        let rest = b.advance_until(&mut cur, SimTime::from_secs(10));
-        assert_eq!(rest.packets.len(), 2);
-        assert_eq!(rest.packets[0].seq, 300);
-        // Pruning with a fresh-at-zero cursor is a no-op.
-        assert_eq!(b.prune_consumed(&mut TraceCursor::default()), 0);
     }
 
     #[test]
