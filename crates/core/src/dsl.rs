@@ -264,6 +264,50 @@ mod tests {
         }
     }
 
+    /// A fan-out config of `2n + 1` lines: one root alias, `n` leaf
+    /// aliases, and `n` edges from the root to each leaf.
+    fn fan_out_config(n: usize) -> String {
+        let mut text = String::from("alias r = ul_harq_retx\n");
+        for i in 0..n {
+            text.push_str(&format!("alias c{i} = ul_cross_traffic\n"));
+        }
+        for i in 0..n {
+            text.push_str(&format!("r --> c{i}\n"));
+        }
+        text
+    }
+
+    #[test]
+    fn many_edge_lines_parse_in_linear_time() {
+        // 7.3 MB. Deduplicating edges with a list scan made this parse
+        // quadratic (about 15 s in release); the edge set makes it linear.
+        let err = parse(&fan_out_config(160_000)).expect_err("too many chains");
+        let want = GraphError::TooManyChains {
+            chains: 160_000,
+            limit: crate::graph::MAX_CHAINS,
+        };
+        assert_eq!(err, graph_err(0, want));
+        // Repeated edges still collapse, in first-insertion order.
+        let g = parse(
+            "ul_harq_retx --> forward_delay_up\n\
+             dl_harq_retx --> forward_delay_up\n\
+             ul_harq_retx --> forward_delay_up\n",
+        )
+        .unwrap();
+        let names: Vec<(&str, &str)> = g
+            .edges()
+            .into_iter()
+            .map(|(a, b)| (g.name(a), g.name(b)))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                ("ul_harq_retx", "forward_delay_up"),
+                ("dl_harq_retx", "forward_delay_up")
+            ]
+        );
+    }
+
     #[test]
     fn fig11_example_parses() {
         let g = parse(

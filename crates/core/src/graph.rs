@@ -7,7 +7,7 @@
 //! consequences; every root→leaf path is a candidate causal chain — the
 //! default Fig. 9 graph yields exactly 24.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::features::{Feature, FeatureVector};
@@ -81,7 +81,11 @@ pub struct CausalGraph {
 pub struct GraphBuilder {
     nodes: Vec<Node>,
     name_to_id: HashMap<String, NodeId>,
+    /// Edges in first-insertion order, which `CausalGraph::edges`, DSL
+    /// emission and chain enumeration follow.
     edges: Vec<(NodeId, NodeId)>,
+    /// The same edges as a set, so deduplication is O(1) per edge.
+    edge_set: HashSet<(NodeId, NodeId)>,
 }
 
 impl GraphBuilder {
@@ -130,7 +134,7 @@ impl GraphBuilder {
 
     /// Adds a directed edge `from → to` (idempotent).
     pub fn edge(&mut self, from: NodeId, to: NodeId) {
-        if !self.edges.contains(&(from, to)) {
+        if self.edge_set.insert((from, to)) {
             self.edges.push((from, to));
         }
     }

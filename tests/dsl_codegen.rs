@@ -1,10 +1,17 @@
 //! DSL ⇄ graph ⇄ generated-code consistency on real session data: the
 //! compiled detection program must agree with the graph backward trace on
-//! every window of an actual simulated trace.
+//! every window of an actual simulated trace. Plus a mutation fuzz of the
+//! DSL parser: hostile config text never panics it, and every graph it
+//! accepts round-trips through `emit`.
 
-use domino::core::{compile, default_graph, emit, parse, Domino, DominoConfig};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use domino::core::dsl::{ABR_CONFIG, DEFAULT_CONFIG};
+use domino::core::{compile, default_graph, emit, parse, CausalGraph, Domino, DominoConfig};
 use domino::scenarios::{SessionConfig, SessionRun};
 use domino::simcore::SimDuration;
+use proptest::strategy::Strategy;
+use rand::rngs::StdRng;
 
 #[test]
 fn program_agrees_with_search_on_real_trace() {
@@ -98,4 +105,94 @@ fn generated_python_mentions_every_feature_in_use() {
     ] {
         assert!(py.contains(node), "{node} missing from generated Python");
     }
+}
+
+/// Mutated configs per seed config.
+const DSL_CASES: usize = 40 * proptest::CASES;
+
+/// What a token insert may add: the DSL's own syntax, comments, line
+/// breaks, a feature name, an alias name and the `alias` keyword as a name.
+const DSL_TOKENS: [&str; 12] = [
+    "-->",
+    " --> ",
+    "alias ",
+    " = ",
+    " | ",
+    "#",
+    "\n",
+    "  ",
+    "ul_harq_retx",
+    "forward_delay_up",
+    "poor_channel",
+    "alias",
+];
+
+/// Flips a bit in, truncates, splices (from either seed config) or inserts
+/// a token into `valid`.
+fn mutate_config(rng: &mut StdRng, valid: &[u8]) -> Vec<u8> {
+    let mut bytes = valid.to_vec();
+    let at = |rng: &mut StdRng, len: usize| (0..len + 1).generate(rng);
+    match (0..4u8).generate(rng) {
+        0 => {
+            let i = (0..bytes.len()).generate(rng);
+            bytes[i] ^= 1 << (0..8u32).generate(rng);
+        }
+        1 => bytes.truncate(at(rng, valid.len())),
+        2 => {
+            let donor = [DEFAULT_CONFIG, ABR_CONFIG][(0..2usize).generate(rng)].as_bytes();
+            let (a, b) = (at(rng, donor.len()), at(rng, donor.len()));
+            let c = at(rng, bytes.len());
+            bytes.splice(c..c, donor[a.min(b)..a.max(b)].iter().copied());
+        }
+        _ => {
+            let token = DSL_TOKENS[(0..DSL_TOKENS.len()).generate(rng)];
+            let c = at(rng, bytes.len());
+            bytes.splice(c..c, token.bytes());
+        }
+    }
+    bytes
+}
+
+/// A graph's nodes (name and predicate) and edges (by name), sorted, so
+/// graphs compare independently of node ids and edge order.
+fn shape(g: &CausalGraph) -> (Vec<(String, Vec<String>)>, Vec<(String, String)>) {
+    let mut nodes: Vec<(String, Vec<String>)> = (0..g.node_count())
+        .map(|id| {
+            let pred = g.predicate(id).iter().map(|f| f.name()).collect();
+            (g.name(id).to_string(), pred)
+        })
+        .collect();
+    let mut edges: Vec<(String, String)> = g
+        .edges()
+        .into_iter()
+        .map(|(a, b)| (g.name(a).to_string(), g.name(b).to_string()))
+        .collect();
+    nodes.sort();
+    edges.sort();
+    (nodes, edges)
+}
+
+#[test]
+fn dsl_parse_never_panics_and_accepted_graphs_round_trip() {
+    let mut accepted = 0;
+    for (name, valid) in [("default", DEFAULT_CONFIG), ("abr", ABR_CONFIG)] {
+        let mut rng = proptest::test_rng(name);
+        for case in 0..DSL_CASES {
+            let text =
+                String::from_utf8_lossy(&mutate_config(&mut rng, valid.as_bytes())).into_owned();
+            let check = || {
+                let Ok(g) = parse(&text) else { return false };
+                let again = parse(&emit(&g)).expect("emitted text parses");
+                assert_eq!(shape(&g), shape(&again), "round trip changed the graph");
+                true
+            };
+            match catch_unwind(AssertUnwindSafe(check)) {
+                Ok(ok) => accepted += usize::from(ok),
+                Err(_) => panic!("{name} case {case} failed on {text:?}"),
+            }
+        }
+    }
+    // Bit flips in comments and blank lines keep many configs valid, so
+    // the round trip is exercised, not just the error paths.
+    assert!(accepted > DSL_CASES / 4, "only {accepted} accepted");
 }
