@@ -114,8 +114,10 @@ fn abr_grid() -> Vec<SessionSpec> {
 }
 
 /// The degraded-telemetry grid (`--grid chaos`): two cells × a chaos axis
-/// (clean, a lossy tap, a dark tap) × a lateness axis (static 2 s vs the
-/// adaptive quantile bound), analysed live. Every fault is seeded from the
+/// (clean, a lossy tap, a dark tap, and a gappy tap whose packet drops and
+/// packet blackout leave gaps in the send ids the live pipeline sees and
+/// suppress the missing sends' deliveries) × a lateness axis (static 2 s
+/// vs the adaptive quantile bound), analysed live. Every fault is seeded from the
 /// spec, so the grid carries the full determinism contract: CI byte-diffs
 /// the merged report *and* the obs metrics (which count every injected
 /// drop/duplicate/delay/skew/blackout) at 1-vs-3 shards and mux width
@@ -149,6 +151,16 @@ fn chaos_grid() -> Vec<SessionSpec> {
             stream: TapStream::Gnb,
             skew: SimDuration::from_millis(350),
         });
+    let gappy = TapChaosSpec::new(0x6A99)
+        .fault(TapFault::Drop {
+            stream: TapStream::Packet,
+            pct: 10,
+        })
+        .fault(TapFault::Blackout {
+            stream: TapStream::Packet,
+            from: SimTime::from_secs(6),
+            to: SimTime::from_secs(7),
+        });
     SessionGrid::new()
         .cells(vec![amarisoft(), mosolabs()])
         .durations([SimDuration::from_secs(12)])
@@ -156,7 +168,8 @@ fn chaos_grid() -> Vec<SessionSpec> {
             ScenarioAxis::new("chaos")
                 .point("clean", vec![])
                 .point("lossy", vec![AxisPatch::TapChaos(Some(lossy))])
-                .point("dark", vec![AxisPatch::TapChaos(Some(dark))]),
+                .point("dark", vec![AxisPatch::TapChaos(Some(dark))])
+                .point("gappy", vec![AxisPatch::TapChaos(Some(gappy))]),
         )
         .axis(
             ScenarioAxis::new("lateness")
