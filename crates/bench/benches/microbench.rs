@@ -92,8 +92,8 @@ fn bench_streaming_step(c: &mut Criterion) {
 /// a recorded session's telemetry as emission-time tap events (packet sends
 /// at `sent`, deliveries at `received`, gNB logs at their out-of-order
 /// timestamps), one second of session time per iteration. The delta over
-/// `domino/streaming_step` is the price of the watermark reorder stage,
-/// in-flight packet staging, and constant-memory pruning.
+/// `domino/streaming_step` is the price of the watermark reorder stage and
+/// the in-flight packet staging.
 enum Ev {
     AppL(usize),
     AppR(usize),

@@ -23,13 +23,15 @@
 //!    ([`LiveStats::late_records_dropped`]); packet deliveries that arrive
 //!    after their record was frozen are counted as
 //!    [`LiveStats::late_deliveries`].
-//! 2. **Constant-memory staging**. Released records are appended to a small
-//!    staging [`telemetry::TraceBundle`], read once through the telemetry
-//!    cursor ([`telemetry::TraceBundle::advance_until`]) into the
-//!    [`domino_core::StreamingAnalyzer`], and pruned
-//!    ([`telemetry::TraceBundle::prune_consumed`]) as soon as the window
-//!    closes — so retained trace stays O(window + lateness), never
-//!    O(session).
+//! 2. **Bounded in-flight staging and direct release**. A packet is staged
+//!    from its send until its window closes, in a ring ordered by send id:
+//!    a send appends, and a delivery patches its record at
+//!    `id − oldest id` (a binary search over the ids when sends were
+//!    dropped or ids arrive out of order). At each window close, the
+//!    reorder buffers and the packet ring release their records straight
+//!    into the [`domino_core::StreamingAnalyzer`]'s `push_*` methods, with
+//!    no intermediate copy — so retained trace stays O(window + lateness),
+//!    never O(session) ([`LiveStats::peak_retained_records`]).
 //! 3. **Early-exit verdicts** ([`EarlyExit`]). Each closed window yields a
 //!    [`LiveVerdict`]; a policy can stop the session once enough chains are
 //!    confirmed or the verdict has been stable long enough, aborting the

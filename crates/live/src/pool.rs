@@ -3,11 +3,11 @@
 //!
 //! A fleet diagnoser watches many calls at once, and calls start and end
 //! continuously. Building a fresh [`LivePipeline`] per call start would
-//! re-allocate every reorder buffer, the staging bundle, and the streaming
-//! analyzer's rolling state each time; the pool instead keeps finished
-//! pipelines on a free list ordered by release recency and hands the most
-//! recently used one (its buffers still cache-warm and grown to the
-//! workload's high-water marks) to the next call. The free list is
+//! re-allocate every reorder buffer, the in-flight packet ring, and the
+//! streaming analyzer's rolling state each time; the pool instead keeps
+//! finished pipelines on a free list ordered by release recency and hands
+//! the most recently used one (its buffers still cache-warm and grown to
+//! the workload's high-water marks) to the next call. The free list is
 //! LRU-bounded: when more pipelines are idle than [`PipelinePool::max_free`],
 //! the *least* recently used are dropped, so a traffic spike does not pin
 //! its peak footprint forever.

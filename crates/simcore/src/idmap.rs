@@ -37,33 +37,3 @@ pub type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
 /// A `HashSet` of `u64` ids, hashed with [`IdHasher`].
 pub type IdSet = HashSet<u64, BuildHasherDefault<IdHasher>>;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::hash::{BuildHasher, Hasher};
-
-    #[test]
-    fn hash_is_a_pure_function_of_the_id() {
-        let build = BuildHasherDefault::<IdHasher>::default();
-        assert_eq!(build.hash_one(42u64), build.hash_one(42u64));
-        assert_ne!(build.hash_one(42u64), build.hash_one(43u64));
-        let mut h = IdHasher::default();
-        h.write_u64(7);
-        assert_eq!(h.finish(), build.hash_one(7u64));
-    }
-
-    #[test]
-    fn map_and_set_hold_extreme_ids() {
-        let mut map: IdMap<&str> = IdMap::default();
-        let mut set = IdSet::default();
-        for id in [0, 1, u64::MAX, u64::MAX - 1] {
-            map.insert(id, "x");
-            set.insert(id);
-        }
-        assert_eq!(map.len(), 4);
-        assert!(set.remove(&u64::MAX));
-        assert!(!set.contains(&u64::MAX));
-        assert_eq!(map.get(&0), Some(&"x"));
-    }
-}

@@ -1,7 +1,7 @@
 //! Operator-scale concurrent diagnosis: 16 staggered calls multiplexed
 //! through ONE live diagnoser — one shared `SessionArena` (with its tagged
 //! `SharedRouteQueue`), and one session-keyed `PipelinePool` whose
-//! reorder buffers, staging bundles, and streaming analyzers are recycled
+//! reorder buffers, packet rings, and streaming analyzers are recycled
 //! across call starts and ends.
 //!
 //! This drives the raw stepping API directly (`SessionSpec::start_in` +

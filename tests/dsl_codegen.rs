@@ -155,17 +155,17 @@ fn mutate_config(rng: &mut StdRng, valid: &[u8]) -> Vec<u8> {
 
 /// A graph's nodes (name and predicate) and edges (by name), sorted, so
 /// graphs compare independently of node ids and edge order.
-fn shape(g: &CausalGraph) -> (Vec<(String, Vec<String>)>, Vec<(String, String)>) {
-    let mut nodes: Vec<(String, Vec<String>)> = (0..g.node_count())
+fn shape(g: &CausalGraph) -> (Vec<String>, Vec<String>) {
+    let mut nodes: Vec<String> = (0..g.node_count())
         .map(|id| {
-            let pred = g.predicate(id).iter().map(|f| f.name()).collect();
-            (g.name(id).to_string(), pred)
+            let pred: Vec<String> = g.predicate(id).iter().map(|f| f.name()).collect();
+            format!("{} = {}", g.name(id), pred.join(" | "))
         })
         .collect();
-    let mut edges: Vec<(String, String)> = g
+    let mut edges: Vec<String> = g
         .edges()
         .into_iter()
-        .map(|(a, b)| (g.name(a).to_string(), g.name(b).to_string()))
+        .map(|(a, b)| format!("{} --> {}", g.name(a), g.name(b)))
         .collect();
     nodes.sort();
     edges.sort();

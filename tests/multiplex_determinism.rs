@@ -144,7 +144,7 @@ fn multiplexed_widths_are_byte_identical_to_per_worker() {
 #[test]
 fn multiplexed_live_mode_is_byte_identical_across_widths_and_threads() {
     // Live mode: each interleaved session is fed by a pipeline leased from
-    // the worker's pool; reorder buffers, staging bundles, and analyzers
+    // the worker's pool; reorder buffers, packet rings, and analyzers
     // are recycled across call starts/ends. A lateness bound beyond any
     // in-network delay keeps the live = batch precondition intact, so any
     // divergence here is the pool's or the scheduler's fault. Every third
