@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the performance-critical paths:
-//! Domino's window feature extraction and chain search (the "continuous,
+//! Domino's streaming analyzer and chain search (the "continuous,
 //! near real-time" requirement of §1), the RAN simulator's slot loop, and
 //! the GCC building blocks.
 
@@ -8,8 +8,7 @@ use std::collections::BTreeMap;
 use std::hint::black_box;
 
 use domino_core::{
-    compile, default_graph, extract_features, Domino, DominoConfig, Feature, FeatureVector,
-    StreamingAnalyzer, Thresholds,
+    compile, default_graph, Domino, DominoConfig, Feature, FeatureVector, StreamingAnalyzer,
 };
 use domino_sweep::{
     merge_shards, run_coordinator, run_shard, CoordinatorConfig, ExecutionMode, FaultPlan,
@@ -30,33 +29,8 @@ fn session_bundle() -> telemetry::TraceBundle {
     SessionRun::cell(scenarios::amarisoft(), &cfg).run()
 }
 
-fn bench_feature_extraction(c: &mut Criterion) {
-    let bundle = session_bundle();
-    let th = Thresholds::default();
-    c.bench_function("domino/extract_features_5s_window", |b| {
-        b.iter(|| {
-            extract_features(
-                black_box(&bundle),
-                SimTime::from_secs(10),
-                SimTime::from_secs(15),
-                &th,
-            )
-        })
-    });
-}
-
-fn bench_full_window_analysis(c: &mut Criterion) {
-    let bundle = session_bundle();
-    let domino = Domino::with_defaults();
-    c.bench_function("domino/analyze_window", |b| {
-        b.iter(|| domino.analyze_window(black_box(&bundle), SimTime::from_secs(10)))
-    });
-}
-
-/// Per-step cost of the incremental analyzer at 1 s step / 5 s window: each
-/// iteration ingests one step's worth of records and emits one window. The
-/// companion number is `domino/extract_features_5s_window`, the batch cost of
-/// the same step — the ISSUE's acceptance bar is streaming ≥ 3× cheaper.
+/// Per-step cost of the analyzer at 1 s step / 5 s window: each iteration
+/// ingests one step's worth of records and emits one window.
 fn bench_streaming_step(c: &mut Criterion) {
     let bundle = session_bundle();
     let cfg = DominoConfig {
@@ -351,18 +325,14 @@ fn bench_pool_step(c: &mut Criterion) {
     });
 }
 
-/// Full-sweep comparison at the same configuration: the end-to-end win of
-/// ingesting each record once instead of W/Δt times.
+/// A full sweep of the 20 s session at the same configuration, on a reused
+/// analyzer.
 fn bench_full_sweep(c: &mut Criterion) {
     let bundle = session_bundle();
     let cfg = DominoConfig {
         step: SimDuration::from_secs(1),
         ..Default::default()
     };
-    let domino = Domino::new(default_graph(), cfg.clone());
-    c.bench_function("domino/batch_full_sweep_20s", |b| {
-        b.iter(|| domino.analyze(black_box(&bundle)))
-    });
     let mut analyzer = StreamingAnalyzer::new(default_graph(), cfg).expect("aligned");
     c.bench_function("domino/streaming_full_sweep_20s", |b| {
         b.iter(|| analyzer.analyze(black_box(&bundle)))
@@ -1013,8 +983,6 @@ criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
     targets =
-        bench_feature_extraction,
-        bench_full_window_analysis,
         bench_streaming_step,
         bench_live_step,
         bench_adaptive_step,

@@ -152,7 +152,7 @@ pub fn window_length() -> String {
     let mut out =
         String::from("Ablation — Domino sliding-window length W (T-Mobile FDD session)\n");
     // Both sessions (the main sweep trace and the scripted check) run as one
-    // parallel sweep; analyses below use the streaming fast path.
+    // parallel sweep, then are analysed once per window length.
     let specs = [
         SessionSpec::cell(scenarios::tmobile_fdd_15mhz(), session_cfg(6003)),
         SessionSpec::cell(
@@ -182,7 +182,7 @@ pub fn window_length() -> String {
                 ..Default::default()
             },
         );
-        let analysis = domino.analyze_streaming(&bundle);
+        let analysis = domino.analyze(&bundle);
         let stats = ChainStats::compute(domino.graph(), &analysis);
         let cons_windows: usize = stats.consequence_windows.values().sum();
         let unknown: usize = stats.unknown_windows.values().sum();
@@ -211,7 +211,7 @@ pub fn window_length() -> String {
         "\n(scripted check at W = 5 s: cause at t≈10 s is attributed)"
     );
     let domino = Domino::with_defaults();
-    let analysis = domino.analyze_streaming(&scripted);
+    let analysis = domino.analyze(&scripted);
     let attributed = analysis.windows.iter().flat_map(|w| &w.chains).count();
     let _ = writeln!(out, "chains detected: {attributed}");
     out

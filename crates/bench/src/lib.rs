@@ -13,8 +13,8 @@
 //! ```
 //!
 //! Absolute numbers come from a simulator, not the authors' testbed; the
-//! *shape* (orderings, crossovers, rough factors) is what EXPERIMENTS.md
-//! compares.
+//! *shape* (orderings, crossovers, rough factors) is what is compared, and
+//! `tests/cross_layer_shapes.rs` asserts it for each reproduced mechanism.
 
 pub mod experiments;
 pub mod util;

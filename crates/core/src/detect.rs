@@ -1,24 +1,102 @@
-//! The sliding-window analysis engine (paper §4.2).
+//! The detector (paper §4.2): its configuration, the contract that
+//! configuration must meet, and the sliding-window results.
 //!
-//! Domino maintains a window of length W = 5 s, extracts the 36-dim feature
+//! Domino maintains a window of length W = 5 s, extracts the 40-dim feature
 //! vector, finds active causal chains by backward trace through the graph,
-//! then slides the window forward by Δt = 0.5 s.
+//! then slides the window forward by Δt = 0.5 s. The [`StreamingAnalyzer`]
+//! is the one engine that does this; [`Domino::analyze`] runs it over a
+//! recorded bundle.
 
 use simcore::{SimDuration, SimTime};
 use telemetry::TraceBundle;
 
-use crate::events::{extract_features, Thresholds};
 use crate::features::FeatureVector;
 use crate::graph::{CausalGraph, NodeId};
+use crate::stream::{check_config, StreamingAnalyzer, UnsupportedConfig};
+
+/// All tunable constants of the Table 5 conditions. Defaults are the
+/// paper's values.
+#[derive(Debug, Clone)]
+pub struct Thresholds {
+    /// Frame-rate drop: max must exceed this (rows 1–2).
+    pub framerate_high: f64,
+    /// Frame-rate drop: min must fall below this.
+    pub framerate_low: f64,
+    /// Packet-delay uptrend requires a sample above this (rows 11–12), ms.
+    pub delay_floor_ms: f64,
+    /// Sub-window length for windowed means (rows 9, 11, 12), samples.
+    pub trend_subwindow: usize,
+    /// TBS drop: min below this fraction of max (row 13).
+    pub tbs_drop_fraction: f64,
+    /// App-exceeds-TBS: fraction of bins required (row 14).
+    pub rate_exceed_fraction: f64,
+    /// Cross traffic: other-UE PRB sum over ours (row 15).
+    pub cross_traffic_fraction: f64,
+    /// Channel degraded: p90 of grouped MCS below this (row 16).
+    pub mcs_p90_below: f64,
+    /// Channel degraded: groups with median MCS below this...
+    pub mcs_low_value: f64,
+    /// ...must appear more than this many times.
+    pub mcs_low_count: usize,
+    /// MCS grouping window (row 16), ms. Must be positive; with the 100 ms
+    /// rate bin it sets the granule the window grid aligns to (see
+    /// [`DominoConfig`]).
+    pub mcs_group_ms: u64,
+    /// HARQ retransmissions needed in the window (row 17).
+    pub harq_retx_count: usize,
+    /// Relative tolerance for "decrease" comparisons on rates.
+    pub rate_drop_epsilon: f64,
+    /// Jitter-buffer drain level (ms at or below counts as drained).
+    pub drain_level_ms: f64,
+    /// Playback buffer low-water mark (ms; below counts as buffer-low).
+    pub playback_buffer_low_ms: f64,
+    /// Ladder oscillation: rung changes in the window must exceed this.
+    pub ladder_switch_count: usize,
+}
+
+impl Default for Thresholds {
+    fn default() -> Self {
+        Thresholds {
+            framerate_high: 27.0,
+            framerate_low: 25.0,
+            delay_floor_ms: 80.0,
+            trend_subwindow: 10,
+            tbs_drop_fraction: 0.8,
+            rate_exceed_fraction: 0.1,
+            cross_traffic_fraction: 0.2,
+            mcs_p90_below: 20.0,
+            mcs_low_value: 10.0,
+            mcs_low_count: 10,
+            mcs_group_ms: 50,
+            harq_retx_count: 10,
+            rate_drop_epsilon: 0.01,
+            drain_level_ms: 0.5,
+            playback_buffer_low_ms: 2_000.0,
+            ladder_switch_count: 3,
+        }
+    }
+}
 
 /// Engine configuration.
+///
+/// The analyzer bins time relative to each window start (Table 5 rows 14
+/// and 16), so every window start must fall on a bin boundary. The
+/// contract, checked once when a [`Domino`] or a
+/// [`StreamingAnalyzer`] is built: `warmup`, `step` and `window` are
+/// multiples of the granule (the LCM of the 100 ms rate bin and
+/// `thresholds.mcs_group_ms`), `step` is positive, and so is
+/// `thresholds.mcs_group_ms`. A configuration that breaks it is rejected
+/// with an [`UnsupportedConfig`] naming the rule. The paper's configuration
+/// (granule 100 ms) meets it.
 #[derive(Debug, Clone)]
 pub struct DominoConfig {
-    /// Sliding-window length (paper: 5 s).
+    /// Sliding-window length (paper: 5 s). A multiple of the granule.
     pub window: SimDuration,
-    /// Step between windows (paper: 0.5 s).
+    /// Step between windows (paper: 0.5 s). Positive and a multiple of the
+    /// granule.
     pub step: SimDuration,
-    /// Leading portion of the trace to skip (session ramp-up).
+    /// Leading portion of the trace to skip (session ramp-up). A multiple
+    /// of the granule.
     pub warmup: SimDuration,
     /// Detection thresholds (Table 5 constants).
     pub thresholds: Thresholds,
@@ -95,7 +173,7 @@ impl Default for VerdictCoverage {
 }
 
 /// Analysis result for one window position.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowAnalysis {
     /// Window start time.
     pub start: SimTime,
@@ -108,7 +186,7 @@ pub struct WindowAnalysis {
 }
 
 /// A full trace analysis: one entry per window position.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Analysis {
     /// Per-window results, in time order.
     pub windows: Vec<WindowAnalysis>,
@@ -116,7 +194,8 @@ pub struct Analysis {
     pub duration: SimDuration,
 }
 
-/// The Domino detector: a causal graph plus the window engine.
+/// The Domino detector: a causal graph plus a configuration that meets the
+/// contract of [`DominoConfig`].
 #[derive(Debug, Clone)]
 pub struct Domino {
     graph: CausalGraph,
@@ -124,9 +203,22 @@ pub struct Domino {
 }
 
 impl Domino {
+    /// Creates a detector over a custom graph, or reports which rule of the
+    /// [`DominoConfig`] contract `cfg` breaks.
+    pub fn try_new(graph: CausalGraph, cfg: DominoConfig) -> Result<Self, UnsupportedConfig> {
+        check_config(&cfg)?;
+        Ok(Domino { graph, cfg })
+    }
+
     /// Creates a detector over a custom graph.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg` breaks the [`DominoConfig`] contract, with the message of
+    /// the [`UnsupportedConfig`] that [`Domino::try_new`] returns.
+    #[track_caller]
     pub fn new(graph: CausalGraph, cfg: DominoConfig) -> Self {
-        Domino { graph, cfg }
+        Self::try_new(graph, cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The paper's default configuration: Fig. 9 graph, W = 5 s, Δt = 0.5 s.
@@ -144,32 +236,13 @@ impl Domino {
         &self.cfg
     }
 
-    /// Runs the sliding-window analysis over a trace bundle.
+    /// Runs the sliding-window analysis over a trace bundle, on a
+    /// [`StreamingAnalyzer`] built from this detector's graph and
+    /// configuration.
     pub fn analyze(&self, bundle: &TraceBundle) -> Analysis {
-        let horizon = bundle.horizon();
-        let mut windows = Vec::new();
-        let mut start = SimTime::ZERO + self.cfg.warmup;
-        while start + self.cfg.window <= horizon {
-            windows.push(self.analyze_window(bundle, start));
-            start += self.cfg.step;
-        }
-        Analysis {
-            windows,
-            duration: bundle.meta.duration,
-        }
-    }
-
-    /// Analyses a single window position.
-    pub fn analyze_window(&self, bundle: &TraceBundle, start: SimTime) -> WindowAnalysis {
-        let end = start + self.cfg.window;
-        let features = extract_features(bundle, start, end, &self.cfg.thresholds);
-        let (chains, unknown_consequences) = self.trace_chains(&features);
-        WindowAnalysis {
-            start,
-            features,
-            chains,
-            unknown_consequences,
-        }
+        StreamingAnalyzer::new(self.graph.clone(), self.cfg.clone())
+            .expect("checked when the Domino was built")
+            .analyze(bundle)
     }
 
     /// Backward-traces every active consequence in a feature vector.
@@ -180,10 +253,9 @@ impl Domino {
 
 /// Backward-traces every active consequence of `features` in `graph`.
 ///
-/// Shared by the batch [`Domino`] engine and the incremental
-/// [`crate::stream::StreamingAnalyzer`] so both produce chains from a
-/// feature vector in exactly the same way.
-pub fn trace_chains_in(
+/// Shared by the [`StreamingAnalyzer`] and the batch oracle, so both
+/// produce chains from a feature vector in exactly the same way.
+pub(crate) fn trace_chains_in(
     graph: &CausalGraph,
     features: &FeatureVector,
 ) -> (Vec<ChainHit>, Vec<NodeId>) {
@@ -212,6 +284,7 @@ pub fn trace_chains_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dsl::default_graph;
     use crate::features::Feature;
     use telemetry::{AppStatsRecord, SessionMeta};
 
@@ -230,6 +303,88 @@ mod tests {
             b.app_remote.push(s);
         }
         b
+    }
+
+    /// One configuration per rule of the contract, each breaking only that
+    /// rule, with the error it must produce.
+    fn off_contract() -> Vec<(DominoConfig, UnsupportedConfig)> {
+        let with = |edit: fn(&mut DominoConfig)| {
+            let mut cfg = DominoConfig::default();
+            edit(&mut cfg);
+            cfg
+        };
+        let unaligned = |field, value_us| UnsupportedConfig::Unaligned {
+            field,
+            value_us,
+            granule_us: 100_000,
+        };
+        vec![
+            (
+                with(|c| c.step = SimDuration::from_millis(333)),
+                unaligned("step", 333_000),
+            ),
+            (
+                with(|c| c.warmup = SimDuration::from_millis(150)),
+                unaligned("warmup", 150_000),
+            ),
+            (
+                with(|c| c.window = SimDuration::from_millis(2_050)),
+                unaligned("window", 2_050_000),
+            ),
+            (
+                with(|c| c.step = SimDuration::ZERO),
+                UnsupportedConfig::ZeroStep,
+            ),
+            (
+                with(|c| c.thresholds.mcs_group_ms = 0),
+                UnsupportedConfig::ZeroMcsGroup,
+            ),
+        ]
+    }
+
+    #[test]
+    fn try_new_enforces_the_config_contract() {
+        assert!(Domino::try_new(default_graph(), DominoConfig::default()).is_ok());
+        // A 40 ms MCS group makes the granule 200 ms: the default 0.5 s
+        // step is then off it.
+        let mut coarse = DominoConfig::default();
+        coarse.thresholds.mcs_group_ms = 40;
+        assert_eq!(
+            Domino::try_new(default_graph(), coarse).unwrap_err(),
+            UnsupportedConfig::Unaligned {
+                field: "step",
+                value_us: 500_000,
+                granule_us: 200_000
+            }
+        );
+        for (cfg, want) in off_contract() {
+            let got = Domino::try_new(default_graph(), cfg.clone()).map(|_| ());
+            assert_eq!(got, Err(want), "{cfg:?}");
+            let got = StreamingAnalyzer::new(default_graph(), cfg.clone()).map(|_| ());
+            assert_eq!(got, Err(want), "{cfg:?}");
+            let panic = std::panic::catch_unwind(|| Domino::new(default_graph(), cfg.clone()))
+                .expect_err("Domino::new must panic off the contract");
+            assert_eq!(
+                panic.downcast_ref::<String>(),
+                Some(&want.to_string()),
+                "{cfg:?}"
+            );
+        }
+        // Each message names the rule that failed.
+        let messages: Vec<String> = off_contract()
+            .into_iter()
+            .map(|(_, e)| e.to_string())
+            .collect();
+        assert_eq!(
+            messages,
+            [
+                "step must be a multiple of the 100000 µs bin granule, got 333000 µs",
+                "warmup must be a multiple of the 100000 µs bin granule, got 150000 µs",
+                "window must be a multiple of the 100000 µs bin granule, got 2050000 µs",
+                "step must be positive, got 0 µs",
+                "thresholds.mcs_group_ms must be positive, got 0",
+            ]
+        );
     }
 
     #[test]

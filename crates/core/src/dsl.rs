@@ -135,6 +135,14 @@ pub fn parse(text: &str) -> Result<CausalGraph, ParseError> {
                     message: format!("invalid alias name {name:?}"),
                 });
             }
+            // An edge line naming it would start `alias ` and read back as
+            // an alias statement.
+            if name == "alias" {
+                return Err(ParseError {
+                    line: lineno,
+                    message: "`alias` is reserved and cannot name an alias".to_string(),
+                });
+            }
             let mut features = Vec::new();
             for part in def.split('|') {
                 let part = part.trim();
@@ -184,9 +192,11 @@ pub fn emit(g: &CausalGraph) -> String {
     for id in 0..g.node_count() {
         let name = g.name(id);
         let pred = g.predicate(id);
-        // Nodes whose name is just their single feature need no alias.
+        // A node whose name is just its single feature needs no alias when
+        // an edge line names it; an isolated one exists only by its alias.
         let trivial = pred.len() == 1 && pred[0].name() == name;
-        if !trivial {
+        let isolated = g.parents(id).is_empty() && g.children(id).is_empty();
+        if !trivial || isolated {
             let feats: Vec<String> = pred.iter().map(|f| f.name()).collect();
             out.push_str(&format!("alias {} = {}\n", name, feats.join(" | ")));
         }
@@ -340,6 +350,17 @@ mod tests {
 
         let err = parse("this is not a statement\n").unwrap_err();
         assert!(err.message.contains("unrecognised"));
+
+        // An edge line naming an alias called `alias` would read back as
+        // an alias statement, so the name is reserved.
+        let err = parse(
+            "ul_harq_retx --> forward_delay_up\n\
+             alias alias = ul_harq_retx\n\
+             ul_cross_traffic --> alias --> forward_delay_up\n",
+        )
+        .unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("reserved"), "{err}");
     }
 
     #[test]
@@ -359,6 +380,16 @@ mod tests {
         };
         assert_eq!(names(&g), names(&g2));
         assert_eq!(g2.enumerate_chains().len(), 24);
+
+        // A node on no edge exists only by its alias line, even when the
+        // alias is just its own feature; on an edge that line is redundant.
+        let isolated = "alias ul_harq_retx = ul_harq_retx\n";
+        assert_eq!(emit(&parse(isolated).unwrap()), isolated);
+        let linked = format!("{isolated}ul_harq_retx --> forward_delay_up\n");
+        assert_eq!(
+            emit(&parse(&linked).unwrap()),
+            "ul_harq_retx --> forward_delay_up\n"
+        );
     }
 
     #[test]

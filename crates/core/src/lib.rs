@@ -8,17 +8,25 @@
 //!
 //! 1. [`features`] — the 40-dimension event space (2×10 app events +
 //!    6×2 directional 5G events + 4 singletons + 4 ABR playback events).
-//! 2. [`events`] — the 20 detection conditions of Table 5 / Appendix D,
-//!    evaluated over a sliding window (W = 5 s, Δt = 0.5 s).
+//! 2. [`stream`] — the 20 detection conditions of Table 5 / Appendix D
+//!    (plus 4 ABR playback conditions), evaluated incrementally over a
+//!    sliding window (W = 5 s, Δt = 0.5 s) by the [`StreamingAnalyzer`],
+//!    the one analysis engine.
 //! 3. [`graph`] — the user-reconfigurable causal DAG of Fig. 9
 //!    (6 causes → delay intermediates → 3 consequences, 24 chains).
 //! 4. [`dsl`] — the text configuration language (`a --> b --> c`,
 //!    Fig. 11) with parse/emit round-tripping.
-//! 5. [`detect`] — the sliding-window engine and backward-trace search.
+//! 5. [`detect`] — the detector: [`DominoConfig`] and its contract,
+//!    checked once when a [`Domino`] is built, and the backward-trace
+//!    search.
 //! 6. [`codegen`] — compilation of chain definitions into an executable
 //!    decision program, with Python and Rust source emission (Fig. 11).
 //! 7. [`stats`] — occurrence frequencies (Fig. 10), conditional
 //!    probabilities (Table 2), and chain ratios (Table 4).
+//!
+//! A hidden `oracle` module holds the batch reference the streaming
+//! analyzer is tested against: each window rescanned from the bundle. Only
+//! tests call it.
 //!
 //! ```
 //! use domino_core::{Domino, ChainStats};
@@ -34,16 +42,18 @@
 pub mod codegen;
 pub mod detect;
 pub mod dsl;
-pub mod events;
 pub mod features;
 pub mod graph;
+#[doc(hidden)]
+pub mod oracle;
 pub mod stats;
 pub mod stream;
 
 pub use codegen::{compile, DetectionProgram, ProgramOutput};
-pub use detect::{Analysis, ChainHit, Domino, DominoConfig, VerdictCoverage, WindowAnalysis};
+pub use detect::{
+    Analysis, ChainHit, Domino, DominoConfig, Thresholds, VerdictCoverage, WindowAnalysis,
+};
 pub use dsl::{abr_graph, default_graph, emit, parse, ParseError, ABR_CONFIG, DEFAULT_CONFIG};
-pub use events::{extract_features, Thresholds};
 pub use features::{
     AppEvent, ClientSide, Feature, FeatureVector, PlaybackEvent, RanEvent, FEATURE_COUNT,
 };

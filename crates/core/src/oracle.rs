@@ -1,7 +1,17 @@
-//! The twenty event-detection conditions of Table 5 (Appendix D), plus the
-//! four ABR playback conditions of the streaming workload, applied to one
-//! sliding window of cross-layer telemetry to produce the 40-dimension
-//! [`FeatureVector`].
+//! The batch oracle: the detector written the obvious way, for tests only.
+//!
+//! [`extract_features`] applies the twenty event-detection conditions of
+//! Table 5 (Appendix D), plus the four ABR playback conditions of the
+//! streaming workload, to one window by rescanning the bundle's records in
+//! it; [`analyze`] slides that window over a whole bundle. Nothing here keeps
+//! rolling state, so each condition reads as its row of the table. The
+//! [`StreamingAnalyzer`](crate::stream::StreamingAnalyzer), the one engine
+//! production runs, must match it bit for bit, window by window.
+//!
+//! The module is public but hidden from the docs, not `#[cfg(test)]`: the
+//! equivalence suites under `tests/` and the unit tests of `domino-live`
+//! and `domino-sweep` call it, and a `#[cfg(test)]` item is invisible to
+//! other crates.
 
 use simcore::SimTime;
 use telemetry::{
@@ -9,66 +19,30 @@ use telemetry::{
     PlaybackStatsRecord, StreamKind, TraceBundle,
 };
 
+use crate::detect::{Analysis, Domino, Thresholds, WindowAnalysis};
 use crate::features::{AppEvent, ClientSide, Feature, FeatureVector, PlaybackEvent, RanEvent};
 
-/// All tunable constants of the Table 5 conditions. Defaults are the
-/// paper's values.
-#[derive(Debug, Clone)]
-pub struct Thresholds {
-    /// Frame-rate drop: max must exceed this (rows 1–2).
-    pub framerate_high: f64,
-    /// Frame-rate drop: min must fall below this.
-    pub framerate_low: f64,
-    /// Packet-delay uptrend requires a sample above this (rows 11–12), ms.
-    pub delay_floor_ms: f64,
-    /// Sub-window length for windowed means (rows 9, 11, 12), samples.
-    pub trend_subwindow: usize,
-    /// TBS drop: min below this fraction of max (row 13).
-    pub tbs_drop_fraction: f64,
-    /// App-exceeds-TBS: fraction of bins required (row 14).
-    pub rate_exceed_fraction: f64,
-    /// Cross traffic: other-UE PRB sum over ours (row 15).
-    pub cross_traffic_fraction: f64,
-    /// Channel degraded: p90 of grouped MCS below this (row 16).
-    pub mcs_p90_below: f64,
-    /// Channel degraded: groups with median MCS below this...
-    pub mcs_low_value: f64,
-    /// ...must appear more than this many times.
-    pub mcs_low_count: usize,
-    /// MCS grouping window (row 16), ms.
-    pub mcs_group_ms: u64,
-    /// HARQ retransmissions needed in the window (row 17).
-    pub harq_retx_count: usize,
-    /// Relative tolerance for "decrease" comparisons on rates.
-    pub rate_drop_epsilon: f64,
-    /// Jitter-buffer drain level (ms at or below counts as drained).
-    pub drain_level_ms: f64,
-    /// Playback buffer low-water mark (ms; below counts as buffer-low).
-    pub playback_buffer_low_ms: f64,
-    /// Ladder oscillation: rung changes in the window must exceed this.
-    pub ladder_switch_count: usize,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            framerate_high: 27.0,
-            framerate_low: 25.0,
-            delay_floor_ms: 80.0,
-            trend_subwindow: 10,
-            tbs_drop_fraction: 0.8,
-            rate_exceed_fraction: 0.1,
-            cross_traffic_fraction: 0.2,
-            mcs_p90_below: 20.0,
-            mcs_low_value: 10.0,
-            mcs_low_count: 10,
-            mcs_group_ms: 50,
-            harq_retx_count: 10,
-            rate_drop_epsilon: 0.01,
-            drain_level_ms: 0.5,
-            playback_buffer_low_ms: 2_000.0,
-            ladder_switch_count: 3,
-        }
+/// The batch sliding-window loop: extracts every window of `bundle` from
+/// scratch under `domino`'s configuration and backward-traces its chains.
+pub fn analyze(domino: &Domino, bundle: &TraceBundle) -> Analysis {
+    let cfg = domino.config();
+    let horizon = bundle.horizon();
+    let mut windows = Vec::new();
+    let mut start = SimTime::ZERO + cfg.warmup;
+    while start + cfg.window <= horizon {
+        let features = extract_features(bundle, start, start + cfg.window, &cfg.thresholds);
+        let (chains, unknown_consequences) = domino.trace_chains(&features);
+        windows.push(WindowAnalysis {
+            start,
+            features,
+            chains,
+            unknown_consequences,
+        });
+        start += cfg.step;
+    }
+    Analysis {
+        windows,
+        duration: bundle.meta.duration,
     }
 }
 

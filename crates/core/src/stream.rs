@@ -1,26 +1,29 @@
-//! Streaming incremental window analysis.
+//! The sliding-window analysis engine.
 //!
-//! The batch path ([`crate::events::extract_features`]) re-scans every record
-//! of all five telemetry streams for each sliding-window position, so a
-//! longitudinal sweep with step Δt over windows of length W redoes ≈ W/Δt
-//! times the necessary work. The [`StreamingAnalyzer`] instead ingests
-//! records once, in timestamp order, and maintains rolling window state —
-//! monotonic min/max deques for the peak-then-drop conditions, rolling
-//! counters and adjacent-pair counts for the existence conditions, rolling
-//! 100 ms rate bins and 50 ms MCS groups for the binned conditions — so each
-//! step costs O(records entering/leaving the window) plus a small
-//! evaluation pass over pre-filtered per-feature series, with **bit-identical
-//! output to the batch path** (the equivalence tests in this module and in
-//! `tests/streaming_equivalence.rs` enforce it window by window).
+//! The [`StreamingAnalyzer`] ingests records once, in timestamp order, and
+//! maintains rolling window state — monotonic min/max deques for the
+//! peak-then-drop conditions, rolling counters and adjacent-pair counts for
+//! the existence conditions, rolling 100 ms rate bins and MCS groups for the
+//! binned conditions — so each step costs O(records entering/leaving the
+//! window) plus a small evaluation pass over pre-filtered per-feature
+//! series. It is the only engine: [`Domino::analyze`](crate::Domino::analyze)
+//! runs it over a recorded bundle, and `domino-live` feeds it during a call.
+//!
+//! Its reference is the batch oracle, which rescans all five telemetry
+//! streams for each window position (≈ W/Δt times the necessary work) and
+//! exists only for tests. Output is **bit-identical to the oracle**: the
+//! tests in this module and `tests/streaming_equivalence.rs` enforce it
+//! window by window.
 //!
 //! Exactness contract: the binned conditions (Table 5 rows 14 and 16) bin
-//! time relative to the window start, so rolling bins reproduce them exactly
-//! only when every window start falls on a bin boundary. [`StreamingAnalyzer::supports`]
-//! checks that `warmup`, `step`, and `window` are multiples of the bin
-//! granule (the LCM of the 100 ms rate bin and the configured MCS group);
-//! [`Domino::analyze_streaming`] falls back to the batch path for
-//! non-conforming configurations. The paper's configuration (W = 5 s,
-//! Δt = 0.5 s, warmup 3 s, 50 ms MCS groups) conforms.
+//! time relative to the window start, so rolling bins reproduce them only
+//! when every window start falls on a bin boundary. [`StreamingAnalyzer::new`]
+//! and [`Domino::try_new`](crate::Domino::try_new) therefore reject a
+//! configuration unless `warmup`, `step` and `window` are multiples of the
+//! bin granule (the LCM of the 100 ms rate bin and the configured MCS
+//! group), the step is positive, and the MCS group is positive. The paper's
+//! configuration (W = 5 s, Δt = 0.5 s, warmup 3 s, 50 ms MCS groups)
+//! conforms.
 
 use std::collections::VecDeque;
 
@@ -30,8 +33,7 @@ use telemetry::{
     PlaybackStatsRecord, Resolution, StreamKind, TraceBundle,
 };
 
-use crate::detect::{trace_chains_in, Analysis, Domino, DominoConfig, WindowAnalysis};
-use crate::events::Thresholds;
+use crate::detect::{trace_chains_in, Analysis, DominoConfig, Thresholds, WindowAnalysis};
 use crate::features::RanEvent;
 use crate::features::{AppEvent, ClientSide, Feature, FeatureVector, PlaybackEvent};
 use crate::graph::CausalGraph;
@@ -39,37 +41,77 @@ use crate::graph::CausalGraph;
 /// Width of the rate-comparison bins of Table 5 row 14, µs.
 const BIN_US: u64 = 100_000;
 
-/// Why a configuration cannot run on the streaming fast path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnsupportedConfig {
-    /// The bin granule (µs) the window positions must align to.
-    pub granule_us: u64,
+/// Which rule of the [`DominoConfig`] contract a configuration breaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnsupportedConfig {
+    /// `thresholds.mcs_group_ms` is zero: MCS groups would have no width.
+    ZeroMcsGroup,
+    /// `step` is zero: the window would never advance.
+    ZeroStep,
+    /// `warmup`, `step` or `window` is not a multiple of the bin granule.
+    Unaligned {
+        /// The field that breaks the rule: `"warmup"`, `"step"` or `"window"`.
+        field: &'static str,
+        /// Its value, µs.
+        value_us: u64,
+        /// The granule it must be a multiple of (the LCM of the 100 ms rate
+        /// bin and the MCS group), µs.
+        granule_us: u64,
+    },
 }
 
 impl std::fmt::Display for UnsupportedConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "streaming analysis requires warmup/step/window to be multiples of {} µs",
-            self.granule_us
-        )
+        match self {
+            UnsupportedConfig::ZeroMcsGroup => {
+                write!(f, "thresholds.mcs_group_ms must be positive, got 0")
+            }
+            UnsupportedConfig::ZeroStep => write!(f, "step must be positive, got 0 µs"),
+            UnsupportedConfig::Unaligned {
+                field,
+                value_us,
+                granule_us,
+            } => write!(
+                f,
+                "{field} must be a multiple of the {granule_us} µs bin granule, got {value_us} µs"
+            ),
+        }
     }
 }
 
 impl std::error::Error for UnsupportedConfig {}
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
+/// The one check of the [`DominoConfig`] contract, shared by
+/// [`StreamingAnalyzer::new`] and [`Domino::try_new`](crate::Domino::try_new).
+pub(crate) fn check_config(cfg: &DominoConfig) -> Result<(), UnsupportedConfig> {
+    let group_ms = cfg.thresholds.mcs_group_ms;
+    if group_ms == 0 {
+        return Err(UnsupportedConfig::ZeroMcsGroup);
+    }
+    if cfg.step == SimDuration::ZERO {
+        return Err(UnsupportedConfig::ZeroStep);
+    }
+    let group_us = group_ms * 1000;
+    let (mut a, mut b) = (BIN_US, group_us);
     while b != 0 {
         (a, b) = (b, a % b);
     }
-    a
-}
-
-fn granule_us(th: &Thresholds) -> u64 {
-    // Clamp before scaling, matching the group size the analyzer itself
-    // uses for a degenerate `mcs_group_ms: 0`.
-    let group_us = th.mcs_group_ms.max(1) * 1000;
-    BIN_US / gcd(BIN_US, group_us) * group_us
+    let granule_us = BIN_US / a * group_us;
+    for (field, d) in [
+        ("warmup", cfg.warmup),
+        ("step", cfg.step),
+        ("window", cfg.window),
+    ] {
+        let value_us = d.as_micros();
+        if !value_us.is_multiple_of(granule_us) {
+            return Err(UnsupportedConfig::Unaligned {
+                field,
+                value_us,
+                granule_us,
+            });
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -80,7 +122,7 @@ fn granule_us(th: &Thresholds) -> u64 {
 ///
 /// `push` keeps the max deque non-increasing and the min deque
 /// non-decreasing while preserving the earliest occurrence of each extreme,
-/// which is exactly the "first index attaining the extreme" the batch
+/// which is exactly the "first index attaining the extreme" the oracle's
 /// peak-then-drop conditions (Table 5 rows 1–2 and 13) compute.
 #[derive(Debug, Clone, Default)]
 struct MinMaxWindow {
@@ -210,7 +252,7 @@ impl RollingGroups {
     }
 
     /// Pushes the medians of all non-empty groups in `[from_g, to_g)` onto
-    /// `out`, in group order — the exact sequence the batch condition sorts.
+    /// `out`, in group order — the exact sequence the oracle's condition sorts.
     fn medians_into(&mut self, from_g: u64, to_g: u64, out: &mut Vec<f64>) {
         for g in from_g.max(self.base)..to_g.min(self.base + self.groups.len() as u64) {
             let slot = &mut self.groups[(g - self.base) as usize];
@@ -314,7 +356,7 @@ impl AppWindow {
         self.outbound_fps.expire(from);
     }
 
-    /// Evaluates one app event exactly as the batch `app_event` does.
+    /// Evaluates one app event exactly as the oracle's `app_event` does.
     fn event(&self, e: AppEvent, th: &Thresholds) -> bool {
         if self.entries.len() < 2 {
             return false;
@@ -362,7 +404,7 @@ struct PlaybackEntry {
 
 /// Rolling state for the ABR playback stream (rows 21–24), mirroring
 /// [`AppWindow`]'s counter/pair-count discipline so the streaming path stays
-/// bit-identical to the batch `playback_event` conditions.
+/// bit-identical to the oracle's `playback_event` conditions.
 #[derive(Debug, Clone, Default)]
 struct PlaybackWindow {
     entries: VecDeque<PlaybackEntry>,
@@ -401,8 +443,8 @@ impl PlaybackWindow {
         }
     }
 
-    /// Evaluates one playback event exactly as the batch `playback_event`
-    /// does.
+    /// Evaluates one playback event exactly as the oracle's
+    /// `playback_event` does.
     fn event(&self, e: PlaybackEvent, th: &Thresholds) -> bool {
         if self.entries.len() < 2 {
             return false;
@@ -463,7 +505,7 @@ fn rising_windowed_means(
     false
 }
 
-/// The chunk predicate of the batch `delay_uptrend` (rows 11–12): a later
+/// The chunk predicate of the oracle's `delay_uptrend` (rows 11–12): a later
 /// sub-window mean exceeding the previous one by 5 %.
 fn delay_pair_rises(prev: f64, mean: f64) -> bool {
     mean > prev * 1.05
@@ -514,7 +556,7 @@ impl DelayPhase {
 /// completed chunk means land in per-phase deques with a rolling count of
 /// rising adjacent pairs, and evaluating a window is O(1) — pick the phase
 /// the current front index selects and read its pair count. Chunk means are
-/// accumulated in exactly the batch order (sequential adds from 0.0, one
+/// accumulated in exactly the oracle's order (sequential adds from 0.0, one
 /// division by `sub`), so the equivalence with `delay_uptrend` is
 /// bit-exact; `tests/streaming_equivalence.rs` fuzzes precisely the
 /// boundary-shift cases.
@@ -545,7 +587,7 @@ impl DelaySeries {
         // This record completes exactly one chunk across all `sub`
         // partitions: the one ending at g, belonging to the phase
         // `(g+1) mod sub`. Sum its values off the deque tail in push order
-        // (sequential f64 adds from 0.0, matching the batch
+        // (sequential f64 adds from 0.0, matching the oracle's
         // `Iterator::sum` bit for bit). If the chunk would reach behind
         // the current window front, its early values are expired — and a
         // chunk starting before the front can never be evaluated, so it is
@@ -586,7 +628,7 @@ impl DelaySeries {
         }
     }
 
-    /// Rows 11–12, exactly as the batch `delay_uptrend`, in O(1): the
+    /// Rows 11–12, exactly as the oracle's `delay_uptrend`, in O(1): the
     /// partition anchored at the window front is the phase whose residue
     /// the front index selects, and its rising-pair count is maintained
     /// incrementally.
@@ -717,8 +759,8 @@ impl DciWindow {
 // The analyzer
 // ---------------------------------------------------------------------------
 
-/// Incremental drop-in for the sliding-window pipeline: same configuration,
-/// same [`WindowAnalysis`] output, O(records entering/leaving) per step.
+/// The incremental sliding-window engine: O(records entering/leaving) per
+/// step, one [`WindowAnalysis`] per window position.
 ///
 /// Records are pushed in per-stream timestamp order (any interleaving across
 /// streams); [`Self::emit`] then produces the analysis for one window. The
@@ -739,22 +781,19 @@ pub struct StreamingAnalyzer {
     rlc: VecDeque<(SimTime, Direction)>,
     rlc_count: [usize; 2],
     median_scratch: Vec<f64>,
-    /// Highest record timestamp ingested; [`Self::emit`] checks it against
+    /// Highest record timestamp ingested, `None` before the first record.
+    /// Tracked in debug builds only, where [`Self::emit`] checks it against
     /// the window end so live callers can't silently evaluate a window with
     /// future records already folded into the rolling counters.
-    watermark: SimTime,
+    watermark: Option<SimTime>,
 }
 
 impl StreamingAnalyzer {
-    /// Creates a streaming analyzer, or reports why the configuration cannot
-    /// run on the exact incremental path.
+    /// Creates a streaming analyzer, or reports which rule of the
+    /// [`DominoConfig`] contract `cfg` breaks.
     pub fn new(graph: CausalGraph, cfg: DominoConfig) -> Result<Self, UnsupportedConfig> {
-        if !Self::supports(&cfg) {
-            return Err(UnsupportedConfig {
-                granule_us: granule_us(&cfg.thresholds),
-            });
-        }
-        let group_us = cfg.thresholds.mcs_group_ms.max(1) * 1000;
+        check_config(&cfg)?;
+        let group_us = cfg.thresholds.mcs_group_ms * 1000;
         let mut delays: [[DelaySeries; 2]; 2] = Default::default();
         for row in &mut delays {
             for s in row {
@@ -773,24 +812,14 @@ impl StreamingAnalyzer {
             rlc: VecDeque::new(),
             rlc_count: [0; 2],
             median_scratch: Vec::new(),
-            watermark: SimTime::ZERO,
+            watermark: None,
         })
     }
 
-    /// The paper's default configuration (always supported).
+    /// The paper's default configuration.
     pub fn with_defaults() -> Self {
         Self::new(crate::dsl::default_graph(), DominoConfig::default())
             .expect("default config is aligned")
-    }
-
-    /// Whether `cfg` aligns every window edge with the bin/group granule, the
-    /// condition for bit-identical equivalence with the batch path.
-    pub fn supports(cfg: &DominoConfig) -> bool {
-        let g = granule_us(&cfg.thresholds);
-        cfg.warmup.as_micros().is_multiple_of(g)
-            && cfg.step.as_micros().is_multiple_of(g)
-            && cfg.window.as_micros().is_multiple_of(g)
-            && cfg.step > SimDuration::ZERO
     }
 
     /// The engine configuration.
@@ -820,12 +849,19 @@ impl StreamingAnalyzer {
         self.dci.clear();
         self.rlc.clear();
         self.rlc_count = [0; 2];
-        self.watermark = SimTime::ZERO;
+        self.watermark = None;
+    }
+
+    /// Notes an ingested record's timestamp for [`Self::emit`]'s debug check.
+    fn saw(&mut self, ts: SimTime) {
+        if cfg!(debug_assertions) {
+            self.watermark = self.watermark.max(Some(ts));
+        }
     }
 
     /// Ingests one app-stats sample for one client.
     pub fn push_app(&mut self, side: ClientSide, s: &AppStatsRecord) {
-        self.watermark = self.watermark.max(s.ts);
+        self.saw(s.ts);
         let i = match side {
             ClientSide::Local => 0,
             ClientSide::Remote => 1,
@@ -835,14 +871,14 @@ impl StreamingAnalyzer {
 
     /// Ingests one ABR playback sample.
     pub fn push_playback(&mut self, s: &PlaybackStatsRecord) {
-        self.watermark = self.watermark.max(s.ts);
+        self.saw(s.ts);
         self.playback.push(s, &self.cfg.thresholds);
     }
 
     /// Ingests one packet record. The record's `received` field must be
     /// final (this is a trace-analysis API, not an in-flight packet hook).
     pub fn push_packet(&mut self, p: &PacketRecord) {
-        self.watermark = self.watermark.max(p.sent);
+        self.saw(p.sent);
         let di = dir_idx(p.direction);
         self.app_bins[di].add(p.sent.as_micros() / BIN_US, p.size_bytes as f64 * 8.0);
         if let Some(d) = p.one_way_delay() {
@@ -853,7 +889,7 @@ impl StreamingAnalyzer {
 
     /// Ingests one DCI record.
     pub fn push_dci(&mut self, d: &DciRecord) {
-        self.watermark = self.watermark.max(d.ts);
+        self.saw(d.ts);
         // The per-direction group index uses the configured MCS granule.
         let group = d.ts.as_micros() / self.group_us;
         let i = dir_idx(d.direction);
@@ -898,7 +934,7 @@ impl StreamingAnalyzer {
 
     /// Ingests one gNB log record.
     pub fn push_gnb(&mut self, g: &GnbLogRecord) {
-        self.watermark = self.watermark.max(g.ts);
+        self.saw(g.ts);
         if let GnbEvent::RlcRetx { direction, .. } = g.event {
             self.rlc_count[dir_idx(direction)] += 1;
             self.rlc.push_back((g.ts, direction));
@@ -967,7 +1003,7 @@ impl StreamingAnalyzer {
         self.expire(start);
         let end = start + self.cfg.window;
         debug_assert!(
-            self.watermark < end,
+            self.watermark.is_none_or(|w| w < end),
             "emit({start:?}): records up to {:?} already ingested past the window end {end:?}",
             self.watermark
         );
@@ -1075,8 +1111,9 @@ impl StreamingAnalyzer {
         result
     }
 
-    /// Runs the full sliding-window sweep over a recorded bundle, producing
-    /// the same [`Analysis`] as [`Domino::analyze`] in one incremental pass.
+    /// Runs the full sliding-window sweep over a recorded bundle in one
+    /// incremental pass (what [`Domino::analyze`](crate::Domino::analyze)
+    /// runs).
     pub fn analyze(&mut self, bundle: &TraceBundle) -> Analysis {
         self.reset();
         let horizon = bundle.horizon();
@@ -1097,21 +1134,10 @@ impl StreamingAnalyzer {
     }
 }
 
-impl Domino {
-    /// Analyzes a bundle on the streaming fast path when the configuration
-    /// supports it, falling back to the batch path otherwise. Output is
-    /// identical either way.
-    pub fn analyze_streaming(&self, bundle: &TraceBundle) -> Analysis {
-        match StreamingAnalyzer::new(self.graph().clone(), self.config().clone()) {
-            Ok(mut s) => s.analyze(bundle),
-            Err(_) => self.analyze(bundle),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{oracle, Domino};
     use telemetry::SessionMeta;
 
     fn t(ms: u64) -> SimTime {
@@ -1120,7 +1146,7 @@ mod tests {
 
     fn assert_equivalent(bundle: &TraceBundle) {
         let domino = Domino::with_defaults();
-        let batch = domino.analyze(bundle);
+        let batch = oracle::analyze(&domino, bundle);
         let mut streaming =
             StreamingAnalyzer::new(domino.graph().clone(), domino.config().clone()).unwrap();
         let inc = streaming.analyze(bundle);
@@ -1343,21 +1369,6 @@ mod tests {
     }
 
     #[test]
-    fn supports_checks_alignment() {
-        assert!(StreamingAnalyzer::supports(&DominoConfig::default()));
-        let odd = DominoConfig {
-            step: SimDuration::from_millis(333),
-            ..Default::default()
-        };
-        assert!(!StreamingAnalyzer::supports(&odd));
-        let odd_warmup = DominoConfig {
-            warmup: SimDuration::from_millis(150),
-            ..Default::default()
-        };
-        assert!(!StreamingAnalyzer::supports(&odd_warmup));
-    }
-
-    #[test]
     fn empty_bundle_matches_batch() {
         let b = TraceBundle::new(SessionMeta::baseline(
             "empty",
@@ -1374,7 +1385,7 @@ mod tests {
             // The synthetic trace must actually exercise detections, or the
             // equivalence claim is vacuous.
             let domino = Domino::with_defaults();
-            let analysis = domino.analyze(&b);
+            let analysis = oracle::analyze(&domino, &b);
             if seed == 1 {
                 let active: usize = analysis
                     .windows
@@ -1396,7 +1407,7 @@ mod tests {
         // Same analyzer across bundles: reset must drop all carryover.
         let first = s.analyze(&b1);
         let second = s.analyze(&b2);
-        let batch2 = domino.analyze(&b2);
+        let batch2 = oracle::analyze(&domino, &b2);
         assert_eq!(second.windows.len(), batch2.windows.len());
         for (a, e) in second.windows.iter().zip(&batch2.windows) {
             assert_eq!(a.features, e.features);
@@ -1404,22 +1415,6 @@ mod tests {
         // And re-analyzing the first bundle reproduces the original result.
         let again = s.analyze(&b1);
         for (a, e) in again.windows.iter().zip(&first.windows) {
-            assert_eq!(a.features, e.features);
-        }
-    }
-
-    #[test]
-    fn fallback_handles_unaligned_config() {
-        let cfg = DominoConfig {
-            step: SimDuration::from_millis(333),
-            ..Default::default()
-        };
-        let domino = Domino::new(crate::dsl::default_graph(), cfg);
-        let b = synthetic_bundle(9, 12);
-        let batch = domino.analyze(&b);
-        let via_streaming_entry = domino.analyze_streaming(&b);
-        assert_eq!(batch.windows.len(), via_streaming_entry.windows.len());
-        for (a, e) in via_streaming_entry.windows.iter().zip(&batch.windows) {
             assert_eq!(a.features, e.features);
         }
     }

@@ -1,6 +1,6 @@
 //! # domino-live — online, in-session root-cause diagnosis
 //!
-//! The batch and streaming engines in `domino-core` analyse a *completed*
+//! The streaming analyzer in `domino-core` analyses a *completed*
 //! [`telemetry::TraceBundle`]. This crate diagnoses the call **while it is
 //! running**: the [`LivePipeline`] implements [`telemetry::LiveTap`], plugs
 //! into the session engine's emission-time hooks
@@ -56,10 +56,10 @@
 //! lateness bound that covers the longest in-network packet delay (so no
 //! late drops or late deliveries occur), [`LivePipeline::take_analysis`]
 //! is bit-identical to [`domino_core::Domino::analyze`] over the same
-//! session's bundle — enforced by `tests/live_equivalence.rs` at the
-//! workspace root and the unit tests here. Like the streaming analyzer it
-//! builds on, the pipeline requires the window grid to align with the
-//! detector's bin granule ([`domino_core::StreamingAnalyzer::supports`]);
+//! session's bundle — enforced against the batch oracle by
+//! `tests/live_equivalence.rs` at the workspace root and the unit tests
+//! here. Like the streaming analyzer it builds on, the pipeline requires a
+//! configuration that meets the [`domino_core::DominoConfig`] contract;
 //! [`LivePipeline::new`] reports [`domino_core::UnsupportedConfig`]
 //! otherwise.
 

@@ -23,7 +23,7 @@ use crate::reorder::Reorder;
 /// When the live pipeline may abort the session it is watching.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum EarlyExit {
-    /// Run to the end of the session (required for batch equivalence).
+    /// Run to the end of the session (required for post-hoc equivalence).
     #[default]
     Never,
     /// Stop once `n` chain hits have been confirmed across all emitted
@@ -60,7 +60,7 @@ pub struct LiveConfig {
     /// Watermark lateness policy: a record with timestamp `t` is expected
     /// to reach the tap by session time `t + bound`. Larger bounds
     /// tolerate slower telemetry (packets are only final at delivery, so
-    /// the bound must cover the longest one-way delay for exact batch
+    /// the bound must cover the longest one-way delay for exact post-hoc
     /// equivalence) at the cost of diagnosis latency and retained memory,
     /// both O(bound). [`Lateness::Static`] fixes the bound;
     /// [`Lateness::Adaptive`] tracks a quantile of the observed delay
@@ -327,9 +327,8 @@ pub struct LivePipeline {
 
 impl LivePipeline {
     /// Creates a pipeline over `graph` with the given engine and live
-    /// configurations, or reports why the configuration cannot run on the
-    /// exact incremental path (same alignment contract as
-    /// [`StreamingAnalyzer::new`]).
+    /// configurations, or reports which rule of the [`DominoConfig`]
+    /// contract `cfg` breaks (the check [`StreamingAnalyzer::new`] makes).
     pub fn new(
         graph: CausalGraph,
         cfg: DominoConfig,
@@ -729,7 +728,7 @@ impl LivePipeline {
         }
     }
 
-    /// The exact batch horizon: max last-record time over all six streams,
+    /// The exact post-hoc horizon: max last-record time over all six streams,
     /// with the packet term read from the greatest-`(sent, id)` record just
     /// like `TraceBundle::horizon()` reads the sorted vector's last element.
     fn horizon(&self) -> SimTime {
@@ -827,7 +826,7 @@ impl LiveTap for LivePipeline {
         }
         // Every record is now final, so the watermark no longer gates the
         // closes: close the remaining windows incrementally against the
-        // exact batch horizon. Each close releases exactly what its window
+        // exact post-hoc horizon. Each close releases exactly what its window
         // needs, keeping the retained high-water mark at its in-flight
         // level instead of spiking on a whole-tail flush.
         let horizon = self.horizon();
@@ -855,7 +854,7 @@ impl LiveTap for LivePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use domino_core::Domino;
+    use domino_core::{oracle, Domino};
     use scenarios::{
         amarisoft, tmobile_fdd_15mhz_quiet, ScriptAction, SessionConfig, SessionRun, SessionSpec,
     };
@@ -911,7 +910,7 @@ mod tests {
             .tap(&mut pipe)
             .run();
         let live = pipe.take_analysis(bundle.meta.duration);
-        let batch = domino.analyze(&bundle);
+        let batch = oracle::analyze(&domino, &bundle);
         assert_identical(&batch, &live);
         let stats = pipe.stats();
         assert_eq!(stats.late_records_dropped, 0);
@@ -936,7 +935,7 @@ mod tests {
         let mut pipe = LivePipeline::with_defaults(generous()).unwrap();
         let bundle = spec.run_with_tap(&mut pipe);
         let live = pipe.take_analysis(bundle.meta.duration);
-        let batch = domino.analyze(&bundle);
+        let batch = oracle::analyze(&domino, &bundle);
         assert!(
             batch.windows.iter().any(|w| !w.chains.is_empty()),
             "impairments must produce chains or the equivalence claim is weak"
@@ -1040,8 +1039,8 @@ mod tests {
             .tap(&mut pipe)
             .run();
         let second = pipe.take_analysis(b2.meta.duration);
-        assert_identical(&domino.analyze(&b1), &first);
-        assert_identical(&domino.analyze(&b2), &second);
+        assert_identical(&oracle::analyze(&domino, &b1), &first);
+        assert_identical(&oracle::analyze(&domino, &b2), &second);
     }
 
     #[test]
@@ -1090,16 +1089,30 @@ mod tests {
 
     #[test]
     fn unaligned_config_is_rejected() {
-        let odd = DominoConfig {
-            step: SimDuration::from_millis(333),
-            ..Default::default()
+        // One configuration per rule of the contract: both live
+        // constructors report what `Domino::try_new` reports.
+        let with = |edit: fn(&mut DominoConfig)| {
+            let mut cfg = DominoConfig::default();
+            edit(&mut cfg);
+            cfg
         };
-        assert!(LivePipeline::new(
-            domino_core::dsl::default_graph(),
-            odd,
-            LiveConfig::default()
-        )
-        .is_err());
+        let off_contract = [
+            with(|c| c.step = SimDuration::from_millis(333)),
+            with(|c| c.warmup = SimDuration::from_millis(150)),
+            with(|c| c.window = SimDuration::from_millis(2_050)),
+            with(|c| c.step = SimDuration::ZERO),
+            with(|c| c.thresholds.mcs_group_ms = 0),
+        ];
+        let graph = domino_core::dsl::default_graph();
+        for cfg in off_contract {
+            let want = Domino::try_new(graph.clone(), cfg.clone()).map(|_| ());
+            assert!(want.is_err(), "{cfg:?}");
+            let live = LiveConfig::default();
+            let pipe = LivePipeline::new(graph.clone(), cfg.clone(), live);
+            assert_eq!(pipe.map(|_| ()), want, "{cfg:?}");
+            let pool = crate::PipelinePool::new(graph.clone(), cfg.clone(), live);
+            assert_eq!(pool.map(|_| ()), want, "{cfg:?}");
+        }
     }
 
     #[test]

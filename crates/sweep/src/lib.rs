@@ -1,11 +1,11 @@
 //! # domino-sweep — the parallel multi-session sweep engine
 //!
 //! Fans a grid of [`SessionSpec`]s across OS threads, runs each session's
-//! simulator, analyses the resulting trace with Domino (streaming fast path
-//! when the configuration supports it, or inline *during* the simulation
-//! with [`AnalysisMode::Live`]), and folds everything into a deterministic
-//! [`SweepReport`]. [`run_sweep_with_progress`] reports sessions/sec and
-//! ETA while operator-scale grids drain.
+//! simulator, analyses the resulting trace with Domino's streaming analyzer
+//! (after the session, or inline *during* it with [`AnalysisMode::Live`]),
+//! and folds everything into a deterministic [`SweepReport`].
+//! [`run_sweep_with_progress`] reports sessions/sec and ETA while
+//! operator-scale grids drain.
 //!
 //! Determinism is the design constraint: sessions are claimed from a shared
 //! atomic work index (so threads never idle while work remains), each session
@@ -71,11 +71,8 @@ pub use telemetry::{Lateness, TapChaosSpec, TapFault, TapStream};
 pub enum AnalysisMode {
     /// Keep only the bundle; no Domino pass.
     None,
-    /// Batch sliding-window analysis ([`Domino::analyze`]).
-    Batch,
-    /// Incremental analysis ([`domino_core::StreamingAnalyzer`]), falling
-    /// back to batch for configurations outside the streaming alignment
-    /// contract.
+    /// Analysis of the finished bundle on the worker's
+    /// [`domino_core::StreamingAnalyzer`], what [`Domino::analyze`] runs.
     #[default]
     Streaming,
     /// Online analysis *during* the simulation: each session runs with a
@@ -83,8 +80,7 @@ pub enum AnalysisMode {
     /// configured by [`SweepOptions::live`]. With [`EarlyExit::Never`] and a
     /// sufficient lateness bound the aggregate is identical to the other
     /// modes; with an early-exit policy, sessions abort once their verdict
-    /// is in, trading trace completeness for simulation time. Falls back to
-    /// batch for configurations outside the streaming alignment contract.
+    /// is in, trading trace completeness for simulation time.
     Live,
 }
 
@@ -521,38 +517,31 @@ mod tests {
         );
     }
 
+    /// Checks every session of a sweep that kept its bundles and analyses
+    /// against the batch oracle, window by window, and the aggregate
+    /// against the oracle's statistics folded in spec order.
+    fn assert_matches_oracle(report: &SweepReport, domino: &Domino) {
+        let mut aggregate = ChainStats::default();
+        for o in &report.outcomes {
+            let bundle = o.bundle.as_ref().expect("sweep kept its bundles");
+            let batch = domino_core::oracle::analyze(domino, bundle);
+            assert_eq!(o.analysis.as_ref(), Some(&batch), "{}", o.label);
+            aggregate.merge(&ChainStats::compute(domino.graph(), &batch));
+        }
+        assert_eq!(report.aggregate, aggregate);
+    }
+
     #[test]
     fn streaming_and_batch_modes_agree() {
         let specs = all_cells_grid(3, SimDuration::from_secs(12));
         let domino = Domino::with_defaults();
-        let streaming = run_sweep(
-            &specs,
-            &domino,
-            &SweepOptions {
-                analysis: AnalysisMode::Streaming,
-                ..Default::default()
-            },
-        );
-        let batch = run_sweep(
-            &specs,
-            &domino,
-            &SweepOptions {
-                analysis: AnalysisMode::Batch,
-                ..Default::default()
-            },
-        );
-        assert_eq!(
-            streaming.aggregate.total_chain_windows,
-            batch.aggregate.total_chain_windows
-        );
-        assert_eq!(
-            streaming.aggregate.chain_windows,
-            batch.aggregate.chain_windows
-        );
-        assert_eq!(
-            streaming.aggregate.unknown_windows,
-            batch.aggregate.unknown_windows
-        );
+        let opts = SweepOptions {
+            analysis: AnalysisMode::Streaming,
+            ..SweepOptions::full()
+        };
+        let streaming = run_sweep(&specs, &domino, &opts);
+        assert_matches_oracle(&streaming, &domino);
+        assert!(streaming.outcomes.iter().all(|o| o.live.is_none()));
     }
 
     #[test]
@@ -570,33 +559,16 @@ mod tests {
                     lateness: Lateness::Static(SimDuration::from_secs(30)),
                     early_exit: EarlyExit::Never,
                 },
-                ..Default::default()
+                ..SweepOptions::full()
             },
         );
-        let batch = run_sweep(
-            &specs,
-            &domino,
-            &SweepOptions {
-                analysis: AnalysisMode::Batch,
-                ..Default::default()
-            },
-        );
-        assert_eq!(
-            live.aggregate.total_chain_windows,
-            batch.aggregate.total_chain_windows
-        );
-        assert_eq!(live.aggregate.chain_windows, batch.aggregate.chain_windows);
-        assert_eq!(
-            live.aggregate.unknown_windows,
-            batch.aggregate.unknown_windows
-        );
+        assert_matches_oracle(&live, &domino);
         for o in &live.outcomes {
             let stats = o.live.expect("live mode reports pipeline stats");
             assert_eq!(stats.late_records_dropped, 0);
             assert!(!stats.early_exited);
             assert!(stats.windows_emitted > 0);
         }
-        assert!(batch.outcomes.iter().all(|o| o.live.is_none()));
     }
 
     #[test]

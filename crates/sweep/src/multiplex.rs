@@ -122,18 +122,15 @@ impl MuxWorker {
     /// Creates the worker state `opts.analysis` needs under `domino`'s
     /// configuration.
     pub fn new(domino: &Domino, opts: &SweepOptions) -> Self {
-        let analyzer = match opts.analysis {
-            AnalysisMode::Streaming => {
-                StreamingAnalyzer::new(domino.graph().clone(), domino.config().clone()).ok()
-            }
-            _ => None,
-        };
-        let pool = match opts.analysis {
-            AnalysisMode::Live => {
-                PipelinePool::new(domino.graph().clone(), domino.config().clone(), opts.live).ok()
-            }
-            _ => None,
-        };
+        let (graph, cfg) = (domino.graph(), domino.config());
+        let analyzer = (opts.analysis == AnalysisMode::Streaming).then(|| {
+            StreamingAnalyzer::new(graph.clone(), cfg.clone())
+                .expect("checked when the Domino was built")
+        });
+        let pool = (opts.analysis == AnalysisMode::Live).then(|| {
+            PipelinePool::new(graph.clone(), cfg.clone(), opts.live)
+                .expect("checked when the Domino was built")
+        });
         let mut arena = SessionArena::new();
         *arena.recorder_mut() = Recorder::new(opts.obs);
         MuxWorker {
@@ -204,7 +201,7 @@ impl MuxWorker {
         footprint_peak: Option<&AtomicU64>,
     ) {
         let width = width.max(1);
-        let live = opts.analysis == AnalysisMode::Live && self.pool.is_some();
+        let live = opts.analysis == AnalysisMode::Live;
         let obs_on = self.arena.recorder_mut().is_on();
         // Batch-level baselines: the recorder outlives run() calls (warm
         // worker reuse), so allocator and pool rollups record deltas.
@@ -366,7 +363,7 @@ impl MuxWorker {
     /// degenerate ones that never began one. Live sessions flush their
     /// pipeline via `on_finish` (through the chaos wrapper, if any), take
     /// the accumulated analysis, and release the pipeline back to the pool,
-    /// warm for the next call; other modes run the configured post-hoc pass
+    /// warm for the next call; in streaming mode the worker's analyzer runs
     /// over the finished bundle. The outcome then goes to `complete`, after
     /// the arena footprint is sampled into the recorder and into
     /// `footprint_peak`.
@@ -386,12 +383,9 @@ impl MuxWorker {
             ..
         } = s;
         let key = index as u64;
-        let live_pool = self
-            .pool
-            .as_mut()
-            .filter(|_| opts.analysis == AnalysisMode::Live);
-        let (bundle, analysis, live) = match live_pool {
-            Some(pool) => {
+        let (bundle, analysis, live) = match opts.analysis {
+            AnalysisMode::Live => {
+                let pool = self.pool.as_mut().expect("live implies pool");
                 let tap = pool.get_mut(key).expect("leased at claim");
                 // `finish` drives the tap's `on_finish`; with chaos in flight
                 // it must route through the wrapper so delayed records still
@@ -406,16 +400,12 @@ impl MuxWorker {
                 record_live_obs(self.arena.recorder_mut(), pipe);
                 (bundle, Some(analysis), pool.release(key))
             }
-            None => {
+            mode => {
                 let bundle = state.finish(&mut NullTap, &mut self.arena);
-                // Streaming when supported; batch for `AnalysisMode::Batch`,
-                // streaming-unsupported configs, and the live fallback (pool
-                // construction rejected the configuration).
-                let analysis = match (opts.analysis, &mut self.analyzer) {
-                    (AnalysisMode::None, _) => None,
-                    (AnalysisMode::Streaming, Some(a)) => Some(a.analyze(&bundle)),
-                    _ => Some(domino.analyze(&bundle)),
-                };
+                let analysis = (mode == AnalysisMode::Streaming).then(|| {
+                    let analyzer = self.analyzer.as_mut().expect("streaming implies analyzer");
+                    analyzer.analyze(&bundle)
+                });
                 (bundle, analysis, None)
             }
         };

@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 
 use domino::abr::{default_ladder, AbrConfig};
-use domino::core::{abr_graph, Domino, DominoConfig};
+use domino::core::{abr_graph, oracle, ChainStats, Domino, DominoConfig};
 use domino::scenarios::{
     expand_product, AxisPatch, ScenarioAxis, ScriptAction, SeedPolicy, SessionConfig, SessionSpec,
 };
@@ -212,20 +212,22 @@ fn abr_grid_is_multiplex_width_invariant() {
 fn abr_streaming_analysis_equals_batch() {
     let specs = abr_grid();
     let domino = abr_domino();
-    let batch = run_sweep(
-        &specs,
-        &domino,
-        &SweepOptions::default()
-            .threads(1)
-            .analysis(AnalysisMode::Batch),
-    );
-    let streaming = run_sweep(
-        &specs,
-        &domino,
-        &SweepOptions::default()
-            .threads(1)
-            .analysis(AnalysisMode::Streaming),
-    );
+    let opts = SweepOptions::full()
+        .threads(1)
+        .analysis(AnalysisMode::Streaming);
+    let streaming = run_sweep(&specs, &domino, &opts);
+    // The same report with every session's analysis and statistics
+    // recomputed by the batch oracle from its kept bundle.
+    let mut batch = streaming.clone();
+    for o in &mut batch.outcomes {
+        let analysis = oracle::analyze(&domino, o.bundle.as_ref().expect("kept"));
+        o.stats = Some(ChainStats::compute(domino.graph(), &analysis));
+        o.analysis = Some(analysis);
+    }
+    for (b, s) in batch.outcomes.iter().zip(&streaming.outcomes) {
+        assert_eq!(b.analysis, s.analysis, "{}", s.label);
+    }
+    batch.aggregate = batch.aggregate_where(|_| true);
     assert_eq!(
         ShardReport::from_sweep(&batch).encode(),
         ShardReport::from_sweep(&streaming).encode(),

@@ -1,6 +1,6 @@
 //! Shape assertions for the paper's key quantitative findings, one per
 //! reproduced mechanism. These encode the "who wins, by what factor" facts
-//! EXPERIMENTS.md reports.
+//! the `repro` experiments print; each test names the figure it checks.
 
 use domino::scenarios::{BaselineAccess, SessionConfig, SessionRun};
 use domino::simcore::{SimDuration, SimTime};

@@ -1,13 +1,17 @@
 //! DSL ⇄ graph ⇄ generated-code consistency on real session data: the
 //! compiled detection program must agree with the graph backward trace on
-//! every window of an actual simulated trace. Plus a mutation fuzz of the
-//! DSL parser: hostile config text never panics it, and every graph it
-//! accepts round-trips through `emit`.
+//! every window of an actual simulated trace. Plus two fuzzes of the DSL
+//! parser: hostile config text never panics it, and every graph it accepts
+//! round-trips through `emit` — mutated shipped configs, and generated
+//! graphs with isolated nodes, aliases named after features, and the
+//! reserved word.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use domino::core::dsl::{ABR_CONFIG, DEFAULT_CONFIG};
-use domino::core::{compile, default_graph, emit, parse, CausalGraph, Domino, DominoConfig};
+use domino::core::{
+    compile, default_graph, emit, parse, CausalGraph, Domino, DominoConfig, Feature,
+};
 use domino::scenarios::{SessionConfig, SessionRun};
 use domino::simcore::SimDuration;
 use proptest::strategy::Strategy;
@@ -195,4 +199,94 @@ fn dsl_parse_never_panics_and_accepted_graphs_round_trip() {
     // Bit flips in comments and blank lines keep many configs valid, so
     // the round trip is exercised, not just the error paths.
     assert!(accepted > DSL_CASES / 4, "only {accepted} accepted");
+}
+
+/// Names a generated alias may take: plain names, feature names (an alias
+/// may name its own feature or shadow another) and the reserved word.
+const GEN_ALIAS_NAMES: [&str; 7] = [
+    "cause",
+    "effect",
+    "ul_harq_retx",
+    "forward_delay_up",
+    "dl_cross_traffic",
+    "local_jitter_buffer_drain",
+    "alias",
+];
+
+/// Features generated aliases and edge lines draw from.
+const GEN_FEATURES: [&str; 6] = [
+    "ul_harq_retx",
+    "dl_harq_retx",
+    "dl_cross_traffic",
+    "forward_delay_up",
+    "reverse_delay_up",
+    "local_jitter_buffer_drain",
+];
+
+/// A random config: up to four aliases — some naming exactly their own
+/// feature — then up to five edge lines over the aliases and plain
+/// features. Edges point forward in that name order, so most graphs are
+/// acyclic, and many aliases end up on no edge at all.
+fn random_config(rng: &mut StdRng) -> String {
+    let pick = |rng: &mut StdRng, from: &[&'static str]| from[(0..from.len()).generate(rng)];
+    let mut text = String::new();
+    let mut names: Vec<&str> = Vec::new();
+    for _ in 0..(0..5usize).generate(rng) {
+        let name = pick(rng, &GEN_ALIAS_NAMES);
+        let own = GEN_FEATURES.contains(&name) && proptest::any::<bool>().generate(rng);
+        let features: Vec<&str> = if own {
+            vec![name]
+        } else {
+            (0..(1..4usize).generate(rng))
+                .map(|_| pick(rng, &GEN_FEATURES))
+                .collect()
+        };
+        text.push_str(&format!("alias {name} = {}\n", features.join(" | ")));
+        names.push(name);
+    }
+    names.extend(GEN_FEATURES);
+    for _ in 0..(0..6usize).generate(rng) {
+        let (a, b) = (
+            (0..names.len()).generate(rng),
+            (0..names.len()).generate(rng),
+        );
+        if a < b {
+            text.push_str(&format!("{} --> {}\n", names[a], names[b]));
+        }
+    }
+    text
+}
+
+#[test]
+fn generated_graphs_round_trip_through_emit() {
+    let mut rng = proptest::test_rng("generated_graphs_round_trip_through_emit");
+    let (mut isolated_own, mut shadowing, mut reserved) = (0, 0, 0);
+    for case in 0..DSL_CASES {
+        let text = random_config(&mut rng);
+        let parsed = parse(&text);
+        // The reserved word is rejected on its line, or on an earlier
+        // line that fails first.
+        if let Some(i) = text.lines().position(|l| l.starts_with("alias alias ")) {
+            let err = parsed.expect_err("`alias` cannot name an alias");
+            assert!(
+                (1..=i + 1).contains(&err.line),
+                "case {case}: {err} on {text:?}"
+            );
+            reserved += 1;
+            continue;
+        }
+        let Ok(g) = parsed else { continue };
+        for id in 0..g.node_count() {
+            let pred = g.predicate(id);
+            let own = pred.len() == 1 && pred[0].name() == g.name(id);
+            let isolated = g.parents(id).is_empty() && g.children(id).is_empty();
+            isolated_own += usize::from(own && isolated);
+            shadowing += usize::from(!own && Feature::parse(g.name(id)).is_some());
+        }
+        let again = parse(&emit(&g))
+            .unwrap_or_else(|e| panic!("case {case}: emit of {text:?} does not parse: {e}"));
+        assert_eq!(shape(&g), shape(&again), "case {case}: {text:?}");
+    }
+    // Every shape the generator aims at occurred.
+    assert!(isolated_own > 0 && shadowing > 0 && reserved > 0);
 }

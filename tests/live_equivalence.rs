@@ -2,16 +2,16 @@
 //!
 //! The `domino-live` pipeline's promise (ISSUE 2): with early exit disabled
 //! and a lateness bound that covers the longest in-network delay, verdicts
-//! produced *during* the session are bit-identical to a post-hoc
-//! [`Domino::analyze`] over the finished bundle — while retaining only
-//! O(window + lateness) trace, not O(session).
+//! produced *during* the session are bit-identical to the batch oracle
+//! over the finished bundle — while retaining only O(window + lateness)
+//! trace, not O(session).
 //!
 //! The first half is a fuzz-style property test over randomized sessions
 //! (cell, duration, seed, scripted impairment all drawn from the vendored
 //! proptest shim's strategies); the second half measures the retained-record
 //! high-water mark against session length.
 
-use domino::core::{Analysis, Domino};
+use domino::core::{oracle, Analysis, ChainStats, Domino};
 use domino::live::{EarlyExit, LiveConfig, LivePipeline};
 use domino::scenarios::{all_cells, ScriptAction, SessionConfig, SessionSpec};
 use domino::simcore::{SimDuration, SimTime};
@@ -45,8 +45,9 @@ fn assert_identical(batch: &Analysis, live: &Analysis, label: &str) {
     }
 }
 
-/// Runs one spec through both paths and asserts bit-identical output.
-fn assert_live_matches_batch(spec: &SessionSpec, lateness: SimDuration, label: &str) {
+/// Runs one spec through the live pipeline and the oracle, asserts
+/// bit-identical output, and returns the oracle's analysis.
+fn assert_live_matches_batch(spec: &SessionSpec, lateness: SimDuration, label: &str) -> Analysis {
     let domino = Domino::with_defaults();
     let mut pipe = LivePipeline::with_defaults(LiveConfig {
         lateness: Lateness::Static(lateness),
@@ -64,8 +65,9 @@ fn assert_live_matches_batch(spec: &SessionSpec, lateness: SimDuration, label: &
         stats.late_deliveries, 0,
         "{label}: lateness bound too small for test"
     );
-    let batch = domino.analyze(&bundle);
+    let batch = oracle::analyze(&domino, &bundle);
     assert_identical(&batch, &live, label);
+    batch
 }
 
 #[test]
@@ -117,8 +119,7 @@ fn randomized_sessions_are_bit_identical() {
         );
         // Lateness covers the whole session: the contract's precondition
         // holds by construction, so equality must be exact.
-        assert_live_matches_batch(&spec, SimDuration::from_secs(30), &label);
-        let analysis = Domino::with_defaults().analyze(&spec.run());
+        let analysis = assert_live_matches_batch(&spec, SimDuration::from_secs(30), &label);
         any_chain |= analysis.windows.iter().any(|w| !w.chains.is_empty());
     }
     assert!(
@@ -366,29 +367,16 @@ fn live_sweep_mode_matches_batch_sweep() {
                 lateness: Lateness::Static(SimDuration::from_secs(30)),
                 early_exit: EarlyExit::Never,
             },
+            keep_bundles: true,
             keep_analyses: true,
             ..Default::default()
         },
     );
-    let batch = run_sweep(
-        &specs,
-        &domino,
-        &SweepOptions {
-            analysis: AnalysisMode::Batch,
-            keep_analyses: true,
-            ..Default::default()
-        },
-    );
-    for (l, b) in live.outcomes.iter().zip(&batch.outcomes) {
-        assert_identical(
-            b.analysis.as_ref().unwrap(),
-            l.analysis.as_ref().unwrap(),
-            &l.label,
-        );
+    let mut aggregate = ChainStats::default();
+    for o in &live.outcomes {
+        let batch = oracle::analyze(&domino, o.bundle.as_ref().unwrap());
+        assert_identical(&batch, o.analysis.as_ref().unwrap(), &o.label);
+        aggregate.merge(&ChainStats::compute(domino.graph(), &batch));
     }
-    assert_eq!(live.aggregate.chain_windows, batch.aggregate.chain_windows);
-    assert_eq!(
-        live.aggregate.unknown_windows,
-        batch.aggregate.unknown_windows
-    );
+    assert_eq!(live.aggregate, aggregate);
 }

@@ -88,11 +88,8 @@ fn solo_reference(specs: &[SessionSpec], opts: &SweepOptions) -> String {
                 }
                 mode => {
                     let bundle = SessionRun::new(spec).run();
-                    let analysis = match mode {
-                        AnalysisMode::None => None,
-                        AnalysisMode::Batch => Some(domino.analyze(&bundle)),
-                        _ => Some(domino.analyze_streaming(&bundle)),
-                    };
+                    let analysis =
+                        (mode == AnalysisMode::Streaming).then(|| domino.analyze(&bundle));
                     (bundle, analysis, None)
                 }
             };

@@ -1,10 +1,10 @@
 //! Streaming ↔ batch equivalence over real simulated sessions: the
-//! incremental analyzer must reproduce the batch sliding-window pipeline
-//! bit-for-bit across a full sweep of a `SessionRun` bundle.
+//! incremental analyzer must reproduce the batch oracle, which rescans every
+//! window, bit-for-bit across a full sweep of a `SessionRun` bundle.
 
 use domino::core::stream::StreamingAnalyzer;
-use domino::core::{Analysis, Domino, DominoConfig};
-use domino::scenarios::{ScriptAction, SessionConfig, SessionRun, SessionSpec};
+use domino::core::{oracle, Analysis, Domino, DominoConfig};
+use domino::scenarios::{all_cells, ScriptAction, SessionConfig, SessionRun, SessionSpec};
 use domino::simcore::{SimDuration, SimTime};
 use domino::telemetry::{Direction, TraceBundle};
 
@@ -40,12 +40,15 @@ fn assert_identical(batch: &Analysis, streaming: &Analysis) {
     }
 }
 
-fn assert_equivalent_on(bundle: &TraceBundle, domino: &Domino) {
-    let batch = domino.analyze(bundle);
+/// Asserts the streaming analyzer reproduces the oracle on `bundle` and
+/// returns the oracle's analysis.
+fn assert_equivalent_on(bundle: &TraceBundle, domino: &Domino) -> Analysis {
+    let batch = oracle::analyze(domino, bundle);
     let mut streaming = StreamingAnalyzer::new(domino.graph().clone(), domino.config().clone())
-        .expect("default config is streaming-aligned");
+        .expect("a Domino's config meets the contract");
     let incremental = streaming.analyze(bundle);
     assert_identical(&batch, &incremental);
+    batch
 }
 
 #[test]
@@ -84,10 +87,8 @@ fn impaired_sessions_are_bit_identical() {
     ];
     let mut any_chain = false;
     for spec in &specs {
-        let bundle = spec.run();
-        let analysis = domino.analyze(&bundle);
+        let analysis = assert_equivalent_on(&spec.run(), &domino);
         any_chain |= analysis.windows.iter().any(|w| !w.chains.is_empty());
-        assert_equivalent_on(&bundle, &domino);
     }
     assert!(
         any_chain,
@@ -97,14 +98,111 @@ fn impaired_sessions_are_bit_identical() {
 
 #[test]
 fn one_second_step_window_grid_is_bit_identical() {
-    // The perf-comparison configuration from the microbench: 1 s step.
-    let config = DominoConfig {
+    // The microbench configuration (1 s step), then variants that move every
+    // knob the rolling state depends on: the trend chunk length, the count
+    // thresholds, the window, the step and the MCS group. Each runs over the
+    // four cells with a scripted UL fade or DL HARQ failures, plus a healthy
+    // 30 s MoSoLabs call.
+    let one_sec = DominoConfig {
         step: SimDuration::from_secs(1),
         ..Default::default()
     };
-    let domino = Domino::new(domino::core::default_graph(), config);
-    let bundle = SessionRun::cell(domino::scenarios::mosolabs(), &cfg(905, 30)).run();
-    assert_equivalent_on(&bundle, &domino);
+    let with = |edit: &dyn Fn(&mut DominoConfig)| {
+        let mut c = one_sec.clone();
+        edit(&mut c);
+        c
+    };
+    let configs = [
+        ("1 s step", one_sec.clone()),
+        (
+            "trend_subwindow 0",
+            with(&|c| c.thresholds.trend_subwindow = 0),
+        ),
+        (
+            "trend_subwindow 1",
+            with(&|c| c.thresholds.trend_subwindow = 1),
+        ),
+        (
+            "trend_subwindow 7",
+            with(&|c| c.thresholds.trend_subwindow = 7),
+        ),
+        (
+            "zero counts",
+            with(&|c| {
+                c.thresholds.harq_retx_count = 0;
+                c.thresholds.mcs_low_count = 0;
+                c.thresholds.ladder_switch_count = 0;
+            }),
+        ),
+        (
+            "W 0 s, no warmup",
+            with(&|c| {
+                c.window = SimDuration::ZERO;
+                c.warmup = SimDuration::ZERO;
+            }),
+        ),
+        ("W 3 s", with(&|c| c.window = SimDuration::from_secs(3))),
+        ("W 4 s", with(&|c| c.window = SimDuration::from_secs(4))),
+        (
+            "step 200 ms",
+            with(&|c| {
+                c.step = SimDuration::from_millis(200);
+                c.warmup = SimDuration::from_secs(2);
+            }),
+        ),
+        (
+            "step 400 ms",
+            with(&|c| {
+                c.step = SimDuration::from_millis(400);
+                c.warmup = SimDuration::from_secs(2);
+            }),
+        ),
+        ("MCS 25 ms", with(&|c| c.thresholds.mcs_group_ms = 25)),
+        ("MCS 40 ms", with(&|c| c.thresholds.mcs_group_ms = 40)),
+        ("MCS 100 ms", with(&|c| c.thresholds.mcs_group_ms = 100)),
+    ];
+    let t = |s: u64| SimTime::from_secs(s);
+    let mut bundles: Vec<TraceBundle> = all_cells()
+        .into_iter()
+        .enumerate()
+        .map(|(i, cell)| {
+            let script = if i % 2 == 0 {
+                ScriptAction::Sinr {
+                    dir: Direction::Uplink,
+                    from: t(8),
+                    to: t(13),
+                    sinr_db: -2.0,
+                }
+            } else {
+                ScriptAction::HarqFailures {
+                    dir: Direction::Downlink,
+                    from: t(8),
+                    to: t(12),
+                    fail_attempts: 1,
+                }
+            };
+            SessionSpec::cell(cell, cfg(910 + i as u64, 20))
+                .with_script(script)
+                .run()
+        })
+        .collect();
+    bundles.push(SessionRun::cell(domino::scenarios::mosolabs(), &cfg(905, 30)).run());
+    for (name, config) in configs {
+        // An empty window is all-false; any other must see detections.
+        let empty = config.window == SimDuration::ZERO;
+        let domino = Domino::try_new(domino::core::default_graph(), config)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut active = 0;
+        for bundle in &bundles {
+            let batch = assert_equivalent_on(bundle, &domino);
+            active += batch
+                .windows
+                .iter()
+                .map(|w| w.features.count_active())
+                .sum::<usize>();
+        }
+        assert_eq!(active == 0, empty, "{name}: {active} active features");
+    }
 }
 
 #[test]
@@ -153,8 +251,7 @@ fn busy_window_delay_trends_are_bit_identical() {
             seq += 1;
         }
         bundle.sort();
-        let defaults = Domino::with_defaults();
-        let batch = defaults.analyze(&bundle);
+        let batch = assert_equivalent_on(&bundle, &Domino::with_defaults());
         let trends: usize = batch
             .windows
             .iter()
@@ -164,7 +261,6 @@ fn busy_window_delay_trends_are_bit_identical() {
             trends > 0,
             "case {case}: busy fuzz produced no active features — too tame"
         );
-        assert_equivalent_on(&bundle, &defaults);
         // Same trace under the 1 s step grid (different expiry cadence).
         let one_sec = Domino::new(
             domino::core::default_graph(),
@@ -184,7 +280,7 @@ fn push_api_in_irregular_batches_matches_batch() {
     // has been pushed, not on the batching.
     let domino = Domino::with_defaults();
     let bundle = SessionRun::cell(domino::scenarios::amarisoft(), &cfg(906, 20)).run();
-    let batch = domino.analyze(&bundle);
+    let batch = oracle::analyze(&domino, &bundle);
 
     let mut streaming =
         StreamingAnalyzer::new(domino.graph().clone(), domino.config().clone()).unwrap();

@@ -2,7 +2,7 @@
 //! yields byte-identical aggregates whether it runs on one thread or many,
 //! and repeated runs reproduce each other exactly.
 
-use domino::core::Domino;
+use domino::core::{oracle, ChainStats, Domino};
 use domino::scenarios::{SessionGrid, SessionSpec};
 use domino::simcore::{derive_seed, SimDuration};
 use domino::sweep::{run_sweep, AnalysisMode, SweepOptions};
@@ -80,34 +80,20 @@ fn parallel_sweep_matches_sequential_order() {
 fn streaming_mode_equals_batch_mode_across_a_sweep() {
     let specs = grid();
     let domino = Domino::with_defaults();
-    let streaming = run_sweep(
-        &specs,
-        &domino,
-        &SweepOptions {
-            analysis: AnalysisMode::Streaming,
-            ..Default::default()
-        },
-    );
-    let batch = run_sweep(
-        &specs,
-        &domino,
-        &SweepOptions {
-            analysis: AnalysisMode::Batch,
-            ..Default::default()
-        },
-    );
-    assert_eq!(
-        streaming.aggregate.total_chain_windows,
-        batch.aggregate.total_chain_windows
-    );
-    assert_eq!(
-        streaming.aggregate.chain_windows,
-        batch.aggregate.chain_windows
-    );
-    assert_eq!(
-        streaming.aggregate.unknown_windows,
-        batch.aggregate.unknown_windows
-    );
+    let opts = SweepOptions {
+        analysis: AnalysisMode::Streaming,
+        ..SweepOptions::full()
+    };
+    let streaming = run_sweep(&specs, &domino, &opts);
+    // Every session against the batch oracle over its kept bundle, and the
+    // aggregate against the oracle's statistics folded in spec order.
+    let mut batch = ChainStats::default();
+    for o in &streaming.outcomes {
+        let analysis = oracle::analyze(&domino, o.bundle.as_ref().expect("kept"));
+        assert_eq!(o.analysis.as_ref(), Some(&analysis), "{}", o.label);
+        batch.merge(&ChainStats::compute(domino.graph(), &analysis));
+    }
+    assert_eq!(streaming.aggregate, batch);
 }
 
 #[test]
