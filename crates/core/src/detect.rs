@@ -2,14 +2,15 @@
 //! configuration must meet, and the sliding-window results.
 //!
 //! Domino maintains a window of length W = 5 s, extracts the 40-dim feature
-//! vector, finds active causal chains by backward trace through the graph,
-//! then slides the window forward by Δt = 0.5 s. The [`StreamingAnalyzer`]
-//! is the one engine that does this; [`Domino::analyze`] runs it over a
-//! recorded bundle.
+//! vector, finds the active causal chains in the graph's compiled chain
+//! table ([`DetectionProgram`]), then slides the window forward by
+//! Δt = 0.5 s. The [`StreamingAnalyzer`] is the one engine that does this;
+//! [`Domino::analyze`] runs it over a recorded bundle.
 
 use simcore::{SimDuration, SimTime};
 use telemetry::TraceBundle;
 
+use crate::codegen::{compile, DetectionProgram};
 use crate::features::FeatureVector;
 use crate::graph::{CausalGraph, NodeId};
 use crate::stream::{check_config, StreamingAnalyzer, UnsupportedConfig};
@@ -179,7 +180,7 @@ pub struct WindowAnalysis {
     pub start: SimTime,
     /// Extracted features.
     pub features: FeatureVector,
-    /// Complete chains found by backward trace.
+    /// Complete chains, in chain-table order.
     pub chains: Vec<ChainHit>,
     /// Active consequences with no complete chain to any root cause.
     pub unknown_consequences: Vec<NodeId>,
@@ -194,11 +195,12 @@ pub struct Analysis {
     pub duration: SimDuration,
 }
 
-/// The Domino detector: a causal graph plus a configuration that meets the
-/// contract of [`DominoConfig`].
+/// The Domino detector: a causal graph, its chain table, and a
+/// configuration that meets the contract of [`DominoConfig`].
 #[derive(Debug, Clone)]
 pub struct Domino {
     graph: CausalGraph,
+    program: DetectionProgram,
     cfg: DominoConfig,
 }
 
@@ -207,7 +209,11 @@ impl Domino {
     /// [`DominoConfig`] contract `cfg` breaks.
     pub fn try_new(graph: CausalGraph, cfg: DominoConfig) -> Result<Self, UnsupportedConfig> {
         check_config(&cfg)?;
-        Ok(Domino { graph, cfg })
+        Ok(Domino {
+            program: compile(&graph),
+            graph,
+            cfg,
+        })
     }
 
     /// Creates a detector over a custom graph.
@@ -245,40 +251,11 @@ impl Domino {
             .analyze(bundle)
     }
 
-    /// Backward-traces every active consequence in a feature vector.
+    /// A feature vector's complete chains and unexplained consequences,
+    /// from the graph's chain table ([`DetectionProgram::trace_chains`]).
     pub fn trace_chains(&self, features: &FeatureVector) -> (Vec<ChainHit>, Vec<NodeId>) {
-        trace_chains_in(&self.graph, features)
+        self.program.trace_chains(features)
     }
-}
-
-/// Backward-traces every active consequence of `features` in `graph`.
-///
-/// Shared by the [`StreamingAnalyzer`] and the batch oracle, so both
-/// produce chains from a feature vector in exactly the same way.
-pub(crate) fn trace_chains_in(
-    graph: &CausalGraph,
-    features: &FeatureVector,
-) -> (Vec<ChainHit>, Vec<NodeId>) {
-    let mut chains = Vec::new();
-    let mut unknown = Vec::new();
-    for leaf in graph.leaves() {
-        if !graph.is_active(leaf, features) {
-            continue;
-        }
-        let paths = graph.backward_trace(leaf, features);
-        if paths.is_empty() {
-            unknown.push(leaf);
-        } else {
-            for path in paths {
-                chains.push(ChainHit {
-                    cause: path[0],
-                    consequence: *path.last().expect("non-empty path"),
-                    path,
-                });
-            }
-        }
-    }
-    (chains, unknown)
 }
 
 #[cfg(test)]

@@ -129,7 +129,9 @@ pub fn parse(text: &str) -> Result<CausalGraph, ParseError> {
                 message: "alias must be `alias name = f1 | f2 | ...`".to_string(),
             })?;
             let name = name.trim();
-            if name.is_empty() || name.contains(char::is_whitespace) {
+            // Names are printed in reports, emitted DSL and generated code,
+            // where a control character is invisible or corrupts the text.
+            if name.is_empty() || name.contains(|c: char| c.is_whitespace() || c.is_control()) {
                 return Err(ParseError {
                     line: lineno,
                     message: format!("invalid alias name {name:?}"),
@@ -220,13 +222,15 @@ pub fn abr_graph() -> CausalGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codegen::compile;
 
     #[test]
     fn default_graph_has_24_chains() {
         let g = default_graph();
         assert_eq!(g.roots().len(), 6, "six root causes");
         assert_eq!(g.leaves().len(), 3, "three consequences");
-        assert_eq!(g.enumerate_chains().len(), 24, "Fig. 9 yields 24 chains");
+        let chains = compile(&g).chains().len();
+        assert_eq!(chains, 24, "Fig. 9 yields 24 chains");
     }
 
     #[test]
@@ -234,8 +238,9 @@ mod tests {
         let g = abr_graph();
         assert_eq!(g.roots().len(), 6, "same six root causes");
         assert_eq!(g.leaves().len(), 2, "stall and oscillation");
-        assert_eq!(g.enumerate_chains().len(), 12, "6 roots x 2 leaves");
-        for chain in g.enumerate_chains() {
+        let program = compile(&g);
+        assert_eq!(program.chains().len(), 12, "6 roots x 2 leaves");
+        for chain in program.chains() {
             assert_eq!(chain.len(), 4, "root -> delay -> precursor -> leaf");
         }
     }
@@ -263,7 +268,8 @@ mod tests {
     #[test]
     fn chain_count_is_bounded_at_build() {
         let g = parse(&layered_config(12)).expect("4 096 chains are within the limit");
-        assert_eq!(g.enumerate_chains().len() as u64, crate::graph::MAX_CHAINS);
+        let chains = compile(&g).chains().len();
+        assert_eq!(chains as u64, crate::graph::MAX_CHAINS);
         for (layers, chains) in [(13, 1u64 << 13), (20, 1 << 20)] {
             let err = parse(&layered_config(layers)).expect_err("too many chains");
             let want = GraphError::TooManyChains {
@@ -325,7 +331,7 @@ mod tests {
              dl_harq_retx --> forward_delay_up --> local_jitter_buffer_drain\n",
         )
         .unwrap();
-        assert_eq!(g.enumerate_chains().len(), 2);
+        assert_eq!(compile(&g).chains().len(), 2);
         assert_eq!(g.roots().len(), 2);
         assert_eq!(g.leaves().len(), 1);
     }
@@ -361,6 +367,16 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("reserved"), "{err}");
+
+        // Control characters are rejected like whitespace.
+        for name in ["a\u{7f}b", "a\u{0}b", "a\u{1b}b", "a\u{9b}b"] {
+            let err = parse(&format!(
+                "ul_harq_retx --> forward_delay_up\nalias {name} = ul_harq_retx\n"
+            ))
+            .unwrap_err();
+            assert_eq!(err.line, 2, "{name:?}");
+            assert!(err.message.contains("invalid alias name"), "{err}");
+        }
     }
 
     #[test]
@@ -379,7 +395,7 @@ mod tests {
             v
         };
         assert_eq!(names(&g), names(&g2));
-        assert_eq!(g2.enumerate_chains().len(), 24);
+        assert_eq!(compile(&g2).chains().len(), 24);
 
         // A node on no edge exists only by its alias line, even when the
         // alias is just its own feature; on an edge that line is redundant.
@@ -395,8 +411,8 @@ mod tests {
     #[test]
     fn multi_hop_chain_line() {
         let g = parse("ul_harq_retx --> reverse_delay_up --> local_pushback_rate_down").unwrap();
-        let chains = g.enumerate_chains();
-        assert_eq!(chains.len(), 1);
-        assert_eq!(chains[0].len(), 3);
+        let program = compile(&g);
+        assert_eq!(program.chains().len(), 1);
+        assert_eq!(program.chains()[0].len(), 3);
     }
 }

@@ -200,6 +200,9 @@ pub enum Feature {
 /// Total number of features.
 pub const FEATURE_COUNT: usize = 40;
 
+// Every feature has a bit in a `FeatureVector`'s `u64`.
+const _: () = assert!(FEATURE_COUNT <= 64);
+
 impl Feature {
     /// Fixed index of this feature in the vector.
     pub fn index(self) -> usize {
@@ -214,6 +217,11 @@ impl Feature {
             Feature::RrcStateChange => 35,
             Feature::Playback(e) => 36 + e.ordinal(),
         }
+    }
+
+    /// This feature's bit in a [`FeatureVector`].
+    pub(crate) fn mask(self) -> u64 {
+        1 << self.index()
     }
 
     /// All 40 features in index order.
@@ -266,39 +274,41 @@ impl Feature {
     }
 }
 
-/// A boolean vector over the 40 features for one window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A boolean vector over the 40 features for one window: bit `i` is the
+/// feature with [`Feature::index`] `i`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FeatureVector {
-    bits: [bool; FEATURE_COUNT],
-}
-
-impl Default for FeatureVector {
-    fn default() -> Self {
-        Self::new()
-    }
+    bits: u64,
 }
 
 impl FeatureVector {
     /// All-false vector.
     pub fn new() -> Self {
-        FeatureVector {
-            bits: [false; FEATURE_COUNT],
-        }
+        Self::default()
     }
 
     /// Sets a feature.
     pub fn set(&mut self, f: Feature, v: bool) {
-        self.bits[f.index()] = v;
+        if v {
+            self.bits |= f.mask();
+        } else {
+            self.bits &= !f.mask();
+        }
     }
 
     /// Reads a feature.
     pub fn get(&self, f: Feature) -> bool {
-        self.bits[f.index()]
+        self.any(f.mask())
+    }
+
+    /// Whether any feature of `mask` (bits as in [`Feature::index`]) is set.
+    pub(crate) fn any(&self, mask: u64) -> bool {
+        self.bits & mask != 0
     }
 
     /// Number of active features.
     pub fn count_active(&self) -> usize {
-        self.bits.iter().filter(|&&b| b).count()
+        self.bits.count_ones() as usize
     }
 
     /// Active feature names (for reports/debugging).
@@ -364,5 +374,8 @@ mod tests {
         assert!(v.get(Feature::RrcStateChange));
         assert_eq!(v.count_active(), 2);
         assert!(v.active_names().contains(&"local_gcc_overuse".to_string()));
+        v.set(Feature::RrcStateChange, false);
+        assert!(!v.get(Feature::RrcStateChange));
+        assert_eq!(v.active_names(), ["local_gcc_overuse"]);
     }
 }

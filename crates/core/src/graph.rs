@@ -1,11 +1,12 @@
 //! The user-reconfigurable causal DAG (paper §4, Fig. 9).
 //!
 //! Nodes are named events whose *predicate* is a disjunction of features
-//! from the 36-dim vector (so a mechanism-level node like `harq_retx` can
+//! from the 40-dim vector (so a mechanism-level node like `harq_retx` can
 //! cover both the UL and DL features). Edges point from cause toward
 //! consequence. Roots of the DAG are root causes, leaves are user-visible
 //! consequences; every root→leaf path is a candidate causal chain — the
-//! default Fig. 9 graph yields exactly 24.
+//! default Fig. 9 graph yields exactly 24. [`compile`](crate::codegen::compile)
+//! lists them in a chain table, the one evaluator of a graph.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -15,8 +16,8 @@ use crate::features::{Feature, FeatureVector};
 /// Index of a node in the graph.
 pub type NodeId = usize;
 
-/// Most root→leaf chains a graph may have. Compiling a graph enumerates
-/// every chain and each analysed window traces its active ones, so chains
+/// Most root→leaf chains a graph may have. Compiling a graph lists every
+/// chain and each analysed window checks every listed chain, so chains
 /// bound the work a configuration can demand; with unbounded aliases a
 /// layered graph has 2^layers of them. The default graph has 24 chains
 /// and the ABR graph 12.
@@ -71,6 +72,8 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct CausalGraph {
     nodes: Vec<Node>,
+    /// Each node's predicate as [`FeatureVector`] bits.
+    masks: Vec<u64>,
     name_to_id: HashMap<String, NodeId>,
     children: Vec<Vec<NodeId>>,
     parents: Vec<Vec<NodeId>>,
@@ -185,7 +188,13 @@ impl GraphBuilder {
                 limit: MAX_CHAINS,
             });
         }
+        let masks = self
+            .nodes
+            .iter()
+            .map(|n| n.predicate.iter().fold(0, |m, f| m | f.mask()))
+            .collect();
         Ok(CausalGraph {
+            masks,
             nodes: self.nodes,
             name_to_id: self.name_to_id,
             children,
@@ -250,72 +259,14 @@ impl CausalGraph {
             .collect()
     }
 
+    /// The node's predicate as [`FeatureVector`] bits.
+    pub(crate) fn mask(&self, id: NodeId) -> u64 {
+        self.masks[id]
+    }
+
     /// Whether the node's predicate holds under a feature vector.
     pub fn is_active(&self, id: NodeId, fv: &FeatureVector) -> bool {
-        self.nodes[id].predicate.iter().any(|&f| fv.get(f))
-    }
-
-    /// Enumerates every root→leaf path (the candidate causal chains).
-    pub fn enumerate_chains(&self) -> Vec<Vec<NodeId>> {
-        let mut chains = Vec::new();
-        for root in self.roots() {
-            let mut path = vec![root];
-            self.dfs_chains(root, &mut path, &mut chains);
-        }
-        chains
-    }
-
-    fn dfs_chains(&self, at: NodeId, path: &mut Vec<NodeId>, out: &mut Vec<Vec<NodeId>>) {
-        if self.children[at].is_empty() {
-            out.push(path.clone());
-            return;
-        }
-        for &c in &self.children[at] {
-            path.push(c);
-            self.dfs_chains(c, path, out);
-            path.pop();
-        }
-    }
-
-    /// Backward trace (paper §4.2): starting from an *active* consequence,
-    /// walk edges backward through active nodes; returns every complete
-    /// active path root→…→consequence, as paths in forward order.
-    pub fn backward_trace(&self, consequence: NodeId, fv: &FeatureVector) -> Vec<Vec<NodeId>> {
-        let mut results = Vec::new();
-        if !self.is_active(consequence, fv) {
-            return results;
-        }
-        let mut path = vec![consequence];
-        self.backward_dfs(consequence, fv, &mut path, &mut results);
-        results
-    }
-
-    fn backward_dfs(
-        &self,
-        at: NodeId,
-        fv: &FeatureVector,
-        path: &mut Vec<NodeId>,
-        out: &mut Vec<Vec<NodeId>>,
-    ) {
-        let active_parents: Vec<NodeId> = self.parents[at]
-            .iter()
-            .copied()
-            .filter(|&p| self.is_active(p, fv))
-            .collect();
-        if active_parents.is_empty() {
-            if self.parents[at].is_empty() {
-                // Reached a root: a complete chain.
-                let mut chain = path.clone();
-                chain.reverse();
-                out.push(chain);
-            }
-            return;
-        }
-        for p in active_parents {
-            path.push(p);
-            self.backward_dfs(p, fv, path, out);
-            path.pop();
-        }
+        fv.any(self.masks[id])
     }
 }
 
@@ -344,9 +295,9 @@ mod tests {
         let g = diamond();
         assert_eq!(g.roots().len(), 2);
         assert_eq!(g.leaves().len(), 2);
-        let chains = g.enumerate_chains();
-        assert_eq!(chains.len(), 4);
-        for c in &chains {
+        let program = crate::codegen::compile(&g);
+        assert_eq!(program.chains().len(), 4);
+        for c in program.chains() {
             assert_eq!(c.len(), 3);
         }
     }
@@ -392,31 +343,6 @@ mod tests {
             true,
         );
         assert!(g.is_active(jb, &fv));
-    }
-
-    #[test]
-    fn backward_trace_finds_only_active_paths() {
-        let g = diamond();
-        let c1 = g.id("local_jitter_buffer_drain").unwrap();
-        let mut fv = FeatureVector::new();
-        // Nothing active: no chains.
-        assert!(g.backward_trace(c1, &fv).is_empty());
-        // Consequence + intermediate + one cause: one chain.
-        fv.set(Feature::parse("local_jitter_buffer_drain").unwrap(), true);
-        fv.set(Feature::parse("forward_delay_up").unwrap(), true);
-        fv.set(Feature::parse("ul_harq_retx").unwrap(), true);
-        let chains = g.backward_trace(c1, &fv);
-        assert_eq!(chains.len(), 1);
-        assert_eq!(g.name(chains[0][0]), "ul_harq_retx");
-        assert_eq!(g.name(chains[0][2]), "local_jitter_buffer_drain");
-        // Both causes active: two chains.
-        fv.set(Feature::parse("dl_harq_retx").unwrap(), true);
-        assert_eq!(g.backward_trace(c1, &fv).len(), 2);
-        // Consequence active but intermediate not: no *complete* chain.
-        let mut fv2 = FeatureVector::new();
-        fv2.set(Feature::parse("local_jitter_buffer_drain").unwrap(), true);
-        fv2.set(Feature::parse("ul_harq_retx").unwrap(), true);
-        assert!(g.backward_trace(c1, &fv2).is_empty());
     }
 
     #[test]

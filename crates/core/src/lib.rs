@@ -17,16 +17,17 @@
 //! 4. [`dsl`] — the text configuration language (`a --> b --> c`,
 //!    Fig. 11) with parse/emit round-tripping.
 //! 5. [`detect`] — the detector: [`DominoConfig`] and its contract,
-//!    checked once when a [`Domino`] is built, and the backward-trace
-//!    search.
-//! 6. [`codegen`] — compilation of chain definitions into an executable
-//!    decision program, with Python and Rust source emission (Fig. 11).
+//!    checked once when a [`Domino`] is built, and the window results.
+//! 6. [`codegen`] — compilation of a graph into its chain table, the one
+//!    chain evaluator every window runs, and Python and Rust source
+//!    emission from the same table (Fig. 11).
 //! 7. [`stats`] — occurrence frequencies (Fig. 10), conditional
 //!    probabilities (Table 2), and chain ratios (Table 4).
 //!
 //! A hidden `oracle` module holds the batch reference the streaming
-//! analyzer is tested against: each window rescanned from the bundle. Only
-//! tests call it.
+//! analyzer and its chain table are tested against: each window rescanned
+//! from the bundle, and its chains found by the recursive backward trace.
+//! Only tests call it.
 //!
 //! ```
 //! use domino_core::{Domino, ChainStats};
@@ -49,7 +50,7 @@ pub mod oracle;
 pub mod stats;
 pub mod stream;
 
-pub use codegen::{compile, DetectionProgram, ProgramOutput};
+pub use codegen::{compile, DetectionProgram};
 pub use detect::{
     Analysis, ChainHit, Domino, DominoConfig, Thresholds, VerdictCoverage, WindowAnalysis,
 };

@@ -3,10 +3,14 @@
 //! [`extract_features`] applies the twenty event-detection conditions of
 //! Table 5 (Appendix D), plus the four ABR playback conditions of the
 //! streaming workload, to one window by rescanning the bundle's records in
-//! it; [`analyze`] slides that window over a whole bundle. Nothing here keeps
-//! rolling state, so each condition reads as its row of the table. The
-//! [`StreamingAnalyzer`](crate::stream::StreamingAnalyzer), the one engine
-//! production runs, must match it bit for bit, window by window.
+//! it; [`trace_chains`] finds a window's chains by the paper's §4.2
+//! backward trace, walking back from each active consequence through active
+//! parents; [`analyze`] slides that window over a whole bundle. Nothing here
+//! keeps rolling state or a compiled table, so each condition reads as its
+//! row of the table and each chain as a path of the graph. The
+//! [`StreamingAnalyzer`](crate::stream::StreamingAnalyzer) and its chain
+//! table ([`DetectionProgram`](crate::codegen::DetectionProgram)), the one
+//! engine production runs, must match it bit for bit, window by window.
 //!
 //! The module is public but hidden from the docs, not `#[cfg(test)]`: the
 //! equivalence suites under `tests/` and the unit tests of `domino-live`
@@ -19,8 +23,9 @@ use telemetry::{
     PlaybackStatsRecord, StreamKind, TraceBundle,
 };
 
-use crate::detect::{Analysis, Domino, Thresholds, WindowAnalysis};
+use crate::detect::{Analysis, ChainHit, Domino, Thresholds, WindowAnalysis};
 use crate::features::{AppEvent, ClientSide, Feature, FeatureVector, PlaybackEvent, RanEvent};
+use crate::graph::{CausalGraph, NodeId};
 
 /// The batch sliding-window loop: extracts every window of `bundle` from
 /// scratch under `domino`'s configuration and backward-traces its chains.
@@ -31,7 +36,7 @@ pub fn analyze(domino: &Domino, bundle: &TraceBundle) -> Analysis {
     let mut start = SimTime::ZERO + cfg.warmup;
     while start + cfg.window <= horizon {
         let features = extract_features(bundle, start, start + cfg.window, &cfg.thresholds);
-        let (chains, unknown_consequences) = domino.trace_chains(&features);
+        let (chains, unknown_consequences) = trace_chains(domino.graph(), &features);
         windows.push(WindowAnalysis {
             start,
             features,
@@ -44,6 +49,72 @@ pub fn analyze(domino: &Domino, bundle: &TraceBundle) -> Analysis {
         windows,
         duration: bundle.meta.duration,
     }
+}
+
+/// Backward-traces every active consequence of `features` in `graph`, leaves
+/// by ascending id: the chains found, and the active consequences with none.
+pub fn trace_chains(graph: &CausalGraph, features: &FeatureVector) -> (Vec<ChainHit>, Vec<NodeId>) {
+    let mut chains = Vec::new();
+    let mut unknown = Vec::new();
+    for leaf in graph.leaves() {
+        if !active(graph, leaf, features) {
+            continue;
+        }
+        let paths = backward_trace(graph, leaf, features);
+        if paths.is_empty() {
+            unknown.push(leaf);
+        }
+        for path in paths {
+            chains.push(ChainHit {
+                cause: path[0],
+                consequence: leaf,
+                path,
+            });
+        }
+    }
+    (chains, unknown)
+}
+
+/// Backward trace (paper §4.2): starting from an *active* consequence, walk
+/// edges backward through active nodes, parents in edge order; returns every
+/// complete active path root→…→consequence, as paths in forward order.
+fn backward_trace(
+    graph: &CausalGraph,
+    consequence: NodeId,
+    features: &FeatureVector,
+) -> Vec<Vec<NodeId>> {
+    let mut results = Vec::new();
+    if active(graph, consequence, features) {
+        backward_dfs(graph, features, &mut vec![consequence], &mut results);
+    }
+    results
+}
+
+fn backward_dfs(
+    graph: &CausalGraph,
+    features: &FeatureVector,
+    path: &mut Vec<NodeId>,
+    out: &mut Vec<Vec<NodeId>>,
+) {
+    let at = *path.last().expect("non-empty path");
+    if graph.parents(at).is_empty() {
+        // Reached a root: a complete chain.
+        out.push(path.iter().rev().copied().collect());
+        return;
+    }
+    for &p in graph.parents(at) {
+        if active(graph, p, features) {
+            path.push(p);
+            backward_dfs(graph, features, path, out);
+            path.pop();
+        }
+    }
+}
+
+/// Whether a node's predicate holds, read feature by feature rather than
+/// through the node's mask, so a wrong mask cannot agree with itself.
+fn active(graph: &CausalGraph, id: NodeId, features: &FeatureVector) -> bool {
+    graph.predicate(id).iter().any(|&f| features.get(f))
 }
 
 /// Extracts the full 40-dim feature vector for the window `[from, to)`.
@@ -644,5 +715,38 @@ mod tests {
         let b = bundle_with(vec![], vec![], vec![]);
         let v = extract_features(&b, t(0), t(5000), &th);
         assert_eq!(v.count_active(), 0);
+    }
+
+    #[test]
+    fn backward_trace_finds_only_active_paths() {
+        // a → m → c1 ; a → m → c2 ; b → m → c1/c2
+        let g = crate::dsl::parse(
+            "ul_harq_retx --> forward_delay_up\n\
+             dl_harq_retx --> forward_delay_up\n\
+             forward_delay_up --> local_jitter_buffer_drain\n\
+             forward_delay_up --> local_target_bitrate_down\n",
+        )
+        .unwrap();
+        let c1 = g.id("local_jitter_buffer_drain").unwrap();
+        let mut fv = FeatureVector::new();
+        // Nothing active: no chains.
+        assert!(backward_trace(&g, c1, &fv).is_empty());
+        // Consequence + intermediate + one cause: one chain.
+        fv.set(Feature::parse("local_jitter_buffer_drain").unwrap(), true);
+        fv.set(Feature::parse("forward_delay_up").unwrap(), true);
+        fv.set(Feature::parse("ul_harq_retx").unwrap(), true);
+        let chains = backward_trace(&g, c1, &fv);
+        assert_eq!(chains.len(), 1);
+        assert_eq!(g.name(chains[0][0]), "ul_harq_retx");
+        assert_eq!(g.name(chains[0][2]), "local_jitter_buffer_drain");
+        // Both causes active: two chains.
+        fv.set(Feature::parse("dl_harq_retx").unwrap(), true);
+        assert_eq!(backward_trace(&g, c1, &fv).len(), 2);
+        // Consequence active but intermediate not: no *complete* chain.
+        let mut fv2 = FeatureVector::new();
+        fv2.set(Feature::parse("local_jitter_buffer_drain").unwrap(), true);
+        fv2.set(Feature::parse("ul_harq_retx").unwrap(), true);
+        assert!(backward_trace(&g, c1, &fv2).is_empty());
+        assert_eq!(trace_chains(&g, &fv2), (vec![], vec![c1]));
     }
 }

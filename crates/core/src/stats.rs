@@ -40,26 +40,30 @@ impl ChainStats {
             minutes,
             ..Default::default()
         };
-        let roots = graph.roots();
-        let leaves = graph.leaves();
+        // Roots and leaves, each once with both roles: a node on no edge is
+        // a cause and a consequence.
+        let ends: Vec<(NodeId, bool, bool)> = (0..graph.node_count())
+            .map(|n| (n, graph.parents(n).is_empty(), graph.children(n).is_empty()))
+            .filter(|&(_, root, leaf)| root || leaf)
+            .collect();
 
         let mut prev_active: HashMap<NodeId, bool> = HashMap::new();
         for w in &analysis.windows {
-            for &node in roots.iter().chain(leaves.iter()) {
+            for &(node, root, leaf) in &ends {
                 let active = graph.is_active(node, &w.features);
                 let was = prev_active.insert(node, active).unwrap_or(false);
-                if active && !was {
-                    let name = graph.name(node).to_string();
-                    if roots.contains(&node) {
-                        *s.cause_onsets.entry(name).or_default() += 1;
-                    } else {
-                        *s.consequence_onsets.entry(name).or_default() += 1;
-                    }
+                if !active {
+                    continue;
                 }
-                if active && leaves.contains(&node) {
-                    *s.consequence_windows
-                        .entry(graph.name(node).to_string())
-                        .or_default() += 1;
+                let name = graph.name(node);
+                if !was && root {
+                    *s.cause_onsets.entry(name.to_string()).or_default() += 1;
+                }
+                if !was && leaf {
+                    *s.consequence_onsets.entry(name.to_string()).or_default() += 1;
+                }
+                if leaf {
+                    *s.consequence_windows.entry(name.to_string()).or_default() += 1;
                 }
             }
             // Chains: count each (cause, consequence) pair once per window.
@@ -303,6 +307,41 @@ mod tests {
         );
         assert_eq!(s.unknown_probability("jitter_buffer_drain"), 0.0);
         assert_eq!(s.chain_ratio("harq_retx", "jitter_buffer_drain"), 1.0);
+    }
+
+    #[test]
+    fn a_node_that_is_root_and_leaf_counts_once_per_role() {
+        // `lone` is on no edge: its one-node chain is its own cause and
+        // consequence.
+        let g = crate::dsl::parse(
+            "alias lone = ul_harq_retx\n\
+             dl_rlc_retx --> forward_delay_up --> local_jitter_buffer_drain\n",
+        )
+        .unwrap();
+        let lone = g.id("lone").unwrap();
+        let mut fv = FeatureVector::new();
+        fv.set(Feature::parse("ul_harq_retx").unwrap(), true);
+        let windows = (0..3)
+            .map(|i| WindowAnalysis {
+                start: SimTime::from_millis(i * 500),
+                features: fv,
+                chains: vec![ChainHit {
+                    cause: lone,
+                    path: vec![lone],
+                    consequence: lone,
+                }],
+                unknown_consequences: vec![],
+            })
+            .collect();
+        let a = Analysis {
+            windows,
+            duration: SimDuration::from_secs(60),
+        };
+        let s = ChainStats::compute(&g, &a);
+        assert_eq!(s.cause_onsets["lone"], 1);
+        assert_eq!(s.consequence_onsets["lone"], 1);
+        assert_eq!(s.consequence_windows["lone"], 3);
+        assert_eq!(s.conditional_probability("lone", "lone"), 1.0);
     }
 
     #[test]

@@ -33,7 +33,8 @@ use telemetry::{
     PlaybackStatsRecord, Resolution, StreamKind, TraceBundle,
 };
 
-use crate::detect::{trace_chains_in, Analysis, DominoConfig, Thresholds, WindowAnalysis};
+use crate::codegen::{compile, DetectionProgram};
+use crate::detect::{Analysis, DominoConfig, Thresholds, WindowAnalysis};
 use crate::features::RanEvent;
 use crate::features::{AppEvent, ClientSide, Feature, FeatureVector, PlaybackEvent};
 use crate::graph::CausalGraph;
@@ -769,7 +770,8 @@ impl DciWindow {
 /// recorded [`TraceBundle`] via the telemetry crate's incremental cursor.
 #[derive(Debug, Clone)]
 pub struct StreamingAnalyzer {
-    graph: CausalGraph,
+    /// The causal graph's chain table.
+    program: DetectionProgram,
     cfg: DominoConfig,
     group_us: u64,
     app: [AppWindow; 2],
@@ -801,7 +803,7 @@ impl StreamingAnalyzer {
             }
         }
         Ok(StreamingAnalyzer {
-            graph,
+            program: compile(&graph),
             cfg,
             group_us,
             app: Default::default(),
@@ -825,11 +827,6 @@ impl StreamingAnalyzer {
     /// The engine configuration.
     pub fn config(&self) -> &DominoConfig {
         &self.cfg
-    }
-
-    /// The underlying causal graph.
-    pub fn graph(&self) -> &CausalGraph {
-        &self.graph
     }
 
     /// Drops all window state (allocations are kept for reuse).
@@ -1008,7 +1005,7 @@ impl StreamingAnalyzer {
             self.watermark
         );
         let features = self.features(start, end);
-        let (chains, unknown_consequences) = trace_chains_in(&self.graph, &features);
+        let (chains, unknown_consequences) = self.program.trace_chains(&features);
         WindowAnalysis {
             start,
             features,

@@ -470,7 +470,8 @@ pub fn run_bundles(specs: &[SessionSpec], threads: usize) -> Vec<TraceBundle> {
 mod tests {
     use super::*;
     use scenarios::{all_cells_grid, SessionGrid};
-    use simcore::SimDuration;
+    use simcore::{SimDuration, SimTime};
+    use telemetry::Direction;
 
     fn small_grid() -> Vec<SessionSpec> {
         SessionGrid::new()
@@ -544,9 +545,46 @@ mod tests {
         assert!(streaming.outcomes.iter().all(|o| o.live.is_none()));
     }
 
+    /// An ABR stream, whose uplink carries only segment requests, with every
+    /// first uplink HARQ attempt failing over 6–9 s: unlike the RTC calls,
+    /// whose windows hold dozens of retransmissions, its windows hold
+    /// between 1 and 10, where the HARQ threshold decides the feature.
+    fn harq_threshold_spec() -> SessionSpec {
+        let cfg = scenarios::SessionConfig {
+            duration: SimDuration::from_secs(12),
+            seed: 5,
+            ..Default::default()
+        };
+        SessionSpec::cell(scenarios::amarisoft(), cfg)
+            .abr(Default::default())
+            .with_script(scenarios::ScriptAction::HarqFailures {
+                dir: Direction::Uplink,
+                from: SimTime::from_secs(6),
+                to: SimTime::from_secs(9),
+                fail_attempts: 1,
+            })
+    }
+
+    /// Whether some window of `o` holds between 1 and 10 target-UE uplink
+    /// HARQ retransmissions.
+    fn has_harq_threshold_window(o: &SessionOutcome, domino: &Domino) -> bool {
+        let bundle = o.bundle.as_ref().expect("sweep kept its bundles");
+        let analysis = o.analysis.as_ref().expect("sweep kept its analyses");
+        analysis.windows.iter().any(|w| {
+            let retx = bundle
+                .dci_window(w.start, w.start + domino.config().window)
+                .iter()
+                .filter(|d| d.is_target_ue && d.direction == Direction::Uplink)
+                .filter(|d| d.harq_retx_idx > 0)
+                .count();
+            (1..=domino.config().thresholds.harq_retx_count).contains(&retx)
+        })
+    }
+
     #[test]
     fn live_mode_agrees_with_batch() {
-        let specs = all_cells_grid(5, SimDuration::from_secs(12));
+        let mut specs = all_cells_grid(5, SimDuration::from_secs(12));
+        specs.push(harq_threshold_spec());
         let domino = Domino::with_defaults();
         // A lateness bound far beyond any in-network delay in these short
         // sessions: the equivalence contract's precondition.
@@ -563,6 +601,8 @@ mod tests {
             },
         );
         assert_matches_oracle(&live, &domino);
+        let last = live.outcomes.last().expect("outcomes");
+        assert!(has_harq_threshold_window(last, &domino));
         for o in &live.outcomes {
             let stats = o.live.expect("live mode reports pipeline stats");
             assert_eq!(stats.late_records_dropped, 0);

@@ -1,6 +1,6 @@
 //! Extensibility demo (paper §4.2 "Extensibility of Domino", Fig. 11):
-//! define new causal chains in the text DSL, compile them to an executable
-//! detection program, and emit the generated Python/Rust source.
+//! define new causal chains in the text DSL, compile them to the chain table
+//! the analyzer runs, and emit the generated Python/Rust source.
 //!
 //! ```text
 //! cargo run --release --example custom_chains
@@ -21,14 +21,14 @@ dl_cross_traffic --> reverse_delay_up --> local_cwnd_full
 
 fn main() {
     let graph = parse(CONFIG).expect("config parses");
+    let program = compile(&graph);
     println!(
         "parsed graph: {} nodes, {} chains",
         graph.node_count(),
-        graph.enumerate_chains().len()
+        program.chains().len()
     );
 
     // Generate code from the definition, as Fig. 11 does.
-    let program = compile(&graph);
     println!(
         "---- generated Python ----\n{}",
         program.emit_python(&graph)

@@ -208,9 +208,30 @@ fn abr_grid_is_multiplex_width_invariant() {
     }
 }
 
+/// A stream with every first uplink HARQ attempt failing over 6–9 s. Its
+/// uplink carries only segment requests, so its windows hold between 1 and
+/// 10 target-UE retransmissions, where the HARQ threshold decides the
+/// feature; the grid's windows hold none or dozens.
+fn harq_threshold_spec() -> SessionSpec {
+    let cfg = SessionConfig {
+        duration: SimDuration::from_secs(12),
+        seed: 5,
+        ..Default::default()
+    };
+    SessionSpec::cell(domino::scenarios::amarisoft(), cfg)
+        .abr(AbrConfig::default())
+        .with_script(ScriptAction::HarqFailures {
+            dir: Direction::Uplink,
+            from: SimTime::from_secs(6),
+            to: SimTime::from_secs(9),
+            fail_attempts: 1,
+        })
+}
+
 #[test]
 fn abr_streaming_analysis_equals_batch() {
-    let specs = abr_grid();
+    let mut specs = abr_grid();
+    specs.push(harq_threshold_spec());
     let domino = abr_domino();
     let opts = SweepOptions::full()
         .threads(1)
@@ -227,6 +248,26 @@ fn abr_streaming_analysis_equals_batch() {
     for (b, s) in batch.outcomes.iter().zip(&streaming.outcomes) {
         assert_eq!(b.analysis, s.analysis, "{}", s.label);
     }
+    // The appended stream has a window with 1..=10 uplink retransmissions.
+    let last = streaming.outcomes.last().expect("outcomes");
+    let bundle = last.bundle.as_ref().expect("kept");
+    let cfg = domino.config();
+    let threshold_window = last
+        .analysis
+        .as_ref()
+        .expect("kept")
+        .windows
+        .iter()
+        .any(|w| {
+            let retx = bundle
+                .dci_window(w.start, w.start + cfg.window)
+                .iter()
+                .filter(|d| d.is_target_ue && d.direction == Direction::Uplink)
+                .filter(|d| d.harq_retx_idx > 0)
+                .count();
+            (1..=cfg.thresholds.harq_retx_count).contains(&retx)
+        });
+    assert!(threshold_window, "no window near the HARQ threshold");
     batch.aggregate = batch.aggregate_where(|_| true);
     assert_eq!(
         ShardReport::from_sweep(&batch).encode(),

@@ -1,50 +1,32 @@
-//! DSL ⇄ graph ⇄ generated-code consistency on real session data: the
-//! compiled detection program must agree with the graph backward trace on
-//! every window of an actual simulated trace. Plus two fuzzes of the DSL
-//! parser: hostile config text never panics it, and every graph it accepts
+//! DSL ⇄ graph ⇄ chain table ⇄ generated code. The compiled chain table
+//! must report exactly the oracle's backward trace, in order, on random
+//! feature vectors over shipped, generated and wide graphs; and the Python
+//! and Rust it generates, run by `python3` and compiled by `rustc` (both
+//! looked up on `PATH`), must report exactly the table on those vectors and
+//! on every window of real traces. Plus two fuzzes of the DSL parser:
+//! hostile config text never panics it, and every graph it accepts
 //! round-trips through `emit` — mutated shipped configs, and generated
 //! graphs with isolated nodes, aliases named after features, and the
 //! reserved word.
 
+use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
+use std::process::{Command, Stdio};
 
+use domino::abr::AbrConfig;
 use domino::core::dsl::{ABR_CONFIG, DEFAULT_CONFIG};
 use domino::core::{
-    compile, default_graph, emit, parse, CausalGraph, Domino, DominoConfig, Feature,
+    abr_graph, compile, default_graph, emit, oracle, parse, CausalGraph, DetectionProgram, Domino,
+    DominoConfig, Feature, FeatureVector,
 };
-use domino::scenarios::{SessionConfig, SessionRun};
-use domino::simcore::SimDuration;
+use domino::scenarios::{ScriptAction, SessionConfig, SessionRun, SessionSpec};
+use domino::simcore::{SimDuration, SimTime};
+use domino::telemetry::Direction;
 use proptest::strategy::Strategy;
 use rand::rngs::StdRng;
-
-#[test]
-fn program_agrees_with_search_on_real_trace() {
-    let cfg = SessionConfig {
-        duration: SimDuration::from_secs(20),
-        seed: 404,
-        ..Default::default()
-    };
-    let bundle = SessionRun::cell(domino::scenarios::tmobile_fdd_15mhz(), &cfg).run();
-
-    let domino = Domino::with_defaults();
-    let program = compile(domino.graph());
-    let analysis = domino.analyze(&bundle);
-    assert!(!analysis.windows.is_empty());
-
-    for w in &analysis.windows {
-        let out = program.run(domino.graph(), &w.features);
-        // Same set of (cause, consequence, path) detections.
-        let mut from_search: Vec<Vec<usize>> = w.chains.iter().map(|c| c.path.clone()).collect();
-        let mut from_program: Vec<Vec<usize>> = out
-            .chains
-            .iter()
-            .map(|&id| program.chains[id].clone())
-            .collect();
-        from_search.sort();
-        from_program.sort();
-        assert_eq!(from_search, from_program, "window at {}", w.start);
-    }
-}
 
 #[test]
 fn dsl_round_trip_preserves_detection_behaviour() {
@@ -289,4 +271,327 @@ fn generated_graphs_round_trip_through_emit() {
     }
     // Every shape the generator aims at occurred.
     assert!(isolated_own > 0 && shadowing > 0 && reserved > 0);
+}
+
+/// The paper's Fig. 11 input.
+const FIG11_CONFIG: &str = "
+dl_rlc_retx --> forward_delay_up --> local_jitter_buffer_drain
+dl_harq_retx --> forward_delay_up --> local_jitter_buffer_drain
+";
+
+/// A node on no edge is a root and a leaf: a one-node chain.
+const LONE_CONFIG: &str = "
+alias lone = ul_harq_retx
+dl_rlc_retx --> forward_delay_up --> local_jitter_buffer_drain
+";
+
+/// Names the generated code must quote: `"`, `\`, non-ASCII letters and a
+/// combining mark (which Rust's `{:?}` escapes as `\u{301}`).
+const QUOTED_CONFIG: &str = "
+alias qu\"ote = ul_harq_retx | dl_harq_retx
+alias back\\slash = forward_delay_up | reverse_delay_up
+alias ñandú = local_jitter_buffer_drain | remote_jitter_buffer_drain
+alias cafe\u{301} = ul_cross_traffic
+alias \"\\ñ = rrc_state_change
+qu\"ote --> back\\slash --> ñandú
+cafe\u{301} --> back\\slash
+";
+
+/// 68 nodes, more than a `u64` has bits: a root per feature, four
+/// intermediates and 24 consequences, half of them behind two
+/// intermediates; 360 chains.
+fn wide_config() -> String {
+    let f = Feature::all();
+    let mut text = String::new();
+    for (i, feature) in f.iter().enumerate() {
+        writeln!(text, "alias r{i} = {}", feature.name()).unwrap();
+    }
+    for m in 0..4 {
+        writeln!(text, "alias m{m} = {} | {}", f[m].name(), f[m + 20].name()).unwrap();
+    }
+    for c in 0..24 {
+        writeln!(text, "alias c{c} = {} | {}", f[c].name(), f[39 - c].name()).unwrap();
+    }
+    for i in 0..40 {
+        writeln!(text, "r{i} --> m{}", i % 4).unwrap();
+    }
+    for c in 0..24 {
+        writeln!(text, "m{} --> c{c}", c % 4).unwrap();
+        if c < 12 {
+            writeln!(text, "m{} --> c{c}", (c + 1) % 4).unwrap();
+        }
+    }
+    text
+}
+
+/// Every graph the table is checked on, with a label: the shipped ones, the
+/// Fig. 11 input, a node that is root and leaf, quoted names, a graph wider
+/// than 64 nodes, and 24 accepted `random_config` graphs.
+fn test_graphs() -> Vec<(String, CausalGraph)> {
+    let mut graphs: Vec<(String, CausalGraph)> = vec![
+        ("default".into(), default_graph()),
+        ("abr".into(), abr_graph()),
+    ];
+    for (label, text) in [
+        ("fig11", FIG11_CONFIG.to_string()),
+        ("lone", LONE_CONFIG.to_string()),
+        ("quoted", QUOTED_CONFIG.to_string()),
+        ("wide", wide_config()),
+    ] {
+        graphs.push((label.into(), parse(&text).expect(label)));
+    }
+    let mut rng = proptest::test_rng("test_graphs");
+    while graphs.len() < 30 {
+        let text = random_config(&mut rng);
+        if let Ok(g) = parse(&text) {
+            graphs.push((format!("generated {text:?}"), g));
+        }
+    }
+    let wide = &graphs[5].1;
+    assert!(wide.node_count() > 64 && compile(wide).chains().len() == 360);
+    graphs
+}
+
+/// A random 40-bit feature vector, a quarter, half or three quarters full.
+fn random_features(rng: &mut StdRng) -> FeatureVector {
+    let a = proptest::any::<u64>().generate(rng);
+    let b = proptest::any::<u64>().generate(rng);
+    let bits = match (0..3u8).generate(rng) {
+        0 => a & b,
+        1 => a,
+        _ => a | b,
+    };
+    let mut fv = FeatureVector::new();
+    for f in Feature::all() {
+        fv.set(f, bits >> f.index() & 1 == 1);
+    }
+    fv
+}
+
+#[test]
+fn chain_table_matches_backward_trace_oracle() {
+    let mut rng = proptest::test_rng("chain_table_matches_backward_trace_oracle");
+    let mut hits = 0;
+    let mut unknown = 0;
+    for (label, g) in test_graphs() {
+        let program = compile(&g);
+        for _ in 0..4 * proptest::CASES {
+            let fv = random_features(&mut rng);
+            let got = program.trace_chains(&fv);
+            assert_eq!(got, oracle::trace_chains(&g, &fv), "{label}: {fv:?}");
+            hits += got.0.len();
+            unknown += got.1.len();
+        }
+    }
+    assert!(hits > 0 && unknown > 0, "{hits} hits, {unknown} unknown");
+}
+
+/// What generated code must print for one case, `chain ids | causes |
+/// consequences` by node id: causes in first-hit order and consequences in
+/// table order for Rust, whose function returns lists; both sorted for
+/// Python, whose function returns sets.
+fn expected_lines(program: &DetectionProgram, fv: &FeatureVector) -> (String, String) {
+    let ids: HashMap<&Vec<usize>, usize> = program
+        .chains()
+        .iter()
+        .enumerate()
+        .map(|(i, c)| (c, i))
+        .collect();
+    let (hits, unknown) = program.trace_chains(fv);
+    let mut causes: Vec<usize> = Vec::new();
+    for h in &hits {
+        if !causes.contains(&h.cause) {
+            causes.push(h.cause);
+        }
+    }
+    let mut consequences: Vec<usize> = hits.iter().map(|h| h.consequence).collect();
+    consequences.extend(unknown);
+    consequences.sort();
+    consequences.dedup();
+    let join = |v: &[usize]| v.iter().map(usize::to_string).collect::<Vec<_>>().join(" ");
+    let chains = join(&hits.iter().map(|h| ids[&h.path]).collect::<Vec<_>>());
+    let rust = format!("{chains} | {} | {}", join(&causes), join(&consequences));
+    causes.sort();
+    let python = format!("{chains} | {} | {}", join(&causes), join(&consequences));
+    (rust, python)
+}
+
+/// `n` as two hex digits per UTF-8 byte, so the drivers' input needs no
+/// quoting of its own.
+fn hex(n: &str) -> String {
+    n.bytes().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The Rust driver: each graph's generated function in its own module, and
+/// a `main` that answers the cases on stdin.
+fn rust_driver(graphs: &[(String, CausalGraph)], programs: &[DetectionProgram]) -> String {
+    let mut src = String::new();
+    for (k, ((_, g), p)) in graphs.iter().zip(programs).enumerate() {
+        writeln!(src, "mod g{k} {{\n{}}}", p.emit_rust(g)).unwrap();
+    }
+    src.push_str(
+        r#"
+fn unhex(h: &str) -> String {
+    let bytes = (0..h.len()).step_by(2).map(|i| u8::from_str_radix(&h[i..i + 2], 16).unwrap());
+    String::from_utf8(bytes.collect()).unwrap()
+}
+
+fn main() {
+    let mut names: Vec<Vec<String>> = Vec::new();
+    for line in std::io::stdin().lines() {
+        let line = line.unwrap();
+        let words: Vec<&str> = line.split(' ').collect();
+        if words[0] == "graph" {
+            names.push(words[1..].iter().map(|h| unhex(h)).collect());
+            continue;
+        }
+        let k: usize = words[1].parse().unwrap();
+        let (names, bits) = (&names[k], words[2].as_bytes());
+        let id = |n: &str| names.iter().position(|m| m == n).unwrap_or_else(|| panic!("no node {n:?}"));
+        let active = |n: &str| bits[id(n)] == b'1';
+        let (consequences, causes, chains) = match k {
+"#,
+    );
+    for k in 0..graphs.len() {
+        writeln!(src, "            {k} => g{k}::backward_trace(active),").unwrap();
+    }
+    src.push_str(
+        r#"            _ => unreachable!(),
+        };
+        let ids = |v: Vec<&str>| v.iter().map(|n| id(n).to_string()).collect::<Vec<_>>().join(" ");
+        let chains: Vec<String> = chains.iter().map(|c| c.to_string()).collect();
+        println!("{} | {} | {}", chains.join(" "), ids(causes), ids(consequences));
+    }
+}
+"#,
+    );
+    src
+}
+
+/// The Python driver: loads graph `k`'s generated function from `g{k}.py`
+/// in its directory and answers the cases on stdin.
+const PYTHON_DRIVER: &str = r#"
+import os, sys
+here = os.path.dirname(os.path.abspath(__file__))
+names, functions = [], []
+for line in sys.stdin:
+    words = line.rstrip("\n").split(" ")
+    if words[0] == "graph":
+        names.append([bytes.fromhex(h).decode("utf-8") for h in words[1:]])
+        scope = {}
+        with open(os.path.join(here, f"g{len(functions)}.py"), encoding="utf-8") as f:
+            exec(f.read(), scope)
+        functions.append(scope["backward_trace"])
+        continue
+    k, bits = int(words[1]), words[2]
+    ids = {n: i for i, n in enumerate(names[k])}
+    consequences, causes, chains = functions[k]({n: b == "1" for n, b in zip(names[k], bits)})
+    by_id = lambda s: " ".join(str(i) for i in sorted(ids[n] for n in s))
+    print(f"{' '.join(map(str, chains))} | {by_id(causes)} | {by_id(consequences)}")
+"#;
+
+/// Runs `cmd` with `input` on stdin and returns its stdout lines, failing
+/// the test with the tool's own words when it is missing or fails.
+fn run_tool(cmd: &mut Command, what: &str, input: &Path) -> Vec<String> {
+    let out = cmd
+        .stdin(Stdio::from(fs::File::open(input).unwrap()))
+        .output()
+        .unwrap_or_else(|e| panic!("cannot start {what} (looked up on PATH): {e}"));
+    assert!(
+        out.status.success(),
+        "{what} failed: {}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+/// Feature vectors of every window of two real traces: an RTC call, and an
+/// ABR stream under cross traffic whose buffer-low and ladder-switch-down
+/// playback features fire.
+fn real_windows() -> Vec<FeatureVector> {
+    let cfg = SessionConfig {
+        duration: SimDuration::from_secs(20),
+        seed: 404,
+        ..Default::default()
+    };
+    let rtc = SessionRun::cell(domino::scenarios::tmobile_fdd_15mhz(), &cfg).run();
+    let abr = SessionSpec::cell(domino::scenarios::amarisoft(), cfg)
+        .abr(AbrConfig::default())
+        .with_script(ScriptAction::CrossTraffic {
+            dir: Direction::Downlink,
+            from: SimTime::from_secs(6),
+            to: SimTime::from_secs(14),
+            prb_fraction: 0.97,
+        })
+        .run();
+    let domino = Domino::with_defaults();
+    let mut windows = Vec::new();
+    for bundle in [rtc, abr] {
+        let analysis = domino.analyze(&bundle);
+        assert!(!analysis.windows.is_empty());
+        windows.extend(analysis.windows.iter().map(|w| w.features));
+    }
+    windows
+}
+
+#[test]
+fn generated_python_and_rust_match_the_chain_table() {
+    let graphs = test_graphs();
+    let programs: Vec<DetectionProgram> = graphs.iter().map(|(_, g)| compile(g)).collect();
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("dsl_codegen");
+    fs::create_dir_all(&dir).unwrap();
+
+    let mut rng = proptest::test_rng("generated_python_and_rust_match_the_chain_table");
+    let real = real_windows();
+    assert!(real.iter().any(|fv| fv.count_active() > 0));
+    let mut input = String::new();
+    let mut expected = Vec::new();
+    for (k, ((_, g), program)) in graphs.iter().zip(&programs).enumerate() {
+        fs::write(dir.join(format!("g{k}.py")), program.emit_python(g)).unwrap();
+        let names: Vec<String> = (0..g.node_count()).map(|n| hex(g.name(n))).collect();
+        writeln!(input, "graph {}", names.join(" ")).unwrap();
+        let random = (0..proptest::CASES).map(|_| random_features(&mut rng));
+        for fv in real.iter().copied().chain(random) {
+            let bits: String = (0..g.node_count())
+                .map(|n| if g.is_active(n, &fv) { '1' } else { '0' })
+                .collect();
+            writeln!(input, "case {k} {bits}").unwrap();
+            expected.push((k, fv, expected_lines(program, &fv)));
+        }
+    }
+    let input_path = dir.join("cases.txt");
+    fs::write(&input_path, input).unwrap();
+    fs::write(dir.join("driver.py"), PYTHON_DRIVER).unwrap();
+    fs::write(dir.join("driver.rs"), rust_driver(&graphs, &programs)).unwrap();
+
+    let exe = dir.join("driver");
+    let built = Command::new("rustc")
+        .args(["--edition", "2021", "-o"])
+        .arg(&exe)
+        .arg(dir.join("driver.rs"))
+        .output()
+        .unwrap_or_else(|e| panic!("cannot start rustc (looked up on PATH): {e}"));
+    assert!(
+        built.status.success(),
+        "rustc rejected the generated Rust:\n{}",
+        String::from_utf8_lossy(&built.stderr)
+    );
+    let rust = run_tool(&mut Command::new(&exe), "the compiled Rust", &input_path);
+    let python = run_tool(
+        Command::new("python3").arg(dir.join("driver.py")),
+        "python3",
+        &input_path,
+    );
+    assert_eq!(rust.len(), expected.len());
+    assert_eq!(python.len(), expected.len());
+    for (i, (k, fv, (want_rust, want_python))) in expected.iter().enumerate() {
+        let label = &graphs[*k].0;
+        assert_eq!(&rust[i], want_rust, "Rust, {label}, {fv:?}");
+        assert_eq!(&python[i], want_python, "Python, {label}, {fv:?}");
+    }
 }
