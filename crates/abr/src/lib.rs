@@ -122,14 +122,14 @@ impl Default for AbrConfig {
 
 impl AbrConfig {
     /// Bytes of one segment at `rung` (bitrate × duration).
-    pub fn segment_bytes(&self, rung: u8) -> u64 {
+    pub(crate) fn segment_bytes(&self, rung: u8) -> u64 {
         let bits =
             self.ladder[rung as usize].bitrate_bps * self.segment_duration.as_micros() / 1_000_000;
         (bits / 8).max(1)
     }
 
     /// Chunks one segment at `rung` is shipped as.
-    pub fn segment_chunks(&self, rung: u8) -> u32 {
+    pub(crate) fn segment_chunks(&self, rung: u8) -> u32 {
         self.segment_bytes(rung).div_ceil(self.mtu as u64) as u32
     }
 

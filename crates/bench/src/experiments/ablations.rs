@@ -25,7 +25,7 @@ fn t(secs: f64) -> SimTime {
 }
 
 /// Proactive grants on vs off on the Mosolabs cell.
-pub fn proactive_grants() -> String {
+pub(crate) fn proactive_grants() -> String {
     let mut out = String::from("Ablation — proactive UL grants (Mosolabs)\n");
     let _ = writeln!(
         out,
@@ -148,7 +148,7 @@ pub fn harq_attempts() -> String {
 }
 
 /// Domino window length W around the paper's 5 s choice.
-pub fn window_length() -> String {
+pub(crate) fn window_length() -> String {
     let mut out =
         String::from("Ablation — Domino sliding-window length W (T-Mobile FDD session)\n");
     // Both sessions (the main sweep trace and the scripted check) run as one

@@ -15,7 +15,7 @@ fn t(secs: f64) -> SimTime {
 
 /// Fig. 20 — a delay surge drains the jitter buffer, freezing video and
 /// dropping the rendered frame rate.
-pub fn fig20() -> String {
+pub(crate) fn fig20() -> String {
     let mut cfg = short_session_cfg(5020, 22);
     cfg.wired_sender.start_bps = 2_500_000.0;
     let bundle = SessionRun::cell(scenarios::tmobile_fdd_15mhz_quiet(), &cfg)
@@ -62,7 +62,7 @@ pub fn fig20() -> String {
 /// * Fig. 22: stable forward path but delayed RTCP feedback → outstanding
 ///   bytes exceed the congestion window → pushback-rate drop with the
 ///   target rate intact.
-pub fn fig21_22() -> String {
+pub(crate) fn fig21_22() -> String {
     let mut out = String::new();
 
     // ---- Fig. 21: UL media path delay (affects the local sender's GCC).

@@ -32,7 +32,7 @@ fn class_stats() -> (Domino, ChainStats, ChainStats) {
 }
 
 /// Fig. 10 — absolute occurrence frequency of causes and consequences.
-pub fn fig10() -> String {
+pub(crate) fn fig10() -> String {
     let (domino, commercial, private) = class_stats();
     let mut out =
         String::from("Fig. 10 — 5G cause and VCA consequence occurrence frequency (per minute)\n");
@@ -44,7 +44,7 @@ pub fn fig10() -> String {
 }
 
 /// Table 2 — conditional probability of causes given each consequence.
-pub fn table2() -> String {
+pub(crate) fn table2() -> String {
     let (domino, commercial, private) = class_stats();
     let mut out = String::from("Table 2 — P(cause | consequence)\n");
     let _ = writeln!(out, "### Commercial 5G");
@@ -55,7 +55,7 @@ pub fn table2() -> String {
 }
 
 /// Table 4 — each chain's ratio over all detected chains.
-pub fn table4() -> String {
+pub(crate) fn table4() -> String {
     let (domino, commercial, private) = class_stats();
     let mut out = String::from("Table 4 — chain ratio over all detected chains\n");
     let _ = writeln!(out, "### Commercial 5G");

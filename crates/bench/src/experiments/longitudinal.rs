@@ -49,7 +49,7 @@ fn run_all_cells() -> Vec<TraceBundle> {
 
 /// Fig. 8 — per-cell CDFs: one-way delay, target bitrate, frame rate,
 /// jitter-buffer delay (UL and DL streams).
-pub fn fig8() -> String {
+pub(crate) fn fig8() -> String {
     let bundles = run_all_cells();
     let mut out = String::from("Fig. 8 — WebRTC performance metrics across four 5G cells\n");
     for b in &bundles {
@@ -129,7 +129,7 @@ pub fn fig8() -> String {
 }
 
 /// Table 3 — video resolution distribution of UL and DL streams per cell.
-pub fn table3() -> String {
+pub(crate) fn table3() -> String {
     let bundles = run_all_cells();
     let mut out = String::from("Table 3 — video resolution distribution (UL | DL)\n");
     let _ = write!(out, "{:<8}", "res");

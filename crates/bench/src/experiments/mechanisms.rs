@@ -18,7 +18,7 @@ fn t(secs: f64) -> SimTime {
 }
 
 /// Fig. 12 — channel degradation causes RLC buffer build-up and delay.
-pub fn fig12() -> String {
+pub(crate) fn fig12() -> String {
     let cfg = short_session_cfg(5012, 20);
     let bundle = SessionRun::cell(scenarios::amarisoft(), &cfg)
         .script(|cell| {
@@ -75,7 +75,7 @@ pub fn fig12() -> String {
 }
 
 /// Fig. 13 — DL cross traffic increases delay and degrades the GCC target.
-pub fn fig13() -> String {
+pub(crate) fn fig13() -> String {
     let mut cfg = short_session_cfg(5013, 22);
     // The paper's DL flow was already running at a few Mbit/s when the
     // burst hit; start the wired sender high so the burst bites.
@@ -126,7 +126,7 @@ pub fn fig13() -> String {
 }
 
 /// Fig. 14 — packet↔transport-block timelines showing UL delay spread.
-pub fn fig14() -> String {
+pub(crate) fn fig14() -> String {
     let mut out =
         String::from("Fig. 14 — WebRTC packets vs PHY transport blocks (UL, 150 ms excerpts)\n");
     for (cell, seed) in [
@@ -183,7 +183,7 @@ pub fn fig14() -> String {
 }
 
 /// Fig. 16 — proactive UL grants: used vs wasted capacity (Mosolabs).
-pub fn fig16() -> String {
+pub(crate) fn fig16() -> String {
     let cfg = short_session_cfg(5016, 15);
     let bundle = SessionRun::cell(scenarios::mosolabs(), &cfg).run();
     let mut out = String::from("Fig. 16 — Mosolabs proactive UL grants\n");
@@ -246,7 +246,7 @@ pub fn fig16() -> String {
 }
 
 /// Fig. 17 — HARQ retransmissions inflate packet delay by ≈ one HARQ RTT.
-pub fn fig17() -> String {
+pub(crate) fn fig17() -> String {
     let cfg = short_session_cfg(5017, 16);
     let clean = SessionRun::cell(scenarios::amarisoft_ideal(), &cfg).run();
     let harq = SessionRun::cell(scenarios::amarisoft_ideal(), &cfg)
@@ -276,7 +276,7 @@ pub fn fig17() -> String {
 }
 
 /// Fig. 18 — RLC retransmission: ≈105 ms inflation and an HoL burst.
-pub fn fig18() -> String {
+pub(crate) fn fig18() -> String {
     let cfg = short_session_cfg(5018, 16);
     let bundle = SessionRun::cell(scenarios::amarisoft_ideal(), &cfg)
         .script(|cell| {
@@ -331,7 +331,7 @@ pub fn fig18() -> String {
 }
 
 /// Fig. 19 — RRC release halts transmission for ≈300 ms; delay spikes.
-pub fn fig19() -> String {
+pub(crate) fn fig19() -> String {
     let cfg = short_session_cfg(5019, 18);
     let bundle = SessionRun::cell(scenarios::tmobile_fdd_15mhz_quiet(), &cfg)
         .script(|cell| {

@@ -5,4 +5,4 @@ pub mod consequences;
 pub mod domino_eval;
 pub mod longitudinal;
 pub mod mechanisms;
-pub mod motivation;
+pub(crate) mod motivation;

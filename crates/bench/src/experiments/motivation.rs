@@ -12,7 +12,7 @@ use scenarios::{
 use crate::util::{delay_samples, print_cdf, session_cfg};
 
 /// Fig. 2 — one-way packet delay, 5G vs wired, UL and DL.
-pub fn fig2() -> String {
+pub(crate) fn fig2() -> String {
     let cfg = session_cfg(2001);
     let cell = SessionRun::cell(scenarios::tmobile_fdd_15mhz(), &cfg).run();
     let wired = SessionRun::baseline(BaselineAccess::Wired, &cfg).run();
@@ -42,7 +42,7 @@ pub fn fig2() -> String {
 
 /// Fig. 3 — minimum jitter-buffer delay CDFs with the ITU-T interactivity
 /// thresholds (150 ms / 400 ms).
-pub fn fig3() -> String {
+pub(crate) fn fig3() -> String {
     let cfg = session_cfg(2003);
     let cell = SessionRun::cell(scenarios::tmobile_fdd_15mhz(), &cfg).run();
     let wired = SessionRun::baseline(BaselineAccess::Wired, &cfg).run();
@@ -93,7 +93,7 @@ pub fn fig3() -> String {
 }
 
 /// Fig. 4 — fraction of concealed audio samples and video freeze time.
-pub fn fig4() -> String {
+pub(crate) fn fig4() -> String {
     let cfg = session_cfg(2004);
     let cell = SessionRun::cell(scenarios::tmobile_fdd_15mhz(), &cfg).run();
     let wired = SessionRun::baseline(BaselineAccess::Wired, &cfg).run();
@@ -132,7 +132,7 @@ fn campus() -> Vec<ZoomQosRecord> {
 }
 
 /// Fig. 5 — campus Zoom dataset: network jitter per access type.
-pub fn fig5() -> String {
+pub(crate) fn fig5() -> String {
     let data = campus();
     let mut out = String::from("Fig. 5 — campus Zoom dataset: network jitter [ms] CDF\n");
     for access in [AccessType::Wired, AccessType::Wifi, AccessType::Cellular] {
@@ -157,7 +157,7 @@ pub fn fig5() -> String {
 }
 
 /// Fig. 6 — campus Zoom dataset: packet loss per access type.
-pub fn fig6() -> String {
+pub(crate) fn fig6() -> String {
     let data = campus();
     let mut out = String::from("Fig. 6 — campus Zoom dataset: avg packet loss [%] CDF\n");
     for access in [AccessType::Wired, AccessType::Wifi, AccessType::Cellular] {
@@ -182,7 +182,7 @@ pub fn fig6() -> String {
 }
 
 /// Table 1 — dataset overview: per-minute event rates per cell.
-pub fn table1() -> String {
+pub(crate) fn table1() -> String {
     let mut out = String::from("Table 1 — datasets: event rates per minute\n");
     let _ = writeln!(
         out,

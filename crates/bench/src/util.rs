@@ -18,7 +18,7 @@ pub fn session_cfg(seed: u64) -> SessionConfig {
 }
 
 /// A shorter session for scripted trace figures.
-pub fn short_session_cfg(seed: u64, secs: u64) -> SessionConfig {
+pub(crate) fn short_session_cfg(seed: u64, secs: u64) -> SessionConfig {
     SessionConfig {
         duration: SimDuration::from_secs(secs),
         seed,
@@ -27,7 +27,7 @@ pub fn short_session_cfg(seed: u64, secs: u64) -> SessionConfig {
 }
 
 /// One-way delay samples (ms) for one direction.
-pub fn delay_samples(bundle: &TraceBundle, dir: Direction, media_only: bool) -> Vec<f64> {
+pub(crate) fn delay_samples(bundle: &TraceBundle, dir: Direction, media_only: bool) -> Vec<f64> {
     bundle
         .packets
         .iter()
@@ -37,19 +37,8 @@ pub fn delay_samples(bundle: &TraceBundle, dir: Direction, media_only: bool) -> 
         .collect()
 }
 
-/// Delay samples restricted to one stream kind.
-pub fn stream_delay_samples(bundle: &TraceBundle, dir: Direction, stream: StreamKind) -> Vec<f64> {
-    bundle
-        .packets
-        .iter()
-        .filter(|p| p.direction == dir && p.stream == stream)
-        .filter_map(|p| p.one_way_delay())
-        .map(|d| d.as_millis_f64())
-        .collect()
-}
-
 /// Prints a labelled CDF as `value p` rows on the standard quantile grid.
-pub fn print_cdf(out: &mut String, label: &str, samples: Vec<f64>) {
+pub(crate) fn print_cdf(out: &mut String, label: &str, samples: Vec<f64>) {
     let cdf = Cdf::from_samples(samples);
     let _ = writeln!(out, "-- {label} (n={})", cdf.len());
     if cdf.is_empty() {
@@ -90,7 +79,7 @@ pub fn loss_fraction(bundle: &TraceBundle, dir: Direction) -> f64 {
 
 /// Bins a quantity over time for time-series printouts: returns
 /// (bin_center_s, value) rows.
-pub fn time_bins(
+pub(crate) fn time_bins(
     from: SimTime,
     to: SimTime,
     bin: SimDuration,
@@ -108,7 +97,12 @@ pub fn time_bins(
 }
 
 /// Mean one-way delay (ms) of media packets sent in a window.
-pub fn mean_delay_in(bundle: &TraceBundle, dir: Direction, from: SimTime, to: SimTime) -> f64 {
+pub(crate) fn mean_delay_in(
+    bundle: &TraceBundle,
+    dir: Direction,
+    from: SimTime,
+    to: SimTime,
+) -> f64 {
     let w = bundle.packets_window(from, to);
     let d: Vec<f64> = w
         .iter()
@@ -124,7 +118,7 @@ pub fn mean_delay_in(bundle: &TraceBundle, dir: Direction, from: SimTime, to: Si
 }
 
 /// Application send rate (bits/s) in a window for one direction.
-pub fn app_rate_in(bundle: &TraceBundle, dir: Direction, from: SimTime, to: SimTime) -> f64 {
+pub(crate) fn app_rate_in(bundle: &TraceBundle, dir: Direction, from: SimTime, to: SimTime) -> f64 {
     let w = bundle.packets_window(from, to);
     let bits: f64 = w
         .iter()
@@ -135,7 +129,7 @@ pub fn app_rate_in(bundle: &TraceBundle, dir: Direction, from: SimTime, to: SimT
 }
 
 /// PHY allocated rate (bits/s) for the target UE in a window/direction.
-pub fn phy_rate_in(bundle: &TraceBundle, dir: Direction, from: SimTime, to: SimTime) -> f64 {
+pub(crate) fn phy_rate_in(bundle: &TraceBundle, dir: Direction, from: SimTime, to: SimTime) -> f64 {
     let w = bundle.dci_window(from, to);
     let bits: f64 = w
         .iter()
@@ -146,7 +140,12 @@ pub fn phy_rate_in(bundle: &TraceBundle, dir: Direction, from: SimTime, to: SimT
 }
 
 /// Mean PRBs per slot in a window for target UE / other UEs.
-pub fn prbs_in(bundle: &TraceBundle, dir: Direction, from: SimTime, to: SimTime) -> (f64, f64) {
+pub(crate) fn prbs_in(
+    bundle: &TraceBundle,
+    dir: Direction,
+    from: SimTime,
+    to: SimTime,
+) -> (f64, f64) {
     let w = bundle.dci_window(from, to);
     let (mut ours, mut others) = (0u64, 0u64);
     for d in w.iter().filter(|d| d.direction == dir) {

@@ -160,11 +160,6 @@ impl VerdictCoverage {
     pub fn is_degraded(&self) -> bool {
         self.late_drops > 0 || self.gapped_streams != 0
     }
-
-    /// Number of gapped streams.
-    pub fn gapped_count(&self) -> u32 {
-        self.gapped_streams.count_ones()
-    }
 }
 
 impl Default for VerdictCoverage {

@@ -198,7 +198,7 @@ pub enum Feature {
 }
 
 /// Total number of features.
-pub const FEATURE_COUNT: usize = 40;
+pub(crate) const FEATURE_COUNT: usize = 40;
 
 // Every feature has a bit in a `FeatureVector`'s `u64`.
 const _: () = assert!(FEATURE_COUNT <= 64);

@@ -21,11 +21,11 @@ pub type NodeId = usize;
 /// bound the work a configuration can demand; with unbounded aliases a
 /// layered graph has 2^layers of them. The default graph has 24 chains
 /// and the ABR graph 12.
-pub const MAX_CHAINS: u64 = 4096;
+pub(crate) const MAX_CHAINS: u64 = 4096;
 
 /// Graph construction / validation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GraphError {
+pub(crate) enum GraphError {
     /// An edge references an unknown node and the name is not a feature.
     UnknownNode(String),
     /// The graph contains a directed cycle through the named node.
@@ -34,11 +34,11 @@ pub enum GraphError {
     EmptyPredicate(String),
     /// Duplicate alias definition.
     DuplicateAlias(String),
-    /// The graph has more root→leaf chains than [`MAX_CHAINS`].
+    /// The graph has more root→leaf chains than the 4 096 a graph may hold.
     TooManyChains {
         /// Chains counted, saturating at `u64::MAX`.
         chains: u64,
-        /// The limit, [`MAX_CHAINS`].
+        /// The limit, 4 096.
         limit: u64,
     },
 }
@@ -81,7 +81,7 @@ pub struct CausalGraph {
 
 /// Incremental builder for [`CausalGraph`].
 #[derive(Debug, Clone, Default)]
-pub struct GraphBuilder {
+pub(crate) struct GraphBuilder {
     nodes: Vec<Node>,
     name_to_id: HashMap<String, NodeId>,
     /// Edges in first-insertion order, which `CausalGraph::edges`, DSL
@@ -93,12 +93,16 @@ pub struct GraphBuilder {
 
 impl GraphBuilder {
     /// Creates an empty builder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Defines a named node with an explicit feature disjunction (an alias).
-    pub fn define(&mut self, name: &str, features: Vec<Feature>) -> Result<NodeId, GraphError> {
+    pub(crate) fn define(
+        &mut self,
+        name: &str,
+        features: Vec<Feature>,
+    ) -> Result<NodeId, GraphError> {
         if let Some(&id) = self.name_to_id.get(name) {
             if !self.nodes[id].predicate.is_empty() {
                 return Err(GraphError::DuplicateAlias(name.to_string()));
@@ -117,7 +121,7 @@ impl GraphBuilder {
 
     /// Looks a node up by name, creating it implicitly if the name is a
     /// canonical feature name.
-    pub fn node(&mut self, name: &str) -> Result<NodeId, GraphError> {
+    pub(crate) fn node(&mut self, name: &str) -> Result<NodeId, GraphError> {
         if let Some(&id) = self.name_to_id.get(name) {
             return Ok(id);
         }
@@ -136,15 +140,15 @@ impl GraphBuilder {
     }
 
     /// Adds a directed edge `from → to` (idempotent).
-    pub fn edge(&mut self, from: NodeId, to: NodeId) {
+    pub(crate) fn edge(&mut self, from: NodeId, to: NodeId) {
         if self.edge_set.insert((from, to)) {
             self.edges.push((from, to));
         }
     }
 
-    /// Validates (DAG, non-empty predicates, at most [`MAX_CHAINS`]
-    /// root→leaf chains) and produces the graph.
-    pub fn build(self) -> Result<CausalGraph, GraphError> {
+    /// Validates (DAG, non-empty predicates, at most 4 096 root→leaf
+    /// chains) and produces the graph.
+    pub(crate) fn build(self) -> Result<CausalGraph, GraphError> {
         for n in &self.nodes {
             if n.predicate.is_empty() {
                 return Err(GraphError::EmptyPredicate(n.name.clone()));

@@ -18,7 +18,7 @@
 //!    Fig. 11) with parse/emit round-tripping.
 //! 5. [`detect`] — the detector: [`DominoConfig`] and its contract,
 //!    checked once when a [`Domino`] is built, and the window results.
-//! 6. [`codegen`] — compilation of a graph into its chain table, the one
+//! 6. `codegen` — [`compile`] of a graph into its chain table, the one
 //!    chain evaluator every window runs, and Python and Rust source
 //!    emission from the same table (Fig. 11).
 //! 7. [`stats`] — occurrence frequencies (Fig. 10), conditional
@@ -40,7 +40,7 @@
 //! println!("{}", domino_core::stats::render_conditional_table(domino.graph(), &stats));
 //! ```
 
-pub mod codegen;
+pub(crate) mod codegen;
 pub mod detect;
 pub mod dsl;
 pub mod features;
@@ -55,10 +55,8 @@ pub use detect::{
     Analysis, ChainHit, Domino, DominoConfig, Thresholds, VerdictCoverage, WindowAnalysis,
 };
 pub use dsl::{abr_graph, default_graph, emit, parse, ParseError, ABR_CONFIG, DEFAULT_CONFIG};
-pub use features::{
-    AppEvent, ClientSide, Feature, FeatureVector, PlaybackEvent, RanEvent, FEATURE_COUNT,
-};
-pub use graph::{CausalGraph, GraphBuilder, GraphError, NodeId};
+pub use features::{AppEvent, ClientSide, Feature, FeatureVector, PlaybackEvent, RanEvent};
+pub use graph::{CausalGraph, NodeId};
 pub use stats::{
     render_chain_ratio_table, render_conditional_table, render_frequency_table, ChainStats,
 };

@@ -1,6 +1,6 @@
 //! The batch oracle: the detector written the obvious way, for tests only.
 //!
-//! [`extract_features`] applies the twenty event-detection conditions of
+//! `extract_features` applies the twenty event-detection conditions of
 //! Table 5 (Appendix D), plus the four ABR playback conditions of the
 //! streaming workload, to one window by rescanning the bundle's records in
 //! it; [`trace_chains`] finds a window's chains by the paper's §4.2
@@ -118,7 +118,7 @@ fn active(graph: &CausalGraph, id: NodeId, features: &FeatureVector) -> bool {
 }
 
 /// Extracts the full 40-dim feature vector for the window `[from, to)`.
-pub fn extract_features(
+pub(crate) fn extract_features(
     bundle: &TraceBundle,
     from: SimTime,
     to: SimTime,

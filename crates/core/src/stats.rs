@@ -124,7 +124,7 @@ impl ChainStats {
     }
 
     /// Table 2: P(cause | consequence) over consequence-active windows.
-    pub fn conditional_probability(&self, cause: &str, consequence: &str) -> f64 {
+    pub(crate) fn conditional_probability(&self, cause: &str, consequence: &str) -> f64 {
         let denom = *self.consequence_windows.get(consequence).unwrap_or(&0);
         if denom == 0 {
             return 0.0;
@@ -137,7 +137,7 @@ impl ChainStats {
     }
 
     /// Table 2 "Unknown" column: consequence windows with no chain.
-    pub fn unknown_probability(&self, consequence: &str) -> f64 {
+    pub(crate) fn unknown_probability(&self, consequence: &str) -> f64 {
         let denom = *self.consequence_windows.get(consequence).unwrap_or(&0);
         if denom == 0 {
             return 0.0;
@@ -146,7 +146,7 @@ impl ChainStats {
     }
 
     /// Table 4: this chain's share of all detected chains.
-    pub fn chain_ratio(&self, cause: &str, consequence: &str) -> f64 {
+    pub(crate) fn chain_ratio(&self, cause: &str, consequence: &str) -> f64 {
         if self.total_chain_windows == 0 {
             return 0.0;
         }

@@ -1283,7 +1283,7 @@ mod tests {
     /// Tiny deterministic generator for the synthetic bundles (keeps the
     /// test independent of the workspace RNG crate).
     mod rand_like {
-        pub struct Lcg(u64);
+        pub(crate) struct Lcg(u64);
         impl Lcg {
             pub fn new(seed: u64) -> Self {
                 Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
@@ -1295,7 +1295,7 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 self.0 >> 11
             }
-            pub fn next_f64(&mut self) -> f64 {
+            pub(crate) fn next_f64(&mut self) -> f64 {
                 (self.next_u64() & ((1 << 53) - 1)) as f64 / (1u64 << 53) as f64
             }
         }

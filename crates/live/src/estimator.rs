@@ -9,11 +9,11 @@
 //! merges across shards — and answers the two questions the adaptive
 //! watermark needs:
 //!
-//! * [`DelayEstimator::bound_ms`]: the smallest histogram bucket upper
+//! * `DelayEstimator::bound_ms`: the smallest histogram bucket upper
 //!   bound covering at least the target quantile of observed delays — a
 //!   *conservative* (rounded-up) quantile, integer-only, so the chosen
 //!   bound is identical at any partitioning of the same session.
-//! * [`DelayEstimator::drop_risk`]: the fraction of observed delays a
+//! * `DelayEstimator::drop_risk`: the fraction of observed delays a
 //!   given bound would have dropped — what an
 //!   [`crate::EarlyExit::Slo`] policy compares against its risk budget.
 //!
@@ -28,11 +28,11 @@ use telemetry::TapStream;
 
 /// Delay histogram layout: must match `domino_obs::HistId::LiveDelayMs`
 /// so sweep workers can absorb the per-session histograms directly.
-pub const DELAY_LAYOUT: HistLayout = HistLayout::Log2(17);
+pub(crate) const DELAY_LAYOUT: HistLayout = HistLayout::Log2(17);
 
 /// Samples required before an adaptive bound trusts the distribution;
 /// below this the bound stays at the policy ceiling (conservative start).
-pub const ADAPTIVE_MIN_SAMPLES: u64 = 64;
+pub(crate) const ADAPTIVE_MIN_SAMPLES: u64 = 64;
 
 /// Online per-stream record-delay distribution for one session.
 #[derive(Debug, Clone)]
@@ -69,11 +69,6 @@ impl DelayEstimator {
         self.combined.count
     }
 
-    /// One stream's delay distribution.
-    pub fn stream_hist(&self, stream: TapStream) -> &HistData {
-        &self.per_stream[stream.idx()]
-    }
-
     /// The merged distribution across all streams.
     pub fn combined(&self) -> &HistData {
         &self.combined
@@ -83,7 +78,7 @@ impl DelayEstimator {
     /// the observed delays — integer-only and conservative (the realised
     /// coverage is ≥ `q`). `u64::MAX` when no samples were observed or
     /// the mass sits in the saturating last bucket.
-    pub fn bound_ms(&self, q: f64) -> u64 {
+    pub(crate) fn bound_ms(&self, q: f64) -> u64 {
         let d = &self.combined;
         if d.count == 0 {
             return u64::MAX;
@@ -111,7 +106,7 @@ impl DelayEstimator {
     /// milliseconds would have dropped (0.0 when empty). Exact when
     /// `bound_ms` is a bucket boundary — which every
     /// [`Self::bound_ms`] result is.
-    pub fn drop_risk(&self, bound_ms: u64) -> f64 {
+    pub(crate) fn drop_risk(&self, bound_ms: u64) -> f64 {
         let d = &self.combined;
         if d.count == 0 {
             return 0.0;
@@ -212,8 +207,8 @@ mod tests {
         e.record(TapStream::AppLocal, ms(10));
         e.record(TapStream::Packet, ms(20));
         e.record(TapStream::Packet, ms(30));
-        assert_eq!(e.stream_hist(TapStream::AppLocal).count, 1);
-        assert_eq!(e.stream_hist(TapStream::Packet).count, 2);
+        assert_eq!(e.per_stream[TapStream::AppLocal.idx()].count, 1);
+        assert_eq!(e.per_stream[TapStream::Packet.idx()].count, 2);
         assert_eq!(e.combined().count, 3);
         e.clear();
         assert_eq!(e.samples(), 0);

@@ -11,7 +11,7 @@
 //!
 //! Stages, in record order:
 //!
-//! 1. **Watermark reordering** ([`reorder::Reorder`]). Telemetry does not
+//! 1. **Watermark reordering**. Telemetry does not
 //!    arrive in timestamp order: gNB logs interleave RLC retransmissions
 //!    (stamped with scheduled, *future* times) with same-slot buffer
 //!    samples, and a packet's fate is only known at delivery. Every stream
@@ -67,13 +67,12 @@ pub mod chaos;
 pub mod estimator;
 pub mod pipeline;
 pub mod pool;
-pub mod reorder;
+pub(crate) mod reorder;
 
 pub use chaos::{ChaosState, ChaosTap, TapFaultLog};
 pub use estimator::DelayEstimator;
 pub use pipeline::{EarlyExit, LiveConfig, LivePipeline, LiveStats, LiveVerdict};
 pub use pool::{PipelinePool, PoolStats};
-pub use reorder::Reorder;
 
 // Re-exported so callers configuring a pipeline need only this crate.
 pub use domino_core::UnsupportedConfig;

@@ -387,11 +387,6 @@ impl LivePipeline {
         self.analyzer.config()
     }
 
-    /// The live-stage configuration.
-    pub fn live_config(&self) -> &LiveConfig {
-        &self.live_cfg
-    }
-
     /// Replaces the live-stage configuration. Call right after
     /// [`Self::reset`] when a pooled pipeline is reused for a session with
     /// a different lateness or exit policy; the effective bound restarts
@@ -401,21 +396,14 @@ impl LivePipeline {
         self.effective_lateness = Self::initial_bound(&self.live_cfg);
     }
 
-    /// The lateness bound currently in effect: the configured bound for
-    /// [`Lateness::Static`], the estimator-driven one for
-    /// [`Lateness::Adaptive`] (the policy ceiling until warm).
-    pub fn current_lateness(&self) -> SimDuration {
-        self.effective_lateness
-    }
-
     /// The observed per-record delay distribution, combined across
-    /// streams (milliseconds; layout [`DELAY_LAYOUT`]).
+    /// streams (milliseconds, in 17 power-of-two buckets).
     pub fn delay_hist(&self) -> &HistData {
         self.estimator.combined()
     }
 
     /// The effective lateness bound sampled at each window close
-    /// (milliseconds; layout [`DELAY_LAYOUT`]).
+    /// (milliseconds, in the same buckets as [`Self::delay_hist`]).
     pub fn bound_hist(&self) -> &HistData {
         &self.bound_hist
     }
@@ -958,7 +946,7 @@ mod tests {
         // watermark deadline falls past the session end are flushed at the
         // finish instant instead.
         let window = pipe.config().window;
-        let lateness = pipe.current_lateness();
+        let lateness = pipe.effective_lateness;
         let session_end = SimTime::ZERO + bundle.meta.duration;
         for v in &verdicts {
             let due = (v.window_start + window + lateness).min(session_end);
@@ -1203,7 +1191,7 @@ mod tests {
             .tap(&mut pipe)
             .run();
         assert!(pipe.estimator().samples() >= ADAPTIVE_MIN_SAMPLES);
-        let bound = pipe.current_lateness();
+        let bound = pipe.effective_lateness;
         assert!(bound >= SimDuration::from_millis(250));
         assert!(
             bound < SimDuration::from_secs(10),
@@ -1223,7 +1211,7 @@ mod tests {
         })
         .unwrap();
         // The SLO caps the effective bound below the static setting.
-        assert_eq!(pipe.current_lateness(), SimDuration::from_millis(100));
+        assert_eq!(pipe.effective_lateness, SimDuration::from_millis(100));
         // Telemetry running 600 ms behind the clock: honouring a 100 ms
         // bound would drop nearly everything, so the pipeline must give up.
         for i in 0..400u64 {

@@ -66,7 +66,7 @@ pub struct PipelinePool {
 
 impl PipelinePool {
     /// Default bound on idle pipelines retained for reuse.
-    pub const DEFAULT_MAX_FREE: usize = 32;
+    pub(crate) const DEFAULT_MAX_FREE: usize = 32;
 
     /// Creates a pool over `graph` with the given engine and live
     /// configurations, or reports why the configuration cannot run on the
@@ -109,19 +109,9 @@ impl PipelinePool {
         self
     }
 
-    /// The live-stage configuration every pooled pipeline runs with.
-    pub fn live_config(&self) -> &LiveConfig {
-        &self.live
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> PoolStats {
         self.stats
-    }
-
-    /// Currently leased sessions.
-    pub fn active_len(&self) -> usize {
-        self.active.len()
     }
 
     /// Idle pipelines available for reuse.
@@ -202,10 +192,10 @@ mod tests {
         let mut p = pool();
         assert_eq!(p.free_len(), 1, "probe seeds the free list");
         p.checkout(1);
-        assert_eq!((p.active_len(), p.free_len()), (1, 0));
+        assert_eq!((p.active.len(), p.free_len()), (1, 0));
         assert_eq!(p.stats().reused, 1, "probe reused");
         assert!(p.release(1).is_some());
-        assert_eq!((p.active_len(), p.free_len()), (0, 1));
+        assert_eq!((p.active.len(), p.free_len()), (0, 1));
         // Second cycle: same storage, no construction.
         p.checkout(2);
         assert_eq!(
@@ -224,7 +214,7 @@ mod tests {
         for sid in 0..4 {
             p.checkout(sid);
         }
-        assert_eq!(p.active_len(), 4);
+        assert_eq!(p.active.len(), 4);
         assert_eq!(p.stats().created, 3, "one probe + three fresh builds");
         assert!(p.get_mut(3).is_some());
         assert!(p.get_mut(4).is_none());

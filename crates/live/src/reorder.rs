@@ -21,7 +21,7 @@ use simcore::SimTime;
 
 /// Watermark reorder buffer for one telemetry stream.
 #[derive(Debug, Clone, Default)]
-pub struct Reorder<T> {
+pub(crate) struct Reorder<T> {
     buf: VecDeque<(SimTime, T)>,
     frontier: SimTime,
     late: usize,
@@ -30,7 +30,7 @@ pub struct Reorder<T> {
 
 impl<T> Reorder<T> {
     /// An empty buffer with the frontier at the epoch.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Reorder {
             buf: VecDeque::new(),
             frontier: SimTime::ZERO,
@@ -42,7 +42,7 @@ impl<T> Reorder<T> {
     /// Buffers one record keyed by `ts`. Returns `false` — and drops the
     /// record, counting it as late — if `ts` is behind the released
     /// frontier.
-    pub fn push(&mut self, ts: SimTime, record: T) -> bool {
+    pub(crate) fn push(&mut self, ts: SimTime, record: T) -> bool {
         if ts < self.frontier {
             self.late += 1;
             return false;
@@ -60,7 +60,7 @@ impl<T> Reorder<T> {
 
     /// Releases every buffered record with `ts < t` to `sink`, in
     /// `(ts, emission sequence)` order, and advances the frontier to `t`.
-    pub fn release_below(&mut self, t: SimTime, mut sink: impl FnMut(T)) {
+    pub(crate) fn release_below(&mut self, t: SimTime, mut sink: impl FnMut(T)) {
         while let Some(&(ts, _)) = self.buf.front() {
             if ts >= t {
                 break;
@@ -73,17 +73,12 @@ impl<T> Reorder<T> {
     }
 
     /// Records currently buffered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Records dropped for arriving behind the frontier.
-    pub fn late_count(&self) -> usize {
+    pub(crate) fn late_count(&self) -> usize {
         self.late
     }
 
@@ -91,18 +86,13 @@ impl<T> Reorder<T> {
     /// [`Self::late_count`], gives the total ever pushed. Window-close
     /// deltas of this counter drive the live pipeline's per-window
     /// coverage (gap/blackout) annotations.
-    pub fn released_count(&self) -> usize {
+    pub(crate) fn released_count(&self) -> usize {
         self.released
-    }
-
-    /// The exclusive upper bound of everything released so far.
-    pub fn frontier(&self) -> SimTime {
-        self.frontier
     }
 
     /// Drops all state (retaining the allocation), returning the buffer to
     /// its post-`new` state.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.buf.clear();
         self.frontier = SimTime::ZERO;
         self.late = 0;
@@ -133,7 +123,7 @@ mod tests {
         let mut rest = Vec::new();
         r.release_below(t(100), |x| rest.push(x));
         assert_eq!(rest, ["a"]);
-        assert!(r.is_empty());
+        assert!(r.buf.is_empty());
     }
 
     #[test]
@@ -156,7 +146,7 @@ mod tests {
         assert!(r.push(t(20), 3), "exactly at the frontier is on time");
         assert_eq!(r.late_count(), 1);
         assert_eq!(r.len(), 1);
-        assert_eq!(r.frontier(), t(20));
+        assert_eq!(r.frontier, t(20));
     }
 
     #[test]
@@ -164,6 +154,6 @@ mod tests {
         let mut r: Reorder<u8> = Reorder::new();
         r.release_below(t(50), |_| {});
         r.release_below(t(30), |_| {});
-        assert_eq!(r.frontier(), t(50));
+        assert_eq!(r.frontier, t(50));
     }
 }

@@ -81,18 +81,6 @@ impl PathConfig {
             loss_probability: 0.0,
         }
     }
-
-    /// Local subnet between a private 5G core and an on-prem server.
-    pub fn local_subnet() -> Self {
-        PathConfig {
-            base_delay: SimDuration::from_micros(300),
-            jitter_median: SimDuration::from_micros(40),
-            jitter_sigma: 0.3,
-            congestion_sigma: 0.0,
-            rate_bps: Some(1e9),
-            loss_probability: 0.0,
-        }
-    }
 }
 
 /// Cheap always-on per-path counters, read by the observability layer at

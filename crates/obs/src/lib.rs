@@ -253,7 +253,7 @@ impl HistLayout {
 }
 
 /// Widest layout — sizes the flat bucket arrays.
-pub const MAX_BUCKETS: usize = 24;
+pub(crate) const MAX_BUCKETS: usize = 24;
 
 /// One histogram's accumulated state. All fields are order-free integer
 /// aggregates, so any partition of the observations merges to identical
@@ -370,7 +370,7 @@ impl ObsConfig {
 /// Flat per-worker metric storage: one slot per compiled metric id.
 /// Allocated once (boxed) when a recorder is enabled; never grows.
 #[derive(Clone, Debug)]
-pub struct MetricSink {
+pub(crate) struct MetricSink {
     counters: [u64; Counter::COUNT],
     gauges: [(u64, u64); Gauge::COUNT],
     fgauges: [(f64, u64); FGauge::COUNT],

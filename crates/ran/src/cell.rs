@@ -141,13 +141,6 @@ impl ExperimentUe {
         }
     }
 
-    fn link(&self, dir: Direction) -> &LinkDir {
-        match dir {
-            Direction::Uplink => &self.ul,
-            Direction::Downlink => &self.dl,
-        }
-    }
-
     fn link_mut(&mut self, dir: Direction) -> &mut LinkDir {
         match dir {
             Direction::Uplink => &mut self.ul,
@@ -265,11 +258,6 @@ impl CellSim {
         &self.cfg
     }
 
-    /// Number of experiment (diagnosed) UEs.
-    pub fn n_experiment_ues(&self) -> usize {
-        self.ues.len()
-    }
-
     /// Number of scripted traffic UEs in the SoA table.
     pub fn n_traffic_ues(&self) -> usize {
         self.table.len()
@@ -280,49 +268,11 @@ impl CellSim {
         self.ues[0].rrc.rnti()
     }
 
-    /// Current RNTI of experiment UE `ue`.
-    pub fn rnti_of(&self, ue: u32) -> u32 {
-        self.ues[ue as usize].rrc.rnti()
-    }
-
-    /// Current RRC state of experiment UE 0.
-    pub fn rrc_state(&self) -> RrcState {
-        self.ues[0].rrc.state()
-    }
-
-    /// RLC transmit-buffer occupancy of experiment UE 0 (bytes).
-    pub fn rlc_buffer_bytes(&self, dir: Direction) -> u64 {
-        self.ues[0].link(dir).rlc_tx.buffer_bytes()
-    }
-
-    /// Most recent SINR sample of experiment UE 0 (dB).
-    pub fn last_sinr_db(&self, dir: Direction) -> f64 {
-        self.ues[0].link(dir).last_sinr_db
-    }
-
-    /// Most recent MCS used for a new transmission of experiment UE 0.
-    pub fn last_mcs(&self, dir: Direction) -> u8 {
-        self.ues[0].link(dir).last_mcs
-    }
-
-    /// Instantaneous PHY rate estimate for a direction (bits/s), assuming
-    /// experiment UE 0 got the whole carrier at the current MCS — used for
-    /// rate-gap telemetry in the figure harness.
-    pub fn phy_rate_estimate_bps(&self, dir: Direction) -> f64 {
-        let link = self.ues[0].link(dir);
-        let full = phy::phy_rate_bps(
-            phy::select_mcs(link.last_sinr_db, 0.0, 0.0, phy::MAX_MCS),
-            self.cfg.mac.n_prbs,
-            self.cfg.frame.slot_duration.as_micros(),
-        );
-        full * self.cfg.frame.duty_cycle(dir)
-    }
-
     /// Hands a packet for experiment UE 0 to the RAN edge (UE modem for UL,
     /// gNB for DL) at time `now`.
     ///
     /// The packet is identified by `id`; its delivery shows up in
-    /// [`CellSim::drain_deliveries`] once RLC releases it in order on the
+    /// [`CellSim::drain_deliveries_into`] once RLC releases it in order on the
     /// far side. It becomes visible to the scheduler only from the first
     /// slot starting at or after `now` (causality).
     pub fn enqueue(&mut self, now: SimTime, dir: Direction, id: u64, size_bytes: u32) {
@@ -333,11 +283,6 @@ impl CellSim {
     pub fn enqueue_for(&mut self, ue: u32, now: SimTime, dir: Direction, id: u64, size_bytes: u32) {
         debug_assert!((ue as usize) < self.ues.len());
         self.staged.push((now, ue, dir, id, size_bytes));
-    }
-
-    /// Start time of the next unprocessed slot.
-    pub fn next_slot_time(&self) -> SimTime {
-        self.cfg.frame.slot_start(self.next_slot)
     }
 
     /// Advances slot processing through all slots starting at or before
@@ -602,41 +547,17 @@ impl CellSim {
         self.dci_tag.push(UE_NONE);
     }
 
-    /// Drains packets delivered to experiment UE 0 since the last call.
-    pub fn drain_deliveries(&mut self) -> Vec<Delivery> {
-        std::mem::take(&mut self.ues[0].deliveries)
-    }
-
-    /// Drains UE 0's deliveries into `out`, keeping both buffers' capacity —
-    /// the allocation-free variant for callers that poll every tick.
-    pub fn drain_deliveries_into(&mut self, out: &mut Vec<Delivery>) {
-        out.append(&mut self.ues[0].deliveries);
-    }
-
-    /// Drains experiment UE `ue`'s deliveries into `out`.
-    pub fn drain_deliveries_for_into(&mut self, ue: u32, out: &mut Vec<Delivery>) {
+    /// Drains packets delivered to experiment UE `ue` since the last call
+    /// into `out`, keeping both buffers' capacity.
+    pub fn drain_deliveries_into(&mut self, ue: u32, out: &mut Vec<Delivery>) {
         out.append(&mut self.ues[ue as usize].deliveries);
     }
 
-    /// Drains DCI records emitted since the last call, from experiment
-    /// UE 0's viewpoint (`is_target_ue` = "is mine").
-    pub fn drain_dci(&mut self) -> Vec<DciRecord> {
-        let mut out = Vec::with_capacity(self.dci_log.len());
-        self.drain_dci_for_into(0, &mut out);
-        out
-    }
-
-    /// Drains DCI records into `out` from UE 0's viewpoint, keeping both the
-    /// internal log's and `out`'s capacity — the allocation-free variant for
-    /// callers that poll every tick (the live-tapped session engine).
-    pub fn drain_dci_into(&mut self, out: &mut Vec<DciRecord>) {
-        self.drain_dci_for_into(0, out);
-    }
-
-    /// Drains DCI records into `out` from experiment UE `ue`'s viewpoint:
-    /// the whole cell's control channel with `is_target_ue` true exactly on
-    /// `ue`'s own records — what a sniffer camping on that UE would decode.
-    pub fn drain_dci_for_into(&mut self, ue: u32, out: &mut Vec<DciRecord>) {
+    /// Drains DCI records emitted since the last call into `out`, from
+    /// experiment UE `ue`'s viewpoint: the whole cell's control channel with
+    /// `is_target_ue` true exactly on `ue`'s own records — what a sniffer
+    /// camping on that UE would decode.
+    pub fn drain_dci_into(&mut self, ue: u32, out: &mut Vec<DciRecord>) {
         for (rec, &tag) in self.dci_log.iter().zip(&self.dci_tag) {
             let mut r = rec.clone();
             r.is_target_ue = tag == ue;
@@ -647,8 +568,8 @@ impl CellSim {
     }
 
     /// Drains DCI records with their owner tags (the experiment-UE index,
-    /// or [`UE_NONE`]) — for drivers that fan one cell's control channel out
-    /// to several diagnosed sessions.
+    /// or `u32::MAX` for a record of no experiment UE) — for drivers that
+    /// fan one cell's control channel out to several diagnosed sessions.
     pub fn drain_dci_tagged_into(&mut self, out: &mut Vec<(u32, DciRecord)>) {
         for (rec, &tag) in self.dci_log.iter().zip(&self.dci_tag) {
             out.push((tag, rec.clone()));
@@ -657,20 +578,9 @@ impl CellSim {
         self.dci_tag.clear();
     }
 
-    /// Drains gNB log records for experiment UE 0 emitted since the last
-    /// call (always empty for commercial cells).
-    pub fn drain_gnb(&mut self) -> Vec<GnbLogRecord> {
-        std::mem::take(&mut self.ues[0].gnb_log)
-    }
-
-    /// Drains UE 0's gNB log records into `out` (see
-    /// [`Self::drain_dci_into`]).
-    pub fn drain_gnb_into(&mut self, out: &mut Vec<GnbLogRecord>) {
-        out.append(&mut self.ues[0].gnb_log);
-    }
-
-    /// Drains experiment UE `ue`'s gNB log records into `out`.
-    pub fn drain_gnb_for_into(&mut self, ue: u32, out: &mut Vec<GnbLogRecord>) {
+    /// Drains experiment UE `ue`'s gNB log records emitted since the last
+    /// call into `out` (always empty for commercial cells).
+    pub fn drain_gnb_into(&mut self, ue: u32, out: &mut Vec<GnbLogRecord>) {
         out.append(&mut self.ues[ue as usize].gnb_log);
     }
 
@@ -765,9 +675,27 @@ mod tests {
         }
     }
 
+    fn drained_deliveries(cell: &mut CellSim) -> Vec<Delivery> {
+        let mut out = Vec::new();
+        cell.drain_deliveries_into(0, &mut out);
+        out
+    }
+
+    fn drained_dci(cell: &mut CellSim) -> Vec<DciRecord> {
+        let mut out = Vec::new();
+        cell.drain_dci_into(0, &mut out);
+        out
+    }
+
+    fn drained_gnb(cell: &mut CellSim) -> Vec<GnbLogRecord> {
+        let mut out = Vec::new();
+        cell.drain_gnb_into(0, &mut out);
+        out
+    }
+
     fn run_until(cell: &mut CellSim, ms: u64) -> Vec<Delivery> {
         cell.poll(SimTime::from_millis(ms));
-        cell.drain_deliveries()
+        drained_deliveries(cell)
     }
 
     #[test]
@@ -828,11 +756,11 @@ mod tests {
             cell.enqueue(SimTime::from_millis(id * 5), Direction::Downlink, id, 1500);
         }
         cell.poll(SimTime::from_millis(200));
-        let dci = cell.drain_dci();
+        let dci = drained_dci(&mut cell);
         assert!(dci.iter().any(|d| d.is_target_ue));
         assert!(dci.iter().all(|d| d.rnti != 0));
         // Second drain is empty.
-        assert!(cell.drain_dci().is_empty());
+        assert!(drained_dci(&mut cell).is_empty());
     }
 
     #[test]
@@ -843,7 +771,7 @@ mod tests {
         cell.enqueue(SimTime::ZERO, Direction::Uplink, 1, 800);
         cell.poll(SimTime::from_millis(500));
         assert!(
-            cell.drain_gnb().is_empty(),
+            drained_gnb(&mut cell).is_empty(),
             "commercial-style cell must not leak gNB logs"
         );
 
@@ -851,7 +779,7 @@ mod tests {
         cell.enqueue(SimTime::ZERO, Direction::Uplink, 1, 800);
         cell.poll(SimTime::from_millis(500));
         assert!(
-            !cell.drain_gnb().is_empty(),
+            !drained_gnb(&mut cell).is_empty(),
             "private cell emits buffer samples"
         );
     }
@@ -862,16 +790,16 @@ mod tests {
         cell.script_rrc_release(SimTime::from_millis(20));
         cell.poll(SimTime::from_millis(30));
         let rnti_before = cell.rnti();
-        assert_ne!(cell.rrc_state(), RrcState::Connected);
+        assert_ne!(cell.ues[0].rrc.state(), RrcState::Connected);
         // Data enqueued mid-outage waits it out (≈300 ms total interruption).
         cell.enqueue(SimTime::from_millis(30), Direction::Downlink, 42, 500);
         cell.poll(SimTime::from_millis(200));
         assert!(
-            cell.drain_deliveries().is_empty(),
+            drained_deliveries(&mut cell).is_empty(),
             "still in outage at 200 ms"
         );
         cell.poll(SimTime::from_millis(500));
-        let out = cell.drain_deliveries();
+        let out = drained_deliveries(&mut cell);
         assert!(!out.is_empty(), "delivery after re-establishment");
         assert!(
             out[0].delivered_at.as_millis() >= 300,
@@ -894,7 +822,7 @@ mod tests {
             cell.poll(at);
         }
         cell.poll(SimTime::from_secs(2));
-        for d in cell.drain_deliveries() {
+        for d in drained_deliveries(&mut cell) {
             let enq = SimTime::from_millis(100 + d.id * 7);
             assert!(d.delivered_at >= enq, "causality violated for {}", d.id);
         }
@@ -911,7 +839,7 @@ mod tests {
             cell.enqueue(SimTime::from_millis(id * 5), Direction::Downlink, id, 1200);
         }
         cell.poll(SimTime::from_millis(400));
-        let dci = cell.drain_dci();
+        let dci = drained_dci(&mut cell);
         let scripted: Vec<_> = dci
             .iter()
             .filter(|d| d.rnti >= TRAFFIC_RNTI_BASE && d.rnti < TRAFFIC_RNTI_BASE + 24)
@@ -938,14 +866,14 @@ mod tests {
         let mut cell = CellSim::new(quiet_cell(), 12);
         let ue1 = cell.add_experiment_ue();
         assert_eq!(ue1, 1);
-        assert_ne!(cell.rnti_of(0), cell.rnti_of(1));
+        assert_ne!(cell.ues[0].rrc.rnti(), cell.ues[1].rrc.rnti());
         cell.enqueue_for(0, SimTime::ZERO, Direction::Downlink, 100, 900);
         cell.enqueue_for(1, SimTime::ZERO, Direction::Downlink, 200, 900);
         cell.poll(SimTime::from_millis(100));
         let mut d0 = Vec::new();
         let mut d1 = Vec::new();
-        cell.drain_deliveries_for_into(0, &mut d0);
-        cell.drain_deliveries_for_into(1, &mut d1);
+        cell.drain_deliveries_into(0, &mut d0);
+        cell.drain_deliveries_into(1, &mut d1);
         assert_eq!(d0.len(), 1);
         assert_eq!(d1.len(), 1);
         assert_eq!(d0[0].id, 100);
@@ -953,8 +881,8 @@ mod tests {
         // The shared DCI log tags each UE's records; viewed from UE 1, only
         // its own records are "target".
         let mut dci = Vec::new();
-        cell.drain_dci_for_into(1, &mut dci);
-        let rnti1 = cell.rnti_of(1);
+        cell.drain_dci_into(1, &mut dci);
+        let rnti1 = cell.ues[1].rrc.rnti();
         assert!(dci
             .iter()
             .filter(|d| d.is_target_ue)
@@ -962,6 +890,6 @@ mod tests {
         assert!(dci.iter().any(|d| d.is_target_ue));
         assert!(dci
             .iter()
-            .any(|d| !d.is_target_ue && d.rnti == cell.rnti_of(0)));
+            .any(|d| !d.is_target_ue && d.rnti == cell.ues[0].rrc.rnti()));
     }
 }

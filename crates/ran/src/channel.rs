@@ -52,7 +52,7 @@ impl Default for ChannelConfig {
 /// A time window during which the SINR is forced to an absolute value,
 /// used by scripted scenarios (e.g. Fig. 12's channel-degradation episode).
 #[derive(Debug, Clone, Copy)]
-pub struct SinrOverride {
+pub(crate) struct SinrOverride {
     /// Window start (inclusive).
     pub from: SimTime,
     /// Window end (exclusive).
@@ -87,7 +87,7 @@ impl Channel {
     }
 
     /// Registers a scripted override window.
-    pub fn add_override(&mut self, ov: SinrOverride) {
+    pub(crate) fn add_override(&mut self, ov: SinrOverride) {
         self.overrides.push(ov);
     }
 

@@ -83,7 +83,7 @@ impl CrossTrafficConfig {
 
 /// A forced cross-traffic window for scripted scenarios.
 #[derive(Debug, Clone, Copy)]
-pub struct CrossTrafficOverride {
+pub(crate) struct CrossTrafficOverride {
     /// Window start (inclusive).
     pub from: SimTime,
     /// Window end (exclusive).
@@ -126,7 +126,7 @@ impl CrossTraffic {
     }
 
     /// Registers a scripted override window.
-    pub fn add_override(&mut self, ov: CrossTrafficOverride) {
+    pub(crate) fn add_override(&mut self, ov: CrossTrafficOverride) {
         self.overrides.push(ov);
     }
 

@@ -10,7 +10,7 @@ use telemetry::{Direction, Duplexing};
 
 /// Role of one slot in the TDD pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotKind {
+pub(crate) enum SlotKind {
     /// Downlink-only slot.
     Downlink,
     /// Uplink-only slot.
@@ -68,13 +68,8 @@ impl FrameStructure {
     }
 
     /// Start time of slot `idx`.
-    pub fn slot_start(&self, idx: u64) -> SimTime {
+    pub(crate) fn slot_start(&self, idx: u64) -> SimTime {
         SimTime::ZERO + self.slot_duration * idx
-    }
-
-    /// Slot index containing time `t`.
-    pub fn slot_at(&self, t: SimTime) -> u64 {
-        t.saturating_since(SimTime::ZERO) / self.slot_duration
     }
 
     /// Whether slot `idx` can carry traffic in `dir`.
@@ -92,7 +87,7 @@ impl FrameStructure {
     }
 
     /// First slot index ≥ `from` that serves `dir`.
-    pub fn next_serving_slot(&self, from: u64, dir: Direction) -> u64 {
+    pub(crate) fn next_serving_slot(&self, from: u64, dir: Direction) -> u64 {
         match self.duplexing {
             Duplexing::Fdd => from,
             Duplexing::Tdd => {
@@ -100,25 +95,6 @@ impl FrameStructure {
                 (from..from + len)
                     .find(|&s| self.serves(s, dir))
                     .expect("pattern contains both D and U slots")
-            }
-        }
-    }
-
-    /// Slots per second (for rate conversions).
-    pub fn slots_per_second(&self) -> f64 {
-        1e6 / self.slot_duration.as_micros() as f64
-    }
-
-    /// Fraction of slots serving `dir` (1.0 for FDD).
-    pub fn duty_cycle(&self, dir: Direction) -> f64 {
-        match self.duplexing {
-            Duplexing::Fdd => 1.0,
-            Duplexing::Tdd => {
-                let n = self.pattern.len() as f64;
-                let k = (0..self.pattern.len() as u64)
-                    .filter(|&s| self.serves(s, dir))
-                    .count();
-                k as f64 / n
             }
         }
     }
@@ -134,8 +110,6 @@ mod tests {
         assert!(f.serves(0, Direction::Uplink));
         assert!(f.serves(0, Direction::Downlink));
         assert_eq!(f.next_serving_slot(7, Direction::Uplink), 7);
-        assert_eq!(f.duty_cycle(Direction::Uplink), 1.0);
-        assert_eq!(f.slots_per_second(), 1000.0);
     }
 
     #[test]
@@ -150,16 +124,12 @@ mod tests {
         assert_eq!(f.next_serving_slot(0, Direction::Uplink), 4);
         assert_eq!(f.next_serving_slot(5, Direction::Uplink), 9);
         assert_eq!(f.next_serving_slot(4, Direction::Uplink), 4);
-        assert_eq!(f.duty_cycle(Direction::Uplink), 0.2);
-        assert_eq!(f.slots_per_second(), 2000.0);
     }
 
     #[test]
     fn slot_timing() {
         let f = FrameStructure::tdd(SimDuration::from_micros(500), "DDDSU");
         assert_eq!(f.slot_start(4), SimTime::from_millis(2));
-        assert_eq!(f.slot_at(SimTime::from_micros(2300)), 4);
-        assert_eq!(f.slot_at(SimTime::ZERO), 0);
     }
 
     #[test]

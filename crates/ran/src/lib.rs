@@ -6,7 +6,7 @@
 //! | Paper cause (§4.1, Fig. 9)   | Module |
 //! |------------------------------|--------|
 //! | Poor channel (§5.1.1)        | [`channel`] (SINR process) + [`phy`] (MCS/TBS) |
-//! | Cross traffic (§5.1.2)       | [`crosstraffic`] + scheduler in [`mac`] |
+//! | Cross traffic (§5.1.2)       | [`CrossTraffic`] + scheduler in [`mac`] |
 //! | UL scheduling delay (§5.2.1) | SR/BSR/grant pipeline in [`mac`], [`frame`] |
 //! | HARQ ReTX (§5.2.2)           | HARQ processes in [`mac`], BLER in [`phy`] |
 //! | RLC ReTX + HoL (§5.2.3)      | [`rlc`] acknowledged mode |
@@ -19,7 +19,7 @@
 
 pub mod cell;
 pub mod channel;
-pub mod crosstraffic;
+pub(crate) mod crosstraffic;
 pub mod frame;
 pub mod mac;
 pub mod phy;
@@ -28,12 +28,10 @@ pub mod rrc;
 pub mod ue;
 
 pub use cell::{CellConfig, CellSim, Delivery};
-pub use channel::{Channel, ChannelConfig, SinrOverride};
-pub use crosstraffic::{CrossTraffic, CrossTrafficConfig, CrossTrafficOverride};
-pub use frame::{FrameStructure, SlotKind};
-pub use mac::{Grant, HarqOverride, LinkDir, MacConfig, ProactiveGrantConfig};
-pub use rlc::{Pdu, RlcRx, RlcTx, Sdu, SduDelivery, Segment};
+pub use channel::{Channel, ChannelConfig};
+pub use crosstraffic::{CrossTraffic, CrossTrafficConfig};
+pub use frame::FrameStructure;
+pub use mac::{MacConfig, ProactiveGrantConfig};
+pub use rlc::Segment;
 pub use rrc::{RrcConfig, RrcMachine, RrcTransition};
-pub use ue::{
-    traffic_mix, CellUeTable, TrafficPattern, TrafficUeConfig, TRAFFIC_RNTI_BASE, UE_NONE,
-};
+pub use ue::{traffic_mix, CellUeTable, TrafficPattern, TrafficUeConfig, TRAFFIC_RNTI_BASE};

@@ -107,7 +107,7 @@ impl Default for MacConfig {
 /// BSR-driven and proactive bytes are tracked separately because only the
 /// former count against the gNB's in-flight covered-buffer estimate.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Grant {
+pub(crate) struct Grant {
     /// Bytes granted in response to a Buffer Status Report.
     pub bsr_bytes: u32,
     /// Bytes granted proactively (before/without a BSR).
@@ -116,12 +116,12 @@ pub struct Grant {
 
 impl Grant {
     /// Total bytes the UE may transmit on this grant.
-    pub fn total_bytes(&self) -> u32 {
+    pub(crate) fn total_bytes(&self) -> u32 {
         self.bsr_bytes + self.proactive_bytes
     }
 
     /// Whether any part was issued proactively.
-    pub fn is_proactive(&self) -> bool {
+    pub(crate) fn is_proactive(&self) -> bool {
         self.proactive_bytes > 0
     }
 }
@@ -129,7 +129,7 @@ impl Grant {
 /// A scripted window during which HARQ attempts with index below
 /// `fail_attempts` are forced to fail (figure-regeneration harness).
 #[derive(Debug, Clone, Copy)]
-pub struct HarqOverride {
+pub(crate) struct HarqOverride {
     /// Window start.
     pub from: SimTime,
     /// Window end.
@@ -152,7 +152,7 @@ struct HarqProcess {
 
 /// Everything a direction's slot processing produced.
 #[derive(Debug, Default)]
-pub struct SlotOutputs {
+pub(crate) struct SlotOutputs {
     /// Completed SDUs released by RLC (in order), with release times.
     pub deliveries: Vec<SduDelivery>,
     /// DCI records emitted this slot.
@@ -164,7 +164,7 @@ pub struct SlotOutputs {
 impl SlotOutputs {
     /// Empties all three output vectors, keeping their capacity — the cell
     /// frontend reuses one `SlotOutputs` across every slot it processes.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.deliveries.clear();
         self.dci.clear();
         self.rlc_retx.clear();
@@ -173,7 +173,7 @@ impl SlotOutputs {
 
 /// Per-direction link state: RLC entities, channel, HARQ, grant machinery.
 #[derive(Debug)]
-pub struct LinkDir {
+pub(crate) struct LinkDir {
     /// Which direction this link carries.
     pub dir: Direction,
     /// Transmit-side RLC entity (UE for UL, gNB for DL).
@@ -204,7 +204,7 @@ pub struct LinkDir {
 
 impl LinkDir {
     /// Creates link state for one direction.
-    pub fn new(dir: Direction, channel: Channel, mac: &MacConfig) -> Self {
+    pub(crate) fn new(dir: Direction, channel: Channel, mac: &MacConfig) -> Self {
         LinkDir {
             dir,
             rlc_tx: RlcTx::new(),
@@ -226,7 +226,7 @@ impl LinkDir {
     }
 
     /// Registers a scripted HARQ-failure window.
-    pub fn add_harq_override(&mut self, ov: HarqOverride) {
+    pub(crate) fn add_harq_override(&mut self, ov: HarqOverride) {
         self.harq_overrides.push(ov);
     }
 
@@ -244,7 +244,7 @@ impl LinkDir {
     /// immediately-eligible RLC retransmissions (RRC re-establishment path;
     /// sequence numbers are preserved so the receiver's reorder state stays
     /// consistent).
-    pub fn reset_for_rrc(&mut self, now: SimTime) {
+    pub(crate) fn reset_for_rrc(&mut self, now: SimTime) {
         for slot in &mut self.harq {
             if let Some(p) = slot.take() {
                 self.rlc_tx.schedule_retx(now, p.pdu);
@@ -255,11 +255,6 @@ impl LinkDir {
         self.granted_inflight = 0;
         self.next_sr_at = now;
         self.next_grantable_slot = 0;
-    }
-
-    /// Whether any HARQ process is active (used by drain logic in tests).
-    pub fn harq_active(&self) -> bool {
-        self.harq.iter().any(Option::is_some)
     }
 
     /// Mutable access to the grant pending for `slot`, inserting a default
@@ -285,18 +280,13 @@ impl LinkDir {
             None
         }
     }
-
-    /// Pending grant bytes not yet used (uplink).
-    pub fn granted_inflight_bytes(&self) -> u64 {
-        self.granted_inflight
-    }
 }
 
 /// Uplink Scheduling Request check — run every slot on the UE side.
 ///
 /// If the UE holds data the gNB does not know about and an SR opportunity
 /// has arrived, the gNB learns the buffer status (SR + first BSR).
-pub fn check_sr(link: &mut LinkDir, now: SimTime, mac: &MacConfig) {
+pub(crate) fn check_sr(link: &mut LinkDir, now: SimTime, mac: &MacConfig) {
     debug_assert_eq!(link.dir, Direction::Uplink);
     let buffered = link.rlc_tx.buffer_bytes();
     if buffered > 0
@@ -313,7 +303,7 @@ pub fn check_sr(link: &mut LinkDir, now: SimTime, mac: &MacConfig) {
 }
 
 /// Uplink grant issuance — run in every PDCCH-capable (DL-serving) slot.
-pub fn issue_ul_grants(
+pub(crate) fn issue_ul_grants(
     link: &mut LinkDir,
     frame: &FrameStructure,
     mac: &MacConfig,
@@ -371,7 +361,7 @@ pub fn issue_ul_grants(
 /// Returns the PRBs this UE consumed, so the caller can accumulate the
 /// rotation's running `hard_reserved_prbs`.
 #[allow(clippy::too_many_arguments)]
-pub fn process_slot<R: Rng + ?Sized>(
+pub(crate) fn process_slot<R: Rng + ?Sized>(
     link: &mut LinkDir,
     frame: &FrameStructure,
     mac: &MacConfig,
@@ -659,7 +649,7 @@ mod tests {
                 &mut out,
             );
             // buffer_bytes includes pending RLC retransmissions.
-            if link.rlc_tx.buffer_bytes() == 0 && !link.harq_active() {
+            if link.rlc_tx.buffer_bytes() == 0 && !link.harq.iter().any(Option::is_some) {
                 break;
             }
         }
@@ -955,9 +945,9 @@ mod tests {
             &mut rng_harq,
             &mut out,
         );
-        assert!(link.harq_active());
+        assert!(link.harq.iter().any(Option::is_some));
         link.reset_for_rrc(SimTime::from_millis(5));
-        assert!(!link.harq_active());
+        assert!(!link.harq.iter().any(Option::is_some));
         // Data recoverable: drain delivers the packet.
         let out = drain_dl(&mut link, &frame, &mac, 300);
         assert_eq!(out.deliveries.len(), 1);

@@ -10,7 +10,7 @@
 
 /// One row of the MCS table: modulation order and code rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct McsEntry {
+pub(crate) struct McsEntry {
     /// Bits per modulation symbol (2 = QPSK, 4 = 16QAM, 6 = 64QAM).
     pub qm: u8,
     /// Code rate × 1024, as specified.
@@ -19,18 +19,18 @@ pub struct McsEntry {
 
 impl McsEntry {
     /// Code rate as a fraction.
-    pub fn code_rate(&self) -> f64 {
+    pub(crate) fn code_rate(&self) -> f64 {
         self.rate_x1024 as f64 / 1024.0
     }
 
     /// Spectral efficiency in information bits per resource element.
-    pub fn spectral_efficiency(&self) -> f64 {
+    pub(crate) fn spectral_efficiency(&self) -> f64 {
         self.qm as f64 * self.code_rate()
     }
 }
 
 /// TS 38.214 Table 5.1.3.1-1 (MCS index table 1 for PDSCH), indices 0–28.
-pub const MCS_TABLE: [McsEntry; 29] = [
+pub(crate) const MCS_TABLE: [McsEntry; 29] = [
     McsEntry {
         qm: 2,
         rate_x1024: 120,
@@ -163,7 +163,7 @@ const SHANNON_EFFICIENCY: f64 = 0.75;
 /// (MCS selection and the BLER abstraction both read it), and the
 /// `powf`/`log10` pair dominated the whole slot loop before memoization
 /// (~380 ns per `select_mcs` call, ~2000 calls per simulated second).
-pub fn sinr_required_db(mcs: u8) -> f64 {
+pub(crate) fn sinr_required_db(mcs: u8) -> f64 {
     sinr_required_table()[mcs as usize]
 }
 
@@ -234,7 +234,7 @@ impl OuterLoop {
     }
 
     /// Current offset applied to the measured SINR.
-    pub fn offset_db(&self) -> f64 {
+    pub(crate) fn offset_db(&self) -> f64 {
         self.offset_db
     }
 

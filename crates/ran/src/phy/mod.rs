@@ -1,9 +1,9 @@
 //! Physical-layer abstractions: MCS table, TBS determination, BLER model.
 
-pub mod bler;
+pub(crate) mod bler;
 pub mod mcs;
 pub mod tbs;
 
 pub use bler::fail_probability;
-pub use mcs::{select_mcs, sinr_required_db, McsEntry, OuterLoop, MAX_MCS, MCS_TABLE};
-pub use tbs::{phy_rate_bps, prbs_needed, resource_elements, tbs_bits};
+pub use mcs::{select_mcs, OuterLoop, MAX_MCS};
+pub use tbs::{prbs_needed, tbs_bits};

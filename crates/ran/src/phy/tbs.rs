@@ -28,7 +28,7 @@ const N_DMRS: u32 = 12;
 const N_RE_CAP: u32 = 156;
 
 /// Resource elements available in an allocation of `n_prbs`.
-pub fn resource_elements(n_prbs: u16) -> u32 {
+pub(crate) fn resource_elements(n_prbs: u16) -> u32 {
     let per_prb = (N_SC_RB * N_SYMB - N_DMRS).min(N_RE_CAP);
     per_prb * n_prbs as u32
 }
@@ -115,12 +115,6 @@ pub fn prbs_needed(mcs: u8, bits: u32) -> u16 {
     n
 }
 
-/// Physical-layer bit rate (bits/s) of a sustained allocation, given the slot
-/// duration in microseconds.
-pub fn phy_rate_bps(mcs: u8, n_prbs: u16, slot_us: u64) -> f64 {
-    tbs_bits(mcs, n_prbs) as f64 * 1e6 / slot_us as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,8 +149,6 @@ mod tests {
         // i.e. ≈ 472 Mbit/s at 0.5 ms slots — the right order for NR.
         let t = tbs_bits(28, 273);
         assert!(t > 200_000 && t < 260_000, "got {t}");
-        let rate = phy_rate_bps(28, 273, 500);
-        assert!(rate > 4.0e8 && rate < 5.5e8, "rate {rate}");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use simcore::SimTime;
 
 /// An upper-layer packet handed to RLC (an RLC SDU).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Sdu {
+pub(crate) struct Sdu {
     /// Opaque packet identity assigned by the caller.
     pub id: u64,
     /// Size in bytes.
@@ -44,7 +44,7 @@ pub struct Segment {
 
 /// One RLC PDU: the payload of one transport block.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Pdu {
+pub(crate) struct Pdu {
     /// RLC sequence number (strictly increasing per direction).
     pub sn: u32,
     /// Carried SDU segments, in order.
@@ -60,18 +60,18 @@ pub struct Pdu {
 /// ([`RlcRx::receive_into`]) so steady-state PDU traffic performs no heap
 /// allocation. One pool per link direction lives in the MAC's `LinkDir`.
 #[derive(Debug, Clone, Default)]
-pub struct SegmentPool {
+pub(crate) struct SegmentPool {
     free: Vec<Vec<Segment>>,
 }
 
 impl SegmentPool {
     /// Takes an empty segment buffer from the pool (or a fresh one).
-    pub fn get(&mut self) -> Vec<Segment> {
+    pub(crate) fn get(&mut self) -> Vec<Segment> {
         self.free.pop().unwrap_or_default()
     }
 
     /// Returns a spent buffer to the pool.
-    pub fn put(&mut self, mut v: Vec<Segment>) {
+    pub(crate) fn put(&mut self, mut v: Vec<Segment>) {
         v.clear();
         self.free.push(v);
     }
@@ -79,7 +79,7 @@ impl SegmentPool {
 
 /// Transmitter-side RLC AM entity.
 #[derive(Debug, Clone, Default)]
-pub struct RlcTx {
+pub(crate) struct RlcTx {
     queue: VecDeque<SduProgress>,
     retx: VecDeque<(SimTime, Pdu)>,
     next_sn: u32,
@@ -94,35 +94,30 @@ struct SduProgress {
 
 impl RlcTx {
     /// Creates an empty entity.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Queues an SDU for transmission.
-    pub fn enqueue(&mut self, sdu: Sdu) {
+    pub(crate) fn enqueue(&mut self, sdu: Sdu) {
         self.new_data_bytes += sdu.size_bytes as u64;
         self.queue.push_back(SduProgress { sdu, sent_bytes: 0 });
     }
 
     /// Bytes awaiting transmission, including pending ARQ retransmissions —
     /// the quantity a Buffer Status Report carries.
-    pub fn buffer_bytes(&self) -> u64 {
+    pub(crate) fn buffer_bytes(&self) -> u64 {
         self.new_data_bytes + self.retx.iter().map(|(_, p)| p.bytes as u64).sum::<u64>()
     }
 
-    /// Bytes of *new* data only (excludes ARQ retransmissions).
-    pub fn new_data_bytes(&self) -> u64 {
-        self.new_data_bytes
-    }
-
     /// Whether an ARQ retransmission is ready to go at `now`.
-    pub fn retx_due(&self, now: SimTime) -> bool {
+    pub(crate) fn retx_due(&self, now: SimTime) -> bool {
         self.retx.front().is_some_and(|(at, _)| *at <= now)
     }
 
     /// Schedules an ARQ retransmission of `pdu` once the status report has
     /// made it back, i.e. not before `available_at`.
-    pub fn schedule_retx(&mut self, available_at: SimTime, mut pdu: Pdu) {
+    pub(crate) fn schedule_retx(&mut self, available_at: SimTime, mut pdu: Pdu) {
         pdu.is_retx = true;
         // Keep the retx queue sorted by availability (insertions are nearly
         // ordered already; linear scan from the back is cheap).
@@ -135,20 +130,13 @@ impl RlcTx {
         self.retx.insert(pos, (at, pdu));
     }
 
-    /// Builds the next PDU of at most `max_bytes`, or `None` if there is
-    /// nothing to send at `now`.
+    /// Builds the next PDU of at most `max_bytes`, drawing its segment
+    /// buffer from `pool`, or `None` if there is nothing to send at `now`.
     ///
     /// ARQ retransmissions take absolute priority, as RLC control/retx PDUs
     /// do; a retransmitted PDU keeps its original sequence number and is
     /// *not* truncated to `max_bytes` (the grant is assumed sized for it).
-    pub fn build_pdu(&mut self, now: SimTime, max_bytes: u32) -> Option<Pdu> {
-        let mut pool = SegmentPool::default();
-        self.build_pdu_pooled(now, max_bytes, &mut pool)
-    }
-
-    /// [`Self::build_pdu`] drawing its segment buffer from `pool` — the
-    /// allocation-free variant the per-slot scheduler uses.
-    pub fn build_pdu_pooled(
+    pub(crate) fn build_pdu_pooled(
         &mut self,
         now: SimTime,
         max_bytes: u32,
@@ -196,27 +184,11 @@ impl RlcTx {
             is_retx: false,
         })
     }
-
-    /// Re-inserts the payload of an abandoned PDU at the *front* of the new-
-    /// data queue (used on RRC re-establishment, when HARQ state is reset
-    /// and RLC re-transmits unacknowledged data immediately).
-    pub fn requeue_front(&mut self, pdu: Pdu) {
-        for seg in pdu.segments.into_iter().rev() {
-            self.new_data_bytes += seg.bytes as u64;
-            self.queue.push_front(SduProgress {
-                sdu: Sdu {
-                    id: seg.sdu_id,
-                    size_bytes: seg.bytes,
-                },
-                sent_bytes: 0,
-            });
-        }
-    }
 }
 
 /// A completed SDU released to upper layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SduDelivery {
+pub(crate) struct SduDelivery {
     /// Identity of the delivered packet.
     pub sdu_id: u64,
     /// Release time (equals the in-order release of its last segment).
@@ -225,41 +197,22 @@ pub struct SduDelivery {
 
 /// Receiver-side RLC AM entity: reorders PDUs and releases SDUs in order.
 #[derive(Debug, Clone, Default)]
-pub struct RlcRx {
+pub(crate) struct RlcRx {
     next_expected_sn: u32,
     held: BTreeMap<u32, Pdu>,
 }
 
 impl RlcRx {
     /// Creates an empty entity expecting SN 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Number of PDUs held back by head-of-line blocking.
-    pub fn held_pdus(&self) -> usize {
-        self.held.len()
-    }
-
-    /// Next sequence number the in-order release pointer is waiting for.
-    pub fn next_expected_sn(&self) -> u32 {
-        self.next_expected_sn
-    }
-
-    /// Accepts a successfully decoded PDU at `now`; returns SDUs completed
-    /// by in-order release (possibly many at once after a gap fills — the
-    /// HoL release burst of Fig. 18).
-    pub fn receive(&mut self, now: SimTime, pdu: Pdu) -> Vec<SduDelivery> {
-        let mut out = Vec::new();
-        let mut pool = SegmentPool::default();
-        self.receive_into(now, pdu, &mut out, &mut pool);
-        out
-    }
-
-    /// [`Self::receive`] appending completed SDUs to `out` and recycling the
-    /// released PDUs' segment buffers into `pool` — the allocation-free
-    /// variant the per-slot scheduler uses.
-    pub fn receive_into(
+    /// Accepts a successfully decoded PDU at `now`, appending to `out` the
+    /// SDUs completed by in-order release (possibly many at once after a gap
+    /// fills — the HoL release burst of Fig. 18) and recycling the released
+    /// PDUs' segment buffers into `pool`.
+    pub(crate) fn receive_into(
         &mut self,
         now: SimTime,
         pdu: Pdu,
@@ -298,26 +251,28 @@ mod tests {
     #[test]
     fn segmentation_across_pdus() {
         let mut tx = RlcTx::new();
+        let mut pool = SegmentPool::default();
         tx.enqueue(Sdu {
             id: 1,
             size_bytes: 2500,
         });
         assert_eq!(tx.buffer_bytes(), 2500);
-        let p1 = tx.build_pdu(t(0), 1000).unwrap();
-        let p2 = tx.build_pdu(t(0), 1000).unwrap();
-        let p3 = tx.build_pdu(t(0), 1000).unwrap();
+        let p1 = tx.build_pdu_pooled(t(0), 1000, &mut pool).unwrap();
+        let p2 = tx.build_pdu_pooled(t(0), 1000, &mut pool).unwrap();
+        let p3 = tx.build_pdu_pooled(t(0), 1000, &mut pool).unwrap();
         assert_eq!(p1.bytes, 1000);
         assert!(!p1.segments[0].last_of_sdu);
         assert_eq!(p3.bytes, 500);
         assert!(p3.segments[0].last_of_sdu);
         assert_eq!(tx.buffer_bytes(), 0);
-        assert!(tx.build_pdu(t(0), 1000).is_none());
+        assert!(tx.build_pdu_pooled(t(0), 1000, &mut pool).is_none());
         assert_eq!((p1.sn, p2.sn, p3.sn), (0, 1, 2));
     }
 
     #[test]
     fn multiple_sdus_share_a_pdu() {
         let mut tx = RlcTx::new();
+        let mut pool = SegmentPool::default();
         tx.enqueue(Sdu {
             id: 1,
             size_bytes: 300,
@@ -326,7 +281,7 @@ mod tests {
             id: 2,
             size_bytes: 300,
         });
-        let p = tx.build_pdu(t(0), 1000).unwrap();
+        let p = tx.build_pdu_pooled(t(0), 1000, &mut pool).unwrap();
         assert_eq!(p.segments.len(), 2);
         assert_eq!(p.bytes, 600);
         assert!(p.segments.iter().all(|s| s.last_of_sdu));
@@ -335,42 +290,46 @@ mod tests {
     #[test]
     fn in_order_release() {
         let mut tx = RlcTx::new();
+        let mut pool = SegmentPool::default();
         for id in 0..3 {
             tx.enqueue(Sdu {
                 id,
                 size_bytes: 100,
             });
         }
-        let p0 = tx.build_pdu(t(0), 100).unwrap();
-        let p1 = tx.build_pdu(t(0), 100).unwrap();
-        let p2 = tx.build_pdu(t(0), 100).unwrap();
+        let p0 = tx.build_pdu_pooled(t(0), 100, &mut pool).unwrap();
+        let p1 = tx.build_pdu_pooled(t(0), 100, &mut pool).unwrap();
+        let p2 = tx.build_pdu_pooled(t(0), 100, &mut pool).unwrap();
         let mut rx = RlcRx::new();
         // Deliver out of order: 1, 2 held; 0 releases everything.
-        assert!(rx.receive(t(10), p1).is_empty());
-        assert!(rx.receive(t(12), p2).is_empty());
-        assert_eq!(rx.held_pdus(), 2);
-        let released = rx.receive(t(50), p0);
+        let mut released = Vec::new();
+        rx.receive_into(t(10), p1, &mut released, &mut pool);
+        rx.receive_into(t(12), p2, &mut released, &mut pool);
+        assert!(released.is_empty());
+        assert_eq!(rx.held.len(), 2);
+        rx.receive_into(t(50), p0, &mut released, &mut pool);
         assert_eq!(released.len(), 3);
         // HoL burst: all three released at the same instant.
         assert!(released.iter().all(|d| d.released_at == t(50)));
-        assert_eq!(rx.held_pdus(), 0);
+        assert_eq!(rx.held.len(), 0);
     }
 
     #[test]
     fn retx_has_priority_and_keeps_sn() {
         let mut tx = RlcTx::new();
+        let mut pool = SegmentPool::default();
         tx.enqueue(Sdu {
             id: 1,
             size_bytes: 100,
         });
-        let lost = tx.build_pdu(t(0), 100).unwrap();
+        let lost = tx.build_pdu_pooled(t(0), 100, &mut pool).unwrap();
         tx.enqueue(Sdu {
             id: 2,
             size_bytes: 100,
         });
         tx.schedule_retx(t(60), lost.clone());
         // Before the status delay elapses the retx is not eligible.
-        let p = tx.build_pdu(t(10), 100).unwrap();
+        let p = tx.build_pdu_pooled(t(10), 100, &mut pool).unwrap();
         assert!(!p.is_retx);
         assert_eq!(p.segments[0].sdu_id, 2);
         // After: retx goes first, original SN preserved, flag set.
@@ -378,7 +337,7 @@ mod tests {
             id: 3,
             size_bytes: 100,
         });
-        let r = tx.build_pdu(t(70), 100).unwrap();
+        let r = tx.build_pdu_pooled(t(70), 100, &mut pool).unwrap();
         assert!(r.is_retx);
         assert_eq!(r.sn, lost.sn);
     }
@@ -386,46 +345,33 @@ mod tests {
     #[test]
     fn buffer_accounts_retx() {
         let mut tx = RlcTx::new();
+        let mut pool = SegmentPool::default();
         tx.enqueue(Sdu {
             id: 1,
             size_bytes: 500,
         });
-        let pdu = tx.build_pdu(t(0), 500).unwrap();
+        let pdu = tx.build_pdu_pooled(t(0), 500, &mut pool).unwrap();
         assert_eq!(tx.buffer_bytes(), 0);
         tx.schedule_retx(t(50), pdu);
         assert_eq!(tx.buffer_bytes(), 500);
-        assert_eq!(tx.new_data_bytes(), 0);
+        assert_eq!(tx.new_data_bytes, 0);
     }
 
     #[test]
     fn duplicate_pdu_ignored() {
         let mut tx = RlcTx::new();
+        let mut pool = SegmentPool::default();
         tx.enqueue(Sdu {
             id: 7,
             size_bytes: 100,
         });
-        let p = tx.build_pdu(t(0), 100).unwrap();
+        let p = tx.build_pdu_pooled(t(0), 100, &mut pool).unwrap();
         let mut rx = RlcRx::new();
-        assert_eq!(rx.receive(t(1), p.clone()).len(), 1);
-        assert!(rx.receive(t(2), p).is_empty());
-    }
-
-    #[test]
-    fn requeue_front_preserves_order() {
-        let mut tx = RlcTx::new();
-        tx.enqueue(Sdu {
-            id: 1,
-            size_bytes: 100,
-        });
-        tx.enqueue(Sdu {
-            id: 2,
-            size_bytes: 100,
-        });
-        let p = tx.build_pdu(t(0), 100).unwrap();
-        tx.requeue_front(p);
-        let again = tx.build_pdu(t(1), 200).unwrap();
-        assert_eq!(again.segments[0].sdu_id, 1);
-        assert_eq!(again.segments[1].sdu_id, 2);
+        let mut released = Vec::new();
+        rx.receive_into(t(1), p.clone(), &mut released, &mut pool);
+        assert_eq!(released.len(), 1);
+        rx.receive_into(t(2), p, &mut released, &mut pool);
+        assert_eq!(released.len(), 1);
     }
 
     proptest! {
@@ -438,10 +384,12 @@ mod tests {
             lose_mask in proptest::collection::vec(any::<bool>(), 0..200),
         ) {
             let mut tx = RlcTx::new();
+            let mut pool = SegmentPool::default();
             for (i, &s) in sizes.iter().enumerate() {
                 tx.enqueue(Sdu { id: i as u64, size_bytes: s });
             }
             let mut rx = RlcRx::new();
+            let mut released = Vec::new();
             let mut delivered: Vec<u64> = Vec::new();
             let mut now_ms = 0u64;
             let mut loses = lose_mask.iter().copied().chain(std::iter::repeat(false));
@@ -451,14 +399,13 @@ mod tests {
                 guard += 1;
                 prop_assert!(guard < 100_000, "drain did not terminate");
                 now_ms += 1;
-                match tx.build_pdu(t(now_ms), grant) {
+                match tx.build_pdu_pooled(t(now_ms), grant, &mut pool) {
                     Some(pdu) => {
                         if loses.next().unwrap() && !pdu.is_retx {
                             tx.schedule_retx(t(now_ms + 100), pdu);
                         } else {
-                            for d in rx.receive(t(now_ms), pdu) {
-                                delivered.push(d.sdu_id);
-                            }
+                            rx.receive_into(t(now_ms), pdu, &mut released, &mut pool);
+                            delivered.extend(released.drain(..).map(|d| d.sdu_id));
                         }
                     }
                     None => {

@@ -78,7 +78,7 @@ impl RrcMachine {
     }
 
     /// Whether data transfer is possible right now.
-    pub fn is_connected(&self) -> bool {
+    pub(crate) fn is_connected(&self) -> bool {
         self.state == RrcState::Connected
     }
 
@@ -88,13 +88,13 @@ impl RrcMachine {
     }
 
     /// Schedules a release at an exact time (scripted scenarios).
-    pub fn script_release(&mut self, at: SimTime) {
+    pub(crate) fn script_release(&mut self, at: SimTime) {
         self.scripted_releases.push(at);
         self.scripted_releases.sort();
     }
 
     /// Drains the transitions that occurred since the last call.
-    pub fn drain_transitions(&mut self) -> Vec<RrcTransition> {
+    pub(crate) fn drain_transitions(&mut self) -> Vec<RrcTransition> {
         std::mem::take(&mut self.transitions)
     }
 

@@ -33,7 +33,7 @@ pub const TRAFFIC_RNTI_BASE: u32 = 20_000;
 
 /// Tag for telemetry not attributable to any diagnosed UE (scripted traffic
 /// UEs and the scalar cross-traffic aggregate).
-pub const UE_NONE: u32 = u32::MAX;
+pub(crate) const UE_NONE: u32 = u32::MAX;
 
 /// Offered-load shape of one scripted UE in one direction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -383,13 +383,8 @@ impl CellUeTable {
     }
 
     /// Current queue depth of UE `ue` in `dir` (bytes).
-    pub fn queue_bytes(&self, ue: usize, dir: Direction) -> u64 {
+    pub(crate) fn queue_bytes(&self, ue: usize, dir: Direction) -> u64 {
         self.queue_bytes[dix(dir)][ue]
-    }
-
-    /// Sum of all scripted-UE queue depths in `dir` (bytes).
-    pub fn total_queue_bytes(&self, dir: Direction) -> u64 {
-        self.queue_bytes[dix(dir)].iter().sum()
     }
 
     /// **Pass 1 — arrivals.** Accrues each UE's offered load over the slot
@@ -397,7 +392,7 @@ impl CellUeTable {
     /// slot still accrues UL credit; the data just waits for a U slot).
     /// Each UE's on/off cycle is phase-shifted so that a fleet of identical
     /// sources does not beat in lockstep.
-    pub fn pass_arrivals(&mut self, now: SimTime) {
+    pub(crate) fn pass_arrivals(&mut self, now: SimTime) {
         let now_us = now.as_micros();
         for plane in 0..2 {
             let rows = self.shape[plane].iter().zip(&self.phase).zip(
@@ -425,7 +420,7 @@ impl CellUeTable {
     /// call repeating the previous call's inputs in `dir` keeps the planes
     /// as they are. A bucket spans 20 slots of a 0.5 ms cell: each
     /// direction sweeps once per bucket, not on every serving slot.
-    pub fn pass_link_adaptation(
+    pub(crate) fn pass_link_adaptation(
         &mut self,
         now: SimTime,
         dir: Direction,

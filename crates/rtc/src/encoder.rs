@@ -39,7 +39,7 @@ impl Default for EncoderConfig {
 }
 
 /// Bitrate floor (bits/s) at which a rung is sustainable at full frame rate.
-pub fn resolution_floor_bps(res: Resolution) -> f64 {
+pub(crate) fn resolution_floor_bps(res: Resolution) -> f64 {
     match res {
         Resolution::R180p => 150_000.0,
         Resolution::R360p => 400_000.0,
@@ -116,11 +116,6 @@ impl VideoEncoder {
     /// Current encoder frame rate.
     pub fn fps(&self) -> f64 {
         self.fps
-    }
-
-    /// Time the next frame is due.
-    pub fn next_frame_at(&self) -> SimTime {
-        self.next_frame_at
     }
 
     /// Produces all frames due at or before `now`, sized for `rate_bps`.
@@ -244,11 +239,6 @@ impl AudioSource {
     /// Creates the default 20 ms source.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Time the next packet is due.
-    pub fn next_at(&self) -> SimTime {
-        self.next_at
     }
 
     /// Produces all audio packets due at or before `now`.

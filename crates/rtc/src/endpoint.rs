@@ -256,15 +256,6 @@ impl MediaSender {
         self.cc.on_loss_report(rr.loss_fraction);
     }
 
-    /// Earliest time the sender next has work to do.
-    pub fn next_action_at(&self) -> SimTime {
-        let mut t = self.encoder.next_frame_at().min(self.audio.next_at());
-        if let Some(p) = self.pacer.next_release_time() {
-            t = t.min(p);
-        }
-        t
-    }
-
     /// Encoder's current resolution.
     pub fn resolution(&self) -> Resolution {
         self.encoder.resolution()
@@ -364,11 +355,6 @@ impl MediaReceiver {
                 payload: PacketPayload::Report(rr),
             });
         }
-    }
-
-    /// Earliest time the receiver next has scheduled work.
-    pub fn next_action_at(&self) -> SimTime {
-        self.feedback.next_action_at()
     }
 
     /// Resolution of the most recently received video packet.

@@ -52,7 +52,7 @@ pub struct ReceiverReport {
 
 /// Receiver-side feedback generator.
 #[derive(Debug, Clone)]
-pub struct FeedbackBuilder {
+pub(crate) struct FeedbackBuilder {
     pending: Vec<ArrivalEntry>,
     next_feedback_at: SimTime,
     next_rr_at: SimTime,
@@ -72,7 +72,7 @@ impl Default for FeedbackBuilder {
 
 impl FeedbackBuilder {
     /// Creates a builder; first feedback is due one interval in.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FeedbackBuilder {
             pending: Vec::new(),
             next_feedback_at: SimTime::ZERO + FEEDBACK_INTERVAL,
@@ -86,7 +86,7 @@ impl FeedbackBuilder {
     }
 
     /// Registers a received media packet.
-    pub fn on_packet(&mut self, now: SimTime, transport_seq: u64, sent: SimTime) {
+    pub(crate) fn on_packet(&mut self, now: SimTime, transport_seq: u64, sent: SimTime) {
         self.pending.push(ArrivalEntry {
             transport_seq,
             arrival: now,
@@ -109,7 +109,10 @@ impl FeedbackBuilder {
     }
 
     /// Produces the feedback packets due at or before `now`.
-    pub fn poll(&mut self, now: SimTime) -> (Option<TransportFeedback>, Option<ReceiverReport>) {
+    pub(crate) fn poll(
+        &mut self,
+        now: SimTime,
+    ) -> (Option<TransportFeedback>, Option<ReceiverReport>) {
         let fb = if now >= self.next_feedback_at && !self.pending.is_empty() {
             let entries = std::mem::take(&mut self.pending);
             let size = RTCP_BASE_BYTES + PER_ENTRY_BYTES * entries.len() as u32;
@@ -154,11 +157,6 @@ impl FeedbackBuilder {
             jitter_ms: self.jitter_ms,
             size_bytes: RTCP_BASE_BYTES,
         }
-    }
-
-    /// Time of the next scheduled feedback emission.
-    pub fn next_action_at(&self) -> SimTime {
-        self.next_feedback_at.min(self.next_rr_at)
     }
 }
 

@@ -24,7 +24,7 @@ impl AckedBitrateEstimator {
     }
 
     /// Records one acknowledged packet.
-    pub fn on_acked(&mut self, arrival: SimTime, size_bytes: u32) {
+    pub(crate) fn on_acked(&mut self, arrival: SimTime, size_bytes: u32) {
         self.samples.push_back((arrival, size_bytes));
         self.total_bytes += size_bytes as u64;
         let horizon = if arrival.saturating_since(SimTime::ZERO) > WINDOW {

@@ -76,13 +76,8 @@ impl AimdRateControl {
     }
 
     /// Feeds a smoothed RTT estimate (for additive-increase sizing).
-    pub fn set_rtt(&mut self, rtt: SimDuration) {
+    pub(crate) fn set_rtt(&mut self, rtt: SimDuration) {
         self.rtt = rtt;
-    }
-
-    /// Whether the controller is in the slow additive-increase regime.
-    pub fn near_capacity(&self) -> bool {
-        self.link_capacity.is_some()
     }
 
     /// Updates the target rate from the detector state and the acknowledged

@@ -29,7 +29,7 @@ impl LossBasedControl {
     /// target is supplied because the loss controller operates on the
     /// current end-to-end estimate, cutting below it under heavy loss and
     /// releasing back to it when the path is clean.
-    pub fn on_loss_report(&mut self, loss_fraction: f64, delay_based_bps: f64) -> f64 {
+    pub(crate) fn on_loss_report(&mut self, loss_fraction: f64, delay_based_bps: f64) -> f64 {
         let loss = loss_fraction.clamp(0.0, 1.0);
         // Operate on the current working estimate.
         self.rate_bps = self.rate_bps.min(delay_based_bps);

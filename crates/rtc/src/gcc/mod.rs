@@ -4,11 +4,11 @@
 //! delay-based estimator ([`trendline`]) and loss-based bound ([`loss`])
 //! produce the *target bitrate*; the congestion-window [`pushback`]
 //! controller produces the final *pushback rate* handed to the encoder and
-//! pacer (Fig. 23). The [`ack_bitrate`] estimator feeds both the AIMD
-//! decrease step and the fast-recovery cap.
+//! pacer (Fig. 23). The [`AckedBitrateEstimator`] feeds both the
+//! [`AimdRateControl`] decrease step and the fast-recovery cap.
 
-pub mod ack_bitrate;
-pub mod aimd;
+pub(crate) mod ack_bitrate;
+pub(crate) mod aimd;
 pub mod loss;
 pub mod pushback;
 pub mod trendline;
@@ -102,7 +102,7 @@ impl SenderCc {
     }
 
     /// Processes an RTCP receiver-report loss fraction.
-    pub fn on_loss_report(&mut self, loss_fraction: f64) {
+    pub(crate) fn on_loss_report(&mut self, loss_fraction: f64) {
         self.loss
             .on_loss_report(loss_fraction, self.aimd.target_bps());
         self.target_bps = self.aimd.target_bps().min(self.loss.rate_bps());
@@ -120,7 +120,7 @@ impl SenderCc {
     }
 
     /// Delay-based detector state (Fig. 21 subplot 3).
-    pub fn network_state(&self) -> GccNetworkState {
+    pub(crate) fn network_state(&self) -> GccNetworkState {
         self.trendline.state()
     }
 
@@ -130,7 +130,7 @@ impl SenderCc {
     }
 
     /// Adaptive overuse threshold (ms).
-    pub fn trend_threshold(&self) -> f64 {
+    pub(crate) fn trend_threshold(&self) -> f64 {
         self.trendline.threshold()
     }
 
@@ -142,16 +142,6 @@ impl SenderCc {
     /// Congestion-window size (bytes).
     pub fn cwnd_bytes(&self) -> u64 {
         self.pushback.cwnd_bytes()
-    }
-
-    /// Smoothed RTT estimate.
-    pub fn rtt(&self) -> SimDuration {
-        self.rtt
-    }
-
-    /// Acknowledged bitrate, if estimable.
-    pub fn acked_bitrate_bps(&self) -> Option<f64> {
-        self.acked.bitrate_bps()
     }
 }
 

@@ -58,18 +58,18 @@ impl PushbackController {
     }
 
     /// Records acknowledged bytes (from transport feedback).
-    pub fn on_acked(&mut self, size_bytes: u32) {
+    pub(crate) fn on_acked(&mut self, size_bytes: u32) {
         self.outstanding_bytes = self.outstanding_bytes.saturating_sub(size_bytes as u64);
     }
 
     /// Records bytes declared lost (feedback gap timeout) so they stop
     /// counting against the window.
-    pub fn on_lost(&mut self, size_bytes: u32) {
+    pub(crate) fn on_lost(&mut self, size_bytes: u32) {
         self.outstanding_bytes = self.outstanding_bytes.saturating_sub(size_bytes as u64);
     }
 
     /// Updates the RTT estimate used to size the window.
-    pub fn set_rtt(&mut self, rtt: SimDuration) {
+    pub(crate) fn set_rtt(&mut self, rtt: SimDuration) {
         self.rtt = rtt;
     }
 

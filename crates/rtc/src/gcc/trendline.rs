@@ -94,7 +94,7 @@ impl TrendlineEstimator {
 
     /// Current modified trend value (slope × gain × deltas), in ms —
     /// the signal plotted in Fig. 21 subplot 2.
-    pub fn modified_trend(&self) -> f64 {
+    pub(crate) fn modified_trend(&self) -> f64 {
         self.slope * THRESHOLD_GAIN * (self.num_deltas.min(60) as f64)
     }
 

@@ -93,7 +93,7 @@ impl PlayoutDelayEstimator {
 
     /// A late media unit arrived `lateness_ms` after its playout deadline:
     /// grow the buffer immediately.
-    pub fn on_late(&mut self, lateness_ms: f64) {
+    pub(crate) fn on_late(&mut self, lateness_ms: f64) {
         self.target_ms =
             (self.target_ms + lateness_ms + LATE_MARGIN_MS).clamp(MIN_TARGET_MS, MAX_TARGET_MS);
     }
@@ -305,18 +305,18 @@ impl VideoJitterBuffer {
     }
 
     /// Rendered frame rate over the trailing second.
-    pub fn rendered_fps(&self) -> f64 {
+    pub(crate) fn rendered_fps(&self) -> f64 {
         self.frames_rendered_window.len() as f64
     }
 
     /// Current jitter-buffer delay stat (ms); 0 indicates a drained buffer.
-    pub fn current_delay_ms(&self) -> f64 {
+    pub(crate) fn current_delay_ms(&self) -> f64 {
         self.hold_ewma_ms
     }
 
     /// The adaptive playout-delay target (the "minimum jitter buffer delay"
     /// the buffer will honour).
-    pub fn target_delay_ms(&self) -> f64 {
+    pub(crate) fn target_delay_ms(&self) -> f64 {
         self.delay.target_ms()
     }
 
@@ -328,11 +328,6 @@ impl VideoJitterBuffer {
     /// Cumulative freeze time (ms).
     pub fn total_freeze_ms(&self) -> f64 {
         self.total_freeze_ms
-    }
-
-    /// Number of distinct freezes.
-    pub fn freeze_count(&self) -> u64 {
-        self.freeze_count
     }
 }
 
@@ -425,18 +420,13 @@ impl AudioJitterBuffer {
     }
 
     /// Cumulative played samples (concealed + normal).
-    pub fn total_samples(&self) -> u64 {
+    pub(crate) fn total_samples(&self) -> u64 {
         self.total_samples
     }
 
     /// Current buffer-hold stat (ms); 0 indicates concealment/drain.
-    pub fn current_delay_ms(&self) -> f64 {
+    pub(crate) fn current_delay_ms(&self) -> f64 {
         self.hold_ewma_ms
-    }
-
-    /// Adaptive playout-delay target (ms).
-    pub fn target_delay_ms(&self) -> f64 {
-        self.delay.target_ms()
     }
 }
 
@@ -584,7 +574,7 @@ mod tests {
         }
         rendered += jb.poll(t(6000)).len();
         assert!(rendered >= 145, "rendered {rendered}");
-        assert_eq!(jb.freeze_count(), 0);
+        assert_eq!(jb.freeze_count, 0);
         assert!(jb.total_freeze_ms() == 0.0);
         // ~30 fps over the trailing window while streaming.
         assert!(jb.rendered_fps() >= 1.0);
@@ -607,7 +597,7 @@ mod tests {
             jb.poll(t(i * 33 + 401));
         }
         jb.poll(t(105 * 33 + 500));
-        assert!(jb.freeze_count() > 0, "surge must freeze video");
+        assert!(jb.freeze_count > 0, "surge must freeze video");
         assert!(jb.total_freeze_ms() > 100.0);
         // Buffer target grew to absorb the new delay level.
         assert!(jb.target_delay_ms() > 100.0);
@@ -664,7 +654,7 @@ mod tests {
                 calm.on_packet(t(seq * 20 + 10), seq, t(seq * 20));
                 calm.poll(t(seq * 20 + 11));
             }
-            calm.target_delay_ms()
+            calm.delay.target_ms()
         };
         for seq in 0..200u64 {
             let jitter = (seq % 7) * 25; // up to 150 ms swing
@@ -672,9 +662,9 @@ mod tests {
             ab.poll(t(seq * 20 + 11 + jitter));
         }
         assert!(
-            ab.target_delay_ms() > calm_target + 30.0,
+            ab.delay.target_ms() > calm_target + 30.0,
             "jittery {} vs calm {}",
-            ab.target_delay_ms(),
+            ab.delay.target_ms(),
             calm_target
         );
     }

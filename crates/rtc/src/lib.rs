@@ -8,9 +8,9 @@
 //! | Paper mechanism | Module |
 //! |---|---|
 //! | GCC delay-based estimator, trendline, adaptive threshold (§6.2) | [`gcc::trendline`] |
-//! | AIMD target-rate control, slow/fast recovery (§6.2)             | [`gcc::aimd`] |
+//! | AIMD target-rate control, slow/fast recovery (§6.2)             | [`gcc::AimdRateControl`] |
 //! | Loss-based estimator (§6.2)                                     | [`gcc::loss`] |
-//! | Acknowledged-bitrate estimator (§6.2)                           | [`gcc::ack_bitrate`] |
+//! | Acknowledged-bitrate estimator (§6.2)                           | [`gcc::AckedBitrateEstimator`] |
 //! | Congestion-window pushback (§6.3, Fig. 23)                      | [`gcc::pushback`] |
 //! | Adaptive jitter buffer, freezes, concealment (§6.1)             | [`jitter`] |
 //! | Encoder ladder: resolution/frame-rate adaptation                | [`encoder`] |
@@ -25,11 +25,11 @@ pub mod gcc;
 pub mod jitter;
 pub mod pacer;
 
-pub use encoder::{resolution_floor_bps, AudioSource, EncoderConfig, VideoEncoder, VideoFrame};
+pub use encoder::{AudioSource, EncoderConfig, VideoEncoder, VideoFrame};
 pub use endpoint::{
     MediaReceiver, MediaSender, OutgoingPacket, PacketPayload, RtcEndpoint, SenderConfig,
 };
-pub use feedback::{ArrivalEntry, FeedbackBuilder, ReceiverReport, TransportFeedback};
+pub use feedback::{ArrivalEntry, ReceiverReport, TransportFeedback};
 pub use gcc::{FeedbackEntry, SenderCc};
 pub use jitter::{AudioJitterBuffer, PlayoutDelayEstimator, RenderedFrame, VideoJitterBuffer};
 pub use pacer::{PacedPacket, Pacer, SentPacket};

@@ -62,7 +62,7 @@ impl Pacer {
     }
 
     /// Packets currently queued.
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.queue.len()
     }
 
@@ -95,13 +95,6 @@ impl Pacer {
             at: release,
             packet: pkt,
         })
-    }
-
-    /// Time of the next pending release, if any packets are queued.
-    pub fn next_release_time(&self) -> Option<SimTime> {
-        self.queue
-            .front()
-            .map(|p| self.next_release_at.max(p.capture_ts))
     }
 }
 
@@ -160,8 +153,10 @@ mod tests {
     #[test]
     fn next_release_time_tracks_queue() {
         let mut p = Pacer::new();
-        assert!(p.next_release_time().is_none());
+        assert!(p.pop_due(SimTime::from_millis(100), 1e6).is_none());
         p.enqueue(pkt(100, 7));
-        assert_eq!(p.next_release_time(), Some(SimTime::from_millis(7)));
+        assert!(p.pop_due(SimTime::from_millis(6), 1e6).is_none());
+        let sent = p.pop_due(SimTime::from_millis(7), 1e6).unwrap();
+        assert_eq!(sent.at, SimTime::from_millis(7));
     }
 }

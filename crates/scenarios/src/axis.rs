@@ -223,31 +223,6 @@ impl ScenarioAxis {
         axis
     }
 
-    /// A numeric range sweep: `steps` evenly spaced values over
-    /// `[from, to]` inclusive (`steps = 1` yields just `from`).
-    pub fn range_f64(
-        name: impl Into<String>,
-        from: f64,
-        to: f64,
-        steps: usize,
-        patch: impl Fn(f64) -> Vec<AxisPatch>,
-    ) -> Self {
-        let steps = steps.max(1);
-        let mut axis = ScenarioAxis::new(name);
-        for i in 0..steps {
-            let v = if steps == 1 {
-                from
-            } else {
-                from + (to - from) * i as f64 / (steps - 1) as f64
-            };
-            axis.points.push(AxisPoint {
-                label: format!("{v}"),
-                patches: patch(v),
-            });
-        }
-        axis
-    }
-
     /// A two-point toggle (on first, matching the hand-built ablations).
     pub fn toggle(
         name: impl Into<String>,
@@ -412,21 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn range_axis_covers_endpoints() {
-        let axis =
-            ScenarioAxis::range_f64("sinr", 5.0, 15.0, 3, |db| vec![AxisPatch::UlSinrDb(db)]);
-        let specs = axis.expand(&base(1), SeedPolicy::Derived(9));
-        let sinrs: Vec<f64> = specs
-            .iter()
-            .map(|s| cell_of(s).ul_channel.base_sinr_db)
-            .collect();
-        assert_eq!(sinrs, vec![5.0, 10.0, 15.0]);
-        // Derived seeds are distinct and reproducible.
-        assert_eq!(specs[0].cfg.seed, derive_seed(9, 0));
-        assert_eq!(specs[2].cfg.seed, derive_seed(9, 2));
-    }
-
-    #[test]
     fn product_expansion_is_row_major_and_patches_compose() {
         let cells = ScenarioAxis::cells("cell", vec![mosolabs(), amarisoft()]);
         let harq = ScenarioAxis::values("attempts", [2u8, 4], |&a| {
@@ -444,6 +404,9 @@ mod tests {
         // Cell replacement happens before the field patch, so the patch
         // lands on the replaced cell.
         assert_eq!(cell_of(&specs[2]).mac.max_harq_attempts, 2);
+        // Derived seeds are distinct and reproducible.
+        assert_eq!(specs[0].cfg.seed, derive_seed(11, 0));
+        assert_eq!(specs[3].cfg.seed, derive_seed(11, 3));
         let mut seeds: Vec<u64> = specs.iter().map(|s| s.cfg.seed).collect();
         seeds.sort_unstable();
         seeds.dedup();
@@ -462,6 +425,9 @@ mod tests {
         let specs = axis.expand(&b, SeedPolicy::Shared);
         assert_eq!(specs.len(), 1);
         assert!(matches!(specs[0].access, AccessSpec::Baseline(_)));
+        // The same patch lands on a cell spec.
+        let specs = axis.expand(&base(1), SeedPolicy::Shared);
+        assert_eq!(cell_of(&specs[0]).ul_channel.base_sinr_db, 5.0);
     }
 
     #[test]

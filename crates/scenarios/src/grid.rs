@@ -168,12 +168,6 @@ impl SessionSpec {
         self
     }
 
-    /// Overrides the live watermark lateness policy for this session.
-    pub fn with_lateness(mut self, lateness: Lateness) -> Self {
-        self.lateness = Some(lateness);
-        self
-    }
-
     /// Replaces the label.
     pub fn labelled(mut self, label: impl Into<String>) -> Self {
         self.label = label.into();
@@ -183,12 +177,6 @@ impl SessionSpec {
     /// Runs the session, producing its trace bundle.
     pub fn run(&self) -> TraceBundle {
         self.run_with_tap(&mut telemetry::NullTap)
-    }
-
-    /// Runs the session inside a caller-owned [`SessionArena`], reusing its
-    /// buffers (sweep workers thread one arena through every session).
-    pub fn run_in(&self, arena: &mut SessionArena) -> TraceBundle {
-        self.run_with_tap_in(&mut telemetry::NullTap, arena)
     }
 
     /// Runs the session while streaming telemetry into `tap` at emission
@@ -242,7 +230,6 @@ pub struct SessionGrid {
     axes: Vec<crate::axis::ScenarioAxis>,
     master_seed: u64,
     sessions_per_point: usize,
-    base: SessionConfig,
 }
 
 impl Default for SessionGrid {
@@ -260,7 +247,6 @@ impl SessionGrid {
             axes: Vec::new(),
             master_seed: 0,
             sessions_per_point: 1,
-            base: SessionConfig::default(),
         }
     }
 
@@ -297,12 +283,6 @@ impl SessionGrid {
         self
     }
 
-    /// Base configuration applied to every session (duration/seed overridden).
-    pub fn base_config(mut self, cfg: SessionConfig) -> Self {
-        self.base = cfg;
-        self
-    }
-
     /// Materialises the grid in deterministic order: cell-major, then
     /// duration, then axis points (row-major, last axis fastest), then
     /// repetition. Seeds derive from `(master_seed, build index)`: appending
@@ -321,7 +301,7 @@ impl SessionGrid {
                         let cfg = SessionConfig {
                             duration,
                             seed: derive_seed(self.master_seed, index),
-                            ..self.base.clone()
+                            ..SessionConfig::default()
                         };
                         let mut label = format!("{} / {:.0}s", cell.name, duration.as_secs_f64());
                         let mut spec = SessionSpec::cell(cell.clone(), cfg);

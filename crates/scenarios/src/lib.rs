@@ -6,8 +6,8 @@
 //! * [`session`] — the two-party WebRTC call engine (Fig. 7): UE client ↔
 //!   access network ↔ core ↔ transit ↔ wired peer, with full cross-layer
 //!   trace collection into a [`telemetry::TraceBundle`].
-//! * [`zoom_campus`] — the synthetic stand-in for the proprietary campus
-//!   Zoom QSS dataset (§2.2, Figs. 5–6).
+//! * `zoom_campus` — the synthetic stand-in for the proprietary campus
+//!   Zoom QSS dataset (§2.2, Figs. 5–6): [`generate_campus_dataset`].
 //! * [`axis`] — declarative [`ScenarioAxis`] parameter sweeps over
 //!   cell/session fields, expanded standalone or by the grid builder.
 
@@ -16,7 +16,7 @@ pub mod cells;
 pub mod grid;
 pub mod session;
 pub mod shared;
-pub mod zoom_campus;
+pub(crate) mod zoom_campus;
 
 pub use axis::{apply_patches, expand_product, AxisPatch, AxisPoint, ScenarioAxis, SeedPolicy};
 pub use cells::{

@@ -4,10 +4,11 @@
 //!
 //! Mirrors the paper's experimental setup (Fig. 7): the UE-side client "A"
 //! reaches the peer through the access network, a core segment, and a
-//! transit segment; the peer "B" is a wired host (GCP for commercial cells,
-//! a local server for private cells). Both media and RTCP feedback traverse
-//! the network in both directions, so feedback-path impairments (Fig. 22)
-//! arise naturally.
+//! transit segment; the peer "B" is a wired host behind a WAN path
+//! ([`SessionConfig::peer_path`], `PathConfig::wired_wan()` for every cell,
+//! private ones included). Both media and RTCP feedback traverse the network
+//! in both directions, so feedback-path impairments (Fig. 22) arise
+//! naturally.
 
 use std::collections::HashMap;
 
@@ -36,8 +37,9 @@ pub struct SessionConfig {
     pub stats_interval: SimDuration,
     /// Engine tick granularity.
     pub tick: SimDuration,
-    /// Path between the core/access egress and the peer (WAN for
-    /// commercial cells, local subnet for private cells).
+    /// Path between the core/access egress and the peer. The default is
+    /// `PathConfig::wired_wan()`, and every preset and grid keeps it, so
+    /// private cells reach their peer over the same WAN as commercial ones.
     pub peer_path: PathConfig,
 }
 
@@ -164,7 +166,7 @@ impl AccessSim {
 
     fn drain_deliveries_into(&mut self, out: &mut Vec<Delivery>) {
         match self {
-            AccessSim::Cell(cell) => cell.drain_deliveries_into(out),
+            AccessSim::Cell(cell) => cell.drain_deliveries_into(0, out),
             AccessSim::Direct(direct) => out.append(&mut direct.out),
             AccessSim::Shared(shared) => out.append(&mut shared.inbox),
         }
@@ -387,14 +389,6 @@ impl SessionArena {
     /// arena, this must stay flat across further sessions — asserted by the
     /// heap-peak regression test in `tests/live_equivalence.rs`.
     pub fn footprint(&self) -> usize {
-        let (queue, pending, emit, deliveries, ran, bundle, ue_tables) = self.footprint_parts();
-        queue + pending + emit + deliveries + ran + bundle + ue_tables
-    }
-
-    /// Per-component footprint breakdown (debug aid): `(queue, pending,
-    /// emit, deliveries, ran, bundle, ue_tables)`.
-    #[doc(hidden)]
-    pub fn footprint_parts(&self) -> (usize, usize, usize, usize, usize, usize, usize) {
         let bundle: usize = self
             .free_bundles
             .iter()
@@ -413,15 +407,7 @@ impl SessionArena {
             .map(CellUeTable::footprint_elems)
             .sum();
         let (emit, deliveries, ran) = self.scratch.footprint();
-        (
-            self.queue.capacity(),
-            pending,
-            emit,
-            deliveries,
-            ran,
-            bundle,
-            ue_tables,
-        )
+        self.queue.capacity() + pending + emit + deliveries + ran + bundle + ue_tables
     }
 
     fn take_bundle(&mut self, meta: SessionMeta) -> TraceBundle {
@@ -554,7 +540,7 @@ impl SessionState {
     /// overrides on the cell before the call starts; `tapped` mirrors
     /// [`telemetry::LiveTap::is_active`] for the tap the driver will pass
     /// to the step methods (pass `false` to skip all tap work).
-    pub fn start_cell(
+    pub(crate) fn start_cell(
         cell_cfg: CellConfig,
         app: &AppSpec,
         cfg: &SessionConfig,
@@ -591,18 +577,16 @@ impl SessionState {
         )
     }
 
-    /// Starts a session whose UE pair rides a cell owned by an external
-    /// [`crate::shared::SharedCellDriver`]. `ue` is the experiment-UE index
-    /// this pair occupies inside the shared cell; the meta mirrors the
-    /// cell's config, but the cell simulator itself lives in the driver,
-    /// which shuttles packets and telemetry through the session's
-    /// shared-access mailboxes each tick.
-    pub fn start_shared(
+    /// Starts an untapped RTC session whose UE pair rides a cell owned by an
+    /// external [`crate::shared::SharedCellDriver`]. `ue` is the
+    /// experiment-UE index this pair occupies inside the shared cell; the
+    /// meta mirrors the cell's config, but the cell simulator itself lives
+    /// in the driver, which shuttles packets and telemetry through the
+    /// session's shared-access mailboxes each tick.
+    pub(crate) fn start_shared(
         cell_cfg: &CellConfig,
-        app: &AppSpec,
         cfg: &SessionConfig,
         ue: u32,
-        tapped: bool,
         arena: &mut SessionArena,
     ) -> Self {
         let meta = SessionMeta {
@@ -626,9 +610,9 @@ impl SessionState {
             access,
             Some(PathConfig::core_network()),
             meta,
-            app,
+            &AppSpec::Rtc,
             cfg,
-            tapped,
+            false,
             arena,
         )
     }
@@ -660,7 +644,7 @@ impl SessionState {
     }
 
     /// Starts a baseline (wired or Wi-Fi) session in steppable form.
-    pub fn start_baseline(
+    pub(crate) fn start_baseline(
         access: BaselineAccess,
         app: &AppSpec,
         cfg: &SessionConfig,
@@ -680,13 +664,6 @@ impl SessionState {
             out: Vec::new(),
         }));
         Self::new(sim, None, meta, app, cfg, tapped, arena)
-    }
-
-    /// The engine tick granularity. A multiplexing driver requires every
-    /// co-scheduled session to share it (and steps them all on one global
-    /// tick lattice).
-    pub fn tick_len(&self) -> SimDuration {
-        self.tick_len
     }
 
     /// Session-local time of the tick currently in progress (the instant
@@ -1082,10 +1059,15 @@ impl SessionState {
             }
             tap.on_finish(end_time);
         } else if let AccessSim::Cell(cell) = &mut access {
-            for r in cell.drain_dci() {
-                bundle.append_dci(r);
-            }
-            cell.drain_gnb_into(&mut bundle.gnb);
+            // The same debug-build time-order check as the sorted-append
+            // hook, without staging the session's DCI log in a second buffer.
+            let first = bundle.dci.len();
+            cell.drain_dci_into(0, &mut bundle.dci);
+            debug_assert!(
+                bundle.dci[first.saturating_sub(1)..].is_sorted_by_key(|r| r.ts),
+                "unsorted DCI append"
+            );
+            cell.drain_gnb_into(0, &mut bundle.gnb);
         } else if let AccessSim::Shared(shared) = &mut access {
             for r in shared.dci_inbox.drain(..) {
                 bundle.append_dci(r);
@@ -1311,24 +1293,20 @@ struct RanScratch {
 /// are emitted out of order — RLC retransmissions are logged with their
 /// scheduled (future) timestamps and interleave with same-slot buffer
 /// samples — so they go through [`TraceBundle::append_gnb`]'s stable
-/// insert-at-sorted-position policy.
+/// insert-at-sorted-position policy. Only a private cell has RAN telemetry
+/// to drain: direct access has none, and shared-cell sessions are never
+/// tapped.
 fn drain_ran_telemetry(
     access: &mut AccessSim,
     bundle: &mut TraceBundle,
     tap: &mut dyn LiveTap,
     scratch: &mut RanScratch,
 ) {
-    match access {
-        AccessSim::Cell(cell) => {
-            cell.drain_dci_into(&mut scratch.dci);
-            cell.drain_gnb_into(&mut scratch.gnb);
-        }
-        AccessSim::Shared(shared) => {
-            scratch.dci.append(&mut shared.dci_inbox);
-            scratch.gnb.append(&mut shared.gnb_inbox);
-        }
-        AccessSim::Direct(_) => return,
-    }
+    let AccessSim::Cell(cell) = access else {
+        return;
+    };
+    cell.drain_dci_into(0, &mut scratch.dci);
+    cell.drain_gnb_into(0, &mut scratch.gnb);
     for r in scratch.dci.drain(..) {
         tap.on_dci(&r);
         bundle.append_dci(r);

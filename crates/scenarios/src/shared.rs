@@ -3,9 +3,9 @@
 //! scripted traffic UEs.
 //!
 //! The solo engine couples one session to one private cell; this driver
-//! inverts the ownership. It holds the cell, gives each call pair a
-//! shared-access session (mailbox access, see
-//! [`SessionState::start_shared`]), and per engine tick runs:
+//! inverts the ownership. It holds the cell, gives each RTC call pair an
+//! untapped session whose access is a set of mailboxes the driver fills,
+//! and per engine tick runs:
 //!
 //! 1. [`SessionState::emit_tick`] on every active session — endpoints emit
 //!    into their outboxes and the reverse path.
@@ -30,7 +30,7 @@ use ran_sim::{CellConfig, CellSim};
 use simcore::{derive_seed, SimDuration, SimTime};
 use telemetry::{DciRecord, NullTap, TraceBundle};
 
-use crate::session::{AppSpec, SessionArena, SessionConfig, SessionState};
+use crate::session::{SessionArena, SessionConfig, SessionState};
 
 /// Drives N diagnosed call pairs over one shared cell to completion.
 ///
@@ -48,27 +48,13 @@ pub struct SharedCellDriver {
 
 impl SharedCellDriver {
     /// Builds the cell (with its configured scripted traffic UEs), camps
-    /// `pairs` experiment UEs on it, and prepares one shared-access session
-    /// per pair. `script` installs scripted overrides on the cell before
+    /// `pairs` experiment UEs on it, and prepares one shared-access RTC
+    /// session per pair. `script` installs scripted overrides on the cell before
     /// the calls start (cell-level hooks like
     /// [`CellSim::script_cross_traffic`] affect every pair; per-UE hooks
     /// address experiment UE 0).
     pub fn new(
         cell_cfg: CellConfig,
-        cfg: &SessionConfig,
-        pairs: usize,
-        script: impl FnOnce(&mut CellSim),
-    ) -> Self {
-        Self::new_with_app(cell_cfg, &AppSpec::Rtc, cfg, pairs, script)
-    }
-
-    /// [`Self::new`] with an explicit application workload: every pair runs
-    /// `app` (an [`AppSpec::Abr`] driver puts N streaming players on one
-    /// cell). The session engine is workload-generic, so the tick pipeline
-    /// is identical either way.
-    pub fn new_with_app(
-        cell_cfg: CellConfig,
-        app: &AppSpec,
         cfg: &SessionConfig,
         pairs: usize,
         script: impl FnOnce(&mut CellSim),
@@ -92,10 +78,8 @@ impl SharedCellDriver {
                 };
                 Some(SessionState::start_shared(
                     cell.config(),
-                    app,
                     &lane_cfg,
                     i as u32,
-                    false,
                     &mut arena,
                 ))
             })
@@ -155,13 +139,13 @@ impl SharedCellDriver {
                 let Some(state) = lane else { continue };
                 let ue = i as u32;
                 let (inbox, dci, gnb) = state.shared_inboxes();
-                self.cell.drain_deliveries_for_into(ue, inbox);
+                self.cell.drain_deliveries_into(ue, inbox);
                 for (tag, rec) in &self.dci_scratch {
                     let mut r = rec.clone();
                     r.is_target_ue = *tag == ue;
                     dci.push(r);
                 }
-                self.cell.drain_gnb_for_into(ue, gnb);
+                self.cell.drain_gnb_into(ue, gnb);
             }
 
             // 5. Deliveries continue along the paths; then the shared queue

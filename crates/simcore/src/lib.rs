@@ -20,7 +20,7 @@
 
 pub mod alloc_count;
 pub mod dist;
-pub mod idmap;
+pub(crate) mod idmap;
 pub mod queue;
 pub mod rng;
 pub mod time;

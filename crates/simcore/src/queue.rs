@@ -29,7 +29,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// An event of type `E` scheduled for a particular instant, optionally
 /// tagged with a secondary order key `K` (session id for multiplexed
@@ -141,11 +141,6 @@ impl<E> EventQueue<E> {
     /// cannot silently tag an event with a default session id.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         self.schedule_keyed(at, (), event);
-    }
-
-    /// Schedules `event` to fire `delay` after `now` (untagged queues).
-    pub fn schedule_in(&mut self, now: SimTime, delay: SimDuration, event: E) {
-        self.schedule(now + delay, event);
     }
 }
 
@@ -438,14 +433,6 @@ mod tests {
             assert_eq!(q.pop_due(SimTime::from_millis(10)).unwrap().event, "early");
             assert!(q.pop_due(SimTime::from_millis(10)).is_none());
             assert_eq!(q.pop_due(SimTime::from_millis(20)).unwrap().event, "late");
-        }
-    }
-
-    #[test]
-    fn schedule_in_offsets_from_now() {
-        for mut q in geometries() {
-            q.schedule_in(SimTime::from_millis(10), SimDuration::from_millis(5), "x");
-            assert_eq!(q.peek_time(), Some(SimTime::from_millis(15)));
         }
     }
 

@@ -59,11 +59,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// `self - earlier`, or `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -249,14 +244,6 @@ mod tests {
         assert_eq!(
             SimTime::from_millis(3).saturating_since(SimTime::from_millis(9)),
             SimDuration::ZERO
-        );
-        assert_eq!(
-            SimTime::from_millis(9).checked_since(SimTime::from_millis(3)),
-            Some(SimDuration::from_millis(6))
-        );
-        assert_eq!(
-            SimTime::from_millis(3).checked_since(SimTime::from_millis(9)),
-            None
         );
     }
 

@@ -3,7 +3,7 @@
 //! implements [`Transport`] over a **virtual clock**.
 //!
 //! The fleet simulates worker processes: a dispatch runs the real
-//! [`SweepWorker`] synchronously (same bytes a
+//! worker-side range executor synchronously (same bytes a
 //! remote worker would produce), then schedules its result frame on a
 //! [`simcore::EventQueue`] at `now + cost`, where cost is a synthetic
 //! per-spec latency.

@@ -34,7 +34,6 @@
 use std::collections::BTreeMap;
 
 use domino_obs::wire::Writer;
-use domino_obs::{Counter, Gauge, Recorder};
 
 use crate::shard::{merge_shards, ShardPlan, ShardReport};
 use crate::transport::{DispatchSpec, Frame, FrameKind, Transport, TransportEvent, WorkerId};
@@ -92,9 +91,8 @@ impl Default for CoordinatorConfig {
     }
 }
 
-/// What the coordinator counted while it ran. Plain data: encode for the
-/// CI artifact with [`CoordinatorStats::encode`], fold into a metrics
-/// [`Recorder`] with [`CoordinatorStats::record_into`].
+/// What the coordinator counted while it ran. Plain data, encoded for the
+/// CI artifact with [`CoordinatorStats::encode`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoordinatorStats {
     /// Workers that ever connected (including respawns).
@@ -146,21 +144,6 @@ impl CoordinatorStats {
             w.line(k).uint(v);
         }
         w.finish()
-    }
-
-    /// Folds the counters into the `coord/*` metric families. Zero-cost
-    /// no-op when the recorder is off, like all domino-obs hooks.
-    pub fn record_into(&self, rec: &mut Recorder) {
-        rec.add(Counter::CoordDispatches, self.dispatches);
-        rec.add(Counter::CoordRangesCompleted, self.ranges_completed);
-        rec.add(Counter::CoordRetries, self.retries);
-        rec.add(Counter::CoordStragglerReissues, self.straggler_reissues);
-        rec.add(Counter::CoordSteals, self.steals);
-        rec.add(Counter::CoordDuplicates, self.duplicates_discarded);
-        rec.add(Counter::CoordCorruptReports, self.corrupt_reports);
-        rec.add(Counter::CoordWorkerDeaths, self.worker_deaths);
-        rec.add(Counter::CoordWorkerLiveMs, self.worker_live_ms);
-        rec.gauge_max(Gauge::CoordWorkersPeak, self.workers_peak);
     }
 }
 
@@ -734,7 +717,6 @@ mod tests {
     use crate::chaos::{Fault, FaultPlan, InProcFleet};
     use crate::SweepOptions;
     use domino_core::Domino;
-    use domino_obs::ObsConfig;
     use scenarios::all_cells_grid;
     use simcore::SimDuration;
 
@@ -832,7 +814,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_fold_into_coord_metric_families() {
+    fn stats_encode_one_line_per_key() {
         let stats = CoordinatorStats {
             workers_connected: 4,
             workers_peak: 3,
@@ -847,29 +829,10 @@ mod tests {
             worker_live_ms: 1234,
             wall_ms: 500,
         };
-        let mut rec = Recorder::new(ObsConfig::full());
-        stats.record_into(&mut rec);
-        assert_eq!(rec.counter(Counter::CoordDispatches), 9);
-        assert_eq!(rec.counter(Counter::CoordRetries), 2);
-        assert_eq!(rec.counter(Counter::CoordSteals), 2);
-        assert_eq!(rec.counter(Counter::CoordStragglerReissues), 1);
-        assert_eq!(rec.counter(Counter::CoordDuplicates), 1);
-        assert_eq!(rec.counter(Counter::CoordCorruptReports), 2);
-        assert_eq!(rec.counter(Counter::CoordWorkerDeaths), 1);
-        assert_eq!(rec.counter(Counter::CoordWorkerLiveMs), 1234);
-        assert_eq!(rec.gauge(Gauge::CoordWorkersPeak), 3);
-        let snap = rec.snapshot().expect("enabled recorder snapshots");
-        let text = snap.encode();
-        assert!(text.contains("coord/dispatches\t9"));
-        assert!(text.contains("coord/workers_peak"));
         // Encoded stats artifact is stable, line-per-key.
         let encoded = stats.encode();
         assert!(encoded.starts_with("domino-coordinator-stats\tv1\n"));
         assert!(encoded.contains("straggler_reissues\t1\n"));
-        // A disabled recorder stays silent.
-        let mut off = Recorder::off();
-        stats.record_into(&mut off);
-        assert!(off.snapshot().is_none());
     }
 
     #[test]

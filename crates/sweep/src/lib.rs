@@ -48,7 +48,7 @@ pub use shard::{
 pub use transport::{
     DispatchSpec, Frame, FrameKind, TcpLink, TcpTransport, Transport, TransportEvent, WorkerId,
 };
-pub use worker::{run_worker, SweepWorker, WorkerExit, WorkerFaults};
+pub use worker::{run_worker, WorkerExit, WorkerFaults};
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -130,7 +130,7 @@ impl Default for SweepOptions {
 
 impl SweepOptions {
     /// Options for sweeps that need the raw bundles (figure experiments).
-    pub fn bundles_only() -> Self {
+    pub(crate) fn bundles_only() -> Self {
         SweepOptions {
             analysis: AnalysisMode::None,
             keep_bundles: true,
@@ -234,7 +234,7 @@ pub struct SweepProgress {
     /// Total sessions in the sweep.
     pub total: usize,
     /// Completion throughput over a sliding window of the most recent
-    /// completions (up to [`RATE_WINDOW`]), falling back to the lifetime
+    /// completions (up to 32), falling back to the lifetime
     /// average while the window fills. A long sweep whose early sessions
     /// were slow (cold caches) or fast (short specs first) therefore
     /// reports the *current* rate, and the ETA stays stable instead of
@@ -251,7 +251,7 @@ pub struct SweepProgress {
 }
 
 /// Completions the windowed sessions/sec estimate looks back over.
-pub const RATE_WINDOW: usize = 32;
+pub(crate) const RATE_WINDOW: usize = 32;
 
 /// Sliding window of completion instants behind the progress rate.
 struct RateWindow {

@@ -81,7 +81,7 @@ pub struct Frame {
 /// thousands of sessions. It is also the most a peer can make the
 /// receiving side buffer for one frame: a header declaring more is
 /// rejected before any of its payload is read.
-pub const MAX_FRAME_BYTES: usize = 64 << 20;
+pub(crate) const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// Longest header line (`frame\t<kind>\t<len>`) the decoder waits for.
 const MAX_HEADER_BYTES: usize = 256;
@@ -183,7 +183,7 @@ impl Frame {
     /// Tries to decode one frame from the front of `buf`. Returns
     /// `Ok(None)` when more bytes are needed; on success the consumed
     /// prefix is drained from `buf`. A header declaring more than
-    /// [`MAX_FRAME_BYTES`] fails at once with [`WireError::TooLong`], so
+    /// 64 MiB fails at once with [`WireError::TooLong`], so
     /// the caller never buffers toward a length the peer made up.
     pub fn decode(buf: &mut Vec<u8>) -> Result<Option<Frame>, WireError> {
         let malformed = |want| WireError::Malformed { line: 1, want };

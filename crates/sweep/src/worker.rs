@@ -1,7 +1,7 @@
 //! The worker side of the coordinator protocol: run dispatched sub-ranges
 //! with the ordinary [`run_shard`] path and stream results back as frames.
 //!
-//! Two layers. [`SweepWorker`] is the pure range executor — dispatch in,
+//! Two layers. `SweepWorker` is the pure range executor — dispatch in,
 //! result frame out — used directly by the in-process chaos harness so
 //! simulated workers run *exactly* the code a remote worker runs.
 //! [`run_worker`] wraps it in a blocking frame loop over a [`WorkerLink`]
@@ -47,7 +47,7 @@ pub enum WorkerExit {
 
 /// Executes dispatches. Stateless between ranges except for fault
 /// bookkeeping, so the same executor serves long-lived workers.
-pub struct SweepWorker<'a> {
+pub(crate) struct SweepWorker<'a> {
     specs: &'a [SessionSpec],
     domino: &'a Domino,
     opts: &'a SweepOptions,
@@ -58,12 +58,16 @@ pub struct SweepWorker<'a> {
 
 impl<'a> SweepWorker<'a> {
     /// A fault-free executor over the full grid.
-    pub fn new(specs: &'a [SessionSpec], domino: &'a Domino, opts: &'a SweepOptions) -> Self {
+    pub(crate) fn new(
+        specs: &'a [SessionSpec],
+        domino: &'a Domino,
+        opts: &'a SweepOptions,
+    ) -> Self {
         Self::with_faults(specs, domino, opts, WorkerFaults::default())
     }
 
     /// An executor with scripted faults.
-    pub fn with_faults(
+    pub(crate) fn with_faults(
         specs: &'a [SessionSpec],
         domino: &'a Domino,
         opts: &'a SweepOptions,
@@ -81,14 +85,14 @@ impl<'a> SweepWorker<'a> {
 
     /// Specs this worker has started (dispatch accepted), including ones
     /// whose result was suppressed by a fault.
-    pub fn specs_started(&self) -> usize {
+    pub(crate) fn specs_started(&self) -> usize {
         self.specs_started
     }
 
     /// Runs one dispatched range and builds its result frame. `None` means
     /// the scripted kill fired: the range was started but no result may be
     /// sent, and the caller must die.
-    pub fn run_dispatch(&mut self, d: &DispatchSpec) -> Result<Option<Frame>, WireError> {
+    pub(crate) fn run_dispatch(&mut self, d: &DispatchSpec) -> Result<Option<Frame>, WireError> {
         let end = d.start.checked_add(d.len);
         if end.is_none_or(|end| end > self.specs.len()) || d.total != self.specs.len() {
             return Err(WireError::Malformed {
@@ -122,7 +126,7 @@ impl<'a> SweepWorker<'a> {
 /// Flips one payload byte without breaking the framing: picks a mid-text
 /// byte that is not a tab or newline and XORs a bit, so the frame still
 /// decodes but the report checksum no longer matches.
-pub fn corrupt_in_place(text: &mut str) {
+pub(crate) fn corrupt_in_place(text: &mut str) {
     // Report text is pure ASCII; XOR 0x02 on a graphic byte stays graphic
     // ASCII, so the String stays valid UTF-8 and the framing stays intact.
     let bytes = unsafe { text.as_bytes_mut() };

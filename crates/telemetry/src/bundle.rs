@@ -226,15 +226,6 @@ impl TraceBundle {
         }
     }
 
-    /// Appends a packet record in send-time order (see [`Self::append_dci`]).
-    pub fn append_packet(&mut self, r: PacketRecord) {
-        debug_assert!(
-            self.packets.last().is_none_or(|l| l.sent <= r.sent),
-            "unsorted packet append"
-        );
-        self.packets.push(r);
-    }
-
     /// Appends a UE-client stats sample in timestamp order.
     pub fn append_app_local(&mut self, r: AppStatsRecord) {
         debug_assert!(
@@ -435,7 +426,7 @@ mod tests {
     fn cursor_visits_each_record_once_in_order() {
         let mut b = TraceBundle::new(meta());
         for ms in [0, 100, 200, 300, 400] {
-            b.append_packet(pkt(ms));
+            b.packets.push(pkt(ms));
         }
         let mut cur = b.cursor();
         let first = b.advance_until(&mut cur, SimTime::from_millis(250));
@@ -452,11 +443,25 @@ mod tests {
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "unsorted packet append")]
+    #[should_panic(expected = "unsorted DCI append")]
     fn append_rejects_time_travel() {
+        let dci = |ms: u64| DciRecord {
+            ts: SimTime::from_millis(ms),
+            rnti: 1,
+            direction: Direction::Uplink,
+            is_target_ue: true,
+            n_prbs: 4,
+            mcs: 10,
+            tbs_bits: 1000,
+            harq_id: 0,
+            harq_retx_idx: 0,
+            decoded_ok: true,
+            proactive: false,
+            used_bits: 1000,
+        };
         let mut b = TraceBundle::new(meta());
-        b.append_packet(pkt(500));
-        b.append_packet(pkt(100));
+        b.append_dci(dci(500));
+        b.append_dci(dci(100));
     }
 
     #[test]

@@ -1,31 +1,12 @@
-//! Hand-rolled CSV export for trace bundles and figure series.
+//! Hand-rolled CSV export for trace bundles.
 //!
-//! Kept dependency-free on purpose (see DESIGN.md §3): the values we write are
-//! numbers and fixed labels, so the only quoting rule needed is for the free-
-//! form cell-name field.
+//! Kept dependency-free on purpose: the values we write are numbers and
+//! fixed labels, so no field ever needs quoting.
 
 use std::fmt::Write as _;
 
 use crate::bundle::TraceBundle;
 use crate::records::GnbEvent;
-
-/// Escapes a field per RFC 4180 if it contains a comma, quote, or newline.
-pub fn escape_field(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-/// Renders a (value, fraction) CDF series as `value,cdf` lines.
-pub fn cdf_to_csv(header: (&str, &str), series: &[(f64, f64)]) -> String {
-    let mut out = format!("{},{}\n", header.0, header.1);
-    for (v, p) in series {
-        let _ = writeln!(out, "{v:.4},{p:.4}");
-    }
-    out
-}
 
 /// Renders the packet records of a bundle as CSV.
 pub fn packets_to_csv(bundle: &TraceBundle) -> String {
@@ -145,18 +126,58 @@ mod tests {
 
     #[test]
     fn escaping() {
-        assert_eq!(escape_field("plain"), "plain");
-        assert_eq!(escape_field("a,b"), "\"a,b\"");
-        assert_eq!(escape_field("say \"hi\""), "\"say \"\"hi\"\"\"");
-    }
-
-    #[test]
-    fn cdf_csv_shape() {
-        let csv = cdf_to_csv(("delay_ms", "cdf"), &[(1.0, 0.5), (2.0, 1.0)]);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "delay_ms,cdf");
-        assert!(lines[1].starts_with("1.0000,0.5000"));
+        // No writer needs RFC 4180 quoting: every row of every stream has the
+        // header's field count and no quote character.
+        let mut b = TraceBundle::new(SessionMeta::baseline(
+            "a,\"b\"",
+            SimDuration::from_secs(1),
+            0,
+        ));
+        for direction in [Direction::Uplink, Direction::Downlink] {
+            b.packets.push(PacketRecord {
+                sent: SimTime::ZERO,
+                received: Some(SimTime::from_millis(3)),
+                direction,
+                stream: StreamKind::Video,
+                seq: 1,
+                size_bytes: 1200,
+            });
+            b.dci.push(DciRecord {
+                ts: SimTime::ZERO,
+                rnti: 17,
+                direction,
+                is_target_ue: true,
+                n_prbs: 4,
+                mcs: 10,
+                tbs_bits: 1000,
+                harq_id: 0,
+                harq_retx_idx: 1,
+                decoded_ok: false,
+                proactive: false,
+                used_bits: 800,
+            });
+            b.gnb.push(GnbLogRecord {
+                ts: SimTime::ZERO,
+                event: GnbEvent::RlcBuffer {
+                    direction,
+                    bytes: 64,
+                },
+            });
+        }
+        for state in [RrcState::Connected, RrcState::Idle, RrcState::Connecting] {
+            b.gnb.push(GnbLogRecord {
+                ts: SimTime::ZERO,
+                event: GnbEvent::RrcTransition { state, rnti: 17 },
+            });
+        }
+        for csv in [packets_to_csv(&b), dci_to_csv(&b), gnb_to_csv(&b)] {
+            let fields = csv.lines().next().unwrap().split(',').count();
+            assert!(csv.lines().count() > 2);
+            for line in csv.lines() {
+                assert_eq!(line.split(',').count(), fields, "{line}");
+                assert!(!line.contains('"'), "{line}");
+            }
+        }
     }
 
     #[test]

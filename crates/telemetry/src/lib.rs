@@ -20,7 +20,7 @@
 pub mod bundle;
 pub mod csv;
 pub mod degrade;
-pub mod livetap;
+pub(crate) mod livetap;
 pub mod records;
 pub mod series;
 

@@ -187,17 +187,6 @@ pub enum Resolution {
 }
 
 impl Resolution {
-    /// Vertical pixel count.
-    pub fn height(self) -> u32 {
-        match self {
-            Resolution::R180p => 180,
-            Resolution::R360p => 360,
-            Resolution::R540p => 540,
-            Resolution::R720p => 720,
-            Resolution::R1080p => 1080,
-        }
-    }
-
     /// Label as printed in Table 3.
     pub fn label(self) -> &'static str {
         match self {
@@ -393,7 +382,8 @@ mod tests {
     fn resolution_order_matches_height() {
         for pair in Resolution::ALL.windows(2) {
             assert!(pair[0] < pair[1]);
-            assert!(pair[0].height() < pair[1].height());
+            let height = |r: Resolution| r.label().trim_end_matches('p').parse::<u32>().unwrap();
+            assert!(height(pair[0]) < height(pair[1]));
         }
         assert_eq!(Resolution::R540p.label(), "540p");
     }

@@ -48,15 +48,6 @@ impl Cdf {
         self.quantile(0.5)
     }
 
-    /// Fraction of samples strictly below `x` — the CDF value F(x⁻).
-    pub fn fraction_below(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let n = self.sorted.partition_point(|&v| v < x);
-        n as f64 / self.sorted.len() as f64
-    }
-
     /// Fraction of samples ≤ `x` — the CDF value F(x).
     pub fn fraction_at_or_below(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
@@ -154,10 +145,10 @@ mod tests {
     #[test]
     fn fraction_below_handles_ties() {
         let c = Cdf::from_samples(vec![1.0, 2.0, 2.0, 3.0]);
-        assert_eq!(c.fraction_below(2.0), 0.25);
+        assert_eq!(c.fraction_at_or_below(1.5), 0.25);
         assert_eq!(c.fraction_at_or_below(2.0), 0.75);
-        assert_eq!(c.fraction_below(10.0), 1.0);
-        assert_eq!(c.fraction_below(0.0), 0.0);
+        assert_eq!(c.fraction_at_or_below(10.0), 1.0);
+        assert_eq!(c.fraction_at_or_below(0.0), 0.0);
     }
 
     #[test]
@@ -172,7 +163,7 @@ mod tests {
         let c = Cdf::from_samples(vec![]);
         assert!(c.is_empty());
         assert_eq!(c.quantile(0.5), None);
-        assert_eq!(c.fraction_below(1.0), 0.0);
+        assert_eq!(c.fraction_at_or_below(1.0), 0.0);
     }
 
     #[test]
@@ -201,13 +192,13 @@ mod tests {
             }
         }
 
-        /// fraction_below is a valid CDF: monotone, in [0,1].
+        /// fraction_at_or_below is a valid CDF: monotone, in [0,1].
         #[test]
         fn prop_fraction_below_monotone(samples in proptest::collection::vec(-1e3f64..1e3, 1..100)) {
             let c = Cdf::from_samples(samples);
             let mut last = 0.0;
             for i in -10..=10 {
-                let f = c.fraction_below(i as f64 * 100.0);
+                let f = c.fraction_at_or_below(i as f64 * 100.0);
                 prop_assert!((0.0..=1.0).contains(&f));
                 prop_assert!(f >= last);
                 last = f;
