@@ -111,6 +111,9 @@ impl PathStats {
 #[derive(Debug, Clone)]
 pub struct PathModel {
     cfg: PathConfig,
+    /// `ln` of the jitter median in µs (the log-normal's `mu`), or `None`
+    /// when jitter is disabled.
+    jitter_mu: Option<f64>,
     congestion: GaussMarkov,
     last_arrival: SimTime,
     link_free_at: SimTime,
@@ -120,7 +123,9 @@ pub struct PathModel {
 impl PathModel {
     /// Creates a path from its configuration.
     pub fn new(cfg: PathConfig) -> Self {
+        let median_us = cfg.jitter_median.as_micros();
         PathModel {
+            jitter_mu: (median_us > 0).then(|| (median_us as f64).ln()),
             congestion: GaussMarkov::new(1.0, cfg.congestion_sigma, 0.995),
             cfg,
             last_arrival: SimTime::ZERO,
@@ -160,11 +165,9 @@ impl PathModel {
         } else {
             1.0
         };
-        let jitter_us = if self.cfg.jitter_median.as_micros() > 0 {
-            let mu = (self.cfg.jitter_median.as_micros() as f64).ln();
-            log_normal(rng, mu, self.cfg.jitter_sigma) * congestion
-        } else {
-            0.0
+        let jitter_us = match self.jitter_mu {
+            Some(mu) => log_normal(rng, mu, self.cfg.jitter_sigma) * congestion,
+            None => 0.0,
         };
         let arrival = self.link_free_at
             + self.cfg.base_delay

@@ -198,8 +198,6 @@ pub(crate) struct LinkDir {
     next_grantable_slot: u64,
     /// Most recent SINR sample (telemetry for the rate-gap plots).
     pub last_sinr_db: f64,
-    /// Most recent MCS used for a new transmission.
-    pub last_mcs: u8,
 }
 
 impl LinkDir {
@@ -221,7 +219,6 @@ impl LinkDir {
             next_proactive_at: SimTime::ZERO,
             next_grantable_slot: 0,
             last_sinr_db: 0.0,
-            last_mcs: 0,
         }
     }
 
@@ -462,7 +459,6 @@ pub(crate) fn process_slot<R: Rng + ?Sized>(
         Direction::Downlink => (mac.mcs_cap_dl, mac.margin_db_dl),
     };
     let mcs = phy::select_mcs(sinr, link.olla.offset_db(), margin, cap);
-    link.last_mcs = mcs;
     if mcs < mac.poor_channel_mcs_threshold {
         budget = budget.min((total as f64 * mac.poor_channel_prb_cap) as u32);
     }

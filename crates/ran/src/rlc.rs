@@ -18,9 +18,9 @@
 //! a retransmitted PDU carries its original payload (RLC resegmentation is
 //! not modelled — grants are sized to fit, which the paper's cells also do).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use simcore::SimTime;
+use simcore::{SeqRing, SimTime};
 
 /// An upper-layer packet handed to RLC (an RLC SDU).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,7 +199,9 @@ pub(crate) struct SduDelivery {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RlcRx {
     next_expected_sn: u32,
-    held: BTreeMap<u32, Pdu>,
+    /// PDUs received ahead of a gap, by SN; every key is above
+    /// `next_expected_sn`.
+    held: SeqRing<Pdu>,
 }
 
 impl RlcRx {
@@ -223,8 +225,10 @@ impl RlcRx {
             pool.put(pdu.segments); // duplicate of something already released
             return;
         }
-        self.held.insert(pdu.sn, pdu);
-        while let Some(pdu) = self.held.remove(&self.next_expected_sn) {
+        if let Some(stale) = self.held.insert(u64::from(pdu.sn), pdu) {
+            pool.put(stale.segments); // a second copy of a held PDU
+        }
+        while let Some(pdu) = self.held.remove(u64::from(self.next_expected_sn)) {
             self.next_expected_sn += 1;
             for seg in &pdu.segments {
                 if seg.last_of_sdu {
@@ -306,12 +310,12 @@ mod tests {
         rx.receive_into(t(10), p1, &mut released, &mut pool);
         rx.receive_into(t(12), p2, &mut released, &mut pool);
         assert!(released.is_empty());
-        assert_eq!(rx.held.len(), 2);
+        assert_eq!(rx.held.iter().count(), 2);
         rx.receive_into(t(50), p0, &mut released, &mut pool);
         assert_eq!(released.len(), 3);
         // HoL burst: all three released at the same instant.
         assert!(released.iter().all(|d| d.released_at == t(50)));
-        assert_eq!(rx.held.len(), 0);
+        assert_eq!(rx.held.iter().count(), 0);
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub struct VideoFrame {
 
 /// The adaptive video encoder.
 #[derive(Debug, Clone)]
-pub struct VideoEncoder {
+pub(crate) struct VideoEncoder {
     cfg: EncoderConfig,
     resolution: Resolution,
     fps: f64,
@@ -94,7 +94,7 @@ pub struct VideoEncoder {
 impl VideoEncoder {
     /// Creates the encoder starting at 360p (libwebrtc starts low and
     /// upgrades as the estimate grows).
-    pub fn new(cfg: EncoderConfig) -> Self {
+    pub(crate) fn new(cfg: EncoderConfig) -> Self {
         let start = Resolution::R360p.min(cfg.max_resolution);
         VideoEncoder {
             fps: cfg.max_fps,
@@ -109,30 +109,18 @@ impl VideoEncoder {
     }
 
     /// Current resolution rung.
-    pub fn resolution(&self) -> Resolution {
+    pub(crate) fn resolution(&self) -> Resolution {
         self.resolution
     }
 
     /// Current encoder frame rate.
-    pub fn fps(&self) -> f64 {
+    pub(crate) fn fps(&self) -> f64 {
         self.fps
     }
 
-    /// Produces all frames due at or before `now`, sized for `rate_bps`.
-    pub fn poll<R: Rng + ?Sized>(
-        &mut self,
-        now: SimTime,
-        rate_bps: f64,
-        rng: &mut R,
-    ) -> Vec<VideoFrame> {
-        let mut frames = Vec::new();
-        self.poll_into(now, rate_bps, rng, &mut frames);
-        frames
-    }
-
-    /// [`Self::poll`] appending into a caller-owned buffer (allocation-free
-    /// when the buffer's capacity is warm).
-    pub fn poll_into<R: Rng + ?Sized>(
+    /// Appends every frame due at or before `now`, sized for `rate_bps`, to
+    /// a caller-owned buffer (allocation-free when its capacity is warm).
+    pub(crate) fn poll_into<R: Rng + ?Sized>(
         &mut self,
         now: SimTime,
         rate_bps: f64,
@@ -204,11 +192,11 @@ impl VideoEncoder {
 
 /// Audio source: fixed-cadence Opus-like packets.
 #[derive(Debug, Clone)]
-pub struct AudioSource {
+pub(crate) struct AudioSource {
     /// Packet interval (20 ms).
-    pub ptime: SimDuration,
+    ptime: SimDuration,
     /// Payload size per packet (bytes).
-    pub packet_bytes: u32,
+    packet_bytes: u32,
     next_at: SimTime,
     seq: u64,
 }
@@ -226,30 +214,24 @@ impl Default for AudioSource {
 
 /// One audio packet's metadata.
 #[derive(Debug, Clone, Copy)]
-pub struct AudioPacket {
+pub(crate) struct AudioPacket {
     /// Capture timestamp.
-    pub capture_ts: SimTime,
+    pub(crate) capture_ts: SimTime,
     /// Audio sequence number.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Payload size.
-    pub size_bytes: u32,
+    pub(crate) size_bytes: u32,
 }
 
 impl AudioSource {
     /// Creates the default 20 ms source.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Produces all audio packets due at or before `now`.
-    pub fn poll(&mut self, now: SimTime) -> Vec<AudioPacket> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
-    /// [`Self::poll`] appending into a caller-owned buffer.
-    pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<AudioPacket>) {
+    /// Appends every audio packet due at or before `now` to a caller-owned
+    /// buffer.
+    pub(crate) fn poll_into(&mut self, now: SimTime, out: &mut Vec<AudioPacket>) {
         while self.next_at <= now {
             out.push(AudioPacket {
                 capture_ts: self.next_at,
@@ -271,11 +253,23 @@ mod tests {
         rng_for(21, RngStream::MediaSource)
     }
 
+    /// The frames `enc` produces by `now` at `rate_bps`.
+    fn encode<R: Rng + ?Sized>(
+        enc: &mut VideoEncoder,
+        now: SimTime,
+        rate_bps: f64,
+        rng: &mut R,
+    ) -> Vec<VideoFrame> {
+        let mut frames = Vec::new();
+        enc.poll_into(now, rate_bps, rng, &mut frames);
+        frames
+    }
+
     #[test]
     fn produces_frames_at_nominal_rate() {
         let mut enc = VideoEncoder::new(EncoderConfig::default());
         let mut r = rng();
-        let frames = enc.poll(SimTime::from_secs(1), 2_000_000.0, &mut r);
+        let frames = encode(&mut enc, SimTime::from_secs(1), 2_000_000.0, &mut r);
         // ~30 fps over 1 s (inclusive of t=0).
         assert!((28..=32).contains(&frames.len()), "{}", frames.len());
     }
@@ -284,7 +278,7 @@ mod tests {
     fn frame_sizes_track_rate() {
         let mut enc = VideoEncoder::new(EncoderConfig::default());
         let mut r = rng();
-        let frames = enc.poll(SimTime::from_secs(10), 2_400_000.0, &mut r);
+        let frames = encode(&mut enc, SimTime::from_secs(10), 2_400_000.0, &mut r);
         let delta_bytes: Vec<f64> = frames
             .iter()
             .filter(|f| !f.keyframe)
@@ -299,7 +293,7 @@ mod tests {
     fn keyframes_are_periodic_and_big() {
         let mut enc = VideoEncoder::new(EncoderConfig::default());
         let mut r = rng();
-        let frames = enc.poll(SimTime::from_secs(10), 1_500_000.0, &mut r);
+        let frames = encode(&mut enc, SimTime::from_secs(10), 1_500_000.0, &mut r);
         let kf: Vec<&VideoFrame> = frames.iter().filter(|f| f.keyframe).collect();
         assert!((3..=5).contains(&kf.len()), "{} keyframes", kf.len());
         let df_mean = frames
@@ -316,10 +310,10 @@ mod tests {
         let mut enc = VideoEncoder::new(EncoderConfig::default());
         let mut r = rng();
         // Start healthy at 540p-capable rate.
-        enc.poll(SimTime::from_secs(5), 1_500_000.0, &mut r);
+        encode(&mut enc, SimTime::from_secs(5), 1_500_000.0, &mut r);
         let res_before = enc.resolution();
         // Starve: 300 kbit/s.
-        enc.poll(SimTime::from_secs(8), 300_000.0, &mut r);
+        encode(&mut enc, SimTime::from_secs(8), 300_000.0, &mut r);
         assert!(enc.fps() < 29.0, "fps should sag: {}", enc.fps());
         assert!(enc.resolution() < res_before, "resolution should step down");
     }
@@ -328,11 +322,11 @@ mod tests {
     fn recovers_resolution_with_hysteresis() {
         let mut enc = VideoEncoder::new(EncoderConfig::default());
         let mut r = rng();
-        enc.poll(SimTime::from_secs(3), 250_000.0, &mut r);
+        encode(&mut enc, SimTime::from_secs(3), 250_000.0, &mut r);
         let low = enc.resolution();
         assert_eq!(low, Resolution::R180p);
         // Rich rate for 5 s: should climb back up at least one rung.
-        enc.poll(SimTime::from_secs(8), 3_500_000.0, &mut r);
+        encode(&mut enc, SimTime::from_secs(8), 3_500_000.0, &mut r);
         assert!(enc.resolution() > low);
         assert!((enc.fps() - 30.0).abs() < 1.0);
     }
@@ -345,14 +339,15 @@ mod tests {
         };
         let mut enc = VideoEncoder::new(cfg);
         let mut r = rng();
-        enc.poll(SimTime::from_secs(30), 10_000_000.0, &mut r);
+        encode(&mut enc, SimTime::from_secs(30), 10_000_000.0, &mut r);
         assert_eq!(enc.resolution(), Resolution::R540p);
     }
 
     #[test]
     fn audio_cadence() {
         let mut a = AudioSource::new();
-        let pkts = a.poll(SimTime::from_secs(1));
+        let mut pkts = Vec::new();
+        a.poll_into(SimTime::from_secs(1), &mut pkts);
         assert_eq!(pkts.len(), 51); // t=0..=1000ms inclusive at 20 ms
         assert_eq!(pkts[1].capture_ts, SimTime::from_millis(20));
         assert_eq!(pkts[50].seq, 50);

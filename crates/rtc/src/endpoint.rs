@@ -2,10 +2,8 @@
 //! controller) and media receiver (jitter buffers → feedback), plus the
 //! 50 ms statistics sampler that mirrors the paper's instrumented client.
 
-use std::collections::BTreeMap;
-
 use rand::rngs::StdRng;
-use simcore::{rng_for, RngStream, SimDuration, SimTime};
+use simcore::{rng_for, RngStream, SeqRing, SimDuration, SimTime};
 use telemetry::{AppStatsRecord, Resolution, StreamKind};
 
 use crate::encoder::{AudioSource, EncoderConfig, VideoEncoder};
@@ -100,7 +98,10 @@ pub struct MediaSender {
     audio: AudioSource,
     pacer: Pacer,
     transport_seq: u64,
-    unacked: BTreeMap<u64, (SimTime, u32)>,
+    /// `(sent, size)` of each unacknowledged packet by transport sequence
+    /// number. Send times never decrease with the sequence number (the
+    /// pacer releases in order), so the oldest entries expire first.
+    unacked: SeqRing<(SimTime, u32)>,
     rng: StdRng,
     mtu: u32,
     // Reused scratch so the per-tick poll path and the per-feedback path
@@ -108,7 +109,6 @@ pub struct MediaSender {
     frame_scratch: Vec<crate::encoder::VideoFrame>,
     audio_scratch: Vec<crate::encoder::AudioPacket>,
     fb_scratch: Vec<FeedbackEntry>,
-    lost_scratch: Vec<u64>,
 }
 
 impl MediaSender {
@@ -120,13 +120,12 @@ impl MediaSender {
             audio: AudioSource::new(),
             pacer: Pacer::new(),
             transport_seq: 0,
-            unacked: BTreeMap::new(),
+            unacked: SeqRing::new(),
             rng: rng_for(seed, RngStream::Custom(stream_tag)),
             mtu: cfg.encoder.mtu_bytes,
             frame_scratch: Vec::new(),
             audio_scratch: Vec::new(),
             fb_scratch: Vec::new(),
-            lost_scratch: Vec::new(),
         }
     }
 
@@ -136,15 +135,8 @@ impl MediaSender {
         self.pacer.queue_len()
     }
 
-    /// Produces all packets due at or before `now`.
-    pub fn poll(&mut self, now: SimTime) -> Vec<OutgoingPacket> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
-    /// [`Self::poll`] appending into a caller-owned buffer — the
-    /// allocation-free form the session engine drives every tick.
+    /// Appends every packet due at or before `now` to a caller-owned
+    /// buffer (allocation-free once the buffer is warm).
     pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<OutgoingPacket>) {
         let pushback = self.cc.pushback_rate_bps(now);
         // Encode due frames and packetize into the pacer.
@@ -188,6 +180,12 @@ impl MediaSender {
             let seq = self.transport_seq;
             self.transport_seq += 1;
             self.cc.on_packet_sent(sent.at, sent.packet.size_bytes);
+            debug_assert!(
+                seq.checked_sub(1)
+                    .and_then(|prev| self.unacked.get(prev))
+                    .is_none_or(|&(prev_sent, _)| prev_sent <= sent.at),
+                "pacer release times decrease with the transport sequence number"
+            );
             self.unacked.insert(seq, (sent.at, sent.packet.size_bytes));
             let payload = match sent.packet.stream {
                 StreamKind::Video => PacketPayload::Video {
@@ -217,7 +215,7 @@ impl MediaSender {
         self.fb_scratch.clear();
         let mut newest_acked_sent: Option<SimTime> = None;
         for e in &fb.entries {
-            if let Some((sent, size)) = self.unacked.remove(&e.transport_seq) {
+            if let Some((sent, size)) = self.unacked.remove(e.transport_seq) {
                 self.fb_scratch.push(FeedbackEntry {
                     transport_seq: e.transport_seq,
                     sent,
@@ -228,18 +226,14 @@ impl MediaSender {
             }
         }
         // Loss detection: unacked packets sent long before the newest acked
-        // one are gone.
+        // one are gone. Send times grow with the sequence number, so the
+        // expired packets are the oldest ones.
         if let Some(newest) = newest_acked_sent {
-            self.lost_scratch.clear();
-            self.lost_scratch.extend(
-                self.unacked
-                    .iter()
-                    .filter(|(_, (sent, _))| *sent + LOSS_TIMEOUT < newest)
-                    .map(|(&seq, _)| seq),
-            );
-            for i in 0..self.lost_scratch.len() {
-                let seq = self.lost_scratch[i];
-                let (sent, size) = self.unacked.remove(&seq).expect("present");
+            while let Some((seq, &(sent, size))) = self.unacked.first() {
+                if sent + LOSS_TIMEOUT >= newest {
+                    break;
+                }
+                self.unacked.remove(seq);
                 self.fb_scratch.push(FeedbackEntry {
                     transport_seq: seq,
                     sent,
@@ -326,15 +320,8 @@ impl MediaReceiver {
         }
     }
 
-    /// Advances playout and builds due feedback packets.
-    pub fn poll(&mut self, now: SimTime) -> Vec<OutgoingPacket> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
-    /// [`Self::poll`] appending into a caller-owned buffer — the
-    /// allocation-free form the session engine drives every tick.
+    /// Advances playout and appends the feedback packets due at `now` to a
+    /// caller-owned buffer (allocation-free once the buffer is warm).
     pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<OutgoingPacket>) {
         self.video.advance(now);
         self.audio.poll(now);
@@ -425,10 +412,12 @@ mod tests {
         // In-flight queues: (deliver_at_ms, seq, sent, payload).
         let mut to_b: Vec<(u64, u64, SimTime, PacketPayload)> = Vec::new();
         let mut to_a: Vec<(u64, u64, SimTime, PacketPayload)> = Vec::new();
+        let mut out = Vec::new();
         while now_ms < duration_ms {
             now_ms += 5;
             let now = t(now_ms);
-            for p in a.sender.poll(now) {
+            a.sender.poll_into(now, &mut out);
+            for p in out.drain(..) {
                 to_b.push((
                     p.at.as_millis() + delay_ms,
                     p.transport_seq,
@@ -436,7 +425,8 @@ mod tests {
                     p.payload,
                 ));
             }
-            for p in b.receiver.poll(now) {
+            b.receiver.poll_into(now, &mut out);
+            for p in out.drain(..) {
                 to_a.push((now_ms + delay_ms, p.transport_seq, p.at, p.payload));
             }
             to_b.retain(|(at, seq, sent, payload)| {
@@ -503,10 +493,12 @@ mod tests {
         let mut a = RtcEndpoint::new(SenderConfig::default(), 3, 1);
         // Send for 2 s without ever delivering feedback.
         let mut now_ms = 0;
+        let mut out = Vec::new();
         while now_ms < 2_000 {
             now_ms += 5;
-            a.sender.poll(t(now_ms));
+            a.sender.poll_into(t(now_ms), &mut out);
         }
+        assert!(!out.is_empty());
         let s = a.sample_stats(t(2_000));
         assert!(
             s.outstanding_bytes > s.cwnd_bytes,
@@ -515,6 +507,45 @@ mod tests {
             s.cwnd_bytes
         );
         assert!(s.pushback_rate_bps < s.target_bitrate_bps);
+    }
+
+    /// One feedback acks the newest packet of 700 ms of sending. Exactly
+    /// the packets sent more than `LOSS_TIMEOUT` before it are reported
+    /// lost, oldest first; the younger ones stay unacked.
+    #[test]
+    fn feedback_reports_only_packets_older_than_the_loss_timeout() {
+        let mut s = MediaSender::new(SenderConfig::default(), 5, 1);
+        let mut out = Vec::new();
+        for ms in 0..=700 {
+            s.poll_into(t(ms), &mut out);
+        }
+        let newest = out.last().expect("the sender sent");
+        let fb = TransportFeedback {
+            built_at: newest.at + SimDuration::from_millis(20),
+            entries: vec![crate::feedback::ArrivalEntry {
+                transport_seq: newest.transport_seq,
+                arrival: newest.at + SimDuration::from_millis(20),
+            }],
+            size_bytes: 63,
+        };
+        let (older, younger): (Vec<&OutgoingPacket>, Vec<&OutgoingPacket>) = out[..out.len() - 1]
+            .iter()
+            .partition(|p| p.at + LOSS_TIMEOUT < newest.at);
+        assert!(!older.is_empty() && !younger.is_empty());
+        s.on_transport_feedback(fb.built_at, &fb);
+
+        let reported: Vec<(u64, bool)> = s
+            .fb_scratch
+            .iter()
+            .map(|e| (e.transport_seq, e.arrival.is_some()))
+            .collect();
+        let expected: Vec<(u64, bool)> = std::iter::once((newest.transport_seq, true))
+            .chain(older.iter().map(|p| (p.transport_seq, false)))
+            .collect();
+        assert_eq!(reported, expected);
+        let unacked: Vec<u64> = s.unacked.iter().map(|(seq, _)| seq).collect();
+        let younger: Vec<u64> = younger.iter().map(|p| p.transport_seq).collect();
+        assert_eq!(unacked, younger);
     }
 
     #[test]

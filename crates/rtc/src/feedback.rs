@@ -137,14 +137,16 @@ impl FeedbackBuilder {
 
     fn build_rr(&mut self, now: SimTime) -> ReceiverReport {
         let loss = match (self.expected_base_seq, self.highest_seq) {
-            (Some(base), Some(high)) => {
-                let expected = high - base + 1;
-                if expected == 0 {
-                    0.0
-                } else {
+            // An interval with no media packet above the last report's
+            // highest leaves `base == high + 1`: nothing was expected, so
+            // nothing was lost.
+            (Some(base), Some(high)) => match high.checked_sub(base) {
+                Some(span) => {
+                    let expected = span + 1;
                     1.0 - (self.received_in_interval as f64 / expected as f64).min(1.0)
                 }
-            }
+                None => 0.0,
+            },
             _ => 0.0,
         };
         // Reset interval counters; next interval's base starts after the
@@ -204,6 +206,33 @@ mod tests {
             "loss {}",
             rr.loss_fraction
         );
+    }
+
+    /// A report interval that brings no new media packet expects none and
+    /// reports no loss; the next interval counts from where the last
+    /// report left off.
+    #[test]
+    fn rr_after_a_silent_interval_reports_no_loss() {
+        let mut b = FeedbackBuilder::new();
+        for seq in 0..10u64 {
+            b.on_packet(t(seq * 10), seq, t(seq * 10));
+        }
+        let (_, rr) = b.poll(t(1_000));
+        assert_eq!(rr.expect("rr due").loss_fraction, 0.0);
+        // One second with no arrivals at all.
+        let (_, rr) = b.poll(t(2_000));
+        assert_eq!(rr.expect("rr due").loss_fraction, 0.0);
+        // A late duplicate of an old packet is no new media either.
+        b.on_packet(t(2_500), 4, t(40));
+        let (_, rr) = b.poll(t(3_000));
+        assert_eq!(rr.expect("rr due").loss_fraction, 0.0);
+        // Seqs 10..20 with 12..14 missing: 30 % of the next interval.
+        for seq in (10..20u64).filter(|s| !(12..15).contains(s)) {
+            b.on_packet(t(3_000 + seq), seq, t(3_000 + seq));
+        }
+        let (_, rr) = b.poll(t(4_000));
+        let loss = rr.expect("rr due").loss_fraction;
+        assert!((loss - 0.3).abs() < 1e-9, "loss {loss}");
     }
 
     #[test]

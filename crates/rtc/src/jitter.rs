@@ -7,10 +7,9 @@
 //! of observed delay variation; when network delay outruns the buffer the
 //! video freezes (Fig. 20) and audio is concealed (Fig. 4).
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
-use simcore::{SimDuration, SimTime};
+use simcore::{SeqRing, SimDuration, SimTime};
 
 /// Samples kept for the delay-variation percentile.
 const JITTER_WINDOW: usize = 200;
@@ -108,19 +107,6 @@ impl PlayoutDelayEstimator {
 // Video
 // --------------------------------------------------------------------------
 
-/// A rendered-frame event.
-#[derive(Debug, Clone, Copy)]
-pub struct RenderedFrame {
-    /// When the frame was rendered.
-    pub at: SimTime,
-    /// The frame's capture timestamp.
-    pub capture_ts: SimTime,
-    /// Time the complete frame waited in the buffer before rendering (ms).
-    pub buffer_hold_ms: f64,
-    /// Frame index.
-    pub frame_idx: u64,
-}
-
 #[derive(Debug, Clone)]
 struct FrameAssembly {
     capture_ts: SimTime,
@@ -132,7 +118,9 @@ struct FrameAssembly {
 /// Receiver-side adaptive video jitter buffer with freeze accounting.
 #[derive(Debug, Clone)]
 pub struct VideoJitterBuffer {
-    frames: BTreeMap<u64, FrameAssembly>,
+    /// Frames not yet rendered or skipped, by frame index; every key is at
+    /// least `next_render_idx`.
+    frames: SeqRing<FrameAssembly>,
     delay: PlayoutDelayEstimator,
     next_render_idx: u64,
     last_render_at: Option<SimTime>,
@@ -156,7 +144,7 @@ impl VideoJitterBuffer {
     /// Creates an empty buffer.
     pub fn new() -> Self {
         VideoJitterBuffer {
-            frames: BTreeMap::new(),
+            frames: SeqRing::new(),
             delay: PlayoutDelayEstimator::new(),
             next_render_idx: 0,
             last_render_at: None,
@@ -180,12 +168,18 @@ impl VideoJitterBuffer {
         if frame_idx < self.next_render_idx {
             return; // too late; frame already skipped
         }
-        let entry = self.frames.entry(frame_idx).or_insert(FrameAssembly {
-            capture_ts,
-            packets_expected: packets_in_frame,
-            packets_received: 0,
-            complete_at: None,
-        });
+        if self.frames.get(frame_idx).is_none() {
+            self.frames.insert(
+                frame_idx,
+                FrameAssembly {
+                    capture_ts,
+                    packets_expected: packets_in_frame,
+                    packets_received: 0,
+                    complete_at: None,
+                },
+            );
+        }
+        let entry = self.frames.get_mut(frame_idx).expect("inserted above");
         entry.packets_received += 1;
         if entry.packets_received >= entry.packets_expected && entry.complete_at.is_none() {
             entry.complete_at = Some(now);
@@ -194,27 +188,20 @@ impl VideoJitterBuffer {
         }
     }
 
-    /// Advances playout to `now`, returning frames rendered.
-    ///
-    /// A frame renders at `capture_ts + playout_target`, or immediately on
-    /// completion if that deadline has passed (that lateness is a stall).
-    pub fn poll(&mut self, now: SimTime) -> Vec<RenderedFrame> {
-        let mut rendered = Vec::new();
-        self.render_due(now, |f| rendered.push(f));
-        rendered
-    }
-
-    /// Advances playout to `now`, discarding rendered frames — the
-    /// allocation-free form endpoints use on the per-tick path (all rendering
-    /// side effects — freeze accounting, fps window, delay tracking — happen
-    /// identically).
+    /// Advances playout to `now`: freeze accounting, the fps window and
+    /// delay tracking see every frame rendered.
     pub fn advance(&mut self, now: SimTime) {
         self.render_due(now, |_| {});
     }
 
-    fn render_due(&mut self, now: SimTime, mut sink: impl FnMut(RenderedFrame)) {
+    /// Advances playout to `now`, handing the index of each rendered frame
+    /// to `rendered`.
+    ///
+    /// A frame renders at `capture_ts + playout_target`, or immediately on
+    /// completion if that deadline has passed (that lateness is a stall).
+    fn render_due(&mut self, now: SimTime, mut rendered: impl FnMut(u64)) {
         loop {
-            let Some(assembly) = self.frames.get(&self.next_render_idx) else {
+            let Some(assembly) = self.frames.get(self.next_render_idx) else {
                 // Next frame has no packets yet. Skip-ahead policy: if a
                 // *later* complete frame exists and the missing frame's
                 // deadline passed long ago, skip to it (decoder resync).
@@ -222,7 +209,7 @@ impl VideoJitterBuffer {
                     .frames
                     .iter()
                     .find(|(_, a)| a.complete_at.is_some())
-                    .map(|(&idx, a)| {
+                    .map(|(idx, a)| {
                         let overdue = now.saturating_since(
                             a.capture_ts + SimDuration::from_secs_f64(self.delay.target_ms() / 1e3),
                         );
@@ -231,9 +218,8 @@ impl VideoJitterBuffer {
                 match deadline_passed {
                     Some((idx, true)) if idx > self.next_render_idx => {
                         // Drop everything before idx.
-                        let stale: Vec<u64> = self.frames.range(..idx).map(|(&i, _)| i).collect();
-                        for i in stale {
-                            self.frames.remove(&i);
+                        for i in self.next_render_idx..idx {
+                            self.frames.remove(i);
                         }
                         self.next_render_idx = idx;
                         continue;
@@ -261,13 +247,8 @@ impl VideoJitterBuffer {
                 self.hold_ewma_ms = 0.9 * self.hold_ewma_ms + 0.1 * hold;
             }
             self.account_freeze(render_at);
-            sink(RenderedFrame {
-                at: render_at,
-                capture_ts,
-                buffer_hold_ms: render_at.saturating_since(complete_at).as_millis_f64(),
-                frame_idx: self.next_render_idx,
-            });
-            self.frames.remove(&self.next_render_idx);
+            rendered(self.next_render_idx);
+            self.frames.remove(self.next_render_idx);
             self.next_render_idx += 1;
         }
         // Freeze state between polls: if the next frame is overdue past the
@@ -341,7 +322,9 @@ const SAMPLES_PER_PACKET: u64 = 960;
 /// NetEq-like adaptive audio buffer with concealment accounting.
 #[derive(Debug, Clone)]
 pub struct AudioJitterBuffer {
-    packets: BTreeMap<u64, SimTime>, // seq → arrival
+    /// Arrival time by audio sequence number; every key is at least
+    /// `next_play_seq`.
+    packets: SeqRing<SimTime>,
     delay: PlayoutDelayEstimator,
     next_play_seq: u64,
     next_tick_at: Option<SimTime>,
@@ -362,7 +345,7 @@ impl AudioJitterBuffer {
     /// Creates an empty buffer with 20 ms ptime.
     pub fn new() -> Self {
         AudioJitterBuffer {
-            packets: BTreeMap::new(),
+            packets: SeqRing::new(),
             delay: PlayoutDelayEstimator::new(),
             next_play_seq: 0,
             next_tick_at: None,
@@ -397,7 +380,7 @@ impl AudioJitterBuffer {
         };
         while tick <= now {
             self.total_samples += SAMPLES_PER_PACKET;
-            match self.packets.remove(&self.next_play_seq) {
+            match self.packets.remove(self.next_play_seq) {
                 Some(arrival) => {
                     let hold = tick.saturating_since(arrival).as_millis_f64();
                     self.hold_ewma_ms = 0.9 * self.hold_ewma_ms + 0.1 * hold;
@@ -563,6 +546,13 @@ mod tests {
         }
     }
 
+    /// The indices of the frames `jb` renders by `now`.
+    fn render(jb: &mut VideoJitterBuffer, now: SimTime) -> Vec<u64> {
+        let mut frames = Vec::new();
+        jb.render_due(now, |idx| frames.push(idx));
+        frames
+    }
+
     #[test]
     fn steady_video_renders_at_source_rate_without_freezes() {
         let mut jb = VideoJitterBuffer::new();
@@ -570,9 +560,9 @@ mod tests {
         for i in 0..150u64 {
             let cap = t(i * 33);
             jb.on_packet(t(i * 33 + 40), i, 1, cap);
-            rendered += jb.poll(t(i * 33 + 41)).len();
+            rendered += render(&mut jb, t(i * 33 + 41)).len();
         }
-        rendered += jb.poll(t(6000)).len();
+        rendered += render(&mut jb, t(6000)).len();
         assert!(rendered >= 145, "rendered {rendered}");
         assert_eq!(jb.freeze_count, 0);
         assert!(jb.total_freeze_ms() == 0.0);
@@ -588,15 +578,15 @@ mod tests {
         // held briefly.
         for i in 0..90u64 {
             jb.on_packet(t(i * 33 + 40 + (i % 5) * 3), i, 1, t(i * 33));
-            jb.poll(t(i * 33 + 60));
+            jb.advance(t(i * 33 + 60));
         }
         assert!(jb.current_delay_ms() > 0.0);
         // Delay surge: frames 90..105 arrive 400 ms late.
         for i in 90..105u64 {
             jb.on_packet(t(i * 33 + 400), i, 1, t(i * 33));
-            jb.poll(t(i * 33 + 401));
+            jb.advance(t(i * 33 + 401));
         }
-        jb.poll(t(105 * 33 + 500));
+        jb.advance(t(105 * 33 + 500));
         assert!(jb.freeze_count > 0, "surge must freeze video");
         assert!(jb.total_freeze_ms() > 100.0);
         // Buffer target grew to absorb the new delay level.
@@ -609,12 +599,11 @@ mod tests {
         jb.on_packet(t(40), 0, 3, t(0));
         jb.on_packet(t(42), 0, 3, t(0));
         assert!(
-            jb.poll(t(200)).is_empty(),
+            render(&mut jb, t(200)).is_empty(),
             "incomplete frame must not render"
         );
         jb.on_packet(t(250), 0, 3, t(0));
-        let r = jb.poll(t(260));
-        assert_eq!(r.len(), 1);
+        assert_eq!(render(&mut jb, t(260)), [0]);
     }
 
     #[test]
@@ -622,9 +611,27 @@ mod tests {
         let mut jb = VideoJitterBuffer::new();
         // Frame 0 never arrives; frame 1 complete.
         jb.on_packet(t(40), 1, 1, t(33));
-        let r = jb.poll(t(400));
-        assert_eq!(r.len(), 1, "must eventually skip ahead");
-        assert_eq!(r[0].frame_idx, 1);
+        assert_eq!(render(&mut jb, t(400)), [1], "must eventually skip ahead");
+    }
+
+    /// A late frame that completes after the buffer skipped past several
+    /// missing ones: the skip drops every assembling frame below the
+    /// complete one, and packets of dropped frames are ignored afterwards.
+    #[test]
+    fn skip_ahead_drops_every_earlier_frame() {
+        let mut jb = VideoJitterBuffer::new();
+        jb.on_packet(t(40), 1, 2, t(33)); // frame 1 never completes
+        jb.on_packet(t(80), 3, 1, t(66));
+        assert_eq!(render(&mut jb, t(500)), [3]);
+        assert!(jb.frames.first().is_none());
+        jb.on_packet(t(510), 1, 2, t(33));
+        jb.on_packet(t(511), 2, 1, t(50));
+        assert!(
+            jb.frames.first().is_none(),
+            "frames behind the playout point"
+        );
+        jb.on_packet(t(520), 4, 1, t(99));
+        assert_eq!(render(&mut jb, t(1_000)), [4]);
     }
 
     #[test]

@@ -25,11 +25,11 @@ pub mod gcc;
 pub mod jitter;
 pub mod pacer;
 
-pub use encoder::{AudioSource, EncoderConfig, VideoEncoder, VideoFrame};
+pub use encoder::{EncoderConfig, VideoFrame};
 pub use endpoint::{
     MediaReceiver, MediaSender, OutgoingPacket, PacketPayload, RtcEndpoint, SenderConfig,
 };
 pub use feedback::{ArrivalEntry, ReceiverReport, TransportFeedback};
 pub use gcc::{FeedbackEntry, SenderCc};
-pub use jitter::{AudioJitterBuffer, PlayoutDelayEstimator, RenderedFrame, VideoJitterBuffer};
+pub use jitter::{AudioJitterBuffer, PlayoutDelayEstimator, VideoJitterBuffer};
 pub use pacer::{PacedPacket, Pacer, SentPacket};

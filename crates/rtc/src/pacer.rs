@@ -66,18 +66,9 @@ impl Pacer {
         self.queue.len()
     }
 
-    /// Releases all packets whose paced send time is at or before `now`,
-    /// given the current pushback rate.
-    pub fn poll(&mut self, now: SimTime, pushback_rate_bps: f64) -> Vec<SentPacket> {
-        let mut out = Vec::new();
-        while let Some(sent) = self.pop_due(now, pushback_rate_bps) {
-            out.push(sent);
-        }
-        out
-    }
-
     /// Releases the next packet whose paced send time is at or before `now`,
-    /// or `None` — the allocation-free single-step form of [`Self::poll`].
+    /// given the current pushback rate, or `None`. Release times never
+    /// decrease from one packet to the next.
     pub fn pop_due(&mut self, now: SimTime, pushback_rate_bps: f64) -> Option<SentPacket> {
         let pacing_bps = (pushback_rate_bps * PACING_FACTOR).max(MIN_PACING_BPS);
         let front = self.queue.front()?;
@@ -114,6 +105,11 @@ mod tests {
         }
     }
 
+    /// Every packet `p` releases by `now`.
+    fn release_due(p: &mut Pacer, now: SimTime, pushback_rate_bps: f64) -> Vec<SentPacket> {
+        std::iter::from_fn(|| p.pop_due(now, pushback_rate_bps)).collect()
+    }
+
     #[test]
     fn spreads_burst_at_pacing_rate() {
         let mut p = Pacer::new();
@@ -121,7 +117,7 @@ mod tests {
             p.enqueue(pkt(1250, 0)); // 10 kbit each
         }
         // Pushback 1 Mbit/s → pacing 2.5 Mbit/s → 4 ms per packet.
-        let sent = p.poll(SimTime::from_millis(100), 1_000_000.0);
+        let sent = release_due(&mut p, SimTime::from_millis(100), 1_000_000.0);
         assert_eq!(sent.len(), 10);
         let gap = sent[1].at.saturating_since(sent[0].at).as_millis_f64();
         assert!((gap - 4.0).abs() < 0.1, "gap {gap}");
@@ -133,7 +129,7 @@ mod tests {
         for _ in 0..100 {
             p.enqueue(pkt(12_500, 0)); // 100 kbit each → 40 ms at 2.5 M
         }
-        let sent = p.poll(SimTime::from_millis(100), 1_000_000.0);
+        let sent = release_due(&mut p, SimTime::from_millis(100), 1_000_000.0);
         assert!(sent.len() < 100, "only a prefix should be released");
         assert!(p.queue_len() > 0);
         assert!(sent.iter().all(|s| s.at <= SimTime::from_millis(100)));
@@ -143,9 +139,9 @@ mod tests {
     fn never_sends_before_capture() {
         let mut p = Pacer::new();
         p.enqueue(pkt(100, 500));
-        let sent = p.poll(SimTime::from_millis(400), 1_000_000.0);
+        let sent = release_due(&mut p, SimTime::from_millis(400), 1_000_000.0);
         assert!(sent.is_empty());
-        let sent = p.poll(SimTime::from_millis(600), 1_000_000.0);
+        let sent = release_due(&mut p, SimTime::from_millis(600), 1_000_000.0);
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].at, SimTime::from_millis(500));
     }

@@ -9,12 +9,18 @@
 //! private ones included). Both media and RTCP feedback traverse the network
 //! in both directions, so feedback-path impairments (Fig. 22) arise
 //! naturally.
-
-use std::collections::HashMap;
+//!
+//! In-flight state: every packet a session sends gets the next packet id,
+//! counting up from 0, and its record is pushed to the bundle at that same
+//! index, so the record holds its send time and size. Until it is
+//! delivered or lost, only its payload waits, in a [`SeqRing`] keyed by
+//! the id: a lookup is one subtraction, and nothing is hashed or allocated
+//! per packet. Every path that loses a packet removes its entry, so the
+//! ring spans only the ids still in flight.
 
 use domino_obs::{Counter, HistId, RanCellObs, Recorder, SpanId};
 use rand::rngs::StdRng;
-use simcore::{rng_for, EventQueue, IdMap, RngStream, SimDuration, SimTime};
+use simcore::{rng_for, EventQueue, RngStream, SeqRing, SimDuration, SimTime};
 use telemetry::{Direction, LiveTap, PacketRecord, SessionMeta, StreamKind, TraceBundle};
 
 use abr_sim::{AbrClient, AbrConfig, AbrOutgoing, AbrPayload, AbrServer};
@@ -60,7 +66,7 @@ impl Default for SessionConfig {
 /// Which application workload a session runs over the two-party transport.
 ///
 /// The session engine is application-generic: every workload shares the
-/// access/core/peer path plumbing, the in-flight packet map, the
+/// access/core/peer path plumbing, the in-flight packet ring, the
 /// [`telemetry::LiveTap`] contract, and the [`SessionArena`] leases — only
 /// the endpoint pair differs. An [`AppSpec::Rtc`] session is byte-identical
 /// to the engine before this abstraction existed.
@@ -136,7 +142,10 @@ struct SharedAccess {
 }
 
 impl AccessSim {
-    fn enqueue(&mut self, now: SimTime, dir: Direction, id: u64, size: u32) {
+    /// Hands a packet to the access network. Returns `false` when the
+    /// network lost it on the spot (only a baseline path loses packets), so
+    /// it will never come out.
+    fn enqueue(&mut self, now: SimTime, dir: Direction, id: u64, size: u32) -> bool {
         match self {
             AccessSim::Cell(cell) => cell.enqueue(now, dir, id, size),
             AccessSim::Direct(direct) => {
@@ -144,17 +153,18 @@ impl AccessSim {
                     Direction::Uplink => direct.ul.traverse(now, size, &mut direct.rng_ul),
                     Direction::Downlink => direct.dl.traverse(now, size, &mut direct.rng_dl),
                 };
-                if let Some(at) = arrival {
-                    direct.out.push(Delivery {
-                        id,
-                        direction: dir,
-                        delivered_at: at,
-                    });
-                }
-                // Lost packets simply never come out.
+                let Some(at) = arrival else {
+                    return false;
+                };
+                direct.out.push(Delivery {
+                    id,
+                    direction: dir,
+                    delivered_at: at,
+                });
             }
             AccessSim::Shared(shared) => shared.outbox.push((now, dir, id, size)),
         }
+        true
     }
 
     fn poll(&mut self, now: SimTime) {
@@ -273,16 +283,11 @@ impl RouteSink for TaggedSink<'_> {
 }
 
 /// In-flight application payload, one variant per [`AppSpec`] workload.
+/// Its packet id indexes the session bundle's packet records, which hold
+/// the send time and size.
 enum AppPayload {
     Rtc(PacketPayload),
     Abr(AbrPayload),
-}
-
-struct Pending {
-    record_idx: usize,
-    payload: AppPayload,
-    sent: SimTime,
-    size: u32,
 }
 
 /// Per-tick scratch buffers every session a worker drives shares: the
@@ -315,12 +320,12 @@ impl EngineScratch {
 
 /// Reusable per-worker storage for the session engine: the shared
 /// route-event queue, the per-tick scratch buffers, and free lists of
-/// per-session sub-state (in-flight packet maps, recycled [`TraceBundle`]s)
+/// per-session sub-state (in-flight packet rings, recycled [`TraceBundle`]s)
 /// that sessions lease at start and return at finish. A sweep worker keeps one
 /// arena and threads it through every session it runs — sequentially or
 /// multiplexed — so a 1000-session sweep performs O(1) large allocations
 /// per worker instead of O(sessions). A multiplexed worker's arena holds
-/// one leased map/bundle pair per concurrently active session, then stays
+/// one leased ring/bundle pair per concurrently active session, then stays
 /// flat.
 ///
 /// Arenas carry **no cross-session state** — every leased buffer is
@@ -331,10 +336,8 @@ impl EngineScratch {
 pub struct SessionArena {
     queue: SharedRouteQueue,
     scratch: EngineScratch,
-    /// Recycled in-flight maps. [`IdMap`]'s hasher is deterministic, so
-    /// their resize points, and with them [`Self::footprint`], reproduce
-    /// across runs.
-    free_pending: Vec<IdMap<Pending>>,
+    /// Recycled in-flight rings.
+    free_pending: Vec<SeqRing<AppPayload>>,
     free_bundles: Vec<TraceBundle>,
     free_ue_tables: Vec<CellUeTable>,
 }
@@ -400,7 +403,7 @@ impl SessionArena {
                     + b.app_remote.capacity()
             })
             .sum();
-        let pending: usize = self.free_pending.iter().map(HashMap::capacity).sum();
+        let pending: usize = self.free_pending.iter().map(SeqRing::capacity).sum();
         let ue_tables: usize = self
             .free_ue_tables
             .iter()
@@ -420,14 +423,14 @@ impl SessionArena {
         }
     }
 
-    fn take_pending(&mut self) -> IdMap<Pending> {
-        let mut map = self.free_pending.pop().unwrap_or_default();
-        map.clear();
-        map
+    fn take_pending(&mut self) -> SeqRing<AppPayload> {
+        let mut ring = self.free_pending.pop().unwrap_or_default();
+        ring.clear();
+        ring
     }
 
-    fn return_pending(&mut self, map: IdMap<Pending>) {
-        self.free_pending.push(map);
+    fn return_pending(&mut self, ring: SeqRing<AppPayload>) {
+        self.free_pending.push(ring);
     }
 
     /// Leases a scripted-UE table for a new cell; `CellSim::new_in` clears
@@ -445,7 +448,7 @@ impl SessionArena {
 
 /// A two-party session extracted into a steppable state machine: the
 /// access simulator, both WebRTC endpoints, the non-RAN path models, the
-/// in-flight packet map, and the growing [`TraceBundle`].
+/// in-flight packet ring, and the growing [`TraceBundle`].
 ///
 /// The solo entry point ([`SessionRun`]) drives one state to completion in
 /// a tight loop; a multiplexing driver instead *interleaves* many states,
@@ -476,7 +479,10 @@ pub struct SessionState {
     peer_dl: PathModel,
     rng_fwd: StdRng,
     rng_rev: StdRng,
-    pending: IdMap<Pending>,
+    /// Payloads of the packets in flight, by packet id. Ids count up from 0
+    /// and index `bundle.packets`, so a packet's send time and size are
+    /// read from its record.
+    pending: SeqRing<AppPayload>,
     bundle: TraceBundle,
     next_id: u64,
     next_stats: SimTime,
@@ -727,24 +733,19 @@ impl SessionState {
                 for p in emit.drain(..) {
                     let id = self.next_id;
                     self.next_id += 1;
-                    let record_idx = self.bundle.packets.len();
+                    debug_assert_eq!(self.bundle.packets.len() as u64, id);
                     self.bundle
                         .packets
                         .push(packet_record(&p, Direction::Uplink));
                     if self.tapped {
-                        tap.on_packet_sent(id, &self.bundle.packets[record_idx]);
+                        tap.on_packet_sent(id, &self.bundle.packets[id as usize]);
                     }
-                    self.pending.insert(
-                        id,
-                        Pending {
-                            record_idx,
-                            payload: AppPayload::Rtc(p.payload),
-                            sent: p.at,
-                            size: p.size_bytes,
-                        },
-                    );
-                    self.access
-                        .enqueue(p.at, Direction::Uplink, id, p.size_bytes);
+                    if self
+                        .access
+                        .enqueue(p.at, Direction::Uplink, id, p.size_bytes)
+                    {
+                        self.pending.insert(id, AppPayload::Rtc(p.payload));
+                    }
                 }
                 emit.clear();
                 b.sender.poll_into(now, emit);
@@ -752,12 +753,12 @@ impl SessionState {
                 for p in emit.drain(..) {
                     let id = self.next_id;
                     self.next_id += 1;
-                    let record_idx = self.bundle.packets.len();
+                    debug_assert_eq!(self.bundle.packets.len() as u64, id);
                     self.bundle
                         .packets
                         .push(packet_record(&p, Direction::Downlink));
                     if self.tapped {
-                        tap.on_packet_sent(id, &self.bundle.packets[record_idx]);
+                        tap.on_packet_sent(id, &self.bundle.packets[id as usize]);
                     }
                     // Peer → (transit, core) → access ingress.
                     let hop1 = self.peer_dl.traverse(p.at, p.size_bytes, &mut self.rng_rev);
@@ -768,15 +769,7 @@ impl SessionState {
                     // A `None` arrival is a loss before the access network;
                     // the packet record simply stays unreceived.
                     if let Some(at) = arrival {
-                        self.pending.insert(
-                            id,
-                            Pending {
-                                record_idx,
-                                payload: AppPayload::Rtc(p.payload),
-                                sent: p.at,
-                                size: p.size_bytes,
-                            },
-                        );
+                        self.pending.insert(id, AppPayload::Rtc(p.payload));
                         sink.schedule(at, RouteEvent::EnqueueDownlink(id));
                     }
                 }
@@ -790,36 +783,31 @@ impl SessionState {
                 for p in emit.drain(..) {
                     let id = self.next_id;
                     self.next_id += 1;
-                    let record_idx = self.bundle.packets.len();
+                    debug_assert_eq!(self.bundle.packets.len() as u64, id);
                     self.bundle
                         .packets
                         .push(abr_packet_record(&p, Direction::Uplink));
                     if self.tapped {
-                        tap.on_packet_sent(id, &self.bundle.packets[record_idx]);
+                        tap.on_packet_sent(id, &self.bundle.packets[id as usize]);
                     }
-                    self.pending.insert(
-                        id,
-                        Pending {
-                            record_idx,
-                            payload: AppPayload::Abr(p.payload),
-                            sent: p.at,
-                            size: p.size_bytes,
-                        },
-                    );
-                    self.access
-                        .enqueue(p.at, Direction::Uplink, id, p.size_bytes);
+                    if self
+                        .access
+                        .enqueue(p.at, Direction::Uplink, id, p.size_bytes)
+                    {
+                        self.pending.insert(id, AppPayload::Abr(p.payload));
+                    }
                 }
                 emit.clear();
                 pair.server.poll_into(now, emit);
                 for p in emit.drain(..) {
                     let id = self.next_id;
                     self.next_id += 1;
-                    let record_idx = self.bundle.packets.len();
+                    debug_assert_eq!(self.bundle.packets.len() as u64, id);
                     self.bundle
                         .packets
                         .push(abr_packet_record(&p, Direction::Downlink));
                     if self.tapped {
-                        tap.on_packet_sent(id, &self.bundle.packets[record_idx]);
+                        tap.on_packet_sent(id, &self.bundle.packets[id as usize]);
                     }
                     let hop1 = self.peer_dl.traverse(p.at, p.size_bytes, &mut self.rng_rev);
                     let arrival = hop1.and_then(|t| match &mut self.core_dl {
@@ -827,15 +815,7 @@ impl SessionState {
                         None => Some(t),
                     });
                     if let Some(at) = arrival {
-                        self.pending.insert(
-                            id,
-                            Pending {
-                                record_idx,
-                                payload: AppPayload::Abr(p.payload),
-                                sent: p.at,
-                                size: p.size_bytes,
-                            },
-                        );
+                        self.pending.insert(id, AppPayload::Abr(p.payload));
                         sink.schedule(at, RouteEvent::EnqueueDownlink(id));
                     }
                 }
@@ -859,19 +839,20 @@ impl SessionState {
             let (id, t_out) = (d.id, d.delivered_at);
             match d.direction {
                 Direction::Uplink => {
-                    let Some(p) = self.pending.get(&id) else {
+                    if self.pending.get(id).is_none() {
                         continue;
-                    };
+                    }
+                    let size = self.bundle.packets[id as usize].size_bytes;
                     let hop1 = match &mut self.core_ul {
-                        Some(core) => core.traverse(t_out, p.size, &mut self.rng_fwd),
+                        Some(core) => core.traverse(t_out, size, &mut self.rng_fwd),
                         None => Some(t_out),
                     };
                     let arrival =
-                        hop1.and_then(|t| self.peer_ul.traverse(t, p.size, &mut self.rng_fwd));
+                        hop1.and_then(|t| self.peer_ul.traverse(t, size, &mut self.rng_fwd));
                     match arrival {
                         Some(at) => sink.schedule(at, RouteEvent::ArriveAtPeer(id)),
                         None => {
-                            self.pending.remove(&id); // lost in transit
+                            self.pending.remove(id); // lost in transit
                         }
                     }
                 }
@@ -889,9 +870,11 @@ impl SessionState {
     pub fn route_event(&mut self, at: SimTime, ev: RouteEvent, tap: &mut dyn LiveTap) {
         match ev {
             RouteEvent::EnqueueDownlink(id) => {
-                if let Some(p) = self.pending.get(&id) {
-                    let size = p.size;
-                    self.access.enqueue(at, Direction::Downlink, id, size);
+                if self.pending.get(id).is_some() {
+                    let size = self.bundle.packets[id as usize].size_bytes;
+                    if !self.access.enqueue(at, Direction::Downlink, id, size) {
+                        self.pending.remove(id);
+                    }
                 }
             }
             RouteEvent::ArriveAtPeer(id) => {
@@ -1007,7 +990,7 @@ impl SessionState {
     /// tapped path has drained all but the final tick's worth; the untapped
     /// path moves the whole log in one O(1) bulk transfer and lets the
     /// final sort order the gNB records), fires `on_finish`, sorts the
-    /// bundle, and returns the leased in-flight map to the arena.
+    /// bundle, and returns the leased in-flight ring to the arena.
     pub fn finish(self, tap: &mut dyn LiveTap, arena: &mut SessionArena) -> TraceBundle {
         let SessionState {
             mut access,
@@ -1318,24 +1301,26 @@ fn drain_ran_telemetry(
 }
 
 fn deliver(
-    pending: &mut IdMap<Pending>,
+    pending: &mut SeqRing<AppPayload>,
     bundle: &mut TraceBundle,
     id: u64,
     at: SimTime,
     app: &mut AppPair,
     to_ue: bool,
 ) -> bool {
-    let Some(p) = pending.remove(&id) else {
+    let Some(payload) = pending.remove(id) else {
         return false;
     };
-    bundle.packets[p.record_idx].received = Some(at);
-    match (&p.payload, app) {
+    let record = &mut bundle.packets[id as usize];
+    record.received = Some(at);
+    match (&payload, app) {
         (AppPayload::Rtc(payload), AppPair::Rtc { a, b }) => {
             let endpoint = if to_ue { a } else { b };
             match payload {
                 PacketPayload::Video { .. } | PacketPayload::Audio { .. } => {
-                    let seq = bundle.packets[p.record_idx].seq;
-                    endpoint.receiver.on_packet(at, seq, p.sent, payload);
+                    endpoint
+                        .receiver
+                        .on_packet(at, record.seq, record.sent, payload);
                 }
                 PacketPayload::Feedback(fb) => endpoint.sender.on_transport_feedback(at, fb),
                 PacketPayload::Report(rr) => endpoint.sender.on_receiver_report(at, rr),

@@ -42,11 +42,11 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct GaussMarkov {
     /// Long-run mean the process reverts to.
-    pub mean: f64,
-    /// Stationary standard deviation.
-    pub sigma: f64,
+    mean: f64,
     /// Per-step correlation in [0, 1).
-    pub rho: f64,
+    rho: f64,
+    /// `sigma * sqrt(1 - rho^2)`, the scale of each step's innovation.
+    innovation: f64,
     state: f64,
 }
 
@@ -57,8 +57,8 @@ impl GaussMarkov {
         assert!(sigma >= 0.0, "sigma must be non-negative");
         GaussMarkov {
             mean,
-            sigma,
             rho,
+            innovation: sigma * (1.0 - rho * rho).sqrt(),
             state: mean,
         }
     }
@@ -70,9 +70,9 @@ impl GaussMarkov {
 
     /// Advances one step and returns the new value.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        let innovation = self.sigma * (1.0 - self.rho * self.rho).sqrt();
-        self.state =
-            self.mean + self.rho * (self.state - self.mean) + innovation * standard_normal(rng);
+        self.state = self.mean
+            + self.rho * (self.state - self.mean)
+            + self.innovation * standard_normal(rng);
         self.state
     }
 

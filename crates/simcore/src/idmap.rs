@@ -1,4 +1,6 @@
-//! Hash maps and sets keyed by `u64` ids (packet send ids, session ids).
+//! Hash maps and sets keyed by `u64` ids: the live pool's session ids and
+//! the chaos tap's dropped packet ids. Dense per-packet sequence maps use
+//! [`crate::SeqRing`] instead.
 //!
 //! [`IdHasher`] replaces the default SipHash for these keys for two
 //! reasons: it is several times cheaper on a `u64`-only key, and it is

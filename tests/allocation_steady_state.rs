@@ -5,9 +5,7 @@
 //! [`MuxWorker`] (the sweep driver at width 1). The budgets are
 //! deliberately loose (×2-ish headroom) so they survive compiler/std drift,
 //! while still being far below the pre-arena baseline (~6 allocations per
-//! engine tick; the scrubbed path runs at a fraction of one per tick —
-//! BTreeMap node churn in the jitter buffers and RLC reorder state is what
-//! remains).
+//! engine tick; the scrubbed path runs at under a third of one per tick).
 //!
 //! Counters are process-global, so every test here serializes on one mutex
 //! and tolerates nothing else running — keep this binary free of
@@ -88,11 +86,12 @@ fn warm_worker_sessions_stay_within_allocation_budget() {
         cold.allocations
     );
 
-    // The budget: averaged over the session, well under one heap allocation
-    // per engine tick (the seed path performed ~6/tick). This is the
-    // regression tripwire for a stray per-tick `collect()`/`Vec::new`.
+    // The budget: about twice the 4 394 allocations a warm session makes,
+    // under 0.6 per engine tick (the seed path performed ~6/tick). This is
+    // the regression tripwire for a stray per-tick `collect()`/`Vec::new`
+    // or a per-packet map that allocates nodes.
     assert!(
-        worst < ticks,
+        worst < 9_000,
         "warm session allocates {worst}× for {ticks} ticks — hot path regressed"
     );
     // And warming must not cost more than the cold session (sanity).
@@ -118,8 +117,9 @@ fn session_simulation_alone_is_allocation_light() {
         stats.allocations,
         secs * 1000
     );
-    // Simulation without analysis: the same sub-one-per-tick budget.
-    assert!(stats.allocations < secs * 1000);
+    // Simulation without analysis: about twice the 1 438 allocations it
+    // makes, a quarter of one per tick.
+    assert!(stats.allocations < 3_000);
 }
 
 /// The enabled recorder must not reopen the allocation faucet either: its

@@ -113,3 +113,34 @@ fn delivery_rate_is_high_on_reliable_rlc() {
         );
     }
 }
+
+/// Four failed HARQ attempts on every downlink transport block from 3 s to
+/// 7 s stall the UE's inbound media long enough that a whole one-second
+/// receiver-report interval brings no new packet. Building that report
+/// used to subtract past zero: a debug build panicked with "attempt to
+/// subtract with overflow" (a release build wrapped to a loss of 0). The
+/// session must run to its end, and the stalled receiver must still report
+/// on the 50 ms stats lattice.
+#[test]
+fn receiver_report_after_a_silent_interval_does_not_underflow() {
+    use domino::scenarios::{ScriptAction, SessionSpec};
+    use domino::simcore::SimTime;
+    let cfg = SessionConfig {
+        duration: SimDuration::from_secs(10),
+        seed: 1,
+        ..Default::default()
+    };
+    let b = SessionSpec::cell(domino::scenarios::amarisoft(), cfg)
+        .with_script(ScriptAction::HarqFailures {
+            dir: Direction::Downlink,
+            from: SimTime::from_secs(3),
+            to: SimTime::from_secs(7),
+            fail_attempts: 4,
+        })
+        .run();
+    assert_eq!(b.app_local.len(), 200);
+    assert!(b
+        .packets
+        .iter()
+        .any(|p| p.direction == Direction::Downlink && p.received.is_some()));
+}
