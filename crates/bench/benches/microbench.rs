@@ -15,7 +15,7 @@ use domino_sweep::{
 use ran_sim::phy;
 use rtc_sim::gcc::trendline::{PacketTiming, TrendlineEstimator};
 use rtc_sim::{OutgoingPacket, PacketPayload, PlayoutDelayEstimator, RtcEndpoint, SenderConfig};
-use scenarios::{SessionArena, SessionConfig, SessionRun, SessionSpec};
+use scenarios::{SessionArena, SessionConfig, SessionSpec};
 use simcore::{EventQueue, SimDuration, SimTime};
 
 fn session_bundle() -> telemetry::TraceBundle {
@@ -24,7 +24,7 @@ fn session_bundle() -> telemetry::TraceBundle {
         seed: 999,
         ..Default::default()
     };
-    SessionRun::cell(scenarios::amarisoft(), &cfg).run()
+    SessionSpec::cell(scenarios::amarisoft(), cfg).run()
 }
 
 /// Per-step cost of the analyzer at 1 s step / 5 s window: each iteration
@@ -372,7 +372,7 @@ fn bench_ran_session(c: &mut Criterion) {
             seed: 5,
             ..Default::default()
         };
-        b.iter(|| SessionRun::cell(scenarios::amarisoft(), black_box(&cfg)).run())
+        b.iter(|| SessionSpec::cell(scenarios::amarisoft(), black_box(&cfg).clone()).run())
     });
     // The same session with the domino-obs recorder enabled (default wall
     // sampling): prices the whole per-slot/per-tick recording surface —
@@ -382,15 +382,14 @@ fn bench_ran_session(c: &mut Criterion) {
     // server instead of two RTC endpoints, everything else identical.
     // Prices the application-generic session engine's second workload.
     c.bench_function("ran/abr_session_per_sim_second", |b| {
-        use scenarios::AppSpec;
         let cfg = SessionConfig {
             duration: SimDuration::from_secs(1),
             seed: 5,
             ..Default::default()
         };
         b.iter(|| {
-            SessionRun::cell(scenarios::amarisoft(), black_box(&cfg))
-                .app(AppSpec::Abr(abr_sim::AbrConfig::default()))
+            SessionSpec::cell(scenarios::amarisoft(), black_box(&cfg).clone())
+                .abr(abr_sim::AbrConfig::default())
                 .run()
         })
     });
@@ -404,10 +403,8 @@ fn bench_ran_session(c: &mut Criterion) {
         b.iter(|| {
             let mut arena = SessionArena::new();
             *arena.recorder_mut() = Recorder::new(ObsConfig::on());
-            SessionRun::cell(scenarios::amarisoft(), black_box(&cfg))
-                .tap(&mut telemetry::NullTap)
-                .arena(&mut arena)
-                .run()
+            SessionSpec::cell(scenarios::amarisoft(), black_box(&cfg).clone())
+                .run_with_tap_in(&mut telemetry::NullTap, &mut arena)
         })
     });
 }

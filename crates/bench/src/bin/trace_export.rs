@@ -10,7 +10,7 @@
 use std::fs;
 use std::path::Path;
 
-use scenarios::{BaselineAccess, SessionConfig, SessionRun};
+use scenarios::{BaselineAccess, SessionConfig, SessionSpec};
 use simcore::SimDuration;
 use telemetry::csv;
 
@@ -32,12 +32,12 @@ fn main() {
         ..Default::default()
     };
     let bundle = match args[0].as_str() {
-        "tmobile-fdd" => SessionRun::cell(scenarios::tmobile_fdd_15mhz(), &cfg).run(),
-        "tmobile-tdd" => SessionRun::cell(scenarios::tmobile_tdd_100mhz(), &cfg).run(),
-        "amarisoft" => SessionRun::cell(scenarios::amarisoft(), &cfg).run(),
-        "mosolabs" => SessionRun::cell(scenarios::mosolabs(), &cfg).run(),
-        "wired" => SessionRun::baseline(BaselineAccess::Wired, &cfg).run(),
-        "wifi" => SessionRun::baseline(BaselineAccess::Wifi, &cfg).run(),
+        "tmobile-fdd" => SessionSpec::cell(scenarios::tmobile_fdd_15mhz(), cfg).run(),
+        "tmobile-tdd" => SessionSpec::cell(scenarios::tmobile_tdd_100mhz(), cfg).run(),
+        "amarisoft" => SessionSpec::cell(scenarios::amarisoft(), cfg).run(),
+        "mosolabs" => SessionSpec::cell(scenarios::mosolabs(), cfg).run(),
+        "wired" => SessionSpec::baseline(BaselineAccess::Wired, cfg).run(),
+        "wifi" => SessionSpec::baseline(BaselineAccess::Wifi, cfg).run(),
         other => {
             eprintln!("unknown cell {other:?}");
             std::process::exit(1);

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use simcore::{SimDuration, SimTime};
 use telemetry::Direction;
 
-use scenarios::SessionRun;
+use scenarios::{ScriptAction, SessionSpec};
 
 use crate::util::{mean_delay_in, short_session_cfg, time_bins};
 
@@ -18,11 +18,14 @@ fn t(secs: f64) -> SimTime {
 pub(crate) fn fig20() -> String {
     let mut cfg = short_session_cfg(5020, 22);
     cfg.wired_sender.start_bps = 2_500_000.0;
-    let bundle = SessionRun::cell(scenarios::tmobile_fdd_15mhz_quiet(), &cfg)
-        .script(|cell| {
-            // Severe DL capacity loss for ~2 s → a delay surge (paper: ≈280 ms)
-            // on the media the local client receives.
-            cell.script_cross_traffic(Direction::Downlink, t(10.0), t(12.0), 0.985);
+    let bundle = SessionSpec::cell(scenarios::tmobile_fdd_15mhz_quiet(), cfg)
+        // Severe DL capacity loss for ~2 s → a delay surge (paper: ≈280 ms)
+        // on the media the local client receives.
+        .with_script(ScriptAction::CrossTraffic {
+            dir: Direction::Downlink,
+            from: t(10.0),
+            to: t(12.0),
+            prb_fraction: 0.985,
         })
         .run();
     let mut out = String::from(
@@ -67,9 +70,12 @@ pub(crate) fn fig21_22() -> String {
 
     // ---- Fig. 21: UL media path delay (affects the local sender's GCC).
     let cfg = short_session_cfg(5021, 25);
-    let bundle = SessionRun::cell(scenarios::tmobile_fdd_15mhz_quiet(), &cfg)
-        .script(|cell| {
-            cell.script_cross_traffic(Direction::Uplink, t(10.0), t(12.0), 0.95);
+    let bundle = SessionSpec::cell(scenarios::tmobile_fdd_15mhz_quiet(), cfg)
+        .with_script(ScriptAction::CrossTraffic {
+            dir: Direction::Uplink,
+            from: t(10.0),
+            to: t(12.0),
+            prb_fraction: 0.95,
         })
         .run();
     out.push_str(
@@ -100,9 +106,12 @@ pub(crate) fn fig21_22() -> String {
     // feedback path (DL) impaired while its media path (UL) is clean).
     let mut cfg = short_session_cfg(5022, 25);
     cfg.wired_sender.start_bps = 2_000_000.0;
-    let bundle = SessionRun::cell(scenarios::tmobile_fdd_15mhz_quiet(), &cfg)
-        .script(|cell| {
-            cell.script_cross_traffic(Direction::Downlink, t(10.0), t(12.5), 0.99);
+    let bundle = SessionSpec::cell(scenarios::tmobile_fdd_15mhz_quiet(), cfg)
+        .with_script(ScriptAction::CrossTraffic {
+            dir: Direction::Downlink,
+            from: t(10.0),
+            to: t(12.5),
+            prb_fraction: 0.99,
         })
         .run();
     out.push_str(

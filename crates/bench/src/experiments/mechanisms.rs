@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use simcore::{SimDuration, SimTime};
 use telemetry::{Direction, GnbEvent, StreamKind};
 
-use scenarios::SessionRun;
+use scenarios::{ScriptAction, SessionSpec};
 
 use crate::util::{app_rate_in, mean_delay_in, phy_rate_in, prbs_in, short_session_cfg, time_bins};
 
@@ -20,10 +20,13 @@ fn t(secs: f64) -> SimTime {
 /// Fig. 12 — channel degradation causes RLC buffer build-up and delay.
 pub(crate) fn fig12() -> String {
     let cfg = short_session_cfg(5012, 20);
-    let bundle = SessionRun::cell(scenarios::amarisoft(), &cfg)
-        .script(|cell| {
-            // ① channel degrades at 8 s, ④ recovers at 11 s.
-            cell.script_sinr(Direction::Uplink, t(8.0), t(11.0), -1.0);
+    let bundle = SessionSpec::cell(scenarios::amarisoft(), cfg)
+        // ① channel degrades at 8 s, ④ recovers at 11 s.
+        .with_script(ScriptAction::Sinr {
+            dir: Direction::Uplink,
+            from: t(8.0),
+            to: t(11.0),
+            sinr_db: -1.0,
         })
         .run();
     let mut out = String::from(
@@ -80,10 +83,13 @@ pub(crate) fn fig13() -> String {
     // The paper's DL flow was already running at a few Mbit/s when the
     // burst hit; start the wired sender high so the burst bites.
     cfg.wired_sender.start_bps = 3_500_000.0;
-    let bundle = SessionRun::cell(scenarios::tmobile_fdd_15mhz_quiet(), &cfg)
-        .script(|cell| {
-            // ① cross traffic 8–11 s eats 96 % of PRBs.
-            cell.script_cross_traffic(Direction::Downlink, t(8.0), t(11.0), 0.96);
+    let bundle = SessionSpec::cell(scenarios::tmobile_fdd_15mhz_quiet(), cfg)
+        // ① cross traffic 8–11 s eats 96 % of PRBs.
+        .with_script(ScriptAction::CrossTraffic {
+            dir: Direction::Downlink,
+            from: t(8.0),
+            to: t(11.0),
+            prb_fraction: 0.96,
         })
         .run();
     let mut out = String::from(
@@ -136,7 +142,7 @@ pub(crate) fn fig14() -> String {
     ] {
         let name = cell.name.clone();
         let cfg = short_session_cfg(seed, 12);
-        let bundle = SessionRun::cell(cell, &cfg).run();
+        let bundle = SessionSpec::cell(cell, cfg).run();
         let from = t(10.0);
         let to = t(10.15);
         let _ = writeln!(out, "==== {name} ====");
@@ -185,7 +191,7 @@ pub(crate) fn fig14() -> String {
 /// Fig. 16 — proactive UL grants: used vs wasted capacity (Mosolabs).
 pub(crate) fn fig16() -> String {
     let cfg = short_session_cfg(5016, 15);
-    let bundle = SessionRun::cell(scenarios::mosolabs(), &cfg).run();
+    let bundle = SessionSpec::cell(scenarios::mosolabs(), cfg).run();
     let mut out = String::from("Fig. 16 — Mosolabs proactive UL grants\n");
     let dci: Vec<_> = bundle
         .dci
@@ -248,11 +254,14 @@ pub(crate) fn fig16() -> String {
 /// Fig. 17 — HARQ retransmissions inflate packet delay by ≈ one HARQ RTT.
 pub(crate) fn fig17() -> String {
     let cfg = short_session_cfg(5017, 16);
-    let clean = SessionRun::cell(scenarios::amarisoft_ideal(), &cfg).run();
-    let harq = SessionRun::cell(scenarios::amarisoft_ideal(), &cfg)
-        .script(|cell| {
-            // Initial attempts fail in 10–12 s; first retransmission succeeds.
-            cell.script_harq_failures(Direction::Uplink, t(10.0), t(12.0), 1);
+    let clean = SessionSpec::cell(scenarios::amarisoft_ideal(), cfg.clone()).run();
+    let harq = SessionSpec::cell(scenarios::amarisoft_ideal(), cfg)
+        // Initial attempts fail in 10–12 s; first retransmission succeeds.
+        .with_script(ScriptAction::HarqFailures {
+            dir: Direction::Uplink,
+            from: t(10.0),
+            to: t(12.0),
+            fail_attempts: 1,
         })
         .run();
     let base = mean_delay_in(&clean, Direction::Uplink, t(10.0), t(12.0));
@@ -278,10 +287,13 @@ pub(crate) fn fig17() -> String {
 /// Fig. 18 — RLC retransmission: ≈105 ms inflation and an HoL burst.
 pub(crate) fn fig18() -> String {
     let cfg = short_session_cfg(5018, 16);
-    let bundle = SessionRun::cell(scenarios::amarisoft_ideal(), &cfg)
-        .script(|cell| {
-            // One TB dies through all 4 HARQ attempts starting at 10 s.
-            cell.script_harq_failures(Direction::Uplink, t(10.0), t(10.035), 4);
+    let bundle = SessionSpec::cell(scenarios::amarisoft_ideal(), cfg)
+        // One TB dies through all 4 HARQ attempts starting at 10 s.
+        .with_script(ScriptAction::HarqFailures {
+            dir: Direction::Uplink,
+            from: t(10.0),
+            to: t(10.035),
+            fail_attempts: 4,
         })
         .run();
     let mut out = String::from("Fig. 18 — RLC retransmission and head-of-line blocking\n");
@@ -333,10 +345,8 @@ pub(crate) fn fig18() -> String {
 /// Fig. 19 — RRC release halts transmission for ≈300 ms; delay spikes.
 pub(crate) fn fig19() -> String {
     let cfg = short_session_cfg(5019, 18);
-    let bundle = SessionRun::cell(scenarios::tmobile_fdd_15mhz_quiet(), &cfg)
-        .script(|cell| {
-            cell.script_rrc_release(t(10.0));
-        })
+    let bundle = SessionSpec::cell(scenarios::tmobile_fdd_15mhz_quiet(), cfg)
+        .with_script(ScriptAction::RrcRelease { at: t(10.0) })
         .run();
     let mut out = String::from("Fig. 19 — RRC state transition (scripted release at 10 s)\n");
     // RNTI change visible in DCI.

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use telemetry::Direction;
 
 use scenarios::{
-    all_cells, generate_campus_dataset, AccessType, BaselineAccess, CampusDatasetSize, SessionRun,
+    all_cells, generate_campus_dataset, AccessType, BaselineAccess, CampusDatasetSize, SessionSpec,
     ZoomQosRecord,
 };
 
@@ -14,8 +14,8 @@ use crate::util::{delay_samples, print_cdf, session_cfg};
 /// Fig. 2 — one-way packet delay, 5G vs wired, UL and DL.
 pub(crate) fn fig2() -> String {
     let cfg = session_cfg(2001);
-    let cell = SessionRun::cell(scenarios::tmobile_fdd_15mhz(), &cfg).run();
-    let wired = SessionRun::baseline(BaselineAccess::Wired, &cfg).run();
+    let cell = SessionSpec::cell(scenarios::tmobile_fdd_15mhz(), cfg.clone()).run();
+    let wired = SessionSpec::baseline(BaselineAccess::Wired, cfg).run();
     let mut out = String::from("Fig. 2 — one-way delay [ms] CDF: 5G vs wired\n");
     print_cdf(
         &mut out,
@@ -44,8 +44,8 @@ pub(crate) fn fig2() -> String {
 /// thresholds (150 ms / 400 ms).
 pub(crate) fn fig3() -> String {
     let cfg = session_cfg(2003);
-    let cell = SessionRun::cell(scenarios::tmobile_fdd_15mhz(), &cfg).run();
-    let wired = SessionRun::baseline(BaselineAccess::Wired, &cfg).run();
+    let cell = SessionSpec::cell(scenarios::tmobile_fdd_15mhz(), cfg.clone()).run();
+    let wired = SessionSpec::baseline(BaselineAccess::Wired, cfg).run();
     let mut out = String::from(
         "Fig. 3 — minimum jitter-buffer delay [ms] CDF (interactivity: >150 ms impacts, >400 ms unacceptable)\n",
     );
@@ -95,8 +95,8 @@ pub(crate) fn fig3() -> String {
 /// Fig. 4 — fraction of concealed audio samples and video freeze time.
 pub(crate) fn fig4() -> String {
     let cfg = session_cfg(2004);
-    let cell = SessionRun::cell(scenarios::tmobile_fdd_15mhz(), &cfg).run();
-    let wired = SessionRun::baseline(BaselineAccess::Wired, &cfg).run();
+    let cell = SessionSpec::cell(scenarios::tmobile_fdd_15mhz(), cfg.clone()).run();
+    let wired = SessionSpec::baseline(BaselineAccess::Wired, cfg).run();
     let mut out = String::from("Fig. 4 — concealed audio samples & video freeze fraction\n");
     let _ = writeln!(
         out,
@@ -195,7 +195,7 @@ pub(crate) fn table1() -> String {
         let class = format!("{:?}", cell.class);
         let bw = cell.bandwidth_mhz;
         let duplex = format!("{:?}", cell.frame.duplexing);
-        let bundle = SessionRun::cell(cell, &cfg).run();
+        let bundle = SessionSpec::cell(cell, cfg).run();
         let r = bundle.event_rates();
         let _ = writeln!(
             out,

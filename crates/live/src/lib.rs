@@ -4,7 +4,7 @@
 //! [`telemetry::TraceBundle`]. This crate diagnoses the call **while it is
 //! running**: the [`LivePipeline`] implements [`telemetry::LiveTap`], plugs
 //! into the session engine's emission-time hooks
-//! (`scenarios::SessionRun` with `.tap(..)`), and produces incremental
+//! (`scenarios::SessionSpec::run_with_tap`), and produces incremental
 //! [`LiveVerdict`]s with bounded memory — the online spine the ROADMAP's
 //! operator-scale diagnoser needs (one pipeline per watched call, millions
 //! of concurrent calls).

@@ -272,9 +272,7 @@ impl PendingPackets {
 /// use domino_live::{LiveConfig, LivePipeline};
 /// # let cfg = scenarios::SessionConfig::default();
 /// let mut pipe = LivePipeline::with_defaults(LiveConfig::default()).unwrap();
-/// let bundle = scenarios::SessionRun::cell(scenarios::amarisoft(), &cfg)
-///     .tap(&mut pipe)
-///     .run();
+/// let bundle = scenarios::SessionSpec::cell(scenarios::amarisoft(), cfg).run_with_tap(&mut pipe);
 /// let analysis = pipe.take_analysis(bundle.meta.duration);
 /// ```
 pub struct LivePipeline {
@@ -843,9 +841,7 @@ impl LiveTap for LivePipeline {
 mod tests {
     use super::*;
     use domino_core::{oracle, Domino};
-    use scenarios::{
-        amarisoft, tmobile_fdd_15mhz_quiet, ScriptAction, SessionConfig, SessionRun, SessionSpec,
-    };
+    use scenarios::{amarisoft, tmobile_fdd_15mhz_quiet, ScriptAction, SessionConfig, SessionSpec};
     use telemetry::Direction;
 
     fn cfg(seed: u64, secs: u64) -> SessionConfig {
@@ -894,9 +890,7 @@ mod tests {
     fn live_matches_batch_on_healthy_session() {
         let domino = Domino::with_defaults();
         let mut pipe = LivePipeline::with_defaults(generous()).unwrap();
-        let bundle = SessionRun::cell(amarisoft(), &cfg(41, 20))
-            .tap(&mut pipe)
-            .run();
+        let bundle = SessionSpec::cell(amarisoft(), cfg(41, 20)).run_with_tap(&mut pipe);
         let live = pipe.take_analysis(bundle.meta.duration);
         let batch = oracle::analyze(&domino, &bundle);
         assert_identical(&batch, &live);
@@ -936,9 +930,7 @@ mod tests {
         let mut pipe =
             LivePipeline::with_defaults(static_cfg(SimDuration::from_secs(2), EarlyExit::Never))
                 .unwrap();
-        let bundle = SessionRun::cell(amarisoft(), &cfg(43, 20))
-            .tap(&mut pipe)
-            .run();
+        let bundle = SessionSpec::cell(amarisoft(), cfg(43, 20)).run_with_tap(&mut pipe);
         let verdicts = pipe.drain_verdicts();
         assert!(!verdicts.is_empty());
         // With a 2 s bound, a window's verdict lands ~2 s after its end —
@@ -1000,9 +992,7 @@ mod tests {
             EarlyExit::StableFor(4),
         ))
         .unwrap();
-        let bundle = SessionRun::cell(amarisoft(), &cfg(45, 60))
-            .tap(&mut pipe)
-            .run();
+        let bundle = SessionSpec::cell(amarisoft(), cfg(45, 60)).run_with_tap(&mut pipe);
         let stats = pipe.stats();
         assert!(stats.early_exited);
         assert!(
@@ -1018,14 +1008,10 @@ mod tests {
     fn reset_reuses_pipeline_across_sessions() {
         let domino = Domino::with_defaults();
         let mut pipe = LivePipeline::with_defaults(generous()).unwrap();
-        let b1 = SessionRun::cell(amarisoft(), &cfg(46, 15))
-            .tap(&mut pipe)
-            .run();
+        let b1 = SessionSpec::cell(amarisoft(), cfg(46, 15)).run_with_tap(&mut pipe);
         let first = pipe.take_analysis(b1.meta.duration);
         pipe.reset();
-        let b2 = SessionRun::cell(amarisoft(), &cfg(47, 15))
-            .tap(&mut pipe)
-            .run();
+        let b2 = SessionSpec::cell(amarisoft(), cfg(47, 15)).run_with_tap(&mut pipe);
         let second = pipe.take_analysis(b2.meta.duration);
         assert_identical(&oracle::analyze(&domino, &b1), &first);
         assert_identical(&oracle::analyze(&domino, &b2), &second);
@@ -1068,9 +1054,7 @@ mod tests {
         let seen2 = Rc::clone(&seen);
         let mut pipe = LivePipeline::with_defaults(generous()).unwrap();
         pipe.set_verdict_hook(move |_| *seen2.borrow_mut() += 1);
-        SessionRun::cell(amarisoft(), &cfg(48, 15))
-            .tap(&mut pipe)
-            .run();
+        SessionSpec::cell(amarisoft(), cfg(48, 15)).run_with_tap(&mut pipe);
         assert_eq!(*seen.borrow(), pipe.stats().windows_emitted);
         assert!(*seen.borrow() > 0);
     }
@@ -1108,9 +1092,7 @@ mod tests {
         let mut pipe =
             LivePipeline::with_defaults(static_cfg(SimDuration::from_secs(2), EarlyExit::Never))
                 .unwrap();
-        let bundle = SessionRun::cell(amarisoft(), &cfg(49, 30))
-            .tap(&mut pipe)
-            .run();
+        let bundle = SessionSpec::cell(amarisoft(), cfg(49, 30)).run_with_tap(&mut pipe);
         let stats = pipe.stats();
         assert!(stats.records_seen as f64 >= bundle.total_records() as f64 * 0.99);
         assert!(
@@ -1126,9 +1108,7 @@ mod tests {
     #[test]
     fn verdicts_match_windows() {
         let mut pipe = LivePipeline::with_defaults(generous()).unwrap();
-        let bundle = SessionRun::cell(amarisoft(), &cfg(50, 15))
-            .tap(&mut pipe)
-            .run();
+        let bundle = SessionSpec::cell(amarisoft(), cfg(50, 15)).run_with_tap(&mut pipe);
         let verdicts = pipe.drain_verdicts();
         let analysis = pipe.take_analysis(bundle.meta.duration);
         assert_eq!(verdicts.len(), analysis.windows.len());
@@ -1156,9 +1136,7 @@ mod tests {
                 early_exit: EarlyExit::Never,
             })
             .unwrap();
-            let bundle = SessionRun::cell(amarisoft(), &cfg(51, 20))
-                .tap(&mut pipe)
-                .run();
+            let bundle = SessionSpec::cell(amarisoft(), cfg(51, 20)).run_with_tap(&mut pipe);
             let stats = pipe.stats();
             let verdicts = pipe.drain_verdicts();
             (pipe.take_analysis(bundle.meta.duration), stats, verdicts)
@@ -1187,9 +1165,7 @@ mod tests {
             early_exit: EarlyExit::Never,
         })
         .unwrap();
-        SessionRun::cell(amarisoft(), &cfg(52, 20))
-            .tap(&mut pipe)
-            .run();
+        SessionSpec::cell(amarisoft(), cfg(52, 20)).run_with_tap(&mut pipe);
         assert!(pipe.estimator().samples() >= ADAPTIVE_MIN_SAMPLES);
         let bound = pipe.effective_lateness;
         assert!(bound >= SimDuration::from_millis(250));

@@ -4,6 +4,8 @@ pub(crate) mod bler;
 pub mod mcs;
 pub mod tbs;
 
-pub use bler::fail_probability;
-pub use mcs::{select_mcs, OuterLoop, MAX_MCS};
-pub use tbs::{prbs_needed, tbs_bits};
+pub(crate) use bler::fail_probability;
+pub use mcs::select_mcs;
+pub(crate) use mcs::{OuterLoop, MAX_MCS};
+pub(crate) use tbs::prbs_needed;
+pub use tbs::tbs_bits;

@@ -73,7 +73,8 @@ impl RrcMachine {
     }
 
     /// Current state.
-    pub fn state(&self) -> RrcState {
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> RrcState {
         self.state
     }
 

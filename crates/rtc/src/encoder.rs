@@ -63,19 +63,13 @@ fn rung_above(res: Resolution) -> Option<Resolution> {
 
 /// One encoded video frame.
 #[derive(Debug, Clone, Copy)]
-pub struct VideoFrame {
+pub(crate) struct VideoFrame {
     /// Capture/encode timestamp.
-    pub capture_ts: SimTime,
+    pub(crate) capture_ts: SimTime,
     /// Total encoded size in bytes.
-    pub size_bytes: u32,
-    /// Whether this is a keyframe.
-    pub keyframe: bool,
-    /// Resolution at encode time.
-    pub resolution: Resolution,
-    /// Instantaneous encoder frame rate (fps).
-    pub fps: f64,
+    pub(crate) size_bytes: u32,
     /// Monotone frame index.
-    pub frame_idx: u64,
+    pub(crate) frame_idx: u64,
 }
 
 /// The adaptive video encoder.
@@ -146,9 +140,6 @@ impl VideoEncoder {
             frames.push(VideoFrame {
                 capture_ts: ts,
                 size_bytes: size,
-                keyframe,
-                resolution: self.resolution,
-                fps: self.fps,
                 frame_idx: self.frame_idx,
             });
             self.frame_idx += 1;
@@ -274,35 +265,50 @@ mod tests {
         assert!((28..=32).contains(&frames.len()), "{}", frames.len());
     }
 
+    /// Splits frames into keyframes and delta frames by size: delta frames
+    /// vary ±15 % around the rate-derived mean, and keyframes are
+    /// `keyframe_factor` (3.5×) larger, so twice the median separates them.
+    fn split_keyframes(frames: &[VideoFrame]) -> (Vec<&VideoFrame>, Vec<&VideoFrame>) {
+        let mut sizes: Vec<u32> = frames.iter().map(|f| f.size_bytes).collect();
+        sizes.sort_unstable();
+        let median = sizes[sizes.len() / 2];
+        frames.iter().partition(|f| f.size_bytes > 2 * median)
+    }
+
     #[test]
     fn frame_sizes_track_rate() {
         let mut enc = VideoEncoder::new(EncoderConfig::default());
         let mut r = rng();
         let frames = encode(&mut enc, SimTime::from_secs(10), 2_400_000.0, &mut r);
-        let delta_bytes: Vec<f64> = frames
-            .iter()
-            .filter(|f| !f.keyframe)
-            .map(|f| f.size_bytes as f64)
-            .collect();
-        let mean = delta_bytes.iter().sum::<f64>() / delta_bytes.len() as f64;
+        let (_, delta) = split_keyframes(&frames);
+        let mean = delta.iter().map(|f| f.size_bytes as f64).sum::<f64>() / delta.len() as f64;
         // 2.4 Mbit/s at 30 fps = 10 kB/frame.
         assert!((mean - 10_000.0).abs() < 1_500.0, "mean {mean}");
     }
 
     #[test]
     fn keyframes_are_periodic_and_big() {
-        let mut enc = VideoEncoder::new(EncoderConfig::default());
+        let cfg = EncoderConfig::default();
+        let interval = cfg.keyframe_interval;
+        let mut enc = VideoEncoder::new(cfg);
         let mut r = rng();
         let frames = encode(&mut enc, SimTime::from_secs(10), 1_500_000.0, &mut r);
-        let kf: Vec<&VideoFrame> = frames.iter().filter(|f| f.keyframe).collect();
+        let (kf, _) = split_keyframes(&frames);
         assert!((3..=5).contains(&kf.len()), "{} keyframes", kf.len());
-        let df_mean = frames
-            .iter()
-            .filter(|f| !f.keyframe)
-            .map(|f| f.size_bytes as f64)
-            .sum::<f64>()
-            / frames.iter().filter(|f| !f.keyframe).count() as f64;
-        assert!(kf[0].size_bytes as f64 > 2.0 * df_mean);
+        assert_eq!(
+            kf[0].capture_ts,
+            SimTime::ZERO,
+            "the first frame is a keyframe"
+        );
+        // Each keyframe is the first frame at least one interval after the
+        // previous one.
+        for pair in kf.windows(2) {
+            let gap = pair[1].capture_ts.saturating_since(pair[0].capture_ts);
+            assert!(
+                gap >= interval && gap < interval + SimDuration::from_millis(100),
+                "keyframe gap {gap:?}"
+            );
+        }
     }
 
     #[test]

@@ -71,7 +71,8 @@ impl AimdRateControl {
     }
 
     /// Current controller state.
-    pub fn state(&self) -> RateControlState {
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> RateControlState {
         self.state
     }
 

@@ -4,8 +4,8 @@
 //! delay-based estimator ([`trendline`]) and loss-based bound ([`loss`])
 //! produce the *target bitrate*; the congestion-window [`pushback`]
 //! controller produces the final *pushback rate* handed to the encoder and
-//! pacer (Fig. 23). The [`AckedBitrateEstimator`] feeds both the
-//! [`AimdRateControl`] decrease step and the fast-recovery cap.
+//! pacer (Fig. 23). The acknowledged-bitrate estimator feeds both the AIMD
+//! rate control's decrease step and the fast-recovery cap.
 
 pub(crate) mod ack_bitrate;
 pub(crate) mod aimd;
@@ -13,10 +13,10 @@ pub mod loss;
 pub mod pushback;
 pub mod trendline;
 
-pub use ack_bitrate::AckedBitrateEstimator;
-pub use aimd::{AimdRateControl, RateControlState};
-pub use loss::LossBasedControl;
-pub use pushback::PushbackController;
+pub(crate) use ack_bitrate::AckedBitrateEstimator;
+pub(crate) use aimd::AimdRateControl;
+pub(crate) use loss::LossBasedControl;
+pub(crate) use pushback::PushbackController;
 pub use trendline::{PacketTiming, TrendlineEstimator};
 
 use simcore::{SimDuration, SimTime};

@@ -8,9 +8,9 @@
 //! | Paper mechanism | Module |
 //! |---|---|
 //! | GCC delay-based estimator, trendline, adaptive threshold (§6.2) | [`gcc::trendline`] |
-//! | AIMD target-rate control, slow/fast recovery (§6.2)             | [`gcc::AimdRateControl`] |
+//! | AIMD target-rate control, slow/fast recovery (§6.2)             | [`gcc`] (`gcc::aimd`) |
 //! | Loss-based estimator (§6.2)                                     | [`gcc::loss`] |
-//! | Acknowledged-bitrate estimator (§6.2)                           | [`gcc::AckedBitrateEstimator`] |
+//! | Acknowledged-bitrate estimator (§6.2)                           | [`gcc`] (`gcc::ack_bitrate`) |
 //! | Congestion-window pushback (§6.3, Fig. 23)                      | [`gcc::pushback`] |
 //! | Adaptive jitter buffer, freezes, concealment (§6.1)             | [`jitter`] |
 //! | Encoder ladder: resolution/frame-rate adaptation                | [`encoder`] |
@@ -25,7 +25,7 @@ pub mod gcc;
 pub mod jitter;
 pub mod pacer;
 
-pub use encoder::{EncoderConfig, VideoFrame};
+pub use encoder::EncoderConfig;
 pub use endpoint::{
     MediaReceiver, MediaSender, OutgoingPacket, PacketPayload, RtcEndpoint, SenderConfig,
 };

@@ -1,13 +1,15 @@
-//! Sweep-grid constructors: declarative session specifications the parallel
-//! sweep engine (`domino-sweep`) fans across OS threads.
+//! Session specifications and the sweep grids built from them.
 //!
-//! A [`SessionSpec`] is plain data — cell (or baseline access), scripted
-//! impairments, and a [`SessionConfig`] — so a grid can be built once,
-//! cloned, partitioned across threads in any order, and every session still
-//! runs identically. Seeds come from [`simcore::derive_seed`], keyed by
-//! `(master, index)` in build order: appending sessions to the end of a grid
-//! never perturbs the ones already in it (inserting or reordering earlier
-//! axes shifts indices and therefore seeds).
+//! A [`SessionSpec`] describes every session, solo or swept: it is plain
+//! data — cell (or baseline access), workload, scripted impairments as
+//! [`ScriptAction`]s, and a [`SessionConfig`] — and it is also the entry
+//! point that runs the session. A grid can be built once, cloned,
+//! partitioned across threads in any order, and every session still runs
+//! identically, with every scripted cause readable from its spec. Seeds
+//! come from [`simcore::derive_seed`], keyed by `(master, index)` in build
+//! order: appending sessions to the end of a grid never perturbs the ones
+//! already in it (inserting or reordering earlier axes shifts indices and
+//! therefore seeds).
 
 use simcore::{derive_seed, SimDuration, SimTime};
 use telemetry::{Direction, Lateness, TapChaosSpec, TraceBundle};
@@ -15,7 +17,7 @@ use telemetry::{Direction, Lateness, TapChaosSpec, TraceBundle};
 use ran_sim::{CellConfig, CellSim};
 
 use crate::cells::all_cells;
-use crate::session::{AppSpec, BaselineAccess, SessionArena, SessionConfig, SessionRun};
+use crate::session::{drive, AppSpec, BaselineAccess, SessionArena, SessionConfig, SessionState};
 
 /// Which access network a session runs over.
 #[derive(Debug, Clone)]
@@ -97,7 +99,32 @@ impl ScriptAction {
     }
 }
 
-/// One fully specified session of a sweep.
+/// One fully specified session, and the one way to run it.
+///
+/// ```
+/// use scenarios::{cells, ScriptAction, SessionConfig, SessionSpec};
+/// use simcore::{SimDuration, SimTime};
+/// use telemetry::Direction;
+///
+/// let cfg = SessionConfig {
+///     duration: SimDuration::from_secs(2),
+///     ..Default::default()
+/// };
+/// let spec = SessionSpec::cell(cells::amarisoft(), cfg).with_script(ScriptAction::Sinr {
+///     dir: Direction::Uplink,
+///     from: SimTime::from_secs(1),
+///     to: SimTime::from_millis(1500),
+///     sinr_db: -2.0,
+/// });
+/// let bundle = spec.run();
+/// assert!(!bundle.packets.is_empty());
+/// ```
+///
+/// [`Self::run_with_tap`] streams telemetry at emission time,
+/// [`Self::run_with_tap_in`] reuses a caller-owned [`SessionArena`], and
+/// [`Self::start_in`] hands a driver the steppable [`SessionState`]. No tap
+/// or arena perturbs the simulation: every way of running a spec gives a
+/// byte-identical bundle unless a tap stops the session early.
 #[derive(Debug, Clone)]
 pub struct SessionSpec {
     /// Label for reports (defaults to the cell/baseline name).
@@ -156,7 +183,8 @@ impl SessionSpec {
         self
     }
 
-    /// Adds a scripted impairment.
+    /// Adds a scripted impairment. A cell applies its scripts in the order
+    /// they were added, before the call starts; a baseline ignores them.
     pub fn with_script(mut self, action: ScriptAction) -> Self {
         self.scripts.push(action);
         self
@@ -186,39 +214,36 @@ impl SessionSpec {
         self.run_with_tap_in(tap, &mut SessionArena::new())
     }
 
-    /// Starts the session in steppable form (see
-    /// [`SessionState`](crate::session::SessionState)): the multiplexing
-    /// entry point. `tapped` mirrors `LiveTap::is_active` for the tap the
-    /// driver will pass to the step methods; per-session sub-state (the
-    /// in-flight map, the bundle) is leased from `arena` and returned at
-    /// `finish`.
-    pub fn start_in(&self, tapped: bool, arena: &mut SessionArena) -> crate::session::SessionState {
+    /// Starts the session in steppable form (see [`SessionState`]): the
+    /// multiplexing entry point. `tapped` mirrors `LiveTap::is_active` for
+    /// the tap the driver will pass to the step methods; per-session
+    /// sub-state (the in-flight ring, the bundle) is leased from `arena` and
+    /// returned at `finish`.
+    pub fn start_in(&self, tapped: bool, arena: &mut SessionArena) -> SessionState {
         match &self.access {
-            AccessSpec::Cell(cell) => crate::session::SessionState::start_cell(
+            AccessSpec::Cell(cell) => SessionState::start_cell(
                 (**cell).clone(),
                 &self.app,
                 &self.cfg,
-                |sim| {
-                    for a in &self.scripts {
-                        a.apply(sim);
-                    }
-                },
+                &self.scripts,
                 tapped,
                 arena,
             ),
-            AccessSpec::Baseline(access) => crate::session::SessionState::start_baseline(
-                *access, &self.app, &self.cfg, tapped, arena,
-            ),
+            AccessSpec::Baseline(access) => {
+                SessionState::start_baseline(*access, &self.app, &self.cfg, tapped, arena)
+            }
         }
     }
 
-    /// [`Self::run_with_tap`] inside a caller-owned [`SessionArena`].
+    /// [`Self::run_with_tap`] inside a caller-owned [`SessionArena`],
+    /// reusing its buffers: the mode sweep workers use. A warm arena and a
+    /// fresh one give byte-identical bundles.
     pub fn run_with_tap_in(
         &self,
         tap: &mut dyn telemetry::LiveTap,
         arena: &mut SessionArena,
     ) -> TraceBundle {
-        SessionRun::new(self).tap(tap).arena(arena).run()
+        drive(self.start_in(tap.is_active(), arena), tap, arena)
     }
 }
 
@@ -395,35 +420,6 @@ mod tests {
         };
         assert!(cell(&a[0]));
         assert!(!cell(&a[1]));
-    }
-
-    #[test]
-    fn scripted_spec_runs_like_manual_script() {
-        let cfg = SessionConfig {
-            duration: SimDuration::from_secs(10),
-            seed: 5,
-            ..Default::default()
-        };
-        let spec = SessionSpec::cell(crate::cells::tmobile_fdd_15mhz_quiet(), cfg.clone())
-            .with_script(ScriptAction::CrossTraffic {
-                dir: Direction::Downlink,
-                from: SimTime::from_secs(4),
-                to: SimTime::from_secs(6),
-                prb_fraction: 0.9,
-            });
-        let from_spec = spec.run();
-        let manual = SessionRun::cell(crate::cells::tmobile_fdd_15mhz_quiet(), &cfg)
-            .script(|cell| {
-                cell.script_cross_traffic(
-                    Direction::Downlink,
-                    SimTime::from_secs(4),
-                    SimTime::from_secs(6),
-                    0.9,
-                );
-            })
-            .run();
-        assert_eq!(from_spec.packets.len(), manual.packets.len());
-        assert_eq!(from_spec.dci.len(), manual.dci.len());
     }
 
     #[test]

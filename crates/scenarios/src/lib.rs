@@ -3,9 +3,14 @@
 //! Reconstructs the paper's experimental setups:
 //!
 //! * [`cells`] — the four 5G cells of Table 1 as `ran-sim` configurations.
-//! * [`session`] — the two-party WebRTC call engine (Fig. 7): UE client ↔
+//! * [`grid`] — [`SessionSpec`], the one description of a session (access,
+//!   workload, scripted impairments as [`ScriptAction`]s, config) and the
+//!   entry point that runs it, plus the [`SessionGrid`] sweep builder.
+//! * [`session`] — the two-party session engine (Fig. 7): UE client ↔
 //!   access network ↔ core ↔ transit ↔ wired peer, with full cross-layer
 //!   trace collection into a [`telemetry::TraceBundle`].
+//! * [`shared`] — [`SharedCellDriver`]: several calls contending for one
+//!   cell.
 //! * `zoom_campus` — the synthetic stand-in for the proprietary campus
 //!   Zoom QSS dataset (§2.2, Figs. 5–6): [`generate_campus_dataset`].
 //! * [`axis`] — declarative [`ScenarioAxis`] parameter sweeps over
@@ -26,9 +31,9 @@ pub use cells::{
 pub use grid::{all_cells_grid, AccessSpec, ScriptAction, SessionGrid, SessionSpec};
 pub use session::{
     AppSpec, BaselineAccess, EngineScratch, RouteEvent, RouteSink, SessionArena, SessionConfig,
-    SessionRun, SessionState, SharedRouteQueue, TaggedSink,
+    SessionState, SharedRouteQueue, TaggedSink,
 };
-pub use shared::{run_shared_cell_sessions, SharedCellDriver};
+pub use shared::SharedCellDriver;
 pub use zoom_campus::{
     generate as generate_campus_dataset, AccessType, CampusDatasetSize, ZoomQosRecord,
 };

@@ -10,6 +10,19 @@
 //! in both directions, so feedback-path impairments (Fig. 22) arise
 //! naturally.
 //!
+//! A session is described by one [`SessionSpec`]: its access, its workload
+//! ([`AppSpec`]), the impairments scripted into its cell as
+//! [`ScriptAction`]s, and its [`SessionConfig`]. The spec runs it
+//! ([`SessionSpec::run`], [`SessionSpec::run_with_tap`],
+//! [`SessionSpec::run_with_tap_in`]) or starts it in steppable form for a
+//! driver that interleaves sessions ([`SessionSpec::start_in`], then the
+//! [`SessionState`] phases).
+//!
+//! Send path: each tick, the UE-side endpoint emits and then the wired one,
+//! and every packet of either workload takes one path per direction. A
+//! UE-side packet enters the access network; a wired-side one crosses the
+//! peer and core paths and is scheduled to reach the access ingress.
+//!
 //! In-flight state: every packet a session sends gets the next packet id,
 //! counting up from 0, and its record is pushed to the bundle at that same
 //! index, so the record holds its send time and size. Until it is
@@ -17,6 +30,12 @@
 //! the id: a lookup is one subtraction, and nothing is hashed or allocated
 //! per packet. Every path that loses a packet removes its entry, so the
 //! ring spans only the ids still in flight.
+//!
+//! [`SessionSpec`]: crate::grid::SessionSpec
+//! [`SessionSpec::run`]: crate::grid::SessionSpec::run
+//! [`SessionSpec::run_with_tap`]: crate::grid::SessionSpec::run_with_tap
+//! [`SessionSpec::run_with_tap_in`]: crate::grid::SessionSpec::run_with_tap_in
+//! [`SessionSpec::start_in`]: crate::grid::SessionSpec::start_in
 
 use domino_obs::{Counter, HistId, RanCellObs, Recorder, SpanId};
 use rand::rngs::StdRng;
@@ -27,6 +46,8 @@ use abr_sim::{AbrClient, AbrConfig, AbrOutgoing, AbrPayload, AbrServer};
 use netpath::{PathConfig, PathModel};
 use ran_sim::{CellConfig, CellSim, CellUeTable, Delivery};
 use rtc_sim::{OutgoingPacket, PacketPayload, RtcEndpoint, SenderConfig};
+
+use crate::grid::ScriptAction;
 
 /// Session-level configuration.
 #[derive(Debug, Clone)]
@@ -447,12 +468,13 @@ impl SessionArena {
 }
 
 /// A two-party session extracted into a steppable state machine: the
-/// access simulator, both WebRTC endpoints, the non-RAN path models, the
+/// access simulator, both endpoints, the non-RAN path models, the
 /// in-flight packet ring, and the growing [`TraceBundle`].
 ///
-/// The solo entry point ([`SessionRun`]) drives one state to completion in
-/// a tight loop; a multiplexing driver instead *interleaves* many states,
-/// advancing each one engine tick at a time:
+/// A [`SessionSpec`]'s run methods drive one state to completion in a
+/// tight loop; a multiplexing driver instead starts many
+/// ([`SessionSpec::start_in`]) and *interleaves* them, advancing each one
+/// engine tick at a time:
 ///
 /// 1. [`SessionState::begin_tick`] — endpoints emit, the access network
 ///    advances, and finished deliveries schedule route events into the
@@ -470,6 +492,9 @@ impl SessionArena {
 /// interleaving with other sessions — produces a bundle byte-identical to
 /// a solo run, provided its route events come back in per-session
 /// `(time, seq)` order (which [`SharedRouteQueue`] guarantees).
+///
+/// [`SessionSpec`]: crate::grid::SessionSpec
+/// [`SessionSpec::start_in`]: crate::grid::SessionSpec::start_in
 pub struct SessionState {
     access: AccessSim,
     app: AppPair,
@@ -542,32 +567,25 @@ impl SessionState {
         }
     }
 
-    /// Starts a cell session in steppable form. `script` installs scripted
-    /// overrides on the cell before the call starts; `tapped` mirrors
+    /// Starts a cell session in steppable form. `scripts` are applied to the
+    /// cell, in order, before the call starts; `tapped` mirrors
     /// [`telemetry::LiveTap::is_active`] for the tap the driver will pass
     /// to the step methods (pass `false` to skip all tap work).
     pub(crate) fn start_cell(
         cell_cfg: CellConfig,
         app: &AppSpec,
         cfg: &SessionConfig,
-        script: impl FnOnce(&mut CellSim),
+        scripts: &[ScriptAction],
         tapped: bool,
         arena: &mut SessionArena,
     ) -> Self {
-        let meta = SessionMeta {
-            cell_name: cell_cfg.name.clone(),
-            cell_class: cell_cfg.class,
-            carrier_mhz: cell_cfg.carrier_mhz,
-            bandwidth_mhz: cell_cfg.bandwidth_mhz,
-            duplexing: cell_cfg.frame.duplexing,
-            duration: cfg.duration,
-            seed: cfg.seed,
-            has_gnb_log: cell_cfg.has_gnb_log,
-        };
+        let meta = cell_meta(&cell_cfg, cfg);
         let mut cell = CellSim::new_in(cell_cfg, cfg.seed, arena.take_ue_table());
-        script(&mut cell);
+        for action in scripts {
+            action.apply(&mut cell);
+        }
         if arena.scratch.recorder.is_on() {
-            // Installed after the script so scripted overrides are observed
+            // Installed after the scripts so scripted overrides are observed
             // too; the accumulator is absorbed back in `finish`.
             cell.set_obs(Some(RanCellObs::boxed()));
         }
@@ -595,16 +613,6 @@ impl SessionState {
         ue: u32,
         arena: &mut SessionArena,
     ) -> Self {
-        let meta = SessionMeta {
-            cell_name: cell_cfg.name.clone(),
-            cell_class: cell_cfg.class,
-            carrier_mhz: cell_cfg.carrier_mhz,
-            bandwidth_mhz: cell_cfg.bandwidth_mhz,
-            duplexing: cell_cfg.frame.duplexing,
-            duration: cfg.duration,
-            seed: cfg.seed,
-            has_gnb_log: cell_cfg.has_gnb_log,
-        };
         let access = AccessSim::Shared(Box::new(SharedAccess {
             ue,
             outbox: Vec::new(),
@@ -615,7 +623,7 @@ impl SessionState {
         Self::new(
             access,
             Some(PathConfig::core_network()),
-            meta,
+            cell_meta(cell_cfg, cfg),
             &AppSpec::Rtc,
             cfg,
             false,
@@ -721,8 +729,8 @@ impl SessionState {
             .recorder
             .add(Counter::EngineSimTimeUs, self.tick_len.as_micros());
 
-        // 1. Endpoints emit. The uplink/downlink plumbing is shared by
-        // every workload; only the endpoint polling differs per arm.
+        // 1. Endpoints emit, the UE side first, then the wired side; both
+        // workloads send through the same path.
         match &mut self.app {
             AppPair::Rtc { a, b } => {
                 // Media from senders, RTCP from receivers.
@@ -730,49 +738,10 @@ impl SessionState {
                 emit.clear();
                 a.sender.poll_into(now, emit);
                 a.receiver.poll_into(now, emit);
-                for p in emit.drain(..) {
-                    let id = self.next_id;
-                    self.next_id += 1;
-                    debug_assert_eq!(self.bundle.packets.len() as u64, id);
-                    self.bundle
-                        .packets
-                        .push(packet_record(&p, Direction::Uplink));
-                    if self.tapped {
-                        tap.on_packet_sent(id, &self.bundle.packets[id as usize]);
-                    }
-                    if self
-                        .access
-                        .enqueue(p.at, Direction::Uplink, id, p.size_bytes)
-                    {
-                        self.pending.insert(id, AppPayload::Rtc(p.payload));
-                    }
-                }
-                emit.clear();
+                let ue_side = emit.len();
                 b.sender.poll_into(now, emit);
                 b.receiver.poll_into(now, emit);
-                for p in emit.drain(..) {
-                    let id = self.next_id;
-                    self.next_id += 1;
-                    debug_assert_eq!(self.bundle.packets.len() as u64, id);
-                    self.bundle
-                        .packets
-                        .push(packet_record(&p, Direction::Downlink));
-                    if self.tapped {
-                        tap.on_packet_sent(id, &self.bundle.packets[id as usize]);
-                    }
-                    // Peer → (transit, core) → access ingress.
-                    let hop1 = self.peer_dl.traverse(p.at, p.size_bytes, &mut self.rng_rev);
-                    let arrival = hop1.and_then(|t| match &mut self.core_dl {
-                        Some(core) => core.traverse(t, p.size_bytes, &mut self.rng_rev),
-                        None => Some(t),
-                    });
-                    // A `None` arrival is a loss before the access network;
-                    // the packet record simply stays unreceived.
-                    if let Some(at) = arrival {
-                        self.pending.insert(id, AppPayload::Rtc(p.payload));
-                        sink.schedule(at, RouteEvent::EnqueueDownlink(id));
-                    }
-                }
+                self.send_all(emit, ue_side, tap, sink);
             }
             AppPair::Abr(pair) => {
                 // Segment requests from the player, paced chunks from the
@@ -780,46 +749,71 @@ impl SessionState {
                 let emit = &mut scratch.abr_emit;
                 emit.clear();
                 pair.client.poll_into(now, emit);
-                for p in emit.drain(..) {
-                    let id = self.next_id;
-                    self.next_id += 1;
-                    debug_assert_eq!(self.bundle.packets.len() as u64, id);
-                    self.bundle
-                        .packets
-                        .push(abr_packet_record(&p, Direction::Uplink));
-                    if self.tapped {
-                        tap.on_packet_sent(id, &self.bundle.packets[id as usize]);
-                    }
-                    if self
-                        .access
-                        .enqueue(p.at, Direction::Uplink, id, p.size_bytes)
-                    {
-                        self.pending.insert(id, AppPayload::Abr(p.payload));
-                    }
-                }
-                emit.clear();
+                let ue_side = emit.len();
                 pair.server.poll_into(now, emit);
-                for p in emit.drain(..) {
-                    let id = self.next_id;
-                    self.next_id += 1;
-                    debug_assert_eq!(self.bundle.packets.len() as u64, id);
-                    self.bundle
-                        .packets
-                        .push(abr_packet_record(&p, Direction::Downlink));
-                    if self.tapped {
-                        tap.on_packet_sent(id, &self.bundle.packets[id as usize]);
-                    }
-                    let hop1 = self.peer_dl.traverse(p.at, p.size_bytes, &mut self.rng_rev);
-                    let arrival = hop1.and_then(|t| match &mut self.core_dl {
-                        Some(core) => core.traverse(t, p.size_bytes, &mut self.rng_rev),
-                        None => Some(t),
-                    });
-                    if let Some(at) = arrival {
-                        self.pending.insert(id, AppPayload::Abr(p.payload));
-                        sink.schedule(at, RouteEvent::EnqueueDownlink(id));
-                    }
-                }
+                self.send_all(emit, ue_side, tap, sink);
             }
+        }
+    }
+
+    /// Sends one tick's emitted packets in emission order: the first
+    /// `ue_side` left the UE client, the rest the wired peer.
+    fn send_all<P: Outgoing>(
+        &mut self,
+        emitted: &mut Vec<P>,
+        ue_side: usize,
+        tap: &mut dyn LiveTap,
+        sink: &mut impl RouteSink,
+    ) {
+        let mut packets = emitted.drain(..);
+        for p in packets.by_ref().take(ue_side) {
+            self.send(p, Direction::Uplink, tap, sink);
+        }
+        for p in packets {
+            self.send(p, Direction::Downlink, tap, sink);
+        }
+    }
+
+    /// Sends one packet: it takes the next id, its record is pushed to the
+    /// bundle (and announced to the tap), and it leaves its side. A UE-side
+    /// packet enters the access network; a wired-side one crosses the peer
+    /// and core paths and is scheduled to reach the access ingress. Its
+    /// payload waits in the in-flight ring unless it was lost on the way.
+    fn send(
+        &mut self,
+        p: impl Outgoing,
+        dir: Direction,
+        tap: &mut dyn LiveTap,
+        sink: &mut impl RouteSink,
+    ) {
+        let (record, payload) = p.split(dir);
+        let (at, size) = (record.sent, record.size_bytes);
+        let id = self.next_id;
+        self.next_id += 1;
+        debug_assert_eq!(self.bundle.packets.len() as u64, id);
+        self.bundle.packets.push(record);
+        if self.tapped {
+            tap.on_packet_sent(id, &self.bundle.packets[id as usize]);
+        }
+        let in_flight = match dir {
+            Direction::Uplink => self.access.enqueue(at, dir, id, size),
+            Direction::Downlink => {
+                // Peer → (transit, core) → access ingress. A `None` arrival
+                // is a loss before the access network; the packet record
+                // simply stays unreceived.
+                let hop1 = self.peer_dl.traverse(at, size, &mut self.rng_rev);
+                let arrival = hop1.and_then(|t| match &mut self.core_dl {
+                    Some(core) => core.traverse(t, size, &mut self.rng_rev),
+                    None => Some(t),
+                });
+                if let Some(at) = arrival {
+                    sink.schedule(at, RouteEvent::EnqueueDownlink(id));
+                }
+                arrival.is_some()
+            }
+        };
+        if in_flight {
+            self.pending.insert(id, payload);
         }
     }
 
@@ -1069,168 +1063,6 @@ impl SessionState {
     }
 }
 
-/// One solo session run, configured fluently: the single entry point for
-/// running one session to completion.
-///
-/// ```
-/// use scenarios::{cells, SessionConfig, SessionRun, SessionSpec};
-///
-/// let cfg = SessionConfig {
-///     duration: simcore::SimDuration::from_secs(2),
-///     ..Default::default()
-/// };
-/// // From a declarative spec:
-/// let spec = SessionSpec::cell(cells::amarisoft(), cfg.clone());
-/// let bundle = SessionRun::new(&spec).run();
-/// // Or directly from a cell config (a `.script(..)` call could install
-/// // imperative overrides here):
-/// let direct = SessionRun::cell(cells::amarisoft(), &cfg).run();
-/// assert_eq!(bundle.packets.len(), direct.packets.len());
-/// ```
-///
-/// Optional pieces compose: [`SessionRun::tap`] streams telemetry at
-/// emission time, [`SessionRun::arena`] reuses a caller-owned
-/// [`SessionArena`]'s buffers. The defaults (no tap, a fresh arena) produce
-/// byte-identical bundles to any other combination — taps and arenas never
-/// perturb the simulation.
-pub struct SessionRun<'a> {
-    source: RunSource<'a>,
-    tap: Option<&'a mut dyn LiveTap>,
-    arena: Option<&'a mut SessionArena>,
-}
-
-/// A one-shot cell-setup closure handed to [`SessionRun::script`].
-type ScriptFn<'a> = Box<dyn FnOnce(&mut CellSim) + 'a>;
-
-// A builder that lives on the stack for one call; boxing the inline
-// `CellConfig` would buy nothing.
-#[allow(clippy::large_enum_variant)]
-enum RunSource<'a> {
-    Spec(&'a crate::grid::SessionSpec),
-    Cell {
-        cell: CellConfig,
-        app: AppSpec,
-        cfg: &'a SessionConfig,
-        script: Option<ScriptFn<'a>>,
-    },
-    Baseline {
-        access: BaselineAccess,
-        app: AppSpec,
-        cfg: &'a SessionConfig,
-    },
-}
-
-impl<'a> SessionRun<'a> {
-    /// A run of a declarative [`SessionSpec`](crate::grid::SessionSpec)
-    /// (access, workload, scripts, and config all come from the spec).
-    pub fn new(spec: &'a crate::grid::SessionSpec) -> Self {
-        SessionRun {
-            source: RunSource::Spec(spec),
-            tap: None,
-            arena: None,
-        }
-    }
-
-    /// A run over a 5G cell with the default RTC workload.
-    pub fn cell(cell: CellConfig, cfg: &'a SessionConfig) -> Self {
-        SessionRun {
-            source: RunSource::Cell {
-                cell,
-                app: AppSpec::Rtc,
-                cfg,
-                script: None,
-            },
-            tap: None,
-            arena: None,
-        }
-    }
-
-    /// A baseline (wired or Wi-Fi) run with the default RTC workload.
-    pub fn baseline(access: BaselineAccess, cfg: &'a SessionConfig) -> Self {
-        SessionRun {
-            source: RunSource::Baseline {
-                access,
-                app: AppSpec::Rtc,
-                cfg,
-            },
-            tap: None,
-            arena: None,
-        }
-    }
-
-    /// Installs an imperative cell script (forced fades, cross-traffic
-    /// windows, HARQ failures, RRC releases), applied before the call
-    /// starts. Only meaningful for [`SessionRun::cell`] sources; ignored
-    /// otherwise (spec sources carry their scripts as data).
-    pub fn script(mut self, f: impl FnOnce(&mut CellSim) + 'a) -> Self {
-        if let RunSource::Cell { script, .. } = &mut self.source {
-            *script = Some(Box::new(f));
-        }
-        self
-    }
-
-    /// Selects the application workload for cell/baseline sources (spec
-    /// sources carry their own [`AppSpec`]).
-    pub fn app(mut self, spec: AppSpec) -> Self {
-        match &mut self.source {
-            RunSource::Cell { app, .. } | RunSource::Baseline { app, .. } => *app = spec,
-            RunSource::Spec(_) => {}
-        }
-        self
-    }
-
-    /// Streams every telemetry record into `tap` at emission time (see
-    /// [`telemetry::LiveTap`] for the event contract). The finished bundle
-    /// is identical to an untapped run for the same inputs unless the tap
-    /// requests an early exit, in which case the bundle is truncated at the
-    /// abort tick.
-    pub fn tap(mut self, tap: &'a mut dyn LiveTap) -> Self {
-        self.tap = Some(tap);
-        self
-    }
-
-    /// Runs inside a caller-owned [`SessionArena`], reusing its buffers —
-    /// the allocation-reusing mode sweep workers use.
-    pub fn arena(mut self, arena: &'a mut SessionArena) -> Self {
-        self.arena = Some(arena);
-        self
-    }
-
-    /// Drives the session to completion and returns its trace bundle.
-    pub fn run(self) -> TraceBundle {
-        let mut local_arena;
-        let arena = match self.arena {
-            Some(a) => a,
-            None => {
-                local_arena = SessionArena::new();
-                &mut local_arena
-            }
-        };
-        let mut null = telemetry::NullTap;
-        let tap: &mut dyn LiveTap = match self.tap {
-            Some(t) => t,
-            None => &mut null,
-        };
-        let tapped = tap.is_active();
-        let state = match self.source {
-            RunSource::Spec(spec) => spec.start_in(tapped, arena),
-            RunSource::Cell {
-                cell,
-                app,
-                cfg,
-                script,
-            } => match script {
-                Some(f) => SessionState::start_cell(cell, &app, cfg, f, tapped, arena),
-                None => SessionState::start_cell(cell, &app, cfg, |_| {}, tapped, arena),
-            },
-            RunSource::Baseline { access, app, cfg } => {
-                SessionState::start_baseline(access, &app, cfg, tapped, arena)
-            }
-        };
-        drive(state, tap, arena)
-    }
-}
-
 /// The solo driver: advances one [`SessionState`] to completion through the
 /// arena's route-event queue, as session 0 at offset 0. All hot-loop
 /// storage comes from the arena (the queue's `clear()` resets the tie-break
@@ -1341,33 +1173,62 @@ fn deliver(
     true
 }
 
-fn abr_packet_record(p: &AbrOutgoing, dir: Direction) -> PacketRecord {
-    PacketRecord {
-        sent: p.at,
-        received: None,
-        direction: dir,
-        stream: p.payload.stream(),
-        seq: if p.payload.stream() == StreamKind::Rtcp {
-            0
-        } else {
-            p.transport_seq
-        },
-        size_bytes: p.size_bytes,
+/// What the send path needs of an endpoint's outgoing packet: RTC and ABR
+/// packets carry the same header fields and differ only in their payload.
+trait Outgoing {
+    /// The packet's record (not yet received) and its in-flight payload.
+    fn split(self, dir: Direction) -> (PacketRecord, AppPayload);
+}
+
+impl Outgoing for OutgoingPacket {
+    fn split(self, dir: Direction) -> (PacketRecord, AppPayload) {
+        let stream = self.payload.stream();
+        let record = packet_record(self.at, stream, self.transport_seq, self.size_bytes, dir);
+        (record, AppPayload::Rtc(self.payload))
     }
 }
 
-fn packet_record(p: &OutgoingPacket, dir: Direction) -> PacketRecord {
+impl Outgoing for AbrOutgoing {
+    fn split(self, dir: Direction) -> (PacketRecord, AppPayload) {
+        let stream = self.payload.stream();
+        let record = packet_record(self.at, stream, self.transport_seq, self.size_bytes, dir);
+        (record, AppPayload::Abr(self.payload))
+    }
+}
+
+/// A sent packet's record; RTCP carries no transport sequence number.
+fn packet_record(
+    at: SimTime,
+    stream: StreamKind,
+    transport_seq: u64,
+    size_bytes: u32,
+    dir: Direction,
+) -> PacketRecord {
     PacketRecord {
-        sent: p.at,
+        sent: at,
         received: None,
         direction: dir,
-        stream: p.payload.stream(),
-        seq: if p.payload.stream() == StreamKind::Rtcp {
+        stream,
+        seq: if stream == StreamKind::Rtcp {
             0
         } else {
-            p.transport_seq
+            transport_seq
         },
-        size_bytes: p.size_bytes,
+        size_bytes,
+    }
+}
+
+/// The metadata of a session over a 5G cell.
+fn cell_meta(cell: &CellConfig, cfg: &SessionConfig) -> SessionMeta {
+    SessionMeta {
+        cell_name: cell.name.clone(),
+        cell_class: cell.class,
+        carrier_mhz: cell.carrier_mhz,
+        bandwidth_mhz: cell.bandwidth_mhz,
+        duplexing: cell.frame.duplexing,
+        duration: cfg.duration,
+        seed: cfg.seed,
+        has_gnb_log: cell.has_gnb_log,
     }
 }
 
@@ -1409,6 +1270,7 @@ pub(crate) mod tests_support {
 mod tests {
     use super::*;
     use crate::cells;
+    use crate::grid::SessionSpec;
 
     fn short_cfg(seed: u64) -> SessionConfig {
         SessionConfig {
@@ -1420,7 +1282,7 @@ mod tests {
 
     #[test]
     fn baseline_wired_session_is_clean() {
-        let b = SessionRun::baseline(BaselineAccess::Wired, &short_cfg(1)).run();
+        let b = SessionSpec::baseline(BaselineAccess::Wired, short_cfg(1)).run();
         assert!(b.is_sorted());
         assert!(b.packets.len() > 1_000, "packets {}", b.packets.len());
         assert!(b.dci.is_empty());
@@ -1444,7 +1306,7 @@ mod tests {
 
     #[test]
     fn cell_session_produces_full_bundle() {
-        let b = SessionRun::cell(cells::amarisoft(), &short_cfg(2)).run();
+        let b = SessionSpec::cell(cells::amarisoft(), short_cfg(2)).run();
         assert!(b.is_sorted());
         assert!(!b.dci.is_empty(), "cell sessions must emit DCI telemetry");
         assert!(!b.gnb.is_empty(), "Amarisoft emits gNB logs");
@@ -1469,7 +1331,7 @@ mod tests {
 
     #[test]
     fn commercial_cell_hides_gnb_log() {
-        let b = SessionRun::cell(cells::tmobile_tdd_100mhz(), &short_cfg(3)).run();
+        let b = SessionSpec::cell(cells::tmobile_tdd_100mhz(), short_cfg(3)).run();
         assert!(b.gnb.is_empty());
         assert!(!b.meta.has_gnb_log);
     }
@@ -1477,8 +1339,8 @@ mod tests {
     #[test]
     fn cellular_delay_exceeds_wired() {
         let cfg = short_cfg(4);
-        let cell = SessionRun::cell(cells::tmobile_fdd_15mhz(), &cfg).run();
-        let wired = SessionRun::baseline(BaselineAccess::Wired, &cfg).run();
+        let cell = SessionSpec::cell(cells::tmobile_fdd_15mhz(), cfg.clone()).run();
+        let wired = SessionSpec::baseline(BaselineAccess::Wired, cfg).run();
         let med = |b: &TraceBundle, dir| {
             let d: Vec<f64> = b
                 .packets
@@ -1564,11 +1426,10 @@ mod tests {
     #[test]
     fn tapped_session_matches_untapped_and_rebuilds_bundle() {
         let cfg = short_cfg(8);
-        let untapped = SessionRun::cell(cells::amarisoft(), &cfg).run();
+        let spec = SessionSpec::cell(cells::amarisoft(), cfg.clone());
+        let untapped = spec.run();
         let mut tap = RecordingTap::new();
-        let tapped = SessionRun::cell(cells::amarisoft(), &cfg)
-            .tap(&mut tap)
-            .run();
+        let tapped = spec.run_with_tap(&mut tap);
         // The tap must not perturb the simulation.
         assert_bundles_identical(&untapped, &tapped);
         // Rebuilding from tap events reproduces the bundle after one sort
@@ -1588,10 +1449,9 @@ mod tests {
         let cfg = short_cfg(9);
         let mut tap = RecordingTap::new();
         tap.stop_after = Some(SimTime::from_secs(5));
-        let truncated = SessionRun::cell(cells::amarisoft(), &cfg)
-            .tap(&mut tap)
-            .run();
-        let full = SessionRun::cell(cells::amarisoft(), &cfg).run();
+        let spec = SessionSpec::cell(cells::amarisoft(), cfg.clone());
+        let truncated = spec.run_with_tap(&mut tap);
+        let full = spec.run();
         assert!(truncated.packets.len() < full.packets.len() / 2);
         assert!(truncated.horizon() < SimTime::from_secs(6));
         // Early exit reports the abort instant, not the configured duration.
@@ -1608,9 +1468,9 @@ mod tests {
 
     #[test]
     fn sessions_are_deterministic() {
-        let cfg = short_cfg(7);
-        let x = SessionRun::cell(cells::mosolabs(), &cfg).run();
-        let y = SessionRun::cell(cells::mosolabs(), &cfg).run();
+        let spec = SessionSpec::cell(cells::mosolabs(), short_cfg(7));
+        let x = spec.run();
+        let y = spec.run();
         assert_eq!(x.packets.len(), y.packets.len());
         assert_eq!(x.dci.len(), y.dci.len());
         for (p, q) in x.packets.iter().zip(&y.packets) {
@@ -1621,9 +1481,8 @@ mod tests {
 
     #[test]
     fn abr_session_streams_over_a_cell() {
-        let cfg = short_cfg(31);
-        let b = SessionRun::cell(cells::amarisoft(), &cfg)
-            .app(AppSpec::Abr(AbrConfig::default()))
+        let b = SessionSpec::cell(cells::amarisoft(), short_cfg(31))
+            .abr(AbrConfig::default())
             .run();
         assert!(b.is_sorted());
         assert!(!b.dci.is_empty(), "cell telemetry flows for ABR too");
@@ -1650,14 +1509,9 @@ mod tests {
 
     #[test]
     fn abr_sessions_are_deterministic_and_tap_invisible() {
-        let cfg = short_cfg(32);
-        let mk = || {
-            SessionRun::cell(cells::mosolabs(), &cfg)
-                .app(AppSpec::Abr(AbrConfig::default()))
-                .run()
-        };
-        let x = mk();
-        let y = mk();
+        let spec = SessionSpec::cell(cells::mosolabs(), short_cfg(32)).abr(AbrConfig::default());
+        let x = spec.run();
+        let y = spec.run();
         assert_bundles_identical(&x, &y);
         assert_eq!(x.playback.len(), y.playback.len());
         for (p, q) in x.playback.iter().zip(&y.playback) {
@@ -1666,10 +1520,7 @@ mod tests {
         }
         // A recording tap neither perturbs the run nor misses records.
         let mut tap = RecordingTap::new();
-        let tapped = SessionRun::cell(cells::mosolabs(), &cfg)
-            .app(AppSpec::Abr(AbrConfig::default()))
-            .tap(&mut tap)
-            .run();
+        let tapped = spec.run_with_tap(&mut tap);
         assert_bundles_identical(&x, &tapped);
         assert_eq!(tap.rebuilt.playback.len(), tapped.playback.len());
     }

@@ -19,17 +19,19 @@
 //!    deliveries onward; due route events dispatch in global
 //!    `(time, session, seq)` order from the arena's [`SharedRouteQueue`].
 //!
-//! With one pair and no traffic UEs this pipeline is byte-identical to a
-//! solo [`crate::session::SessionRun`] — the shared-cell determinism suite
-//! asserts it — so sharing a cell is purely additive: existing single-call
-//! traces never change.
+//! With one pair and no traffic UEs this pipeline is byte-identical to the
+//! solo run of a [`SessionSpec`] with the same cell, config and scripts —
+//! the shared-cell determinism suite asserts it — so sharing a cell is
+//! purely additive: existing single-call traces never change.
 //!
+//! [`SessionSpec`]: crate::grid::SessionSpec
 //! [`SharedRouteQueue`]: crate::session::SharedRouteQueue
 
 use ran_sim::{CellConfig, CellSim};
 use simcore::{derive_seed, SimDuration, SimTime};
 use telemetry::{DciRecord, NullTap, TraceBundle};
 
+use crate::grid::ScriptAction;
 use crate::session::{SessionArena, SessionConfig, SessionState};
 
 /// Drives N diagnosed call pairs over one shared cell to completion.
@@ -49,15 +51,15 @@ pub struct SharedCellDriver {
 impl SharedCellDriver {
     /// Builds the cell (with its configured scripted traffic UEs), camps
     /// `pairs` experiment UEs on it, and prepares one shared-access RTC
-    /// session per pair. `script` installs scripted overrides on the cell before
-    /// the calls start (cell-level hooks like
-    /// [`CellSim::script_cross_traffic`] affect every pair; per-UE hooks
-    /// address experiment UE 0).
+    /// session per pair. `scripts` are applied to the cell, in order, before
+    /// the calls start (cell-level ones like
+    /// [`ScriptAction::CrossTraffic`] affect every pair; per-UE ones address
+    /// experiment UE 0).
     pub fn new(
         cell_cfg: CellConfig,
         cfg: &SessionConfig,
         pairs: usize,
-        script: impl FnOnce(&mut CellSim),
+        scripts: &[ScriptAction],
     ) -> Self {
         assert!(pairs >= 1, "a shared cell needs at least one call pair");
         let mut arena = SessionArena::new();
@@ -65,7 +67,9 @@ impl SharedCellDriver {
         for _ in 1..pairs {
             cell.add_experiment_ue();
         }
-        script(&mut cell);
+        for action in scripts {
+            action.apply(&mut cell);
+        }
         let lanes = (0..pairs)
             .map(|i| {
                 let lane_cfg = if i == 0 {
@@ -93,11 +97,6 @@ impl SharedCellDriver {
         }
     }
 
-    /// Number of diagnosed call pairs.
-    pub fn pairs(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Number of scripted traffic UEs sharing the cell.
     pub fn n_traffic_ues(&self) -> usize {
         self.cell.n_traffic_ues()
@@ -111,6 +110,14 @@ impl SharedCellDriver {
         let tap = &mut NullTap;
         let n = self.lanes.len();
         let mut bundles: Vec<Option<TraceBundle>> = (0..n).map(|_| None).collect();
+        // A lane shorter than one tick is done before its first tick; it
+        // finishes untouched, as the solo driver finishes it.
+        for (lane, bundle) in self.lanes.iter_mut().zip(&mut bundles) {
+            if lane.as_ref().is_some_and(SessionState::is_done) {
+                let state = lane.take().expect("lane present");
+                *bundle = Some(state.finish(tap, &mut self.arena));
+            }
+        }
         let mut cur: u64 = 0;
         while self.lanes.iter().any(Option::is_some) {
             cur += 1;
@@ -186,21 +193,11 @@ impl SharedCellDriver {
     }
 }
 
-/// Convenience wrapper: build a [`SharedCellDriver`] and run it.
-pub fn run_shared_cell_sessions(
-    cell_cfg: CellConfig,
-    cfg: &SessionConfig,
-    pairs: usize,
-    script: impl FnOnce(&mut CellSim),
-) -> Vec<TraceBundle> {
-    SharedCellDriver::new(cell_cfg, cfg, pairs, script).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cells;
-    use crate::session::SessionRun;
+    use crate::grid::SessionSpec;
     use ran_sim::traffic_mix;
     use telemetry::Direction;
 
@@ -214,17 +211,20 @@ mod tests {
 
     #[test]
     fn single_pair_matches_solo_session_exactly() {
-        let solo = SessionRun::cell(cells::amarisoft(), &cfg(77, 10)).run();
-        let shared = run_shared_cell_sessions(cells::amarisoft(), &cfg(77, 10), 1, |_| {});
-        assert_eq!(shared.len(), 1);
-        crate::session::tests_support::assert_bundles_identical(&solo, &shared[0]);
+        // A zero-length call finishes before its first tick in both drivers.
+        for session in [cfg(77, 10), cfg(77, 0)] {
+            let solo = SessionSpec::cell(cells::amarisoft(), session.clone()).run();
+            let shared = SharedCellDriver::new(cells::amarisoft(), &session, 1, &[]).run();
+            assert_eq!(shared.len(), 1);
+            crate::session::tests_support::assert_bundles_identical(&solo, &shared[0]);
+        }
     }
 
     #[test]
     fn pairs_share_the_cell_and_see_each_other_in_dci() {
         let mut cell = cells::amarisoft();
         cell.traffic_ues = traffic_mix(8);
-        let bundles = run_shared_cell_sessions(cell, &cfg(5, 8), 2, |_| {});
+        let bundles = SharedCellDriver::new(cell, &cfg(5, 8), 2, &[]).run();
         assert_eq!(bundles.len(), 2);
         let rnti0: std::collections::BTreeSet<u32> = bundles[0]
             .dci
@@ -259,7 +259,7 @@ mod tests {
         let mk = || {
             let mut cell = cells::mosolabs();
             cell.traffic_ues = traffic_mix(4);
-            run_shared_cell_sessions(cell, &cfg(9, 6), 2, |_| {})
+            SharedCellDriver::new(cell, &cfg(9, 6), 2, &[]).run()
         };
         let a = mk();
         let b = mk();

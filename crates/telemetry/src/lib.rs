@@ -31,4 +31,4 @@ pub use records::{
     AppStatsRecord, CellClass, DciRecord, Direction, Duplexing, GccNetworkState, GnbEvent,
     GnbLogRecord, PacketRecord, PlaybackStatsRecord, Resolution, RrcState, StreamKind,
 };
-pub use series::{Cdf, SummaryStats, CDF_GRID};
+pub use series::{Cdf, CDF_GRID};

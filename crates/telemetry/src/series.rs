@@ -1,4 +1,4 @@
-//! Empirical CDFs, quantiles and summary statistics.
+//! Empirical CDFs and quantiles.
 //!
 //! Every figure in the paper's evaluation is either a CDF (Figs. 2, 3, 5, 6,
 //! 8), a bar of fractions (Fig. 4, 10), or a time series (Figs. 12–22). This
@@ -77,51 +77,6 @@ impl Cdf {
     }
 }
 
-/// Mean / sd / min / max / count of a sample set.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SummaryStats {
-    /// Sample count.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub sd: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl SummaryStats {
-    /// Computes summary statistics; returns `None` for an empty iterator.
-    pub fn of(samples: impl IntoIterator<Item = f64>) -> Option<SummaryStats> {
-        let mut count = 0usize;
-        let mut sum = 0.0;
-        let mut sum2 = 0.0;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for x in samples {
-            count += 1;
-            sum += x;
-            sum2 += x * x;
-            min = min.min(x);
-            max = max.max(x);
-        }
-        if count == 0 {
-            return None;
-        }
-        let mean = sum / count as f64;
-        let var = (sum2 / count as f64 - mean * mean).max(0.0);
-        Some(SummaryStats {
-            count,
-            mean,
-            sd: var.sqrt(),
-            min,
-            max,
-        })
-    }
-}
-
 /// The standard quantile grid used in the repro harness's CDF printouts.
 pub const CDF_GRID: [f64; 13] = [
     0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 0.995, 0.999, 0.9999, 1.0,
@@ -164,17 +119,6 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.quantile(0.5), None);
         assert_eq!(c.fraction_at_or_below(1.0), 0.0);
-    }
-
-    #[test]
-    fn summary_stats_known() {
-        let s = SummaryStats::of([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
-        assert!((s.mean - 5.0).abs() < 1e-12);
-        assert!((s.sd - 2.0).abs() < 1e-12);
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.max, 9.0);
-        assert_eq!(s.count, 8);
-        assert!(SummaryStats::of(std::iter::empty()).is_none());
     }
 
     proptest! {

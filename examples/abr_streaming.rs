@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use domino::abr::AbrConfig;
 use domino::core::{abr_graph, ChainStats, Domino, DominoConfig};
 use domino::ran::traffic_mix;
-use domino::scenarios::{tmobile_fdd_15mhz_quiet, AppSpec, SessionConfig, SessionRun};
+use domino::scenarios::{tmobile_fdd_15mhz_quiet, ScriptAction, SessionConfig, SessionSpec};
 use domino::simcore::{SimDuration, SimTime};
 use domino::telemetry::Direction;
 
@@ -29,23 +29,21 @@ fn main() {
         ..Default::default()
     };
 
-    let bundle = SessionRun::cell(cell, &cfg)
-        .app(AppSpec::Abr(AbrConfig::default()))
-        .script(|cell| {
-            // A downlink cross-traffic surge squeezes the segment download
-            // path, then a deep downlink fade collapses the link rate.
-            cell.script_cross_traffic(
-                Direction::Downlink,
-                SimTime::from_secs(18),
-                SimTime::from_secs(30),
-                0.95,
-            );
-            cell.script_sinr(
-                Direction::Downlink,
-                SimTime::from_secs(42),
-                SimTime::from_secs(48),
-                -2.0,
-            );
+    let bundle = SessionSpec::cell(cell, cfg)
+        .abr(AbrConfig::default())
+        // A downlink cross-traffic surge squeezes the segment download
+        // path, then a deep downlink fade collapses the link rate.
+        .with_script(ScriptAction::CrossTraffic {
+            dir: Direction::Downlink,
+            from: SimTime::from_secs(18),
+            to: SimTime::from_secs(30),
+            prb_fraction: 0.95,
+        })
+        .with_script(ScriptAction::Sinr {
+            dir: Direction::Downlink,
+            from: SimTime::from_secs(42),
+            to: SimTime::from_secs(48),
+            sinr_db: -2.0,
         })
         .run();
 

@@ -10,7 +10,7 @@
 
 use domino::core::{ChainStats, Domino};
 use domino::ran::traffic_mix;
-use domino::scenarios::{amarisoft, SessionConfig, SharedCellDriver};
+use domino::scenarios::{amarisoft, ScriptAction, SessionConfig, SharedCellDriver};
 use domino::simcore::{SimDuration, SimTime};
 use domino::telemetry::Direction;
 
@@ -30,14 +30,13 @@ fn main() {
     //    48 UEs total contending for the same 51-PRB budget. A neighbor
     //    load spike (an unmodelled heavy user, e.g. a handover burst)
     //    saturates the downlink between t=25 s and t=35 s.
-    let driver = SharedCellDriver::new(cell, &cfg, 2, |cell| {
-        cell.script_cross_traffic(
-            Direction::Downlink,
-            SimTime::from_secs(25),
-            SimTime::from_secs(35),
-            0.9,
-        );
-    });
+    let spike = ScriptAction::CrossTraffic {
+        dir: Direction::Downlink,
+        from: SimTime::from_secs(25),
+        to: SimTime::from_secs(35),
+        prb_fraction: 0.9,
+    };
+    let driver = SharedCellDriver::new(cell, &cfg, 2, &[spike]);
     println!(
         "simulating 60 s: 2 diagnosed pairs + {} scripted traffic UEs on one cell ...",
         driver.n_traffic_ues()

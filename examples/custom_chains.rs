@@ -7,7 +7,7 @@
 //! ```
 
 use domino::core::{compile, parse, Domino, DominoConfig};
-use domino::scenarios::{tmobile_fdd_15mhz_quiet, SessionConfig, SessionRun};
+use domino::scenarios::{tmobile_fdd_15mhz_quiet, ScriptAction, SessionConfig, SessionSpec};
 use domino::simcore::{SimDuration, SimTime};
 use domino::telemetry::Direction;
 
@@ -42,14 +42,12 @@ fn main() {
         seed: 99,
         ..Default::default()
     };
-    let bundle = SessionRun::cell(tmobile_fdd_15mhz_quiet(), &cfg)
-        .script(|cell| {
-            cell.script_cross_traffic(
-                Direction::Downlink,
-                SimTime::from_secs(12),
-                SimTime::from_secs(15),
-                0.99,
-            );
+    let bundle = SessionSpec::cell(tmobile_fdd_15mhz_quiet(), cfg)
+        .with_script(ScriptAction::CrossTraffic {
+            dir: Direction::Downlink,
+            from: SimTime::from_secs(12),
+            to: SimTime::from_secs(15),
+            prb_fraction: 0.99,
         })
         .run();
 

@@ -18,26 +18,27 @@
 //! ```
 
 use domino::live::{EarlyExit, LiveConfig, LivePipeline};
-use domino::scenarios::{tmobile_fdd_15mhz_quiet, SessionConfig, SessionRun};
+use domino::scenarios::{tmobile_fdd_15mhz_quiet, ScriptAction, SessionConfig, SessionSpec};
 use domino::simcore::{SimDuration, SimTime};
 use domino::telemetry::{Direction, Lateness};
 
-fn session_cfg() -> SessionConfig {
-    SessionConfig {
+/// A 60 s call on the quiet FDD cell with two incidents scripted in.
+fn degrading_call() -> SessionSpec {
+    let cfg = SessionConfig {
         duration: SimDuration::from_secs(60),
         seed: 31,
         ..Default::default()
-    }
-}
-
-fn degrading_call(cell: &mut domino::ran::CellSim) {
-    cell.script_rrc_release(SimTime::from_secs(20));
-    cell.script_sinr(
-        Direction::Uplink,
-        SimTime::from_secs(40),
-        SimTime::from_secs(43),
-        -2.0,
-    );
+    };
+    SessionSpec::cell(tmobile_fdd_15mhz_quiet(), cfg)
+        .with_script(ScriptAction::RrcRelease {
+            at: SimTime::from_secs(20),
+        })
+        .with_script(ScriptAction::Sinr {
+            dir: Direction::Uplink,
+            from: SimTime::from_secs(40),
+            to: SimTime::from_secs(43),
+            sinr_db: -2.0,
+        })
 }
 
 fn main() {
@@ -87,10 +88,8 @@ fn main() {
     }
 
     println!("== live diagnosis feed (lateness bound: 2 s) ==");
-    let bundle = SessionRun::cell(tmobile_fdd_15mhz_quiet(), &session_cfg())
-        .script(degrading_call)
-        .tap(&mut pipe)
-        .run();
+    let call = degrading_call();
+    let bundle = call.run_with_tap(&mut pipe);
 
     let stats = pipe.stats();
     let analysis = pipe.take_analysis(bundle.meta.duration);
@@ -121,18 +120,15 @@ fn main() {
         early_exit: EarlyExit::AfterChains(3),
     })
     .expect("default config is aligned");
-    let truncated = SessionRun::cell(tmobile_fdd_15mhz_quiet(), &session_cfg())
-        .script(degrading_call)
-        .tap(&mut triage)
-        .run();
+    let truncated = call.run_with_tap(&mut triage);
     let tstats = triage.stats();
     println!("\n== triage run (early exit after 3 confirmed chains) ==");
     println!(
         "  stopped early: {} — simulated {:.1} s of {:.0} s (saved {:.0}% of the session)",
         tstats.early_exited,
         truncated.horizon().as_secs_f64(),
-        session_cfg().duration.as_secs_f64(),
-        100.0 * (1.0 - truncated.horizon().as_secs_f64() / session_cfg().duration.as_secs_f64())
+        call.cfg.duration.as_secs_f64(),
+        100.0 * (1.0 - truncated.horizon().as_secs_f64() / call.cfg.duration.as_secs_f64())
     );
     for v in triage
         .drain_verdicts()

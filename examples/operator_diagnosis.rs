@@ -11,7 +11,7 @@
 //! ```
 
 use domino::core::{ChainStats, Domino};
-use domino::scenarios::{tmobile_fdd_15mhz_quiet, SessionConfig, SessionRun};
+use domino::scenarios::{tmobile_fdd_15mhz_quiet, ScriptAction, SessionConfig, SessionSpec};
 use domino::simcore::{SimDuration, SimTime};
 use domino::telemetry::Direction;
 
@@ -21,16 +21,16 @@ fn main() {
         seed: 31,
         ..Default::default()
     };
-    let bundle = SessionRun::cell(tmobile_fdd_15mhz_quiet(), &cfg)
-        .script(|cell| {
-            // Two incidents an operator would want attributed:
-            cell.script_rrc_release(SimTime::from_secs(20));
-            cell.script_sinr(
-                Direction::Uplink,
-                SimTime::from_secs(40),
-                SimTime::from_secs(43),
-                -2.0,
-            );
+    let bundle = SessionSpec::cell(tmobile_fdd_15mhz_quiet(), cfg)
+        // Two incidents an operator would want attributed:
+        .with_script(ScriptAction::RrcRelease {
+            at: SimTime::from_secs(20),
+        })
+        .with_script(ScriptAction::Sinr {
+            dir: Direction::Uplink,
+            from: SimTime::from_secs(40),
+            to: SimTime::from_secs(43),
+            sinr_db: -2.0,
         })
         .run();
 

@@ -6,7 +6,7 @@
 //! ```
 
 use domino::core::{render_conditional_table, render_frequency_table, ChainStats, Domino};
-use domino::scenarios::{amarisoft, SessionConfig, SessionRun};
+use domino::scenarios::{amarisoft, SessionConfig, SessionSpec};
 use domino::simcore::SimDuration;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
         ..Default::default()
     };
     println!("simulating 120 s call over {} ...", amarisoft().name);
-    let bundle = SessionRun::cell(amarisoft(), &cfg).run();
+    let bundle = SessionSpec::cell(amarisoft(), cfg).run();
     let rates = bundle.event_rates();
     println!(
         "collected {} DCI/min, {} gNB/min, {} packets/min, {} WebRTC samples/min",

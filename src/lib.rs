@@ -18,4 +18,4 @@ pub use domino_sweep::{
     run_sweep, run_sweep_with_progress, AnalysisMode, EarlyExit, ExecutionMode, Lateness,
     LiveConfig, ObsConfig, SweepOptions, SweepReport, TapChaosSpec, TapFault, TapStream,
 };
-pub use scenarios::{SessionGrid, SessionRun, SessionSpec};
+pub use scenarios::{SessionGrid, SessionSpec};

@@ -155,9 +155,12 @@ fn enabled_recorder_stays_within_allocation_budget() {
         "warm session allocs: {} recorder-off, {} recorder-on ({ticks} ticks)",
         base.allocations, on.allocations
     );
+    // About twice the 3 336 allocations the warm recorder-on session
+    // makes, under 0.6 per engine tick.
     assert!(
-        on.allocations < ticks,
-        "obs-on session broke the tick budget"
+        on.allocations < 7_000,
+        "obs-on session allocates {} for {ticks} ticks — the recorder path regressed",
+        on.allocations
     );
     assert!(
         on.allocations <= base.allocations + 32,
@@ -217,8 +220,8 @@ fn many_ue_cell_stays_allocation_flat() {
 
 /// The ABR playback endpoint must lease from the [`SessionArena`] like the
 /// RTC one: after a cold session grows the client/server buffers and the
-/// engine worker, warm streaming sessions run under the same
-/// sub-one-per-tick budget as calls. This is the tripwire for the streaming
+/// engine worker, warm streaming sessions stay within a budget of about
+/// twice what they make today. This is the tripwire for the streaming
 /// workload quietly re-opening the allocation faucet the arena closed.
 #[test]
 fn abr_sessions_stay_within_allocation_budget() {
@@ -255,8 +258,10 @@ fn abr_sessions_stay_within_allocation_budget() {
         "cold ABR session: {} allocs; warm sessions: {per_session:?} ({ticks} ticks)",
         cold.allocations
     );
+    // About twice the 538 allocations a warm streaming session makes,
+    // under 0.1 per engine tick.
     assert!(
-        worst < ticks,
+        worst < 1_100,
         "warm ABR session allocates {worst}× for {ticks} ticks — playback endpoint is not leasing"
     );
     assert!(worst <= cold.allocations);

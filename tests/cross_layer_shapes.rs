@@ -2,7 +2,7 @@
 //! reproduced mechanism. These encode the "who wins, by what factor" facts
 //! the `repro` experiments print; each test names the figure it checks.
 
-use domino::scenarios::{BaselineAccess, SessionConfig, SessionRun};
+use domino::scenarios::{BaselineAccess, ScriptAction, SessionConfig, SessionSpec};
 use domino::simcore::{SimDuration, SimTime};
 use domino::telemetry::{Cdf, Direction, StreamKind, TraceBundle};
 
@@ -33,8 +33,8 @@ fn media_delays(bundle: &TraceBundle, dir: Direction) -> Cdf {
 /// Fig. 2: 5G inflates one-way delay well beyond the wired baseline.
 #[test]
 fn fig2_shape_cellular_dominates_wired() {
-    let cell = SessionRun::cell(domino::scenarios::tmobile_fdd_15mhz(), &cfg(70, 30)).run();
-    let wired = SessionRun::baseline(BaselineAccess::Wired, &cfg(70, 30)).run();
+    let cell = SessionSpec::cell(domino::scenarios::tmobile_fdd_15mhz(), cfg(70, 30)).run();
+    let wired = SessionSpec::baseline(BaselineAccess::Wired, cfg(70, 30)).run();
     for dir in [Direction::Uplink, Direction::Downlink] {
         let c = media_delays(&cell, dir).median().unwrap();
         let w = media_delays(&wired, dir).median().unwrap();
@@ -58,7 +58,7 @@ fn fig8_shape_ul_delay_exceeds_dl() {
         (domino::scenarios::amarisoft(), 72),
     ] {
         let name = cell.name.clone();
-        let b = SessionRun::cell(cell, &cfg(seed, 30)).run();
+        let b = SessionSpec::cell(cell, cfg(seed, 30)).run();
         let ul = media_delays(&b, Direction::Uplink).median().unwrap();
         let dl = media_delays(&b, Direction::Downlink).median().unwrap();
         assert!(ul > dl, "{name}: UL median {ul} must exceed DL {dl}");
@@ -69,7 +69,7 @@ fn fig8_shape_ul_delay_exceeds_dl() {
 /// below the DL bitrate.
 #[test]
 fn fig8_shape_amarisoft_ul_bitrate_gap() {
-    let b = SessionRun::cell(domino::scenarios::amarisoft(), &cfg(73, 45)).run();
+    let b = SessionSpec::cell(domino::scenarios::amarisoft(), cfg(73, 45)).run();
     let ul_target: f64 = b
         .app_local
         .iter()
@@ -91,10 +91,13 @@ fn fig8_shape_amarisoft_ul_bitrate_gap() {
 /// Fig. 17: one HARQ retransmission inflates delay by ≈ one HARQ RTT.
 #[test]
 fn fig17_shape_harq_adds_one_rtt() {
-    let clean = SessionRun::cell(domino::scenarios::amarisoft_ideal(), &cfg(74, 16)).run();
-    let harq = SessionRun::cell(domino::scenarios::amarisoft_ideal(), &cfg(74, 16))
-        .script(|cell| {
-            cell.script_harq_failures(Direction::Uplink, t(10.0), t(12.0), 1);
+    let clean = SessionSpec::cell(domino::scenarios::amarisoft_ideal(), cfg(74, 16)).run();
+    let harq = SessionSpec::cell(domino::scenarios::amarisoft_ideal(), cfg(74, 16))
+        .with_script(ScriptAction::HarqFailures {
+            dir: Direction::Uplink,
+            from: t(10.0),
+            to: t(12.0),
+            fail_attempts: 1,
         })
         .run();
     let window = |b: &TraceBundle| {
@@ -118,9 +121,12 @@ fn fig17_shape_harq_adds_one_rtt() {
 /// in-order release burst.
 #[test]
 fn fig18_shape_rlc_retx_delay_and_hol() {
-    let b = SessionRun::cell(domino::scenarios::amarisoft_ideal(), &cfg(75, 16))
-        .script(|cell| {
-            cell.script_harq_failures(Direction::Uplink, t(10.0), t(10.035), 4);
+    let b = SessionSpec::cell(domino::scenarios::amarisoft_ideal(), cfg(75, 16))
+        .with_script(ScriptAction::HarqFailures {
+            dir: Direction::Uplink,
+            from: t(10.0),
+            to: t(10.035),
+            fail_attempts: 4,
         })
         .run();
     let max_delay = b
@@ -145,8 +151,8 @@ fn fig18_shape_rlc_retx_delay_and_hol() {
 /// Fig. 19: an RRC release halts transmission ≈300 ms and changes the RNTI.
 #[test]
 fn fig19_shape_rrc_outage() {
-    let b = SessionRun::cell(domino::scenarios::tmobile_fdd_15mhz_quiet(), &cfg(76, 16))
-        .script(|cell| cell.script_rrc_release(t(10.0)))
+    let b = SessionSpec::cell(domino::scenarios::tmobile_fdd_15mhz_quiet(), cfg(76, 16))
+        .with_script(ScriptAction::RrcRelease { at: t(10.0) })
         .run();
     let mut rntis: Vec<u32> = b
         .dci
@@ -185,7 +191,7 @@ fn fig19_shape_rrc_outage() {
 /// Fig. 16: proactive grants waste capacity (unused grants exist).
 #[test]
 fn fig16_shape_proactive_waste() {
-    let b = SessionRun::cell(domino::scenarios::mosolabs(), &cfg(77, 15)).run();
+    let b = SessionSpec::cell(domino::scenarios::mosolabs(), cfg(77, 15)).run();
     let wasted = b
         .dci
         .iter()
@@ -200,9 +206,12 @@ fn fig16_shape_proactive_waste() {
 fn fig22_shape_pushback_without_target_drop() {
     let mut session = cfg(78, 20);
     session.wired_sender.start_bps = 2_000_000.0;
-    let b = SessionRun::cell(domino::scenarios::tmobile_fdd_15mhz_quiet(), &session)
-        .script(|cell| {
-            cell.script_cross_traffic(Direction::Downlink, t(10.0), t(12.5), 0.99);
+    let b = SessionSpec::cell(domino::scenarios::tmobile_fdd_15mhz_quiet(), session)
+        .with_script(ScriptAction::CrossTraffic {
+            dir: Direction::Downlink,
+            from: t(10.0),
+            to: t(12.5),
+            prb_fraction: 0.99,
         })
         .run();
     // During the episode the local sender's pushback must dip below target.

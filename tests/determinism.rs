@@ -2,7 +2,7 @@
 //! traces and identical Domino analyses; different seeds must diverge.
 
 use domino::core::{ChainStats, Domino};
-use domino::scenarios::{SessionConfig, SessionRun};
+use domino::scenarios::{SessionConfig, SessionSpec};
 use domino::simcore::SimDuration;
 
 fn cfg(seed: u64) -> SessionConfig {
@@ -15,8 +15,8 @@ fn cfg(seed: u64) -> SessionConfig {
 
 #[test]
 fn identical_seeds_identical_traces_and_analysis() {
-    let a = SessionRun::cell(domino::scenarios::amarisoft(), &cfg(123)).run();
-    let b = SessionRun::cell(domino::scenarios::amarisoft(), &cfg(123)).run();
+    let a = SessionSpec::cell(domino::scenarios::amarisoft(), cfg(123)).run();
+    let b = SessionSpec::cell(domino::scenarios::amarisoft(), cfg(123)).run();
 
     assert_eq!(a.packets.len(), b.packets.len());
     for (x, y) in a.packets.iter().zip(&b.packets) {
@@ -71,12 +71,12 @@ fn fingerprint(
 /// slot loop changed single-UE physics.
 #[test]
 fn n1_cell_reproduces_prerefactor_golden_traces() {
-    let a = SessionRun::cell(domino::scenarios::amarisoft(), &cfg(123)).run();
+    let a = SessionSpec::cell(domino::scenarios::amarisoft(), cfg(123)).run();
     assert_eq!(
         fingerprint(&a),
         (4629, 29329767038, 5906, 4961, 30911960, 5599, 12002, 240)
     );
-    let b = SessionRun::cell(domino::scenarios::amarisoft(), &cfg(9)).run();
+    let b = SessionSpec::cell(domino::scenarios::amarisoft(), cfg(9)).run();
     assert_eq!(
         fingerprint(&b),
         (4964, 30633548092, 6676, 5100, 36788384, 6381, 12002, 240)
@@ -92,8 +92,8 @@ fn traffic_ue_population_is_deterministic() {
     use domino::ran::traffic_mix;
     let mut cell = domino::scenarios::amarisoft();
     cell.traffic_ues = traffic_mix(16);
-    let a = SessionRun::cell(cell.clone(), &cfg(31)).run();
-    let b = SessionRun::cell(cell, &cfg(31)).run();
+    let a = SessionSpec::cell(cell.clone(), cfg(31)).run();
+    let b = SessionSpec::cell(cell, cfg(31)).run();
     assert_eq!(fingerprint(&a), fingerprint(&b));
     // The scripted population shows up as foreign RNTIs in the DCI log.
     assert!(
@@ -105,23 +105,43 @@ fn traffic_ue_population_is_deterministic() {
 }
 
 /// One pair on a shared-cell driver is the same simulation as the solo
-/// engine — byte-identical bundles, not just matching statistics.
+/// engine — byte-identical bundles, not just matching statistics — and
+/// applies a spec's scripts the way the solo engine does: here a downlink
+/// cross-traffic burst and uplink HARQ failures.
 #[test]
 fn shared_driver_single_pair_matches_solo_engine() {
-    use domino::scenarios::run_shared_cell_sessions;
-    let solo = SessionRun::cell(domino::scenarios::amarisoft(), &cfg(123)).run();
-    let shared = run_shared_cell_sessions(domino::scenarios::amarisoft(), &cfg(123), 1, |_| {});
+    use domino::scenarios::{amarisoft, ScriptAction, SharedCellDriver};
+    use domino::simcore::SimTime;
+    use domino::telemetry::Direction;
+    let scripts = [
+        ScriptAction::CrossTraffic {
+            dir: Direction::Downlink,
+            from: SimTime::from_secs(4),
+            to: SimTime::from_secs(7),
+            prb_fraction: 0.95,
+        },
+        ScriptAction::HarqFailures {
+            dir: Direction::Uplink,
+            from: SimTime::from_secs(6),
+            to: SimTime::from_secs(9),
+            fail_attempts: 1,
+        },
+    ];
+    let spec = SessionSpec::cell(amarisoft(), cfg(123));
+    let unscripted = spec.run();
+    let solo = scripts
+        .iter()
+        .fold(spec, |spec, &action| spec.with_script(action))
+        .run();
+    let shared = SharedCellDriver::new(amarisoft(), &cfg(123), 1, &scripts).run();
     assert_eq!(shared.len(), 1);
+    assert_ne!(
+        bundle_digest(&solo),
+        bundle_digest(&unscripted),
+        "the scripts must change the call"
+    );
+    assert_eq!(bundle_digest(&solo), bundle_digest(&shared[0]));
     assert_eq!(fingerprint(&solo), fingerprint(&shared[0]));
-    for (x, y) in solo.packets.iter().zip(&shared[0].packets) {
-        assert_eq!((x.sent, x.received), (y.sent, y.received));
-    }
-    for (x, y) in solo.dci.iter().zip(&shared[0].dci) {
-        assert_eq!(
-            (x.ts, x.rnti, x.tbs_bits, x.is_target_ue),
-            (y.ts, y.rnti, y.tbs_bits, y.is_target_ue)
-        );
-    }
 }
 
 /// Many-UE cells stay deterministic under arena reuse: a session run in a
@@ -134,21 +154,15 @@ fn warm_arena_matches_fresh_arena_with_traffic_ues() {
     let mut cell = domino::scenarios::amarisoft();
     cell.traffic_ues = domino::ran::traffic_mix(8);
     let mut arena = SessionArena::new();
-    let first = SessionRun::cell(cell.clone(), &cfg(55))
-        .tap(&mut NullTap)
-        .arena(&mut arena)
-        .run();
-    let warm = SessionRun::cell(cell, &cfg(55))
-        .tap(&mut NullTap)
-        .arena(&mut arena)
-        .run();
+    let first = SessionSpec::cell(cell.clone(), cfg(55)).run_with_tap_in(&mut NullTap, &mut arena);
+    let warm = SessionSpec::cell(cell, cfg(55)).run_with_tap_in(&mut NullTap, &mut arena);
     assert_eq!(fingerprint(&first), fingerprint(&warm));
 }
 
 #[test]
 fn different_seeds_diverge() {
-    let a = SessionRun::cell(domino::scenarios::amarisoft(), &cfg(1)).run();
-    let b = SessionRun::cell(domino::scenarios::amarisoft(), &cfg(2)).run();
+    let a = SessionSpec::cell(domino::scenarios::amarisoft(), cfg(1)).run();
+    let b = SessionSpec::cell(domino::scenarios::amarisoft(), cfg(2)).run();
     let same = a
         .packets
         .iter()
@@ -166,20 +180,16 @@ fn different_seeds_diverge() {
 fn scripted_overrides_do_not_break_determinism() {
     use domino::simcore::SimTime;
     use domino::telemetry::Direction;
-    let script = |cell: &mut domino::ran::CellSim| {
-        cell.script_sinr(
-            Direction::Uplink,
-            SimTime::from_secs(5),
-            SimTime::from_secs(7),
-            0.0,
-        );
-    };
-    let a = SessionRun::cell(domino::scenarios::amarisoft(), &cfg(9))
-        .script(script)
-        .run();
-    let b = SessionRun::cell(domino::scenarios::amarisoft(), &cfg(9))
-        .script(script)
-        .run();
+    let spec = SessionSpec::cell(domino::scenarios::amarisoft(), cfg(9)).with_script(
+        domino::scenarios::ScriptAction::Sinr {
+            dir: Direction::Uplink,
+            from: SimTime::from_secs(5),
+            to: SimTime::from_secs(7),
+            sinr_db: 0.0,
+        },
+    );
+    let a = spec.run();
+    let b = spec.run();
     assert_eq!(a.packets.len(), b.packets.len());
     let last_a = a.packets.last().expect("packets exist");
     let last_b = b.packets.last().expect("packets exist");
@@ -589,22 +599,22 @@ fn amarisoft_contended_harq_call_bundle_matches_golden_digest() {
 /// several experiment UEs with the scripted ones.
 #[test]
 fn shared_contended_cell_bundles_match_golden_digests() {
-    use domino::scenarios::run_shared_cell_sessions;
+    use domino::scenarios::{ScriptAction, SharedCellDriver};
     use domino::simcore::SimTime;
     use domino::telemetry::Direction;
-    let bundles = run_shared_cell_sessions(
+    let surge = ScriptAction::CrossTraffic {
+        dir: Direction::Downlink,
+        from: SimTime::from_secs(3),
+        to: SimTime::from_secs(6),
+        prb_fraction: 0.95,
+    };
+    let bundles = SharedCellDriver::new(
         contended(domino::scenarios::amarisoft(), 32),
         &contended_cfg(10),
         3,
-        |cell| {
-            cell.script_cross_traffic(
-                Direction::Downlink,
-                SimTime::from_secs(3),
-                SimTime::from_secs(6),
-                0.95,
-            )
-        },
-    );
+        &[surge],
+    )
+    .run();
     assert_eq!(
         bundles.iter().map(bundle_digest).collect::<Vec<_>>(),
         [

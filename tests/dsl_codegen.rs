@@ -22,7 +22,7 @@ use domino::core::{
     abr_graph, compile, default_graph, emit, oracle, parse, CausalGraph, DetectionProgram, Domino,
     DominoConfig, Feature, FeatureVector,
 };
-use domino::scenarios::{ScriptAction, SessionConfig, SessionRun, SessionSpec};
+use domino::scenarios::{ScriptAction, SessionConfig, SessionSpec};
 use domino::simcore::{SimDuration, SimTime};
 use domino::telemetry::Direction;
 use proptest::strategy::Strategy;
@@ -37,7 +37,7 @@ fn dsl_round_trip_preserves_detection_behaviour() {
         seed: 405,
         ..Default::default()
     };
-    let bundle = SessionRun::cell(domino::scenarios::amarisoft(), &cfg).run();
+    let bundle = SessionSpec::cell(domino::scenarios::amarisoft(), cfg).run();
     let d1 = Domino::new(g1, DominoConfig::default());
     let d2 = Domino::new(g2, DominoConfig::default());
     let a1 = d1.analyze(&bundle);
@@ -519,7 +519,7 @@ fn real_windows() -> Vec<FeatureVector> {
         seed: 404,
         ..Default::default()
     };
-    let rtc = SessionRun::cell(domino::scenarios::tmobile_fdd_15mhz(), &cfg).run();
+    let rtc = SessionSpec::cell(domino::scenarios::tmobile_fdd_15mhz(), cfg.clone()).run();
     let abr = SessionSpec::cell(domino::scenarios::amarisoft(), cfg)
         .abr(AbrConfig::default())
         .with_script(ScriptAction::CrossTraffic {

@@ -3,7 +3,7 @@
 //! root cause — the paper's headline capability.
 
 use domino::core::{ChainStats, Domino};
-use domino::scenarios::{BaselineAccess, SessionConfig, SessionRun};
+use domino::scenarios::{BaselineAccess, ScriptAction, SessionConfig, SessionSpec};
 use domino::simcore::{SimDuration, SimTime};
 use domino::telemetry::Direction;
 
@@ -34,7 +34,7 @@ fn attributed_causes(domino: &Domino, bundle: &domino::telemetry::TraceBundle) -
 #[test]
 fn wired_baseline_produces_no_degradation_chains() {
     let domino = Domino::with_defaults();
-    let bundle = SessionRun::baseline(BaselineAccess::Wired, &cfg(60, 20)).run();
+    let bundle = SessionSpec::baseline(BaselineAccess::Wired, cfg(60, 20)).run();
     let causes = attributed_causes(&domino, &bundle);
     assert!(
         causes.is_empty(),
@@ -47,9 +47,12 @@ fn scripted_deep_fade_attributed_to_poor_channel() {
     let domino = Domino::with_defaults();
     let mut session = cfg(61, 20);
     session.ue_sender.start_bps = 2_000_000.0;
-    let bundle = SessionRun::cell(domino::scenarios::amarisoft(), &session)
-        .script(|cell| {
-            cell.script_sinr(Direction::Uplink, t(10.0), t(13.0), -2.0);
+    let bundle = SessionSpec::cell(domino::scenarios::amarisoft(), session)
+        .with_script(ScriptAction::Sinr {
+            dir: Direction::Uplink,
+            from: t(10.0),
+            to: t(13.0),
+            sinr_db: -2.0,
         })
         .run();
     let causes = attributed_causes(&domino, &bundle);
@@ -64,9 +67,12 @@ fn scripted_cross_traffic_attributed() {
     let domino = Domino::with_defaults();
     let mut session = cfg(62, 20);
     session.wired_sender.start_bps = 3_000_000.0;
-    let bundle = SessionRun::cell(domino::scenarios::tmobile_fdd_15mhz_quiet(), &session)
-        .script(|cell| {
-            cell.script_cross_traffic(Direction::Downlink, t(10.0), t(13.0), 0.97);
+    let bundle = SessionSpec::cell(domino::scenarios::tmobile_fdd_15mhz_quiet(), session)
+        .with_script(ScriptAction::CrossTraffic {
+            dir: Direction::Downlink,
+            from: t(10.0),
+            to: t(13.0),
+            prb_fraction: 0.97,
         })
         .run();
     let causes = attributed_causes(&domino, &bundle);
@@ -79,10 +85,8 @@ fn scripted_cross_traffic_attributed() {
 #[test]
 fn scripted_rrc_release_attributed() {
     let domino = Domino::with_defaults();
-    let bundle = SessionRun::cell(domino::scenarios::tmobile_fdd_15mhz_quiet(), &cfg(63, 20))
-        .script(|cell| {
-            cell.script_rrc_release(t(10.0));
-        })
+    let bundle = SessionSpec::cell(domino::scenarios::tmobile_fdd_15mhz_quiet(), cfg(63, 20))
+        .with_script(ScriptAction::RrcRelease { at: t(10.0) })
         .run();
     let causes = attributed_causes(&domino, &bundle);
     assert!(
@@ -94,11 +98,14 @@ fn scripted_rrc_release_attributed() {
 #[test]
 fn forced_harq_storm_attributed() {
     let domino = Domino::with_defaults();
-    let bundle = SessionRun::cell(domino::scenarios::amarisoft_ideal(), &cfg(64, 20))
-        .script(|cell| {
-            // Enough failures to cross the >10-retx window threshold and
-            // inflate delay via serialization.
-            cell.script_harq_failures(Direction::Uplink, t(9.0), t(13.0), 1);
+    let bundle = SessionSpec::cell(domino::scenarios::amarisoft_ideal(), cfg(64, 20))
+        // Enough failures to cross the >10-retx window threshold and
+        // inflate delay via serialization.
+        .with_script(ScriptAction::HarqFailures {
+            dir: Direction::Uplink,
+            from: t(9.0),
+            to: t(13.0),
+            fail_attempts: 1,
         })
         .run();
     let analysis = domino.analyze(&bundle);
@@ -120,7 +127,7 @@ fn consequence_frequencies_are_plausible() {
     // commercial 5G; our simulator should land within an order of
     // magnitude, and far above the wired baseline (≈0).
     let domino = Domino::with_defaults();
-    let bundle = SessionRun::cell(domino::scenarios::tmobile_fdd_15mhz(), &cfg(65, 60)).run();
+    let bundle = SessionSpec::cell(domino::scenarios::tmobile_fdd_15mhz(), cfg(65, 60)).run();
     let analysis = domino.analyze(&bundle);
     let stats = ChainStats::compute(domino.graph(), &analysis);
     let total: f64 = [

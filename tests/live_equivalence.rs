@@ -144,9 +144,8 @@ fn retained_trace_is_bounded_by_window_plus_lateness_not_session() {
             early_exit: EarlyExit::Never,
         })
         .expect("default config is aligned");
-        let bundle = domino::scenarios::SessionRun::cell(domino::scenarios::amarisoft(), &cfg)
-            .tap(&mut pipe)
-            .run();
+        let bundle = domino::scenarios::SessionSpec::cell(domino::scenarios::amarisoft(), cfg)
+            .run_with_tap(&mut pipe);
         let stats = pipe.stats();
         assert!(stats.windows_emitted > 0);
         assert_eq!(pipe.retained_records(), 0, "everything drained at finish");

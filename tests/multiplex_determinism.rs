@@ -8,7 +8,7 @@
 //! running each session alone, at any multiplex width and any interleaving
 //! of session start offsets. Every width, 1 included, is compared against
 //! an independent reference that never touches `MuxWorker`: each spec run
-//! alone through the solo `SessionRun` loop with its own `LivePipeline`
+//! alone through the solo loop of `SessionSpec::run` with its own `LivePipeline`
 //! (and `ChaosTap`), folded into the versioned plain-text
 //! `ShardReport::encode` (floats as hex bit patterns), so equality is
 //! byte-for-byte, not approximate.
@@ -22,9 +22,7 @@
 
 use domino::core::{ChainStats, Domino};
 use domino::live::{ChaosState, ChaosTap, LivePipeline};
-use domino::scenarios::{
-    all_cells, ScriptAction, SessionConfig, SessionGrid, SessionRun, SessionSpec,
-};
+use domino::scenarios::{all_cells, ScriptAction, SessionConfig, SessionGrid, SessionSpec};
 use domino::simcore::{SimDuration, SimTime};
 use domino::sweep::{
     run_shard, AnalysisMode, EarlyExit, ExecutionMode, LiveConfig, SessionOutcome, ShardPlan,
@@ -54,7 +52,7 @@ fn encode_run(specs: &[SessionSpec], opts: &SweepOptions) -> String {
 }
 
 /// The independent reference for the one sweep driver: every spec run alone
-/// through the solo `SessionRun` loop — its own arena and queue, no
+/// through the solo loop of `SessionSpec::run` — its own arena and queue, no
 /// `MuxWorker` — and, in live mode, into its own `LivePipeline` behind its
 /// own `ChaosTap` where the spec carries chaos. The outcomes fold into the
 /// same `ShardReport` encoding `encode_run` produces.
@@ -77,17 +75,17 @@ fn solo_reference(specs: &[SessionSpec], opts: &SweepOptions) -> String {
                         Some(plan) => {
                             let mut state = ChaosState::new(plan);
                             let mut tap = ChaosTap::new(&mut state, &mut pipe);
-                            let bundle = SessionRun::new(spec).tap(&mut tap).run();
+                            let bundle = spec.run_with_tap(&mut tap);
                             assert!(state.log.reconciled(), "chaos log must balance");
                             bundle
                         }
-                        None => SessionRun::new(spec).tap(&mut pipe).run(),
+                        None => spec.run_with_tap(&mut pipe),
                     };
                     let analysis = pipe.take_analysis(bundle.meta.duration);
                     (bundle, Some(analysis), Some(pipe.stats()))
                 }
                 mode => {
-                    let bundle = SessionRun::new(spec).run();
+                    let bundle = spec.run();
                     let analysis =
                         (mode == AnalysisMode::Streaming).then(|| domino.analyze(&bundle));
                     (bundle, analysis, None)

@@ -2,7 +2,7 @@
 //! causality (no packet received before it was sent), RLC in-order release,
 //! telemetry sortedness, and stats-stream integrity.
 
-use domino::scenarios::{SessionConfig, SessionRun};
+use domino::scenarios::{SessionConfig, SessionSpec};
 use domino::simcore::SimDuration;
 use domino::telemetry::{Direction, StreamKind, TraceBundle};
 
@@ -14,7 +14,7 @@ fn sessions() -> Vec<TraceBundle> {
             seed: 900 + i as u64,
             ..Default::default()
         };
-        out.push(SessionRun::cell(cell, &cfg).run());
+        out.push(SessionSpec::cell(cell, cfg).run());
     }
     out
 }

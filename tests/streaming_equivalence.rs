@@ -1,10 +1,10 @@
 //! Streaming ↔ batch equivalence over real simulated sessions: the
 //! incremental analyzer must reproduce the batch oracle, which rescans every
-//! window, bit-for-bit across a full sweep of a `SessionRun` bundle.
+//! window, bit-for-bit across a full sweep of a solo session bundle.
 
 use domino::core::stream::StreamingAnalyzer;
 use domino::core::{oracle, Analysis, Domino, DominoConfig};
-use domino::scenarios::{all_cells, ScriptAction, SessionConfig, SessionRun, SessionSpec};
+use domino::scenarios::{all_cells, ScriptAction, SessionConfig, SessionSpec};
 use domino::simcore::{SimDuration, SimTime};
 use domino::telemetry::{Direction, TraceBundle};
 
@@ -54,7 +54,7 @@ fn assert_equivalent_on(bundle: &TraceBundle, domino: &Domino) -> Analysis {
 #[test]
 fn healthy_cell_session_is_bit_identical() {
     let domino = Domino::with_defaults();
-    let bundle = SessionRun::cell(domino::scenarios::amarisoft(), &cfg(901, 30)).run();
+    let bundle = SessionSpec::cell(domino::scenarios::amarisoft(), cfg(901, 30)).run();
     assert_equivalent_on(&bundle, &domino);
 }
 
@@ -186,7 +186,7 @@ fn one_second_step_window_grid_is_bit_identical() {
                 .run()
         })
         .collect();
-    bundles.push(SessionRun::cell(domino::scenarios::mosolabs(), &cfg(905, 30)).run());
+    bundles.push(SessionSpec::cell(domino::scenarios::mosolabs(), cfg(905, 30)).run());
     for (name, config) in configs {
         // An empty window is all-false; any other must see detections.
         let empty = config.window == SimDuration::ZERO;
@@ -279,7 +279,7 @@ fn push_api_in_irregular_batches_matches_batch() {
     // per-window schedule `analyze` uses: emission must only depend on what
     // has been pushed, not on the batching.
     let domino = Domino::with_defaults();
-    let bundle = SessionRun::cell(domino::scenarios::amarisoft(), &cfg(906, 20)).run();
+    let bundle = SessionSpec::cell(domino::scenarios::amarisoft(), cfg(906, 20)).run();
     let batch = oracle::analyze(&domino, &bundle);
 
     let mut streaming =
