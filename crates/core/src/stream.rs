@@ -2,12 +2,22 @@
 //!
 //! The [`StreamingAnalyzer`] ingests records once, in timestamp order, and
 //! maintains rolling window state — monotonic min/max deques for the
-//! peak-then-drop conditions, rolling counters and adjacent-pair counts for
-//! the existence conditions, rolling 100 ms rate bins and MCS groups for the
-//! binned conditions — so each step costs O(records entering/leaving the
-//! window) plus a small evaluation pass over pre-filtered per-feature
-//! series. It is the only engine: [`Domino::analyze`](crate::Domino::analyze)
-//! runs it over a recorded bundle, and `domino-live` feeds it during a call.
+//! frame-rate conditions, rolling counters and adjacent-pair counts for the
+//! other app and playback conditions, rolling 100 ms packet bins — so each
+//! step costs O(records entering/leaving the window) plus a small
+//! evaluation pass over pre-filtered per-feature series. It is the only
+//! engine: [`Domino::analyze`](crate::Domino::analyze) runs it over a
+//! recorded bundle, and `domino-live` feeds it during a call.
+//!
+//! The DCI stream's state (Table 5 rows 13–20) lives in one ring of 100 ms
+//! bins. Each bin keeps its PRB sums, its HARQ, first-transmission and
+//! uplink counts, its first-transmission TBS sum and first-occurrence
+//! extrema, and its RNTI changes; a pushed record touches one bin, window
+//! totals are added on push and subtracted per expired bin, and rows 13, 14
+//! and 20 fold or read the bins. Row 16's MCS group medians come from
+//! counts over the `u8` MCS values: each finished group keeps its median,
+//! the open group its value counts, and the window's p90 and low-MCS count
+//! walk the medians' counts in value order, with no sort.
 //!
 //! Its reference is the batch oracle, which rescans all five telemetry
 //! streams for each window position (≈ W/Δt times the necessary work) and
@@ -16,14 +26,19 @@
 //! window by window.
 //!
 //! Exactness contract: the binned conditions (Table 5 rows 14 and 16) bin
-//! time relative to the window start, so rolling bins reproduce them only
-//! when every window start falls on a bin boundary. [`StreamingAnalyzer::new`]
-//! and [`Domino::try_new`](crate::Domino::try_new) therefore reject a
+//! time relative to the window start, and the DCI ring expires whole bins,
+//! so rolling bins reproduce the oracle only when every window start falls
+//! on a bin boundary. [`StreamingAnalyzer::new`] and
+//! [`Domino::try_new`](crate::Domino::try_new) therefore reject a
 //! configuration unless `warmup`, `step` and `window` are multiples of the
 //! bin granule (the LCM of the 100 ms rate bin and the configured MCS
-//! group), the step is positive, and the MCS group is positive. The paper's
-//! configuration (W = 5 s, Δt = 0.5 s, warmup 3 s, 50 ms MCS groups)
-//! conforms.
+//! group), the step is positive, and the MCS group is positive, and
+//! [`StreamingAnalyzer::emit`] checks each window start against the granule
+//! in debug builds. The paper's configuration (W = 5 s, Δt = 0.5 s, warmup
+//! 3 s, 50 ms MCS groups) conforms. The binned sums stay exact because
+//! integer sums do not depend on order, each bin's `f64` TBS sum adds in
+//! push order as the oracle's does, and counting orders the integer MCS
+//! values exactly.
 
 use std::collections::VecDeque;
 
@@ -82,6 +97,16 @@ impl std::fmt::Display for UnsupportedConfig {
 
 impl std::error::Error for UnsupportedConfig {}
 
+/// The granule every window start and length must be a multiple of: the
+/// LCM of the 100 ms rate bin and the `group_us` MCS group, µs.
+fn granule_us(group_us: u64) -> u64 {
+    let (mut a, mut b) = (BIN_US, group_us);
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    BIN_US / a * group_us
+}
+
 /// The one check of the [`DominoConfig`] contract, shared by
 /// [`StreamingAnalyzer::new`] and [`Domino::try_new`](crate::Domino::try_new).
 pub(crate) fn check_config(cfg: &DominoConfig) -> Result<(), UnsupportedConfig> {
@@ -92,12 +117,7 @@ pub(crate) fn check_config(cfg: &DominoConfig) -> Result<(), UnsupportedConfig> 
     if cfg.step == SimDuration::ZERO {
         return Err(UnsupportedConfig::ZeroStep);
     }
-    let group_us = group_ms * 1000;
-    let (mut a, mut b) = (BIN_US, group_us);
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    let granule_us = BIN_US / a * group_us;
+    let granule_us = granule_us(group_ms * 1000);
     for (field, d) in [
         ("warmup", cfg.warmup),
         ("step", cfg.step),
@@ -124,7 +144,7 @@ pub(crate) fn check_config(cfg: &DominoConfig) -> Result<(), UnsupportedConfig> 
 /// `push` keeps the max deque non-increasing and the min deque
 /// non-decreasing while preserving the earliest occurrence of each extreme,
 /// which is exactly the "first index attaining the extreme" the oracle's
-/// peak-then-drop conditions (Table 5 rows 1–2 and 13) compute.
+/// frame-rate conditions (Table 5 rows 1–2) compute.
 #[derive(Debug, Clone, Default)]
 struct MinMaxWindow {
     max: VecDeque<(u64, SimTime, f64)>,
@@ -214,64 +234,132 @@ impl RollingBins {
     }
 }
 
-/// One 50 ms MCS group: values in arrival order plus a lazily cached median.
-#[derive(Debug, Clone, Default)]
-struct McsGroup {
-    values: Vec<f64>,
-    median: Option<f64>,
+/// The value at 0-based `rank` of the sorted multiset of MCS values whose
+/// counts `count` gives per value; `u8::MAX` if the multiset is smaller.
+fn mcs_at_rank(rank: usize, count: impl Fn(u8) -> usize) -> u8 {
+    let mut seen = 0;
+    for v in 0..=u8::MAX {
+        seen += count(v);
+        if seen > rank {
+            return v;
+        }
+    }
+    u8::MAX
 }
 
-/// Rolling MCS groups keyed by absolute group index.
-#[derive(Debug, Clone, Default)]
-struct RollingGroups {
-    base: u64,
-    groups: VecDeque<McsGroup>,
+/// Row 16's state for one direction: the median of every finished MCS
+/// group in the window, and the value counts of the open (newest) group.
+///
+/// A group is a run of `mcs_group_ms` of target-UE DCI. Its median is the
+/// value at rank `len / 2`, which counting over the `u8` MCS values finds
+/// exactly as the oracle's sort does. A group is finished once a record of
+/// a later group arrives; its median never changes after that, so only the
+/// open group keeps counts.
+#[derive(Debug, Clone)]
+struct McsGroups {
+    /// `(group index, median)` of each finished non-empty group, oldest first.
+    medians: VecDeque<(u64, u8)>,
+    /// How many of `medians` hold each MCS value.
+    median_counts: [usize; 256],
+    /// Index of the open group; it holds `open_len` records.
+    open: u64,
+    open_len: usize,
+    /// How many of the open group's records hold each MCS value. Only
+    /// `lo..=hi` can be non-zero.
+    open_counts: [usize; 256],
+    lo: u8,
+    hi: u8,
 }
 
-impl RollingGroups {
-    fn add(&mut self, group: u64, mcs: f64) {
-        if self.groups.is_empty() {
-            self.base = group;
+impl Default for McsGroups {
+    fn default() -> Self {
+        McsGroups {
+            medians: VecDeque::new(),
+            median_counts: [0; 256],
+            open: 0,
+            open_len: 0,
+            open_counts: [0; 256],
+            lo: 0,
+            hi: 0,
         }
-        debug_assert!(group >= self.base, "groups must fill in time order");
-        while self.base + self.groups.len() as u64 <= group {
-            self.groups.push_back(McsGroup::default());
+    }
+}
+
+impl McsGroups {
+    /// Counts one target-UE record of `group`. A record behind the open
+    /// group breaks the push-order contract; its group is already
+    /// finished, so the record is dropped.
+    fn push(&mut self, group: u64, mcs: u8) {
+        if self.open_len > 0 && group != self.open {
+            debug_assert!(
+                group > self.open,
+                "DCI record of MCS group {group} behind the open group {}",
+                self.open
+            );
+            if group < self.open {
+                return;
+            }
+            let median = self.open_median();
+            self.medians.push_back((self.open, median));
+            self.median_counts[median as usize] += 1;
+            self.discard_open();
         }
-        let g = &mut self.groups[(group - self.base) as usize];
-        g.values.push(mcs);
-        g.median = None;
+        if self.open_len == 0 {
+            self.open = group;
+            (self.lo, self.hi) = (mcs, mcs);
+        }
+        self.open_counts[mcs as usize] += 1;
+        self.open_len += 1;
+        self.lo = self.lo.min(mcs);
+        self.hi = self.hi.max(mcs);
+    }
+
+    /// The open group's median; meaningful while `open_len > 0`.
+    fn open_median(&self) -> u8 {
+        mcs_at_rank(self.open_len / 2, |v| self.open_counts[v as usize])
+    }
+
+    fn discard_open(&mut self) {
+        self.open_counts[self.lo as usize..=self.hi as usize].fill(0);
+        self.open_len = 0;
     }
 
     fn expire(&mut self, first_kept: u64) {
-        while self.base < first_kept && !self.groups.is_empty() {
-            self.groups.pop_front();
-            self.base += 1;
+        while let Some(&(g, m)) = self.medians.front() {
+            if g >= first_kept {
+                break;
+            }
+            self.medians.pop_front();
+            self.median_counts[m as usize] -= 1;
         }
-        if self.groups.is_empty() && self.base < first_kept {
-            self.base = first_kept;
+        if self.open_len > 0 && self.open < first_kept {
+            self.discard_open();
         }
     }
 
-    /// Pushes the medians of all non-empty groups in `[from_g, to_g)` onto
-    /// `out`, in group order — the exact sequence the oracle's condition sorts.
-    fn medians_into(&mut self, from_g: u64, to_g: u64, out: &mut Vec<f64>) {
-        for g in from_g.max(self.base)..to_g.min(self.base + self.groups.len() as u64) {
-            let slot = &mut self.groups[(g - self.base) as usize];
-            if slot.values.is_empty() {
-                continue;
-            }
-            let m = *slot.median.get_or_insert_with(|| {
-                let mut s = slot.values.clone();
-                s.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                s[s.len() / 2]
-            });
-            out.push(m);
+    /// Row 16 over the window's group medians, the open group's included:
+    /// their p90 is below `mcs_p90_below` and more than `mcs_low_count` of
+    /// them are below `mcs_low_value`. Walks the median counts in value
+    /// order, which is the oracle's sort.
+    fn channel_degrades(&self, th: &Thresholds) -> bool {
+        let open = (self.open_len > 0).then(|| self.open_median());
+        let n = self.medians.len() + open.is_some() as usize;
+        if n < 4 {
+            return false;
         }
+        let count = |v: u8| self.median_counts[v as usize] + (open == Some(v)) as usize;
+        let p90 = mcs_at_rank(((n - 1) as f64 * 0.9) as usize, count);
+        let low: usize = (0..=u8::MAX)
+            .take_while(|&v| (v as f64) < th.mcs_low_value)
+            .map(count)
+            .sum();
+        (p90 as f64) < th.mcs_p90_below && low > th.mcs_low_count
     }
 
     fn clear(&mut self) {
-        self.base = 0;
-        self.groups.clear();
+        self.medians.clear();
+        self.median_counts = [0; 256];
+        self.discard_open();
     }
 }
 
@@ -651,17 +739,6 @@ impl DelaySeries {
     }
 }
 
-/// The compact DCI facts needed to reverse counters on expiry.
-#[derive(Debug, Clone, Copy)]
-struct DciEntry {
-    ts: SimTime,
-    direction: Direction,
-    target: bool,
-    first_tx: bool,
-    retx: bool,
-    prbs: u64,
-}
-
 fn dir_idx(d: Direction) -> usize {
     match d {
         Direction::Uplink => 0,
@@ -669,90 +746,219 @@ fn dir_idx(d: Direction) -> usize {
     }
 }
 
-/// Rolling state for the DCI stream, per direction where applicable.
-#[derive(Debug, Clone, Default)]
-struct DciWindow {
-    entries: VecDeque<DciEntry>,
+/// The additive DCI facts: kept per 100 ms bin, and once for the whole
+/// window, where they are added on push and subtracted per expired bin.
+#[derive(Debug, Clone, Copy, Default)]
+struct DciCounts {
+    /// PRBs granted to the target UE and to other UEs, per direction (row 15).
     prbs_ours: [u64; 2],
     prbs_others: [u64; 2],
+    /// Target-UE HARQ retransmissions and first transmissions, per
+    /// direction (rows 17 and 13).
     harq_retx: [usize; 2],
-    first_tx_count: [usize; 2],
-    ul_sched_count: usize,
-    tbs: [MinMaxWindow; 2],
-    tbs_bins: [RollingBins; 2],
-    mcs_groups: [RollingGroups; 2],
-    /// Target-UE RNTI sequence with rolling adjacent-difference count.
-    rntis: VecDeque<(SimTime, u32)>,
-    rnti_change_pairs: usize,
+    first_tx: [usize; 2],
+    /// Target-UE uplink records (row 19).
+    ul_sched: usize,
+    /// Target-UE records whose RNTI differs from the previous target-UE
+    /// record's (row 20).
+    rnti_changes: usize,
+}
+
+impl DciCounts {
+    fn add(&mut self, d: &DciRecord, rnti_changed: bool) {
+        let i = dir_idx(d.direction);
+        if d.is_target_ue {
+            self.prbs_ours[i] += d.n_prbs as u64;
+            if d.harq_retx_idx > 0 {
+                self.harq_retx[i] += 1;
+            } else {
+                self.first_tx[i] += 1;
+            }
+            self.ul_sched += (d.direction == Direction::Uplink) as usize;
+            self.rnti_changes += rnti_changed as usize;
+        } else {
+            self.prbs_others[i] += d.n_prbs as u64;
+        }
+    }
+
+    fn subtract(&mut self, c: &DciCounts) {
+        for i in 0..2 {
+            self.prbs_ours[i] -= c.prbs_ours[i];
+            self.prbs_others[i] -= c.prbs_others[i];
+            self.harq_retx[i] -= c.harq_retx[i];
+            self.first_tx[i] -= c.first_tx[i];
+        }
+        self.ul_sched -= c.ul_sched;
+        self.rnti_changes -= c.rnti_changes;
+    }
+}
+
+/// One bin's first-transmission TBS in one direction.
+#[derive(Debug, Clone, Copy, Default)]
+struct BinTbs {
+    /// TBS bits summed in push order, as the oracle sums a window's bin
+    /// (row 14).
+    sum: f64,
+    /// `(bits, push sequence)` of the first largest and the first smallest
+    /// TBS (row 13); meaningful once the bin counts a first transmission.
+    max: (u32, u64),
+    min: (u32, u64),
+}
+
+/// One 100 ms bin of the DCI stream.
+#[derive(Debug, Clone, Copy, Default)]
+struct DciBin {
+    counts: DciCounts,
+    tbs: [BinTbs; 2],
+    /// Whether the bin's first target-UE record changed RNTI; `None` while
+    /// the bin holds no target-UE record.
+    lead_change: Option<bool>,
+}
+
+/// Rolling state for the DCI stream: one ring of 100 ms bins from the
+/// window start to the newest record, their summed counts, and the MCS
+/// groups of each direction.
+///
+/// Window starts fall on bin edges (the [`DominoConfig`] contract), so the
+/// window is a whole number of bins and expiry drops whole bins.
+#[derive(Debug, Clone, Default)]
+struct DciWindow {
+    /// MCS group width, µs.
+    group_us: u64,
+    bins: VecDeque<DciBin>,
+    /// Absolute index (`ts / BIN_US`) of `bins.front()`.
+    base: u64,
+    /// The sum of every bin's counts.
+    totals: DciCounts,
+    /// RNTI of the last target-UE record pushed.
+    last_rnti: Option<u32>,
+    /// Push sequence of the next first transmission.
+    next_seq: u64,
+    mcs: [McsGroups; 2],
 }
 
 impl DciWindow {
-    fn expire(&mut self, from: SimTime) {
-        while self.entries.front().is_some_and(|e| e.ts < from) {
-            let e = self.entries.pop_front().expect("non-empty");
-            let i = dir_idx(e.direction);
-            if e.target {
-                self.prbs_ours[i] -= e.prbs;
-                if e.direction == Direction::Uplink {
-                    self.ul_sched_count -= 1;
+    /// Counts one record into its bin. A record behind the first bin breaks
+    /// the push-order contract and belongs to no window the analyzer can
+    /// still emit, so it is dropped.
+    fn push(&mut self, d: &DciRecord) {
+        let us = d.ts.as_micros();
+        let bin = us / BIN_US;
+        if self.bins.is_empty() {
+            self.base = bin;
+        }
+        debug_assert!(
+            bin >= self.base,
+            "DCI record at {:?} behind the first bin, which starts at {} µs",
+            d.ts,
+            self.base * BIN_US
+        );
+        if bin < self.base {
+            return;
+        }
+        let k = (bin - self.base) as usize;
+        if k >= self.bins.len() {
+            self.bins.resize(k + 1, DciBin::default());
+        }
+        let b = &mut self.bins[k];
+        let i = dir_idx(d.direction);
+        let mut rnti_changed = false;
+        if d.is_target_ue {
+            rnti_changed = self.last_rnti.is_some_and(|r| r != d.rnti);
+            self.last_rnti = Some(d.rnti);
+            b.lead_change.get_or_insert(rnti_changed);
+            if d.harq_retx_idx == 0 {
+                let v = (d.tbs_bits, self.next_seq);
+                self.next_seq += 1;
+                let t = &mut b.tbs[i];
+                t.sum += d.tbs_bits as f64;
+                if b.counts.first_tx[i] == 0 {
+                    (t.max, t.min) = (v, v);
+                } else if v.0 > t.max.0 {
+                    t.max = v;
+                } else if v.0 < t.min.0 {
+                    t.min = v;
                 }
-            } else {
-                self.prbs_others[i] -= e.prbs;
             }
-            if e.retx {
-                self.harq_retx[i] -= 1;
-            }
-            if e.first_tx {
-                self.first_tx_count[i] -= 1;
-            }
+            self.mcs[i].push(us / self.group_us, d.mcs);
         }
-        while self.rntis.front().is_some_and(|&(ts, _)| ts < from) {
-            let (_, old) = self.rntis.pop_front().expect("non-empty");
-            if let Some(&(_, next)) = self.rntis.front() {
-                self.rnti_change_pairs -= (next != old) as usize;
-            }
+        b.counts.add(d, rnti_changed);
+        self.totals.add(d, rnti_changed);
+    }
+
+    /// Drops every bin and MCS group before `from`, a bin edge.
+    fn expire(&mut self, from: SimTime) {
+        let from_bin = from.as_micros() / BIN_US;
+        while self.base < from_bin {
+            let Some(b) = self.bins.pop_front() else {
+                break;
+            };
+            self.totals.subtract(&b.counts);
+            self.base += 1;
         }
-        for i in 0..2 {
-            self.tbs[i].expire(from);
-            self.tbs_bins[i].expire(from.as_micros() / BIN_US);
+        let from_group = from.as_micros() / self.group_us;
+        for g in &mut self.mcs {
+            g.expire(from_group);
         }
     }
 
-    /// Row 13 on rolling extrema: peak-then-drop with ≥ 4 first transmissions.
+    /// Row 13: peak-then-drop with ≥ 4 first transmissions. Folds the bins'
+    /// extrema in time order, keeping the first occurrence on ties.
     fn tbs_down(&self, dir: Direction, th: &Thresholds) -> bool {
         let i = dir_idx(dir);
-        if self.first_tx_count[i] < 4 {
+        if self.totals.first_tx[i] < 4 {
             return false;
         }
-        match self.tbs[i].extrema() {
-            Some((max_seq, max_v, min_seq, min_v)) => {
-                min_v < th.tbs_drop_fraction * max_v && max_seq < min_seq
+        let mut bins = self
+            .bins
+            .iter()
+            .filter(|b| b.counts.first_tx[i] > 0)
+            .map(|b| &b.tbs[i]);
+        let Some(first) = bins.next() else {
+            return false;
+        };
+        let (mut max, mut min) = (first.max, first.min);
+        for t in bins {
+            if t.max.0 > max.0 {
+                max = t.max;
             }
-            None => false,
+            if t.min.0 < min.0 {
+                min = t.min;
+            }
         }
+        (min.0 as f64) < th.tbs_drop_fraction * max.0 as f64 && max.1 < min.1
     }
 
-    /// Row 15 on rolling PRB sums.
+    /// The first-transmission TBS bits of absolute bin `bin` (row 14).
+    fn tbs_sum(&self, bin: u64, i: usize) -> f64 {
+        bin.checked_sub(self.base)
+            .and_then(|k| self.bins.get(k as usize))
+            .map_or(0.0, |b| b.tbs[i].sum)
+    }
+
+    /// Row 15 on the window's PRB sums.
     fn cross_traffic(&self, dir: Direction, th: &Thresholds) -> bool {
         let i = dir_idx(dir);
-        self.prbs_ours[i] > 0
-            && self.prbs_others[i] as f64 > th.cross_traffic_fraction * self.prbs_ours[i] as f64
+        let (ours, others) = (self.totals.prbs_ours[i], self.totals.prbs_others[i]);
+        ours > 0 && others as f64 > th.cross_traffic_fraction * ours as f64
+    }
+
+    /// Row 20: the window's RNTI changes, less the change of its first
+    /// target-UE record, whose predecessor lies before the window.
+    fn rnti_changed(&self) -> bool {
+        let lead = self.bins.iter().find_map(|b| b.lead_change);
+        self.totals.rnti_changes > lead.unwrap_or(false) as usize
     }
 
     fn clear(&mut self) {
-        self.entries.clear();
-        self.prbs_ours = [0; 2];
-        self.prbs_others = [0; 2];
-        self.harq_retx = [0; 2];
-        self.first_tx_count = [0; 2];
-        self.ul_sched_count = 0;
-        for i in 0..2 {
-            self.tbs[i].clear();
-            self.tbs_bins[i].clear();
-            self.mcs_groups[i].clear();
+        self.bins.clear();
+        self.base = 0;
+        self.totals = DciCounts::default();
+        self.last_rnti = None;
+        self.next_seq = 0;
+        for g in &mut self.mcs {
+            g.clear();
         }
-        self.rntis.clear();
-        self.rnti_change_pairs = 0;
     }
 }
 
@@ -768,12 +974,21 @@ impl DciWindow {
 /// caller must have pushed every record with timestamp below the window end
 /// before emitting — [`Self::analyze`] drives exactly that schedule over a
 /// recorded [`TraceBundle`] via the telemetry crate's incremental cursor.
+///
+/// DCI state lives per 100 ms bin, and MCS group medians come from value
+/// counts (see the module doc), so a warm analyzer allocates nothing per
+/// record: its rings keep their capacity across [`Self::reset`]. A DCI
+/// record behind the ring's first bin breaks the push order: debug builds
+/// panic on it, release builds drop it. A target-UE record behind the open
+/// MCS group breaks it too: debug builds panic, release builds leave its
+/// MCS uncounted.
 #[derive(Debug, Clone)]
 pub struct StreamingAnalyzer {
     /// The causal graph's chain table.
     program: DetectionProgram,
     cfg: DominoConfig,
-    group_us: u64,
+    /// The window-start granule, µs (see [`granule_us`]).
+    granule_us: u64,
     app: [AppWindow; 2],
     playback: PlaybackWindow,
     /// Indexed `[dir][rtcp]`.
@@ -782,7 +997,6 @@ pub struct StreamingAnalyzer {
     dci: DciWindow,
     rlc: VecDeque<(SimTime, Direction)>,
     rlc_count: [usize; 2],
-    median_scratch: Vec<f64>,
     /// Highest record timestamp ingested, `None` before the first record.
     /// Tracked in debug builds only, where [`Self::emit`] checks it against
     /// the window end so live callers can't silently evaluate a window with
@@ -805,15 +1019,17 @@ impl StreamingAnalyzer {
         Ok(StreamingAnalyzer {
             program: compile(&graph),
             cfg,
-            group_us,
+            granule_us: granule_us(group_us),
             app: Default::default(),
             playback: Default::default(),
             delays,
             app_bins: Default::default(),
-            dci: Default::default(),
+            dci: DciWindow {
+                group_us,
+                ..Default::default()
+            },
             rlc: VecDeque::new(),
             rlc_count: [0; 2],
-            median_scratch: Vec::new(),
             watermark: None,
         })
     }
@@ -887,46 +1103,7 @@ impl StreamingAnalyzer {
     /// Ingests one DCI record.
     pub fn push_dci(&mut self, d: &DciRecord) {
         self.saw(d.ts);
-        // The per-direction group index uses the configured MCS granule.
-        let group = d.ts.as_micros() / self.group_us;
-        let i = dir_idx(d.direction);
-        if d.is_target_ue {
-            self.dci.mcs_groups[i].add(group, d.mcs as f64);
-        }
-        self.push_dci_inner(d);
-    }
-
-    fn push_dci_inner(&mut self, d: &DciRecord) {
-        let i = dir_idx(d.direction);
-        let e = DciEntry {
-            ts: d.ts,
-            direction: d.direction,
-            target: d.is_target_ue,
-            first_tx: d.is_target_ue && d.harq_retx_idx == 0,
-            retx: d.is_target_ue && d.harq_retx_idx > 0,
-            prbs: d.n_prbs as u64,
-        };
-        if e.target {
-            self.dci.prbs_ours[i] += e.prbs;
-            if d.direction == Direction::Uplink {
-                self.dci.ul_sched_count += 1;
-            }
-            if let Some(&(_, last)) = self.dci.rntis.back() {
-                self.dci.rnti_change_pairs += (last != d.rnti) as usize;
-            }
-            self.dci.rntis.push_back((d.ts, d.rnti));
-        } else {
-            self.dci.prbs_others[i] += e.prbs;
-        }
-        if e.retx {
-            self.dci.harq_retx[i] += 1;
-        }
-        if e.first_tx {
-            self.dci.first_tx_count[i] += 1;
-            self.dci.tbs[i].push(d.ts, d.tbs_bits as f64);
-            self.dci.tbs_bins[i].add(d.ts.as_micros() / BIN_US, d.tbs_bits as f64);
-        }
-        self.dci.entries.push_back(e);
+        self.dci.push(d);
     }
 
     /// Ingests one gNB log record.
@@ -961,14 +1138,14 @@ impl StreamingAnalyzer {
     }
 
     fn expire(&mut self, from: SimTime) {
-        let th = self.cfg.thresholds.clone();
+        let th = &self.cfg.thresholds;
         for a in &mut self.app {
-            a.expire(from, &th);
+            a.expire(from, th);
         }
         self.playback.expire(from);
         for row in &mut self.delays {
             for s in row {
-                s.expire(from, &th);
+                s.expire(from, th);
             }
         }
         let from_bin = from.as_micros() / BIN_US;
@@ -976,10 +1153,6 @@ impl StreamingAnalyzer {
             b.expire(from_bin);
         }
         self.dci.expire(from);
-        let from_group = from.as_micros() / self.group_us;
-        for i in 0..2 {
-            self.dci.mcs_groups[i].expire(from_group);
-        }
         while self.rlc.front().is_some_and(|&(ts, _)| ts < from) {
             let (_, dir) = self.rlc.pop_front().expect("non-empty");
             self.rlc_count[dir_idx(dir)] -= 1;
@@ -989,6 +1162,9 @@ impl StreamingAnalyzer {
     /// Emits the analysis for the window starting at `start`, expiring all
     /// state older than the window.
     ///
+    /// `start` must be a multiple of the bin granule, as every window start
+    /// of an accepted configuration is; checked in debug builds.
+    ///
     /// Ingestion must sit exactly at the window end: every record with
     /// timestamp below `start + window` pushed, and none at or beyond it
     /// (the rolling counters have no upper clamp, so a future record would
@@ -997,6 +1173,11 @@ impl StreamingAnalyzer {
     /// buffer them and release per window — which is exactly what
     /// [`TraceBundle::advance_until`] does for recorded traces.
     pub fn emit(&mut self, start: SimTime) -> WindowAnalysis {
+        debug_assert!(
+            start.as_micros().is_multiple_of(self.granule_us),
+            "emit({start:?}): the start is not a multiple of the {} µs bin granule",
+            self.granule_us
+        );
         self.expire(start);
         let end = start + self.cfg.window;
         debug_assert!(
@@ -1015,11 +1196,8 @@ impl StreamingAnalyzer {
     }
 
     /// Assembles the 40-dim feature vector from the rolling state.
-    fn features(&mut self, from: SimTime, to: SimTime) -> FeatureVector {
-        // All-scalar struct; cloning sidesteps a borrow conflict with the
-        // `&mut self` median cache below.
-        let th = self.cfg.thresholds.clone();
-        let th = &th;
+    fn features(&self, from: SimTime, to: SimTime) -> FeatureVector {
+        let th = &self.cfg.thresholds;
         let mut v = FeatureVector::new();
 
         // Application events (rows 1–10), both clients.
@@ -1052,18 +1230,18 @@ impl StreamingAnalyzer {
             );
             v.set(
                 Feature::Ran(dir, RanEvent::ChannelDegrades),
-                self.channel_degrades(i, from, to),
+                self.dci.mcs[i].channel_degrades(th),
             );
             v.set(
                 Feature::Ran(dir, RanEvent::HarqRetx),
-                self.dci.harq_retx[i] > th.harq_retx_count,
+                self.dci.totals.harq_retx[i] > th.harq_retx_count,
             );
             v.set(Feature::Ran(dir, RanEvent::RlcRetx), self.rlc_count[i] > 0);
         }
 
         // Rows 19–20.
-        v.set(Feature::UlScheduling, self.dci.ul_sched_count > 0);
-        v.set(Feature::RrcStateChange, self.dci.rnti_change_pairs > 0);
+        v.set(Feature::UlScheduling, self.dci.totals.ul_sched > 0);
+        v.set(Feature::RrcStateChange, self.dci.rnti_changed());
 
         // Rows 21–24: ABR playback events.
         for e in PlaybackEvent::ALL {
@@ -1072,7 +1250,7 @@ impl StreamingAnalyzer {
         v
     }
 
-    /// Row 14 over the rolling absolute-index bins.
+    /// Row 14 over the packet and DCI bins.
     fn app_exceeds_tbs(&self, dir: Direction, from: SimTime, to: SimTime, th: &Thresholds) -> bool {
         let i = dir_idx(dir);
         let n_bins = ((to.as_micros() - from.as_micros()) / BIN_US).max(1);
@@ -1080,32 +1258,12 @@ impl StreamingAnalyzer {
         let mut exceeding = 0u64;
         for b in from_bin..from_bin + n_bins {
             let a = self.app_bins[i].get(b);
-            let t = self.dci.tbs_bins[i].get(b);
+            let t = self.dci.tbs_sum(b, i);
             if a > 0.0 && a > t {
                 exceeding += 1;
             }
         }
         exceeding as f64 > th.rate_exceed_fraction * n_bins as f64
-    }
-
-    /// Row 16 over the rolling MCS groups (medians cached once per group).
-    fn channel_degrades(&mut self, i: usize, from: SimTime, to: SimTime) -> bool {
-        let th = &self.cfg.thresholds;
-        let from_g = from.as_micros() / self.group_us;
-        let to_g = to.as_micros() / self.group_us;
-        self.median_scratch.clear();
-        let mut scratch = std::mem::take(&mut self.median_scratch);
-        self.dci.mcs_groups[i].medians_into(from_g, to_g, &mut scratch);
-        let result = if scratch.len() < 4 {
-            false
-        } else {
-            scratch.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let p90 = scratch[((scratch.len() - 1) as f64 * 0.9) as usize];
-            let low = scratch.iter().filter(|&&m| m < th.mcs_low_value).count();
-            p90 < th.mcs_p90_below && low > th.mcs_low_count
-        };
-        self.median_scratch = scratch;
-        result
     }
 
     /// Runs the full sliding-window sweep over a recorded bundle in one
@@ -1142,7 +1300,13 @@ mod tests {
     }
 
     fn assert_equivalent(bundle: &TraceBundle) {
-        let domino = Domino::with_defaults();
+        assert_equivalent_with(DominoConfig::default(), bundle);
+    }
+
+    /// Checks the analyzer against the oracle window by window under `cfg`
+    /// and returns the oracle's windows.
+    fn assert_equivalent_with(cfg: DominoConfig, bundle: &TraceBundle) -> Vec<WindowAnalysis> {
+        let domino = Domino::new(crate::dsl::default_graph(), cfg);
         let batch = oracle::analyze(&domino, bundle);
         let mut streaming =
             StreamingAnalyzer::new(domino.graph().clone(), domino.config().clone()).unwrap();
@@ -1161,6 +1325,7 @@ mod tests {
             assert_eq!(b.chains, s.chains, "window at {:?}", b.start);
             assert_eq!(b.unknown_consequences, s.unknown_consequences);
         }
+        batch.windows
     }
 
     /// A deterministic pseudo-random bundle touching every feature family.
@@ -1414,5 +1579,388 @@ mod tests {
         for (a, e) in again.windows.iter().zip(&first.windows) {
             assert_eq!(a.features, e.features);
         }
+    }
+
+    // -----------------------------------------------------------------------
+    // Edges of the DCI bin ring and the counted MCS medians
+    // -----------------------------------------------------------------------
+
+    /// A first transmission of the target UE (RNTI 100) at `us` µs.
+    fn dci_at(us: u64, direction: Direction) -> DciRecord {
+        DciRecord {
+            ts: SimTime::from_micros(us),
+            rnti: 100,
+            direction,
+            is_target_ue: true,
+            n_prbs: 10,
+            mcs: 20,
+            tbs_bits: 90_000,
+            harq_id: 0,
+            harq_retx_idx: 0,
+            decoded_ok: true,
+            proactive: false,
+            used_bits: 0,
+        }
+    }
+
+    /// A bundle holding only `dci`.
+    fn dci_bundle(dci: Vec<DciRecord>) -> TraceBundle {
+        let mut b = TraceBundle::new(SessionMeta::baseline(
+            "dci-edges",
+            SimDuration::from_secs(20),
+            0,
+        ));
+        b.dci = dci;
+        b.sort();
+        b
+    }
+
+    /// The paper's windows, and 1 s windows starting on every bin edge.
+    fn edge_configs() -> [DominoConfig; 2] {
+        [
+            DominoConfig::default(),
+            DominoConfig {
+                window: SimDuration::from_secs(1),
+                step: SimDuration::from_millis(100),
+                warmup: SimDuration::ZERO,
+                ..Default::default()
+            },
+        ]
+    }
+
+    /// Checks `bundle` under both [`edge_configs`]; returns the oracle's
+    /// windows of the 1 s grid.
+    fn check_edges(bundle: &TraceBundle) -> Vec<WindowAnalysis> {
+        let [paper, fine] = edge_configs();
+        assert_equivalent_with(paper, bundle);
+        assert_equivalent_with(fine, bundle)
+    }
+
+    /// Whether `f` is active in the window starting at `ms`.
+    fn active_at(windows: &[WindowAnalysis], ms: u64, f: Feature) -> bool {
+        windows
+            .iter()
+            .find(|w| w.start == t(ms))
+            .expect("a window starts there")
+            .features
+            .get(f)
+    }
+
+    /// How many of `windows` have `f` active.
+    fn windows_with(windows: &[WindowAnalysis], f: Feature) -> usize {
+        windows.iter().filter(|w| w.features.get(f)).count()
+    }
+
+    #[test]
+    fn equal_tbs_peaks_and_troughs_keep_their_first_occurrence() {
+        let (hi, lo) = (100_000, 50_000);
+        let mut dci = Vec::new();
+        for k in 0..200u64 {
+            for dir in [Direction::Uplink, Direction::Downlink] {
+                dci.push(dci_at(k * 100_000 + 50_000, dir));
+            }
+        }
+        // Uplink ties fall in different bins, downlink ties in one bin.
+        let (up, down) = (Direction::Uplink, Direction::Downlink);
+        for (dir, us, tbs_bits) in [
+            // Peak, trough, peak, trough.
+            (up, 4_210_000, hi),
+            (up, 4_410_000, lo),
+            (up, 4_610_000, hi),
+            (up, 4_810_000, lo),
+            (down, 7_010_000, hi),
+            (down, 7_020_000, lo),
+            (down, 7_030_000, hi),
+            (down, 7_040_000, lo),
+            // Trough, peak, trough.
+            (up, 12_210_000, lo),
+            (up, 12_410_000, hi),
+            (up, 12_610_000, lo),
+            (down, 15_010_000, lo),
+            (down, 15_020_000, hi),
+            (down, 15_030_000, lo),
+        ] {
+            dci.push(DciRecord {
+                tbs_bits,
+                ..dci_at(us, dir)
+            });
+        }
+        let fine = check_edges(&dci_bundle(dci));
+        let ul = Feature::Ran(Direction::Uplink, RanEvent::AllocatedTbsDown);
+        let dl = Feature::Ran(Direction::Downlink, RanEvent::AllocatedTbsDown);
+        // The first peak comes before the first trough.
+        assert!(active_at(&fine, 4_000, ul));
+        assert!(active_at(&fine, 7_000, dl));
+        // The first trough comes before the first peak.
+        assert!(!active_at(&fine, 12_000, ul));
+        assert!(!active_at(&fine, 15_000, dl));
+        // Once the first peak has left, the trough before the second peak is
+        // the first trough.
+        assert!(!active_at(&fine, 4_300, ul));
+        assert!(windows_with(&fine, ul) > 0 && windows_with(&fine, dl) > 0);
+    }
+
+    #[test]
+    fn rnti_changes_on_bin_edges_window_starts_and_after_non_target_bins() {
+        let mut dci = Vec::new();
+        for k in 0..1000u64 {
+            let ms = k * 20;
+            // The target UE pauses over 13.00–13.35 s, so windows starting
+            // there lead with bins of other UEs' DCI only.
+            if !(13_000..13_350).contains(&ms) {
+                let rnti = match ms {
+                    ..6_200 => 100,       // a change on the 6.2 s bin edge
+                    6_200..10_000 => 101, // a change on the 10 s window start
+                    10_000..13_000 => 102,
+                    _ => 103, // a change after the pause
+                };
+                dci.push(DciRecord {
+                    rnti,
+                    ..dci_at(ms * 1000, Direction::Uplink)
+                });
+                dci.push(DciRecord {
+                    rnti,
+                    ..dci_at(ms * 1000 + 10_000, Direction::Downlink)
+                });
+            }
+        }
+        for k in 0..667u64 {
+            dci.push(DciRecord {
+                is_target_ue: false,
+                rnti: 900,
+                ..dci_at(k * 30_000, Direction::Downlink)
+            });
+        }
+        let fine = check_edges(&dci_bundle(dci));
+        let rrc = Feature::RrcStateChange;
+        for (ms, active) in [
+            (6_100, true),
+            (6_200, false),
+            (9_900, true),
+            (10_000, false),
+            (12_900, true),
+            (13_000, false),
+            (13_300, false),
+            (15_000, false),
+        ] {
+            assert_eq!(active_at(&fine, ms, rrc), active, "window at {ms} ms");
+        }
+    }
+
+    #[test]
+    fn a_dci_gap_longer_than_the_window_empties_the_ring() {
+        let mut dci = Vec::new();
+        for k in 0..1000u64 {
+            let ms = k * 20;
+            if (6_000..13_000).contains(&ms) {
+                continue;
+            }
+            let after = ms >= 13_000;
+            for (j, dir) in [Direction::Uplink, Direction::Downlink]
+                .into_iter()
+                .enumerate()
+            {
+                dci.push(DciRecord {
+                    rnti: if after { 200 } else { 100 },
+                    mcs: if after { 4 + (k % 5) as u8 } else { 22 },
+                    tbs_bits: 40_000 + ((k * 7_919 + j as u64 * 31) % 60_000) as u32,
+                    harq_retx_idx: (k % 9 == 0) as u8,
+                    ..dci_at(ms * 1000 + j as u64 * 5_000, dir)
+                });
+            }
+            dci.push(DciRecord {
+                is_target_ue: false,
+                rnti: 900,
+                n_prbs: 40,
+                ..dci_at(ms * 1000 + 15_000, Direction::Uplink)
+            });
+        }
+        let fine = check_edges(&dci_bundle(dci));
+        assert!(fine
+            .iter()
+            .filter(|w| (6_000..12_000).contains(&w.start.as_millis()))
+            .all(|w| w.features.count_active() == 0));
+        let low_mcs = Feature::Ran(Direction::Uplink, RanEvent::ChannelDegrades);
+        assert!(active_at(&fine, 14_000, low_mcs));
+        assert!(!active_at(&fine, 4_000, low_mcs));
+        // The first RNTI after the gap changed, but its predecessor is
+        // long gone.
+        assert!(!active_at(&fine, 13_000, Feature::RrcStateChange));
+    }
+
+    /// The MCS value of record `j` of group `g`, from `palette`.
+    fn pick(palette: &[u8], g: u64, j: u64) -> u8 {
+        let h = (g * 0x9E37_79B9 + j * 0x85EB_CA6B) ^ (g >> 3);
+        palette[(h % palette.len() as u64) as usize]
+    }
+
+    /// Target-UE uplink DCI with `size(g)` records in 50 ms group `g` whose
+    /// MCS values `mcs(g, j)` gives.
+    fn mcs_bundle(size: impl Fn(u64) -> u64, mcs: impl Fn(u64, u64) -> u8) -> TraceBundle {
+        let mut dci = Vec::new();
+        for g in 0..400u64 {
+            for j in 0..size(g) {
+                dci.push(DciRecord {
+                    mcs: mcs(g, j),
+                    ..dci_at(g * 50_000 + j * 7_000, Direction::Uplink)
+                });
+            }
+        }
+        dci_bundle(dci)
+    }
+
+    /// `edge_configs` with row 16's thresholds replaced.
+    fn mcs_configs(p90_below: f64, low_value: f64, low_count: usize) -> [DominoConfig; 2] {
+        edge_configs().map(|mut c| {
+            c.thresholds.mcs_p90_below = p90_below;
+            c.thresholds.mcs_low_value = low_value;
+            c.thresholds.mcs_low_count = low_count;
+            c
+        })
+    }
+
+    #[test]
+    fn odd_and_even_groups_take_the_upper_median_across_mcs_0_31_32_255() {
+        // Groups of one to six records; phases that favour low values, a
+        // mix, and 255, so the rule's verdict turns over the call.
+        let b = mcs_bundle(
+            |g| 1 + g % 6,
+            |g, j| match g / 134 {
+                0 => pick(&[0, 31, 31, 32, 5], g, j),
+                1 => pick(&[0, 31, 32, 32, 255], g, j),
+                _ => pick(&[32, 255, 255, 31], g, j),
+            },
+        );
+        check_edges(&b);
+        let low_mcs = Feature::Ran(Direction::Uplink, RanEvent::ChannelDegrades);
+        for cfg in mcs_configs(255.0, 32.0, 3) {
+            let windows = assert_equivalent_with(cfg, &b);
+            let on = windows_with(&windows, low_mcs);
+            assert!(on > 0 && on < windows.len(), "{on} of {}", windows.len());
+        }
+        // Even groups of a low and a high value have the high median.
+        let pairs = mcs_bundle(|_| 2, |g, j| if j == 0 { 0 } else { 31 + (g % 2) as u8 });
+        for cfg in mcs_configs(255.0, 32.0, 3) {
+            let windows = assert_equivalent_with(cfg, &pairs);
+            assert!(windows.iter().all(|w| w.features.get(low_mcs)));
+        }
+    }
+
+    #[test]
+    fn mcs_medians_are_exact_over_all_256_values() {
+        // The first half spreads every MCS value over the groups; the
+        // second keeps to 128..=255.
+        let b = mcs_bundle(
+            |g| 3 + g % 2,
+            |g, j| {
+                let v = (g * 7 + j * 85 + g / 37) % 256;
+                if g < 200 {
+                    v as u8
+                } else {
+                    128 + (v % 128) as u8
+                }
+            },
+        );
+        let mut seen = [false; 256];
+        for d in &b.dci {
+            seen[d.mcs as usize] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "every value occurs");
+        check_edges(&b);
+        let low_mcs = Feature::Ran(Direction::Uplink, RanEvent::ChannelDegrades);
+        for cfg in mcs_configs(250.0, 128.0, 5) {
+            let windows = assert_equivalent_with(cfg, &b);
+            let on = windows_with(&windows, low_mcs);
+            assert!(on > 0 && on < windows.len(), "{on} of {}", windows.len());
+        }
+    }
+
+    #[test]
+    fn a_bin_of_more_than_1000_records_matches_the_oracle() {
+        let mut b = synthetic_bundle(11, 20);
+        for i in 0..1_500u64 {
+            let h = i * 0x9E37_79B9 % 1_000_003;
+            b.dci.push(DciRecord {
+                rnti: if (i / 200) % 2 == 0 { 100 } else { 101 },
+                is_target_ue: i % 3 != 0,
+                n_prbs: (1 + h % 50) as u16,
+                mcs: (h % 29) as u8,
+                tbs_bits: (1_000 + h % 100_000) as u32,
+                harq_retx_idx: (i % 7 == 0) as u8,
+                ..dci_at(
+                    8_000_000 + i * 66,
+                    if i % 2 == 0 {
+                        Direction::Uplink
+                    } else {
+                        Direction::Downlink
+                    },
+                )
+            });
+        }
+        b.sort();
+        let in_bin = b
+            .dci
+            .iter()
+            .filter(|d| d.ts.as_micros() / BIN_US == 80)
+            .count();
+        assert!(in_bin > 1_000);
+        check_edges(&b);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "behind the first bin"))]
+    fn a_dci_record_behind_the_first_bin_is_dropped() {
+        let bundle = synthetic_bundle(5, 12);
+        let expected = oracle::analyze(&Domino::with_defaults(), &bundle);
+        let mut s = StreamingAnalyzer::with_defaults();
+        let cfg = s.config().clone();
+        let mut cur = bundle.cursor();
+        let mut windows = Vec::new();
+        let mut start = SimTime::ZERO + cfg.warmup;
+        while start + cfg.window <= bundle.horizon() {
+            s.push_slices(&bundle.advance_until(&mut cur, start + cfg.window));
+            if let Some(prev) = windows.last().map(|w: &WindowAnalysis| w.start) {
+                // A target-UE first transmission with a new RNTI and an
+                // extreme TBS and MCS, behind the last expiry.
+                s.push_dci(&DciRecord {
+                    rnti: 7,
+                    mcs: 255,
+                    tbs_bits: 1,
+                    ..dci_at(prev.as_micros() - 1, Direction::Uplink)
+                });
+            }
+            windows.push(s.emit(start));
+            start += cfg.step;
+        }
+        assert_eq!(windows, expected.windows);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "behind the open group"))]
+    fn an_mcs_record_behind_the_open_group_is_dropped() {
+        let mut g = McsGroups::default();
+        for (group, mcs) in [(1, 5), (1, 7), (2, 9), (3, 200), (3, 11), (3, 12)] {
+            g.push(group, mcs);
+        }
+        g.push(2, 0);
+        assert_eq!(Vec::from(g.medians.clone()), [(1, 7), (2, 9)]);
+        assert_eq!((g.open, g.open_len, g.open_median()), (3, 3, 12));
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "bin granule"))]
+    fn emit_checks_that_the_start_is_on_the_bin_granule() {
+        // 40 ms MCS groups make the granule 200 ms.
+        let mut cfg = DominoConfig {
+            warmup: SimDuration::from_millis(400),
+            window: SimDuration::from_secs(2),
+            step: SimDuration::from_millis(200),
+            ..Default::default()
+        };
+        cfg.thresholds.mcs_group_ms = 40;
+        let mut s = StreamingAnalyzer::new(crate::dsl::default_graph(), cfg).unwrap();
+        s.emit(t(400));
+        s.emit(t(600));
+        s.emit(t(700));
     }
 }

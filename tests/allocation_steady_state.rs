@@ -13,7 +13,7 @@
 
 use std::sync::Mutex;
 
-use domino::core::Domino;
+use domino::core::{Domino, StreamingAnalyzer};
 use domino::obs::{Counter, FGauge};
 use domino::scenarios::{SessionConfig, SessionSpec};
 use domino::simcore::alloc_count::{self, CountingAlloc};
@@ -86,12 +86,12 @@ fn warm_worker_sessions_stay_within_allocation_budget() {
         cold.allocations
     );
 
-    // The budget: about twice the 4 394 allocations a warm session makes,
-    // under 0.6 per engine tick (the seed path performed ~6/tick). This is
+    // The budget: about twice the 2 197 allocations a warm session makes,
+    // under 0.3 per engine tick (the seed path performed ~6/tick). This is
     // the regression tripwire for a stray per-tick `collect()`/`Vec::new`
     // or a per-packet map that allocates nodes.
     assert!(
-        worst < 9_000,
+        worst < 4_400,
         "warm session allocates {worst}× for {ticks} ticks — hot path regressed"
     );
     // And warming must not cost more than the cold session (sanity).
@@ -155,10 +155,10 @@ fn enabled_recorder_stays_within_allocation_budget() {
         "warm session allocs: {} recorder-off, {} recorder-on ({ticks} ticks)",
         base.allocations, on.allocations
     );
-    // About twice the 3 336 allocations the warm recorder-on session
-    // makes, under 0.6 per engine tick.
+    // About twice the 1 664 allocations the warm recorder-on session
+    // makes, under 0.3 per engine tick.
     assert!(
-        on.allocations < 7_000,
+        on.allocations < 3_400,
         "obs-on session allocates {} for {ticks} ticks — the recorder path regressed",
         on.allocations
     );
@@ -258,13 +258,40 @@ fn abr_sessions_stay_within_allocation_budget() {
         "cold ABR session: {} allocs; warm sessions: {per_session:?} ({ticks} ticks)",
         cold.allocations
     );
-    // About twice the 538 allocations a warm streaming session makes,
-    // under 0.1 per engine tick.
+    // About twice the 151 allocations a warm streaming session makes,
+    // under 0.03 per engine tick.
     assert!(
-        worst < 1_100,
+        worst < 300,
         "warm ABR session allocates {worst}× for {ticks} ticks — playback endpoint is not leasing"
     );
     assert!(worst <= cold.allocations);
+}
+
+/// The analyzer's rolling state lives in rings and fixed tables that keep
+/// their capacity across [`StreamingAnalyzer::reset`], so once a first pass
+/// over a call has grown them, analyzing the call again allocates only the
+/// output: each window's chain and unknown-consequence lists, and the
+/// growth of the window list.
+#[test]
+fn warm_streaming_analysis_allocates_only_its_output() {
+    let _guard = SERIAL.lock().unwrap();
+    let bundle = spec(34, 20).run();
+    let mut analyzer = StreamingAnalyzer::with_defaults();
+    let cold = analyzer.analyze(&bundle);
+    let (warm, stats) = alloc_count::measure(|| analyzer.analyze(&bundle));
+    assert_eq!(warm, cold);
+    let windows = warm.windows.len() as u64;
+    assert_eq!(windows, 25);
+    let per_window = stats.allocations as f64 / windows as f64;
+    eprintln!(
+        "warm analysis of a 20 s call: {} allocs / {windows} windows = {per_window:.2}/window",
+        stats.allocations
+    );
+    // About twice the 2.16 allocations a warm pass makes per window.
+    assert!(
+        per_window < 4.5,
+        "warm analysis allocates {per_window:.2}× per window — the rolling state regressed"
+    );
 }
 
 /// The playout-delay estimator runs once per audio packet and once per
